@@ -9,8 +9,9 @@
 
 use crate::error::ArtifactError;
 
-/// FNV-1a 64-bit hasher, matching the hash used for cache keys across
-/// the workspace.
+/// FNV-1a 64-bit hasher: the workspace's one content hash, behind the
+/// artifact checksum and content hash, the session cache keys and disk
+/// cache file names, and the simulator's trace state digests.
 #[derive(Clone)]
 pub struct Fnv(u64);
 
@@ -27,6 +28,7 @@ impl Fnv {
     }
 
     /// Feeds `bytes` into the hash.
+    #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
@@ -34,7 +36,32 @@ impl Fnv {
         }
     }
 
+    /// Feeds one byte.
+    #[inline]
+    pub fn write_u8(&mut self, v: u8) {
+        self.write(&[v]);
+    }
+
+    /// Feeds a u64 as its little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// Feeds an i64 as its little-endian bytes.
+    #[inline]
+    pub fn write_i64(&mut self, v: i64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// Feeds a usize widened to u64, so hashes agree across pointer widths.
+    #[inline]
+    pub fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
     /// The current hash value.
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.0
     }
@@ -288,6 +315,24 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
         assert!(matches!(d.count(4, "vec").unwrap_err(), ArtifactError::Truncated { .. }));
+    }
+
+    #[test]
+    fn fnv_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        // Typed writes hash their little-endian bytes.
+        let mut h = Fnv::new();
+        h.write_u8(7);
+        h.write_u64(3);
+        h.write_i64(-2);
+        h.write_usize(5);
+        let mut bytes = vec![7u8];
+        bytes.extend_from_slice(&3u64.to_le_bytes());
+        bytes.extend_from_slice(&(-2i64).to_le_bytes());
+        bytes.extend_from_slice(&5u64.to_le_bytes());
+        assert_eq!(h.finish(), fnv1a(&bytes));
     }
 
     #[test]

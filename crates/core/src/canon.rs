@@ -11,7 +11,7 @@
 use crate::error::CoreError;
 use asdf_ir::block::BlockPath;
 use asdf_ir::clone::clone_ops_into;
-use asdf_ir::rewrite::{GreedyRewriteDriver, PatternSet, RewriteConfig, RewritePattern, Rewriter};
+use asdf_ir::rewrite::{PatternSet, RewritePattern, Rewriter};
 use asdf_ir::{Func, FuncBuilder, Module, Op, OpKind, Value, Visibility};
 use std::collections::HashMap;
 
@@ -23,16 +23,6 @@ pub fn qwerty_patterns() -> PatternSet {
     set.add(Box::new(IfPushdown));
     set.add(Box::new(AdjPredIfPushdown));
     set
-}
-
-/// A worklist driver loaded with the Qwerty-level patterns.
-pub fn qwerty_canonicalizer() -> GreedyRewriteDriver {
-    GreedyRewriteDriver::from_patterns(qwerty_patterns())
-}
-
-/// [`qwerty_canonicalizer`] under an explicit configuration (fuel, trace).
-pub fn qwerty_canonicalizer_with(config: RewriteConfig) -> GreedyRewriteDriver {
-    GreedyRewriteDriver::with_config(qwerty_patterns(), config)
 }
 
 /// Lambda lifting (§5.4 step 1): replaces every `lambda` op with a private
@@ -217,11 +207,10 @@ impl RewritePattern for IndirectToDirect {
         let mut preds: Vec<asdf_basis::Basis> = Vec::new();
         let mut current = op.operands[0];
         let callee = loop {
-            let Some(def) =
-                block.ops[..rw.root_idx()].iter().find(|o| o.results.contains(&current))
-            else {
+            let Some((def_idx, _)) = rw.find_def(current) else {
                 return false;
             };
+            let def = &block.ops[def_idx];
             match &def.kind {
                 OpKind::FuncAdj => {
                     adj = !adj;
@@ -261,13 +250,10 @@ impl RewritePattern for IfPushdown {
         }
         let callee = op.operands[0];
         let block = rw.block();
-        let Some(if_idx) = block.ops[..rw.root_idx()]
-            .iter()
-            .position(|o| matches!(o.kind, OpKind::ScfIf) && o.results.contains(&callee))
-        else {
+        let Some((if_idx, yield_pos)) = rw.find_def(callee) else {
             return false;
         };
-        if rw.use_count(callee) != 1 {
+        if !matches!(block.ops[if_idx].kind, OpKind::ScfIf) || rw.use_count(callee) != 1 {
             return false;
         }
         let args = op.operands[1..].to_vec();
@@ -275,8 +261,6 @@ impl RewritePattern for IfPushdown {
             op.results.iter().map(|r| rw.value_type(*r).clone()).collect();
         let call_results = op.results.clone();
         let if_op = block.ops[if_idx].clone();
-        let yield_pos =
-            if_op.results.iter().position(|r| *r == callee).expect("callee is an scf.if result");
 
         // Rebuild each region: call the yielded function, yield the call's
         // results instead.
@@ -334,21 +318,16 @@ impl RewritePattern for AdjPredIfPushdown {
         }
         let operand = op.operands[0];
         let block = rw.block();
-        let Some(if_idx) = block.ops[..rw.root_idx()]
-            .iter()
-            .position(|o| matches!(o.kind, OpKind::ScfIf) && o.results.contains(&operand))
-        else {
+        let Some((if_idx, yield_pos)) = rw.find_def(operand) else {
             return false;
         };
-        if rw.use_count(operand) != 1 {
+        if !matches!(block.ops[if_idx].kind, OpKind::ScfIf) || rw.use_count(operand) != 1 {
             return false;
         }
         let wrapper_kind = op.kind.clone();
         let wrapper_results = op.results.clone();
         let result_ty = rw.value_type(op.results[0]).clone();
         let if_op = block.ops[if_idx].clone();
-        let yield_pos =
-            if_op.results.iter().position(|r| *r == operand).expect("operand is an scf.if result");
 
         let mut new_regions = Vec::with_capacity(if_op.regions.len());
         for region in &if_op.regions {

@@ -6,13 +6,14 @@
 //! counts come out of [`asdf_ir::pass::PassStatistics`] for free.
 
 use crate::adjoint::adjoint_func;
-use crate::canon::{lift_lambdas, qwerty_canonicalizer, qwerty_canonicalizer_with};
+use crate::canon::{lift_lambdas, qwerty_patterns};
 use crate::convert::convert_module;
 use crate::error::CoreError;
 use crate::predicate::predicate_func;
 use crate::special::generate_specializations;
 use asdf_ir::inline::{remove_dead_private_funcs, InlineSpecializer, Inliner};
 use asdf_ir::pass::{CanonicalizePass, Pass, PassError, PassOutcome, PassResult};
+use asdf_ir::rewrite::{GreedyRewriteDriver, RewriteConfig};
 use asdf_ir::{Func, IrError, Module};
 
 /// Pass name: lambda lifting (§5.4 step 1).
@@ -46,17 +47,15 @@ impl Pass for LiftLambdasPass {
     }
 }
 
-/// The Qwerty-dialect canonicalizer as a pass, with per-pattern firing
-/// counts in the statistics detail.
-pub fn qwerty_canonicalize_pass() -> CanonicalizePass {
-    CanonicalizePass::new(QWERTY_CANONICALIZE, qwerty_canonicalizer())
-}
-
-/// [`qwerty_canonicalize_pass`] under an explicit rewrite configuration —
-/// the pipeline path that shares one [`asdf_ir::rewrite::Fuel`] budget
-/// across all rewrite-driven passes of a compilation.
-pub fn qwerty_canonicalize_pass_with(config: asdf_ir::rewrite::RewriteConfig) -> CanonicalizePass {
-    CanonicalizePass::new(QWERTY_CANONICALIZE, qwerty_canonicalizer_with(config))
+/// The Qwerty-dialect canonicalizer as a pass under a rewrite
+/// configuration (fuel, trace), with per-pattern firing counts in the
+/// statistics detail. Passes built from clones of one config share its
+/// [`asdf_ir::rewrite::Fuel`] budget across a compilation.
+pub fn qwerty_canonicalize_pass_with(config: RewriteConfig) -> CanonicalizePass {
+    CanonicalizePass::new(
+        QWERTY_CANONICALIZE,
+        GreedyRewriteDriver::with_config(qwerty_patterns(), config),
+    )
 }
 
 /// Direct-call inlining; builds adjoint/predicated callee bodies on demand

@@ -73,7 +73,7 @@ use crate::compiler::{CompileOptions, Compiled};
 use crate::diskcache::{DiskCache, DiskLookup, DEFAULT_DISK_CAPACITY};
 use crate::error::CoreError;
 use crate::lower::lower_kernel;
-use asdf_artifact::Artifact;
+use asdf_artifact::{fnv1a, Artifact, Fnv};
 use asdf_ast::ast::Program;
 use asdf_ast::canon::canonicalize as ast_canonicalize;
 use asdf_ast::expand::{instantiate, CaptureValue};
@@ -95,51 +95,10 @@ use std::time::{Duration, Instant};
 // Content hashing
 // ---------------------------------------------------------------------
 
-/// Streaming FNV-1a, the content hash for cache keys: deterministic,
-/// dependency-free, cheap on short inputs, and — crucially for the warm
-/// path — able to hash a [`CompileRequest`] *in place*, without building
-/// an owned key first.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// FNV-1a over a byte string (the source-content hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.write(bytes);
-    h.finish()
-}
+// Cache keys are streaming FNV-1a hashes (`asdf_artifact::Fnv`):
+// deterministic, cheap on short inputs, and — crucially for the warm
+// path — computed over a `CompileRequest` *in place*, without building an
+// owned key first.
 
 /// Hashes a capture value structurally (no text encoding is built).
 fn hash_capture(capture: &CaptureValue, h: &mut Fnv) {
@@ -1582,12 +1541,6 @@ mod tests {
         }
         assert!(cache.len() <= 6, "global bound holds, got {}", cache.len());
         assert_eq!(evictions + cache.len() as u64, 32);
-    }
-
-    #[test]
-    fn fnv_is_content_addressed() {
-        assert_eq!(fnv1a(b"qpu"), fnv1a(b"qpv") ^ fnv1a(b"qpv") ^ fnv1a(b"qpu"));
-        assert_ne!(fnv1a(b"qpu"), fnv1a(b"qpv"));
     }
 
     #[test]

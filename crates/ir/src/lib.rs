@@ -19,8 +19,7 @@
 //! - a worklist-driven greedy rewrite engine ([`rewrite::GreedyRewriteDriver`])
 //!   running [`rewrite::RewritePattern`]s through a [`rewrite::Rewriter`]
 //!   handle to a fixpoint, with integrated classical dead-code elimination,
-//!   per-pattern benefits, a [`rewrite::Fuel`] cutoff, and firing traces
-//!   (plus [`rewrite::RescanDriver`], the retained rescan reference);
+//!   per-pattern benefits, a [`rewrite::Fuel`] cutoff, and firing traces;
 //! - an [`inline::Inliner`] with a specialization hook so the Qwerty-level
 //!   adjoint/predication transforms (implemented in `asdf-core`) can run
 //!   when `call adj`/`call pred` ops are inlined (§5.4);
@@ -61,8 +60,7 @@ pub use pass::{
     Fixpoint, Pass, PassError, PassManager, PassOutcome, PassResult, PassStat, PassStatistics,
 };
 pub use rewrite::{
-    Fuel, GreedyRewriteDriver, PatternSet, RescanDriver, RewriteConfig, RewritePattern,
-    RewriteStats, Rewriter, SymbolTable,
+    Fuel, GreedyRewriteDriver, PatternSet, RewriteConfig, RewritePattern, RewriteStats, Rewriter,
 };
 pub use span::SrcSpan;
 pub use types::{FuncType, Type};

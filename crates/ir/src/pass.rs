@@ -13,14 +13,12 @@
 //! - [`Fixpoint`]: a pass combinator that repeats a sub-pipeline until a
 //!   full round reports no changes (the canonicalize+inline loop of §5.4);
 //! - [`CanonicalizePass`]: adapts a [`GreedyRewriteDriver`] (and its
-//!   per-pattern firing statistics) to the [`Pass`] interface, holding its
-//!   [`SymbolTable`] across runs so repeated rounds reconcile it
-//!   incrementally instead of rebuilding it;
+//!   per-pattern firing statistics) to the [`Pass`] interface;
 //! - [`VerifyPass`] and [`pass_fn`]: small building blocks for explicit
 //!   verification points and closure-backed passes.
 
 use crate::module::Module;
-use crate::rewrite::{GreedyRewriteDriver, SymbolTable};
+use crate::rewrite::GreedyRewriteDriver;
 use crate::verify::verify_module;
 use std::error::Error;
 use std::fmt;
@@ -392,24 +390,16 @@ pub const REWRITE_WALL_US_DETAIL_KEY: &str = "rewrite-wall-us";
 /// Adapts a [`GreedyRewriteDriver`] (worklist pattern engine + integrated
 /// DCE) to the [`Pass`] interface, forwarding its per-pattern firing
 /// counts (prefixed with [`PATTERN_DETAIL_PREFIX`]), DCE count, and
-/// rewrite wall-clock. The pass owns a [`SymbolTable`] that persists
-/// across runs and is reconciled incrementally each round instead of
-/// being rebuilt from scratch.
+/// rewrite wall-clock.
 pub struct CanonicalizePass {
     name: String,
     driver: GreedyRewriteDriver,
-    symbols: SymbolTable,
 }
 
 impl CanonicalizePass {
     /// Wraps `driver` under the pass name `name`.
     pub fn new(name: impl Into<String>, driver: GreedyRewriteDriver) -> Self {
-        CanonicalizePass { name: name.into(), driver, symbols: SymbolTable::default() }
-    }
-
-    /// The wrapped driver (e.g. to inspect [`GreedyRewriteDriver::stats`]).
-    pub fn driver(&self) -> &GreedyRewriteDriver {
-        &self.driver
+        CanonicalizePass { name: name.into(), driver }
     }
 }
 
@@ -420,7 +410,7 @@ impl Pass for CanonicalizePass {
 
     fn run(&mut self, module: &mut Module) -> PassResult {
         let start = Instant::now();
-        let fired = self.driver.run_with_symbols(module, &mut self.symbols);
+        let fired = self.driver.run(module);
         let elapsed = start.elapsed();
         let mut detail: Vec<(String, usize)> = self
             .driver

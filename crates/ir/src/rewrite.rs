@@ -1,4 +1,5 @@
-//! The rewrite layer: patterns, the [`Rewriter`] handle, and two drivers.
+//! The rewrite layer: patterns, the [`Rewriter`] handle, and the greedy
+//! worklist driver.
 //!
 //! MLIR's canonicalizer "simplifies IR to better enable optimizations (e.g.,
 //! through constant folding and dead code elimination)" (§3), and both MLIR
@@ -12,103 +13,24 @@
 //!   affected def-use neighborhood.
 //! - [`Rewriter`]: the mutation handle. Edits are queued and applied when
 //!   the pattern returns `true`; reads always observe the pre-firing IR.
+//!   Def and use lookups are answered by the driver's incrementally
+//!   maintained def/use index, the one place those facts come from.
 //! - [`GreedyRewriteDriver`]: the worklist driver. Seeds every op, pops in
 //!   program order, applies the best-[`benefit`](RewritePattern::benefit)
 //!   matching pattern, folds classical dead-code elimination into the same
 //!   worklist, and requeues only the reported neighborhood. Supports a
 //!   [`Fuel`] cutoff (`ASDF_REWRITE_FUEL`) for bisecting miscompiles and an
 //!   optional firing trace (`ASDF_REWRITE_TRACE=1`).
-//! - [`RescanDriver`]: the original rescan-from-op-0 fixpoint loop,
-//!   retained as a differential reference for equivalence tests and the
-//!   `rewrite_driver` bench. It drives the *same* patterns; only the
-//!   scheduling differs.
 
 use crate::block::{Block, BlockPath};
 use crate::func::Func;
 use crate::module::Module;
 use crate::op::Op;
-use crate::types::{FuncType, Type};
+use crate::types::Type;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------
-// Symbols
-// ---------------------------------------------------------------------
-
-/// A read-only snapshot of module-level symbols, available to patterns
-/// while a function is mutably borrowed. Built once per driver run and
-/// updated incrementally (instead of rebuilt from scratch every driver
-/// iteration) via [`SymbolTable::reconcile`] and
-/// [`SymbolTable::update_symbol`].
-#[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
-    sigs: HashMap<String, FuncType>,
-}
-
-impl SymbolTable {
-    /// Builds the snapshot from a module.
-    pub fn from_module(module: &Module) -> Self {
-        let mut table = SymbolTable::default();
-        table.reconcile(module);
-        table
-    }
-
-    /// Looks up a symbol's signature.
-    pub fn signature(&self, name: &str) -> Option<&FuncType> {
-        self.sigs.get(name)
-    }
-
-    /// Number of known symbols.
-    pub fn len(&self) -> usize {
-        self.sigs.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
-    }
-
-    /// Incrementally reconciles the table with `module`: drops symbols that
-    /// no longer exist, adds new ones, and refreshes changed signatures —
-    /// without cloning signatures that are already up to date. Returns the
-    /// number of entries that changed.
-    pub fn reconcile(&mut self, module: &Module) -> usize {
-        let mut changed = 0usize;
-        self.sigs.retain(|name, _| {
-            let live = module.contains(name);
-            if !live {
-                changed += 1;
-            }
-            live
-        });
-        for func in module.funcs() {
-            match self.sigs.get(&func.name) {
-                Some(sig) if *sig == func.ty => {}
-                _ => {
-                    self.sigs.insert(func.name.clone(), func.ty.clone());
-                    changed += 1;
-                }
-            }
-        }
-        changed
-    }
-
-    /// Refreshes (or removes) a single symbol from `module` — the
-    /// incremental path taken when a pattern reports
-    /// [`Rewriter::notify_symbol_changed`]. Returns whether the table
-    /// changed.
-    pub fn update_symbol(&mut self, module: &Module, name: &str) -> bool {
-        match module.func(name) {
-            Some(func) => {
-                self.sigs.insert(name.to_string(), func.ty.clone());
-                true
-            }
-            None => self.sigs.remove(name).is_some(),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Fuel
@@ -188,8 +110,8 @@ impl Default for Fuel {
 // Configuration and statistics
 // ---------------------------------------------------------------------
 
-/// Driver tunables shared by both drivers. `Clone` shares the [`Fuel`]
-/// cell, so one budget can span several passes of a pipeline.
+/// Driver tunables. `Clone` shares the [`Fuel`] cell, so one budget can
+/// span several passes of a pipeline.
 #[derive(Debug, Clone)]
 pub struct RewriteConfig {
     /// The firing budget (see [`Fuel`]).
@@ -197,11 +119,6 @@ pub struct RewriteConfig {
     /// Record (and print to stderr) a `pattern @ func:block:op` line per
     /// firing.
     pub trace: bool,
-    /// How many def-use hops around a change are requeued. Must be at
-    /// least the deepest op-graph lookaround of any registered pattern
-    /// (the stock patterns look at most 3 hops, e.g. the Fig. 10 relaxed
-    /// peephole's `qalloc; x; h` prologue).
-    pub neighborhood_radius: usize,
     /// Hard bound on total firings per run; exceeding it panics, which
     /// indicates a non-terminating (cyclic) pattern set.
     pub max_fires: usize,
@@ -209,12 +126,7 @@ pub struct RewriteConfig {
 
 impl Default for RewriteConfig {
     fn default() -> Self {
-        RewriteConfig {
-            fuel: Fuel::unlimited(),
-            trace: false,
-            neighborhood_radius: 3,
-            max_fires: 1_000_000,
-        }
+        RewriteConfig { fuel: Fuel::unlimited(), trace: false, max_fires: 1_000_000 }
     }
 }
 
@@ -277,8 +189,7 @@ pub struct RewriteStats {
 // Patterns
 // ---------------------------------------------------------------------
 
-/// A DAG-to-DAG rewrite driven by a [`GreedyRewriteDriver`] (or the
-/// reference [`RescanDriver`]).
+/// A DAG-to-DAG rewrite driven by a [`GreedyRewriteDriver`].
 ///
 /// A pattern inspects the op at the rewriter's root — plus whatever block
 /// context it needs via [`Rewriter::block`], [`Rewriter::find_def`], and
@@ -372,21 +283,6 @@ impl PatternSet {
         self
     }
 
-    /// Pattern names in matching (benefit) order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.patterns.iter().map(|p| p.name()).collect()
-    }
-
-    /// Number of registered patterns.
-    pub fn len(&self) -> usize {
-        self.patterns.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.patterns.is_empty()
-    }
-
     fn iter(&self) -> impl Iterator<Item = &Box<dyn RewritePattern>> {
         self.patterns.iter()
     }
@@ -407,8 +303,6 @@ enum Mutation {
     InsertBefore { idx: usize, op: Op },
     /// Rewrite every use of `from` (function-wide) to `to`.
     Rauw { from: Value, to: Value },
-    /// A module-level symbol changed; refresh the symbol table.
-    SymbolChanged { name: String },
 }
 
 /// The handle a [`RewritePattern`] reads and mutates through.
@@ -453,22 +347,18 @@ enum Mutation {
 /// ```
 pub struct Rewriter<'a> {
     func: &'a mut Func,
-    index: Option<&'a FuncIndex>,
-    symbols: &'a SymbolTable,
+    index: &'a FuncIndex,
     path: &'a BlockPath,
+    root: SlotId,
     root_idx: usize,
     log: Vec<Mutation>,
 }
 
 impl<'a> Rewriter<'a> {
-    fn new(
-        func: &'a mut Func,
-        index: Option<&'a FuncIndex>,
-        symbols: &'a SymbolTable,
-        path: &'a BlockPath,
-        root_idx: usize,
-    ) -> Self {
-        Rewriter { func, index, symbols, path, root_idx, log: Vec::new() }
+    /// A handle rooted at `root`, whose block sits at `path` in `func`.
+    fn new(func: &'a mut Func, index: &'a FuncIndex, path: &'a BlockPath, root: SlotId) -> Self {
+        let root_idx = index.slots[root].pos;
+        Rewriter { func, index, path, root, root_idx, log: Vec::new() }
     }
 
     fn assert_clean(&self) {
@@ -510,33 +400,28 @@ impl<'a> Rewriter<'a> {
         self.func.value_type(v)
     }
 
-    /// Module-level symbol signatures.
-    pub fn symbols(&self) -> &SymbolTable {
-        self.symbols
-    }
-
-    /// The defining op of `v` within the root block, searching backwards
-    /// from the root: `(op index, result position)`.
+    /// The op defining `v` in the root block, as `(op index, result
+    /// position)`, read in O(1) from the driver's def index. `None` when
+    /// `v` is a block argument, is defined in another block (an enclosing
+    /// block or a nested region), or is defined at or after the root.
+    /// Under SSA a def precedes its uses, so the same lookup serves
+    /// multi-hop lookbacks (the def of an operand of an earlier op).
     pub fn find_def(&self, v: Value) -> Option<(usize, usize)> {
         self.assert_clean();
-        let block = self.func.block_at(self.path);
-        for i in (0..self.root_idx).rev() {
-            if let Some(pos) = block.ops[i].results.iter().position(|r| *r == v) {
-                return Some((i, pos));
-            }
+        let def = &self.index.slots[self.index.def_slot(v)?];
+        let root_block = self.index.slots[self.root].block;
+        if !def.live || def.block != root_block || def.pos >= self.root_idx {
+            return None;
         }
-        None
+        let result = self.block().ops[def.pos].results.iter().position(|r| *r == v)?;
+        Some((def.pos, result))
     }
 
     /// Function-wide use count of `v` (operand uses, including nested
-    /// regions). O(1) under the worklist driver's index; a function scan
-    /// under the rescan reference driver.
+    /// regions), O(1) from the driver's index.
     pub fn use_count(&self, v: Value) -> usize {
         self.assert_clean();
-        match self.index {
-            Some(index) => index.use_count(v),
-            None => self.func.use_count(v),
-        }
+        self.index.use_count(v)
     }
 
     // ----- mutations (queued) -----
@@ -580,13 +465,6 @@ impl<'a> Rewriter<'a> {
     /// (applied after all structural edits).
     pub fn replace_all_uses(&mut self, from: Value, to: Value) {
         self.log.push(Mutation::Rauw { from, to });
-    }
-
-    /// Notifies the driver that the pattern changed the module-level
-    /// symbol `name` (through some side channel), so the shared
-    /// [`SymbolTable`] is refreshed incrementally instead of rebuilt.
-    pub fn notify_symbol_changed(&mut self, name: &str) {
-        self.log.push(Mutation::SymbolChanged { name: name.to_string() });
     }
 
     fn has_mutations(&self) -> bool {
@@ -795,18 +673,16 @@ struct AppliedChange {
     /// Slots of created (inserted or replacement) ops, including ops
     /// inside their regions.
     created: Vec<SlotId>,
-    /// Symbols the pattern reported as changed.
-    symbols_changed: Vec<String>,
 }
 
 /// Applies a queued mutation log to `func` (root block at `path`),
-/// keeping `index` in sync when present. Edits address pre-firing
-/// indices; application order is replaces, erases, inserts, then RAUWs.
+/// keeping `index` in sync. Edits address pre-firing indices; application
+/// order is replaces, erases, inserts, then RAUWs.
 fn apply_mutations(
     func: &mut Func,
     path: &BlockPath,
     log: Vec<Mutation>,
-    mut index: Option<&mut FuncIndex>,
+    index: &mut FuncIndex,
 ) -> AppliedChange {
     let mut change = AppliedChange::default();
     let mut replaces: Vec<(usize, Op)> = Vec::new();
@@ -819,7 +695,6 @@ fn apply_mutations(
             Mutation::Erase { idx } => erases.push(idx),
             Mutation::InsertBefore { idx, op } => inserts.push((idx, op)),
             Mutation::Rauw { from, to } => rauws.push((from, to)),
-            Mutation::SymbolChanged { name } => change.symbols_changed.push(name),
         }
     }
     erases.sort_unstable();
@@ -829,46 +704,33 @@ fn apply_mutations(
         "an op may be replaced or erased in one firing, not both"
     );
 
-    if let Some(ix) = index.as_deref_mut() {
-        ix.grow(func);
-    }
-    let bid = index.as_deref().map(|ix| ix.block_id_at(path));
+    index.grow(func);
+    let bid = index.block_id_at(path);
 
     // 1. Replaces, at unshifted indices.
     for (idx, new_op) in replaces {
         change.touched.extend(new_op.operands.iter().chain(new_op.results.iter()));
-        if let (Some(ix), Some(bid)) = (index.as_deref_mut(), bid) {
-            let old_slot = ix.blocks[bid].slots[idx];
-            // Clone-free would need simultaneous &Func and &mut index;
-            // replaced ops are small (region-bearing replacements already
-            // clone in the pattern).
-            let old = func.block_at(path).ops[idx].clone();
-            change.touched.extend(old.operands.iter().chain(old.results.iter()));
-            ix.unindex_op(&old, old_slot);
-            // Everything index_op allocates — the op itself plus every op
-            // inside its regions — is newly created and must be requeued.
-            let first_new = ix.slots.len();
-            let new_slot = ix.index_op(&new_op, bid, idx);
-            ix.blocks[bid].slots[idx] = new_slot;
-            change.created.extend(first_new..ix.slots.len());
-        } else {
-            let old = &func.block_at(path).ops[idx];
-            change.touched.extend(old.operands.iter().chain(old.results.iter()));
-        }
-        func.block_at_mut(path).ops[idx] = new_op;
+        let old = std::mem::replace(&mut func.block_at_mut(path).ops[idx], new_op);
+        change.touched.extend(old.operands.iter().chain(old.results.iter()));
+        let old_slot = index.blocks[bid].slots[idx];
+        index.unindex_op(&old, old_slot);
+        // Everything index_op allocates — the op itself plus every op
+        // inside its regions — is newly created and must be requeued.
+        let first_new = index.slots.len();
+        let new_slot = index.index_op(&func.block_at(path).ops[idx], bid, idx);
+        index.blocks[bid].slots[idx] = new_slot;
+        change.created.extend(first_new..index.slots.len());
     }
 
     // 2. Erases, descending so indices stay valid.
     for &idx in erases.iter().rev() {
         let old = func.block_at_mut(path).ops.remove(idx);
         change.touched.extend(old.operands.iter().chain(old.results.iter()));
-        if let (Some(ix), Some(bid)) = (index.as_deref_mut(), bid) {
-            let slot = ix.blocks[bid].slots.remove(idx);
-            ix.unindex_op(&old, slot);
-            for i in idx..ix.blocks[bid].slots.len() {
-                let s = ix.blocks[bid].slots[i];
-                ix.slots[s].pos -= 1;
-            }
+        let slot = index.blocks[bid].slots.remove(idx);
+        index.unindex_op(&old, slot);
+        for i in idx..index.blocks[bid].slots.len() {
+            let s = index.blocks[bid].slots[i];
+            index.slots[s].pos -= 1;
         }
     }
 
@@ -879,16 +741,14 @@ fn apply_mutations(
         let shift = erases.iter().filter(|&&e| e < orig_idx).count();
         let eff = orig_idx - shift + applied_inserts;
         change.touched.extend(op.operands.iter().chain(op.results.iter()));
-        if let (Some(ix), Some(bid)) = (index.as_deref_mut(), bid) {
-            for i in eff..ix.blocks[bid].slots.len() {
-                let s = ix.blocks[bid].slots[i];
-                ix.slots[s].pos += 1;
-            }
-            let first_new = ix.slots.len();
-            let slot = ix.index_op(&op, bid, eff);
-            ix.blocks[bid].slots.insert(eff, slot);
-            change.created.extend(first_new..ix.slots.len());
+        for i in eff..index.blocks[bid].slots.len() {
+            let s = index.blocks[bid].slots[i];
+            index.slots[s].pos += 1;
         }
+        let first_new = index.slots.len();
+        let slot = index.index_op(&op, bid, eff);
+        index.blocks[bid].slots.insert(eff, slot);
+        change.created.extend(first_new..index.slots.len());
         func.block_at_mut(path).ops.insert(eff, op);
     }
 
@@ -899,10 +759,7 @@ fn apply_mutations(
         }
         change.touched.push(from);
         change.touched.push(to);
-        match index.as_deref_mut() {
-            Some(ix) => ix.replace_all_uses(func, from, to),
-            None => func.replace_all_uses(from, to),
-        }
+        index.replace_all_uses(func, from, to);
     }
 
     change
@@ -917,10 +774,9 @@ fn apply_mutations(
 /// Seeds every op of every function, pops in program order, applies the
 /// best-benefit matching pattern, and requeues only the def-use
 /// neighborhood the [`Rewriter`] reported — so optimization cost scales
-/// with the number of firings, not firings × function size like the
-/// retained [`RescanDriver`]. Classical dead-code elimination runs on the
-/// same worklist (a popped pure op whose results are all unused is
-/// erased), replacing the separate DCE sweeps of the old driver.
+/// with the number of firings, not firings × function size. Classical
+/// dead-code elimination runs on the same worklist: a popped pure op whose
+/// results are all unused is erased.
 #[derive(Default)]
 pub struct GreedyRewriteDriver {
     patterns: PatternSet,
@@ -951,61 +807,27 @@ impl GreedyRewriteDriver {
         self
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &RewriteConfig {
-        &self.config
-    }
-
-    /// Replaces the configuration.
-    pub fn set_config(&mut self, config: RewriteConfig) {
-        self.config = config;
-    }
-
     /// Runs every function of `module` to its rewrite fixpoint; returns
-    /// total pattern firings. Builds a fresh [`SymbolTable`] for the run.
+    /// total pattern firings.
     ///
     /// # Panics
     ///
     /// Panics when [`RewriteConfig::max_fires`] is exceeded, which
     /// indicates a non-terminating (cyclic) pattern set.
     pub fn run(&mut self, module: &mut Module) -> usize {
-        let mut symbols = SymbolTable::default();
-        self.run_with_symbols(module, &mut symbols)
-    }
-
-    /// [`run`](GreedyRewriteDriver::run) against a caller-held symbol
-    /// table, reconciled incrementally instead of rebuilt — the path pass
-    /// pipelines use so repeated canonicalize rounds do not re-snapshot
-    /// unchanged signatures.
-    ///
-    /// # Panics
-    ///
-    /// Panics when [`RewriteConfig::max_fires`] is exceeded.
-    pub fn run_with_symbols(&mut self, module: &mut Module, symbols: &mut SymbolTable) -> usize {
-        symbols.reconcile(module);
         self.stats = RewriteStats::default();
         let mut total = 0usize;
-        let mut notes: Vec<String> = Vec::new();
         // Patterns are intra-function and signatures never change mid-run,
         // so one pass over the functions reaches the module fixpoint; the
         // per-function worklist reaches the function fixpoint.
         for name in module.func_names() {
             let func = module.func_mut(&name).expect("name snapshot is stable");
-            total += self.run_func(func, &name, symbols, &mut notes);
-            for note in notes.drain(..) {
-                symbols.update_symbol(module, &note);
-            }
+            total += self.run_func(func, &name);
         }
         total
     }
 
-    fn run_func(
-        &mut self,
-        func: &mut Func,
-        func_name: &str,
-        symbols: &SymbolTable,
-        symbol_notes: &mut Vec<String>,
-    ) -> usize {
+    fn run_func(&mut self, func: &mut Func, func_name: &str) -> usize {
         let mut index = FuncIndex::build(func);
         // Seed in reverse so LIFO pops visit ops in program order.
         let mut worklist: Vec<SlotId> = (0..index.slots.len()).rev().collect();
@@ -1020,12 +842,11 @@ impl GreedyRewriteDriver {
             }
             let (path, idx) = index.location(slot);
 
-            // Patterns first (matching the rescan reference's ordering),
-            // best benefit wins; then integrated DCE.
+            // Patterns first, best benefit wins; then integrated DCE.
             let mut fired = false;
             if !self.config.fuel.is_exhausted() {
                 for pattern in self.patterns.iter() {
-                    let mut rw = Rewriter::new(func, Some(&index), symbols, &path, idx);
+                    let mut rw = Rewriter::new(func, &index, &path, slot);
                     if pattern.match_and_rewrite(&mut rw) {
                         debug_assert!(
                             rw.has_mutations(),
@@ -1037,8 +858,8 @@ impl GreedyRewriteDriver {
                         }
                         let log = rw.into_log();
                         if self.config.trace {
-                            // Preorder block number, matching the rescan
-                            // driver's coordinates (O(func), trace-only).
+                            // Preorder block number in `Func::block_paths`
+                            // (O(func), trace-only).
                             let block_no = func
                                 .block_paths()
                                 .iter()
@@ -1049,7 +870,7 @@ impl GreedyRewriteDriver {
                             eprintln!("[rewrite] {line}");
                             self.stats.trace.push(line);
                         }
-                        let change = apply_mutations(func, &path, log, Some(&mut index));
+                        let change = apply_mutations(func, &path, log, &mut index);
                         *self.stats.fired.entry(pattern.name()).or_default() += 1;
                         self.stats.fires += 1;
                         fires += 1;
@@ -1059,7 +880,6 @@ impl GreedyRewriteDriver {
                              (cyclic pattern set?)",
                             self.config.max_fires
                         );
-                        symbol_notes.extend(change.symbols_changed);
                         if in_list.len() < index.slots.len() {
                             in_list.resize(index.slots.len(), false);
                         }
@@ -1070,7 +890,6 @@ impl GreedyRewriteDriver {
                             }
                         }
                         enqueue_neighborhood(
-                            self.config.neighborhood_radius,
                             func,
                             &index,
                             &change.touched,
@@ -1101,10 +920,9 @@ impl GreedyRewriteDriver {
                 && op.results.iter().all(|r| index.use_count(*r) == 0)
             {
                 let change =
-                    apply_mutations(func, &path, vec![Mutation::Erase { idx }], Some(&mut index));
+                    apply_mutations(func, &path, vec![Mutation::Erase { idx }], &mut index);
                 self.stats.dce_erased += 1;
                 enqueue_neighborhood(
-                    self.config.neighborhood_radius,
                     func,
                     &index,
                     &change.touched,
@@ -1130,12 +948,16 @@ struct NeighborhoodScratch {
     adjacent: Vec<SlotId>,
 }
 
+/// How many def-use hops around a change are requeued. Must be at least
+/// the deepest op-graph lookaround of any registered pattern (the stock
+/// patterns look at most 3 hops, e.g. the Fig. 10 relaxed peephole's
+/// `qalloc; x; h` prologue).
+const NEIGHBORHOOD_RADIUS: usize = 3;
+
 /// Requeues the def-use neighborhood of the touched values, out to
-/// `radius` hops — enough for every registered pattern's lookaround to
-/// observe the change.
-#[allow(clippy::too_many_arguments)]
+/// [`NEIGHBORHOOD_RADIUS`] hops — enough for every registered pattern's
+/// lookaround to observe the change.
 fn enqueue_neighborhood(
-    radius: usize,
     func: &Func,
     index: &FuncIndex,
     touched: &[Value],
@@ -1162,7 +984,7 @@ fn enqueue_neighborhood(
             scratch.frontier.push(v);
         }
     }
-    for depth in 0..radius {
+    for depth in 0..NEIGHBORHOOD_RADIUS {
         scratch.adjacent.clear();
         for &v in &scratch.frontier {
             if let Some(s) = index.def_slot(v) {
@@ -1186,7 +1008,7 @@ fn enqueue_neighborhood(
                 in_list[s] = true;
                 worklist.push(s);
             }
-            if depth + 1 < radius {
+            if depth + 1 < NEIGHBORHOOD_RADIUS {
                 let op = index.op(func, s);
                 for &v in op.operands.iter().chain(op.results.iter()) {
                     if v.index() < scratch.value_mark.len()
@@ -1205,174 +1027,13 @@ fn enqueue_neighborhood(
     }
 }
 
-// ---------------------------------------------------------------------
-// The rescan reference driver
-// ---------------------------------------------------------------------
-
-/// The pre-worklist driver, retained as a differential reference: after
-/// every firing it rescans the whole module from op 0. Same patterns,
-/// same [`Rewriter`] API, same interleaved DCE — only the scheduling
-/// differs, which is what the `rewrite_driver` bench and the equivalence
-/// proptests measure.
-#[derive(Default)]
-pub struct RescanDriver {
-    patterns: PatternSet,
-    config: RewriteConfig,
-    /// Statistics from the last [`run`](RescanDriver::run).
-    pub stats: RewriteStats,
-}
-
-impl RescanDriver {
-    /// A driver over `patterns` with the default configuration.
-    pub fn from_patterns(patterns: PatternSet) -> Self {
-        RescanDriver { patterns, ..RescanDriver::default() }
-    }
-
-    /// A driver over `patterns` with an explicit configuration.
-    pub fn with_config(patterns: PatternSet, config: RewriteConfig) -> Self {
-        RescanDriver { patterns, config, stats: RewriteStats::default() }
-    }
-
-    /// Registers a pattern.
-    pub fn add_pattern(&mut self, pattern: Box<dyn RewritePattern>) -> &mut Self {
-        self.patterns.add(pattern);
-        self
-    }
-
-    /// Runs to a fixpoint by rescanning after every firing; returns total
-    /// pattern firings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the module keeps changing beyond a large round bound,
-    /// which indicates a non-terminating rewrite pair.
-    pub fn run(&mut self, module: &mut Module) -> usize {
-        self.stats = RewriteStats::default();
-        let symbols = SymbolTable::from_module(module);
-        let mut total = 0usize;
-        for round in 0.. {
-            assert!(round < 10_000, "canonicalization did not reach a fixpoint");
-            let mut changed = false;
-            for name in module.func_names() {
-                let func = module.func_mut(&name).expect("name snapshot is stable");
-                while self.rewrite_once(func, &name, &symbols) {
-                    changed = true;
-                    total += 1;
-                }
-                let erased = dce_func(func);
-                if erased > 0 {
-                    self.stats.dce_erased += erased;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        total
-    }
-
-    /// Scans the function and fires at most one pattern.
-    fn rewrite_once(&mut self, func: &mut Func, func_name: &str, symbols: &SymbolTable) -> bool {
-        if self.config.fuel.is_exhausted() {
-            return false;
-        }
-        for (block_no, path) in func.block_paths().into_iter().enumerate() {
-            let len = func.block_at(&path).ops.len();
-            for op_idx in 0..len {
-                for pattern in self.patterns.iter() {
-                    let mut rw = Rewriter::new(func, None, symbols, &path, op_idx);
-                    if pattern.match_and_rewrite(&mut rw) {
-                        if !self.config.fuel.consume() {
-                            return false;
-                        }
-                        if self.config.trace {
-                            let line = format!(
-                                "{} @ {}:{}:{}",
-                                pattern.name(),
-                                func_name,
-                                block_no,
-                                op_idx
-                            );
-                            eprintln!("[rewrite] {line}");
-                            self.stats.trace.push(line);
-                        }
-                        let log = rw.into_log();
-                        apply_mutations(func, &path, log, None);
-                        *self.stats.fired.entry(pattern.name()).or_default() += 1;
-                        self.stats.fires += 1;
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-}
-
-/// Removes pure classical ops whose results are all unused, iterating
-/// until stable; returns the number of ops removed. Quantum (linear) ops
-/// are never removed: an unused linear result is a verifier error, not
-/// dead code. (The worklist driver folds this into its worklist; this
-/// standalone sweep serves the rescan reference and direct callers.)
-pub fn dce_func(func: &mut Func) -> usize {
-    let mut erased = 0usize;
-    loop {
-        // Count uses of every value across the whole function.
-        let mut use_counts = vec![0usize; func.num_values()];
-        count_uses(&func.body, &mut use_counts);
-
-        // Remove from at most one block per round: deleting ops shifts op
-        // indices, which invalidates the paths of nested blocks.
-        let mut removed = 0usize;
-        for path in func.block_paths() {
-            let block = func.block_at(&path);
-            let dead: Vec<usize> = block
-                .ops
-                .iter()
-                .enumerate()
-                .filter(|(_, op)| {
-                    op.kind.is_pure_classical()
-                        && !op.results.is_empty()
-                        && op.results.iter().all(|r| use_counts[r.index()] == 0)
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if !dead.is_empty() {
-                let block = func.block_at_mut(&path);
-                for &i in dead.iter().rev() {
-                    block.ops.remove(i);
-                }
-                removed = dead.len();
-                break;
-            }
-        }
-        if removed == 0 {
-            return erased;
-        }
-        erased += removed;
-    }
-}
-
-fn count_uses(block: &crate::block::Block, counts: &mut [usize]) {
-    for op in &block.ops {
-        for v in &op.operands {
-            counts[v.index()] += 1;
-        }
-        for region in &op.regions {
-            for nested in &region.blocks {
-                count_uses(nested, counts);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::func::{FuncBuilder, Visibility};
+    use crate::gate::GateKind;
     use crate::op::OpKind;
-    use crate::types::Type;
+    use crate::types::{FuncType, Type};
 
     /// A toy pattern: folds `fadd(const a, const b)` into a constant.
     struct FoldFAdd;
@@ -1437,17 +1098,95 @@ mod tests {
         crate::verify::verify_module(&module).unwrap();
     }
 
+    /// Asserts `module` is a normal form of `patterns`: a second driver
+    /// run fires nothing, erases nothing, and leaves the printed module
+    /// unchanged. An opportunity the first run failed to requeue would
+    /// still be there for the second run to find.
+    fn assert_fixpoint(module: &mut Module, patterns: PatternSet) {
+        let before = module.to_string();
+        let mut driver = GreedyRewriteDriver::from_patterns(patterns);
+        assert_eq!(driver.run(module), 0, "a second run fired:\n{before}");
+        assert_eq!(driver.stats.dce_erased, 0, "a second run erased ops:\n{before}");
+        assert_eq!(module.to_string(), before);
+    }
+
     #[test]
-    fn rescan_reference_reaches_the_same_normal_form() {
-        let mut wl = fadd_module();
-        let mut rs = fadd_module();
-        let mut worklist = GreedyRewriteDriver::new();
-        worklist.add_pattern(Box::new(FoldFAdd));
-        let mut rescan = RescanDriver::default();
-        rescan.add_pattern(Box::new(FoldFAdd));
-        assert_eq!(worklist.run(&mut wl), rescan.run(&mut rs));
-        assert_eq!(wl.to_string(), rs.to_string());
-        assert_eq!(worklist.stats.fired, rescan.stats.fired);
+    fn worklist_result_is_a_fixpoint() {
+        let mut module = fadd_module();
+        let mut driver = GreedyRewriteDriver::new();
+        driver.add_pattern(Box::new(FoldFAdd));
+        assert_eq!(driver.run(&mut module), 1);
+        let mut patterns = PatternSet::new();
+        patterns.add(Box::new(FoldFAdd));
+        assert_fixpoint(&mut module, patterns);
+    }
+
+    /// Runs `f` on a rewriter rooted at op `root_idx` of the block at
+    /// `path`, indexed the way the driver indexes a function.
+    fn with_rewriter<R>(
+        func: &mut Func,
+        path: &BlockPath,
+        root_idx: usize,
+        f: impl FnOnce(&Rewriter<'_>) -> R,
+    ) -> R {
+        let index = FuncIndex::build(func);
+        let root = index.blocks[index.block_id_at(path)].slots[root_idx];
+        f(&Rewriter::new(func, &index, path, root))
+    }
+
+    #[test]
+    fn def_lookup_edge_cases() {
+        let mut b = FuncBuilder::new(
+            "d",
+            FuncType::new(vec![Type::I1, Type::F64, Type::Qubit, Type::Qubit], vec![], false),
+            Visibility::Public,
+        );
+        let (cond, x, q0, q1) = (b.args()[0], b.args()[1], b.args()[2], b.args()[3]);
+        let mut bb = b.block();
+        let a = bb.push(OpKind::ConstF64 { value: 1.0 }, vec![], vec![Type::F64])[0];
+        let s = bb.push(OpKind::FAdd, vec![a, x], vec![Type::F64])[0];
+        let cx = bb.push(
+            OpKind::Gate { gate: GateKind::X, num_controls: 1 },
+            vec![q0, q1],
+            vec![Type::Qubit, Type::Qubit],
+        );
+        let then_block = bb.subblock(vec![], |sb| {
+            let t = sb.push(OpKind::FAdd, vec![a, s], vec![Type::F64]);
+            sb.push(OpKind::Yield, vec![t[0]], vec![]);
+        });
+        let else_block = bb.subblock(vec![], |sb| {
+            sb.push(OpKind::Yield, vec![s], vec![]);
+        });
+        let r = bb.push_with_regions(
+            OpKind::ScfIf,
+            vec![cond],
+            vec![Type::F64],
+            vec![
+                crate::block::Region::single(then_block),
+                crate::block::Region::single(else_block),
+            ],
+        )[0];
+        let late = bb.push(OpKind::FAdd, vec![r, s], vec![Type::F64])[0];
+        bb.push(OpKind::Return, vec![late, cx[0], cx[1]], vec![]);
+        let mut func = b.finish();
+
+        // Rooted at `late` (entry block, op 4).
+        with_rewriter(&mut func, &vec![], 4, |rw| {
+            assert_eq!(rw.find_def(x), None, "block argument");
+            assert_eq!(rw.find_def(cx[1]), Some((2, 1)), "second result of the cx");
+            assert_eq!(rw.find_def(late), None, "defined by the root itself");
+            // Second hop: the def of an operand of an earlier op.
+            let (s_idx, _) = rw.find_def(s).expect("s is defined before the root");
+            assert_eq!(s_idx, 1);
+            let hop = rw.block().ops[s_idx].operands[0];
+            assert_eq!(rw.find_def(hop), Some((0, 0)));
+        });
+        // Rooted inside the scf.if's then-region: defs in the enclosing
+        // block are not in the root's block.
+        with_rewriter(&mut func, &vec![(3, 0, 0)], 0, |rw| {
+            assert_eq!(rw.find_def(a), None);
+            assert_eq!(rw.find_def(s), None);
+        });
     }
 
     #[test]
@@ -1752,40 +1491,11 @@ mod tests {
         assert_eq!(fires, 3, "one wrap + two nested folds in a single run:\n{printed}");
         crate::verify::verify_module(&module).unwrap();
 
-        // And the rescan reference reaches the same normal form.
-        let mut rescan_module = build();
-        let mut rescan = RescanDriver::default();
-        rescan.add_pattern(Box::new(WrapInIf));
-        rescan.add_pattern(Box::new(FoldFAdd));
-        assert_eq!(rescan.run(&mut rescan_module), fires);
-        assert_eq!(rescan_module.to_string(), printed);
-    }
-
-    #[test]
-    fn symbol_table_reconciles_incrementally() {
-        let stub = |name: &str| {
-            let mut b =
-                FuncBuilder::new(name, FuncType::new(vec![], vec![], false), Visibility::Private);
-            b.block().push(OpKind::Return, vec![], vec![]);
-            b.finish()
-        };
-        let mut module = Module::new();
-        module.add_func(stub("a"));
-        module.add_func(stub("b"));
-        let mut table = SymbolTable::from_module(&module);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.reconcile(&module), 0, "nothing changed");
-
-        module.remove_func("b");
-        module.add_func(stub("c"));
-        assert_eq!(table.reconcile(&module), 2, "one removal + one addition");
-        assert!(table.signature("b").is_none());
-        assert!(table.signature("c").is_some());
-
-        module.remove_func("c");
-        assert!(table.update_symbol(&module, "c"), "single-symbol removal");
-        assert!(!table.update_symbol(&module, "never-existed"));
-        assert!(table.signature("c").is_none());
+        // And nothing was left unvisited for a second run to find.
+        let mut patterns = PatternSet::new();
+        patterns.add(Box::new(WrapInIf));
+        patterns.add(Box::new(FoldFAdd));
+        assert_fixpoint(&mut module, patterns);
     }
 
     #[test]
@@ -1799,9 +1509,12 @@ mod tests {
         let _unused = bb.push(OpKind::ConstF64 { value: 0.0 }, vec![], vec![Type::F64]);
         let q = bb.push(OpKind::QAlloc, vec![], vec![Type::Qubit]);
         bb.push(OpKind::Return, vec![q[0]], vec![]);
-        let mut func = b.finish();
-        assert_eq!(dce_func(&mut func), 1);
-        assert_eq!(func.body.ops.len(), 2, "qalloc and return survive");
+        let mut module = Module::new();
+        module.add_func(b.finish());
+        let mut driver = GreedyRewriteDriver::new();
+        assert_eq!(driver.run(&mut module), 0);
+        assert_eq!(driver.stats.dce_erased, 1);
+        assert_eq!(module.func("g").unwrap().body.ops.len(), 2, "qalloc and return survive");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 
 use asdf_ir::pass::CanonicalizePass;
 use asdf_ir::rewrite::{GreedyRewriteDriver, PatternSet, RewriteConfig, RewritePattern, Rewriter};
-use asdf_ir::{GateKind, Module, OpKind, Value};
+use asdf_ir::{GateKind, OpKind, Value};
 
-/// The name under which [`peephole_pass`] reports statistics.
+/// The name under which [`peephole_pass_with`] reports statistics.
 pub const PEEPHOLE_PASS_NAME: &str = "qcircuit-peephole";
 
 /// The QCircuit peephole patterns as a [`PatternSet`].
@@ -32,42 +32,15 @@ pub fn peephole_patterns() -> PatternSet {
     set
 }
 
-/// A worklist driver loaded with every QCircuit peephole pattern.
-pub fn peephole_canonicalizer() -> GreedyRewriteDriver {
-    GreedyRewriteDriver::from_patterns(peephole_patterns())
-}
-
-/// The peephole optimizations as a pipeline [`asdf_ir::pass::Pass`],
-/// reporting per-pattern firing counts in its statistics detail.
-pub fn peephole_pass() -> CanonicalizePass {
-    CanonicalizePass::new(PEEPHOLE_PASS_NAME, peephole_canonicalizer())
-}
-
-/// [`peephole_pass`] under an explicit rewrite configuration (fuel,
-/// trace) — the pipeline path that shares one [`asdf_ir::rewrite::Fuel`]
-/// budget across passes.
+/// The peephole optimizations as a pipeline [`asdf_ir::pass::Pass`] under
+/// a rewrite configuration (fuel, trace), reporting per-pattern firing
+/// counts in its statistics detail. Passes built from clones of one
+/// config share its [`asdf_ir::rewrite::Fuel`] budget.
 pub fn peephole_pass_with(config: RewriteConfig) -> CanonicalizePass {
     CanonicalizePass::new(
         PEEPHOLE_PASS_NAME,
         GreedyRewriteDriver::with_config(peephole_patterns(), config),
     )
-}
-
-/// Runs all peephole patterns to a fixpoint; returns pattern firings.
-pub fn run_peephole(module: &mut Module) -> usize {
-    peephole_canonicalizer().run(module)
-}
-
-/// Finds the defining op of `value` by scanning backwards from
-/// `before_idx` (adjacent-gate patterns almost always find it within a few
-/// ops, so this beats a map lookup per query).
-fn find_def(block: &asdf_ir::Block, before_idx: usize, value: Value) -> Option<(usize, usize)> {
-    for i in (0..before_idx).rev() {
-        if let Some(j) = block.ops[i].results.iter().position(|r| *r == value) {
-            return Some((i, j));
-        }
-    }
-    None
 }
 
 /// Normalizes a diagonal phase angle to a named gate when it hits a
@@ -147,8 +120,7 @@ impl RewritePattern for CancelGates {
             return false;
         };
         // Every operand must be the positional result of one earlier gate.
-        let Some((idx1, 0)) = op2.operands.first().and_then(|v| find_def(block, rw.root_idx(), *v))
-        else {
+        let Some((idx1, 0)) = op2.operands.first().and_then(|v| rw.find_def(*v)) else {
             return false;
         };
         let op1 = &block.ops[idx1];
@@ -217,7 +189,7 @@ impl RewritePattern for HConjugation {
         let OpKind::Gate { gate: GateKind::H, num_controls: 0 } = op3.kind else {
             return false;
         };
-        let Some((idx2, 0)) = find_def(block, rw.root_idx(), op3.operands[0]) else {
+        let Some((idx2, 0)) = rw.find_def(op3.operands[0]) else {
             return false;
         };
         let op2 = &block.ops[idx2];
@@ -229,7 +201,7 @@ impl RewritePattern for HConjugation {
             GateKind::Z => GateKind::X,
             _ => return false,
         };
-        let Some((idx1, 0)) = find_def(block, idx2, op2.operands[0]) else { return false };
+        let Some((idx1, 0)) = rw.find_def(op2.operands[0]) else { return false };
         let op1 = &block.ops[idx1];
         let OpKind::Gate { gate: GateKind::H, num_controls: 0 } = op1.kind else {
             return false;
@@ -277,7 +249,7 @@ impl RewritePattern for RelaxedPeephole {
         // Trace the target back: H <- X <- qalloc.
         let target_in = *mcx.operands.last().expect("gate has operands");
         let single_gate = |v: Value, want: GateKind| -> Option<usize> {
-            let (idx, pos) = find_def(block, rw.root_idx(), v)?;
+            let (idx, pos) = rw.find_def(v)?;
             if pos != 0 {
                 return None;
             }
@@ -293,7 +265,7 @@ impl RewritePattern for RelaxedPeephole {
         let Some(x_pre) = single_gate(block.ops[h_pre].operands[0], GateKind::X) else {
             return false;
         };
-        let Some((alloc_idx, 0)) = find_def(block, x_pre, block.ops[x_pre].operands[0]) else {
+        let Some((alloc_idx, 0)) = rw.find_def(block.ops[x_pre].operands[0]) else {
             return false;
         };
         if !matches!(block.ops[alloc_idx].kind, OpKind::QAlloc) {
@@ -370,7 +342,7 @@ impl RewritePattern for UnpackPack {
             OpKind::ArrUnpack => OpKind::ArrPack,
             _ => return false,
         };
-        let Some((pack_idx, 0)) = find_def(block, rw.root_idx(), unpack.operands[0]) else {
+        let Some((pack_idx, 0)) = rw.find_def(unpack.operands[0]) else {
             return false;
         };
         let pack = &block.ops[pack_idx];
@@ -416,7 +388,7 @@ impl RewritePattern for PackUnpack {
             return false;
         }
         // All operands must be the in-order results of one unpack.
-        let Some((unpack_idx, 0)) = find_def(block, rw.root_idx(), pack.operands[0]) else {
+        let Some((unpack_idx, 0)) = rw.find_def(pack.operands[0]) else {
             return false;
         };
         let unpack = &block.ops[unpack_idx];
@@ -438,12 +410,12 @@ impl RewritePattern for PackUnpack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asdf_ir::{Func, FuncBuilder, FuncType, Type, Visibility};
+    use asdf_ir::{Func, FuncBuilder, FuncType, Module, Type, Visibility};
 
     fn run_one(func: Func) -> (Module, usize) {
         let mut module = Module::new();
         module.add_func(func);
-        let fired = run_peephole(&mut module);
+        let fired = GreedyRewriteDriver::from_patterns(peephole_patterns()).run(&mut module);
         asdf_ir::verify::verify_module(&module).unwrap();
         (module, fired)
     }

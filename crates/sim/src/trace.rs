@@ -17,6 +17,7 @@
 //! miscompilation detector.
 
 use crate::state::StateVector;
+use asdf_artifact::Fnv;
 use asdf_qcircuit::{Circuit, CircuitOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,27 +31,16 @@ pub const AMPLITUDE_GRID: f64 = 1e-6;
 /// Probabilities are recorded quantized to millionths.
 pub const PROB_GRID: f64 = 1e-6;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// A quantized FNV-64 digest of a state vector: each amplitude's real
 /// and imaginary parts are rounded to the [`AMPLITUDE_GRID`] and hashed
 /// in order.
 pub fn state_digest(state: &StateVector) -> u64 {
-    let mut bytes = Vec::with_capacity(state.amplitudes().len() * 16);
+    let mut h = Fnv::new();
     for amp in state.amplitudes() {
-        let re = (amp.re / AMPLITUDE_GRID).round() as i64;
-        let im = (amp.im / AMPLITUDE_GRID).round() as i64;
-        bytes.extend_from_slice(&re.to_le_bytes());
-        bytes.extend_from_slice(&im.to_le_bytes());
+        h.write_i64((amp.re / AMPLITUDE_GRID).round() as i64);
+        h.write_i64((amp.im / AMPLITUDE_GRID).round() as i64);
     }
-    fnv1a(&bytes)
+    h.finish()
 }
 
 /// One recorded execution step.
