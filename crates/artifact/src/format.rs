@@ -62,9 +62,8 @@ pub fn section_name(id: u32) -> &'static str {
     }
 }
 
-/// A decoded (or to-be-encoded) compile artifact: everything a
-/// [`Compiled`](https://docs.rs) result carries except the re-derivable
-/// typed kernel.
+/// A decoded (or to-be-encoded) compile artifact: every field of an
+/// `asdf_core::Compiled` result, plus the cache-key bytes.
 #[derive(Debug, Clone)]
 pub struct Artifact {
     /// The entry kernel's symbol name.

@@ -33,7 +33,6 @@ use crate::passes::{
 };
 use crate::session::{CompileRequest, Session};
 use asdf_ast::expand::CaptureValue;
-use asdf_ast::tast::TKernel;
 use asdf_ir::pass::{Fixpoint, PassManager, PassStatistics};
 use asdf_ir::rewrite::{Fuel, RewriteConfig};
 use asdf_ir::Module;
@@ -239,7 +238,9 @@ impl CompileOptions {
     }
 }
 
-/// The result of compilation.
+/// The result of compilation. Every field round-trips through the
+/// artifact format ([`crate::session::compiled_to_artifact`]), so an
+/// artifact revived from the disk cache is the compile it stores.
 #[derive(Debug, Clone)]
 pub struct Compiled {
     /// The QCircuit-dialect module (input to QASM/QIR codegen).
@@ -253,8 +254,6 @@ pub struct Compiled {
     /// Routing layouts and cost metrics, when [`CompileOptions::target`]
     /// was set and a circuit existed to route.
     pub routing: Option<asdf_target::RoutingInfo>,
-    /// The typed AST of the entry kernel (useful for oracles/tests).
-    pub kernel: TKernel,
     /// Per-pass wall-clock timing and change statistics from the pipeline
     /// run (in execution order).
     pub stats: PassStatistics,

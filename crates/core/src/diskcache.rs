@@ -1,11 +1,12 @@
 //! The persistent on-disk artifact cache layered under the in-memory
 //! sharded LRU.
 //!
-//! Each entry is one file named by the 64-bit artifact hash
-//! (`<hash:016x>.asdfart`), holding an [`asdf_artifact`] container whose
-//! metadata section stores the *full* canonical cache-key bytes — a disk
-//! hit verifies the key byte-for-byte, so a 64-bit filename collision
-//! degrades to a miss, never to a wrong artifact.
+//! Each entry is one file named by the 64-bit artifact hash, FNV-1a of
+//! the canonical cache-key bytes (`<hash:016x>.asdfart`), holding an
+//! [`asdf_artifact`] container whose metadata section stores those key
+//! bytes in full — a disk hit verifies the key byte-for-byte, so a
+//! 64-bit filename collision degrades to a miss, never to a wrong
+//! artifact.
 //!
 //! Discipline:
 //!

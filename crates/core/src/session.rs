@@ -15,6 +15,16 @@
 //!   holds the fully compiled [`Compiled`] artifact behind an [`Arc`],
 //!   so a repeated request is a map lookup.
 //!
+//! # Cache keys
+//!
+//! One function writes what identifies a compile as canonical key bytes
+//! into a byte sink: the source hash, kernel, captures, and sorted
+//! effective dims (the frontend key), then the pipeline options (making
+//! the artifact key). Three sinks consume that stream: an FNV-1a hasher
+//! (the shard selector and disk file name), a byte vector (the key stored
+//! with a cache entry, and the one a disk entry verifies byte-for-byte),
+//! and an in-place comparer that matches a request against a stored key.
+//!
 //! # Concurrency model
 //!
 //! The session is a multi-tenant server core — quilc runs as a persistent
@@ -23,26 +33,29 @@
 //! mechanisms keep it scalable under concurrent load:
 //!
 //! - **Sharded caches.** Each cache is split into power-of-two lock
-//!   shards selected by the key's content hash, so compiles touching
-//!   different keys do not contend on one mutex. The LRU bound is
-//!   per-shard (global capacity is divided among the shards).
+//!   shards (eight, fewer for tiny capacities) selected by the key's
+//!   hash, so compiles touching different keys do not contend on one
+//!   mutex. The LRU bound is per-shard (global capacity is divided among
+//!   the shards).
 //! - **Atomic statistics.** All counters live on atomics;
 //!   [`Session::cache_stats`] never takes a cache lock and never blocks a
 //!   compile.
-//! - **Request coalescing.** A cold miss registers an *in-flight cell*
-//!   keyed by the same content hash. Concurrent identical requests find
-//!   the cell and block on it instead of re-running the pipeline; when
-//!   the leading thread finishes, every waiter receives the same
-//!   `Arc<Compiled>` (pointer-equal). Errors propagate to all waiters
-//!   and the cell is retired either way, so a failed compile never
-//!   poisons the key — the next request simply runs the pipeline again.
-//!   Both levels coalesce independently: twelve configurations of one
-//!   kernel racing through a cold session run the frontend exactly once.
+//! - **Coalescing entries.** Every cache entry is a once-cell. A lookup
+//!   that finds no entry inserts an unfilled cell and leads: it runs the
+//!   work and fills the cell. Concurrent identical requests find the
+//!   unfilled cell and wait on it instead of re-running the pipeline, so
+//!   every waiter receives the same `Arc<Compiled>` (pointer-equal). A
+//!   failing leader removes its entry before filling the cell with the
+//!   error: the error reaches every waiter but is never cached, so the
+//!   next request simply runs the pipeline again. Eviction skips unfilled
+//!   cells. Both levels coalesce independently: twelve configurations of
+//!   one kernel racing through a cold session run the frontend exactly
+//!   once.
 //!
-//! The **warm hit path allocates nothing**: requests are hashed and
-//! compared structurally against stored keys (no owned key, no encoded
-//! strings, no sorted-dims vector is built), so a saturated server serves
-//! repeat traffic at memory-lookup speed.
+//! The **warm hit path allocates nothing**: the request is hashed and
+//! compared against stored keys in place (no owned key and no sorted-dims
+//! vector is built), so a saturated server serves repeat traffic at
+//! memory-lookup speed.
 //!
 //! Backends are fixed at construction time via [`SessionBuilder`] —
 //! a shared `Arc<Session>` is immutable, so register extra backends
@@ -88,39 +101,12 @@ use asdf_sim::SimBackend;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
-// Content hashing
+// Cache keys
 // ---------------------------------------------------------------------
-
-// Cache keys are streaming FNV-1a hashes (`asdf_artifact::Fnv`):
-// deterministic, cheap on short inputs, and — crucially for the warm
-// path — computed over a `CompileRequest` *in place*, without building an
-// owned key first.
-
-/// Hashes a capture value structurally (no text encoding is built).
-fn hash_capture(capture: &CaptureValue, h: &mut Fnv) {
-    match capture {
-        CaptureValue::Bits(bits) => {
-            h.write_u8(1);
-            h.write_usize(bits.len());
-            for &b in bits {
-                h.write_u8(u8::from(b));
-            }
-        }
-        CaptureValue::CFunc { name, captures } => {
-            h.write_u8(2);
-            h.write_usize(name.len());
-            h.write(name.as_bytes());
-            h.write_usize(captures.len());
-            for c in captures {
-                hash_capture(c, h);
-            }
-        }
-    }
-}
 
 /// The number of effective dimension bindings: `options.dims` overlaid
 /// with the request's own bindings (request wins on conflicts).
@@ -157,334 +143,317 @@ fn for_each_effective_dim<'a>(
     }
 }
 
-// ---------------------------------------------------------------------
-// Cache keys
-// ---------------------------------------------------------------------
-
-/// The frontend cache key: everything instantiation + typechecking +
-/// lowering depend on. Stored on insert; a *request* is matched against
-/// it structurally (see [`frontend_key_matches`]) so the warm path never
-/// builds one.
-#[derive(Debug, Clone, PartialEq)]
-struct FrontendKey {
+/// The key of one request at one cache level. [`CacheKey::write`] is the
+/// only description of what a key covers; hashing, storing, and matching
+/// all consume its byte stream.
+struct CacheKey<'a> {
     source_hash: u64,
-    kernel: String,
-    captures: Vec<CaptureValue>,
-    /// Sorted, so map iteration order cannot leak into the key.
-    dims: Vec<(String, i64)>,
+    request: &'a CompileRequest,
+    /// Whether the pipeline options follow the frontend part (the
+    /// artifact key) or not (the frontend key, a prefix of it).
+    options: bool,
 }
 
-/// The artifact cache key: the frontend key plus the pipeline options.
-#[derive(Debug, Clone, PartialEq)]
-struct ArtifactKey {
-    frontend: FrontendKey,
-    inline: bool,
-    peephole: bool,
-    /// 0 = none, 1 = Selinger, 2 = V-chain.
-    decompose: u8,
-    verify: bool,
-    /// The rewrite-firing budget: fuel changes the produced IR, so two
-    /// fuel settings must never share an artifact.
-    rewrite_fuel: Option<u64>,
-    /// Whether lint diagnostics were computed: an artifact compiled
-    /// without lints must not satisfy a request that asks for them.
-    lints: bool,
-    /// The hardware target the circuit was routed for (None = all-to-all):
-    /// routing rewrites the circuit, so targets never share an artifact.
-    target: Option<String>,
-}
+impl CacheKey<'_> {
+    /// Writes the canonical key bytes into `sink`: the source hash, the
+    /// kernel, the captures, and the sorted effective dims, then — for
+    /// the artifact key — every pipeline option. Strings and sequences
+    /// are length-prefixed and integers little-endian, so distinct keys
+    /// never write the same bytes.
+    fn write(&self, sink: &mut impl FnMut(&[u8])) {
+        let CompileRequest { kernel, captures, dims, options } = self.request;
+        // Exhaustive destructuring, and the only one of CompileOptions in
+        // this module: adding a field is a compile error here, so it can
+        // never silently drop out of the key (which would serve stale
+        // artifacts or a wrong disk entry).
+        let CompileOptions {
+            inline,
+            peephole,
+            decompose,
+            verify,
+            dims: option_dims,
+            rewrite_fuel,
+            lints,
+            target,
+        } = options;
+        sink(&self.source_hash.to_le_bytes());
+        write_str(sink, kernel);
+        write_len(sink, captures.len());
+        for capture in captures {
+            write_capture(sink, capture);
+        }
+        write_len(sink, effective_dims_len(option_dims, dims));
+        for_each_effective_dim(option_dims, dims, |name, value| {
+            write_str(sink, name);
+            sink(&value.to_le_bytes());
+        });
+        if !self.options {
+            return;
+        }
+        let decompose = match decompose {
+            None => 0,
+            Some(DecomposeStyle::Selinger) => 1,
+            Some(DecomposeStyle::VChain) => 2,
+        };
+        sink(&[
+            u8::from(*inline),
+            u8::from(*peephole),
+            decompose,
+            u8::from(*verify),
+            u8::from(*lints),
+        ]);
+        match rewrite_fuel {
+            None => sink(&[0]),
+            Some(fuel) => {
+                sink(&[1]);
+                sink(&fuel.to_le_bytes());
+            }
+        }
+        match target {
+            None => sink(&[0]),
+            Some(name) => {
+                sink(&[1]);
+                write_str(sink, name);
+            }
+        }
+    }
 
-fn decompose_tag(style: Option<DecomposeStyle>) -> u8 {
-    match style {
-        None => 0,
-        Some(DecomposeStyle::Selinger) => 1,
-        Some(DecomposeStyle::VChain) => 2,
+    /// The FNV-1a hash of the key bytes, computed without building them.
+    fn hash(&self) -> u64 {
+        let mut h = Fnv::new();
+        self.write(&mut |bytes| h.write(bytes));
+        h.finish()
+    }
+
+    /// The key bytes, as stored with a cache entry and in a disk entry.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut key = Vec::new();
+        self.write(&mut |bytes| key.extend_from_slice(bytes));
+        key
+    }
+
+    /// Whether `stored` holds exactly this key's bytes, compared as they
+    /// are written (no allocation).
+    fn matches(&self, stored: &[u8]) -> bool {
+        let mut rest = Some(stored);
+        self.write(&mut |bytes| rest = rest.and_then(|rest| rest.strip_prefix(bytes)));
+        rest.is_some_and(<[u8]>::is_empty)
     }
 }
 
-/// Whether a stored sorted-dims key equals the request's effective dims,
-/// compared without materializing the effective map.
-fn dims_match(
-    stored: &[(String, i64)],
-    options: &HashMap<String, i64>,
-    request: &HashMap<String, i64>,
-) -> bool {
-    stored.len() == effective_dims_len(options, request)
-        && stored.iter().all(|(k, v)| request.get(k).or_else(|| options.get(k)) == Some(v))
+fn write_len(sink: &mut impl FnMut(&[u8]), len: usize) {
+    sink(&(len as u64).to_le_bytes());
 }
 
-fn frontend_key_matches(key: &FrontendKey, source_hash: u64, request: &CompileRequest) -> bool {
-    key.source_hash == source_hash
-        && key.kernel == request.kernel
-        && key.captures == request.captures
-        && dims_match(&key.dims, &request.options.dims, &request.dims)
+fn write_str(sink: &mut impl FnMut(&[u8]), s: &str) {
+    write_len(sink, s.len());
+    sink(s.as_bytes());
 }
 
-fn artifact_key_matches(key: &ArtifactKey, source_hash: u64, request: &CompileRequest) -> bool {
-    // Exhaustive destructuring: adding a field to CompileOptions is a
-    // compile error here, so it can never silently drop out of the cache
-    // key (which would serve stale artifacts).
-    let CompileOptions {
-        inline,
-        peephole,
-        decompose,
-        verify,
-        dims: _,
-        rewrite_fuel,
-        lints,
-        target,
-    } = &request.options;
-    key.inline == *inline
-        && key.peephole == *peephole
-        && key.decompose == decompose_tag(*decompose)
-        && key.verify == *verify
-        && key.rewrite_fuel == *rewrite_fuel
-        && key.lints == *lints
-        && key.target == *target
-        && frontend_key_matches(&key.frontend, source_hash, request)
+fn write_capture(sink: &mut impl FnMut(&[u8]), capture: &CaptureValue) {
+    match capture {
+        CaptureValue::Bits(bits) => {
+            sink(&[0]);
+            write_len(sink, bits.len());
+            for &bit in bits {
+                sink(&[u8::from(bit)]);
+            }
+        }
+        CaptureValue::CFunc { name, captures } => {
+            sink(&[1]);
+            write_str(sink, name);
+            write_len(sink, captures.len());
+            for nested in captures {
+                write_capture(sink, nested);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
-// A sharded LRU cache
+// The coalescing cache
 // ---------------------------------------------------------------------
 
-struct LruEntry<K, V> {
-    key: K,
-    value: V,
+/// A cache entry's value: filled exactly once, by the request that ran
+/// the work. While it is unfilled the work is in flight, and concurrent
+/// requests for the key wait on it.
+type Cell<V> = Arc<OnceLock<Result<V, CoreError>>>;
+
+struct LruEntry<V> {
+    key: Box<[u8]>,
+    cell: Cell<V>,
     last_used: u64,
 }
 
 /// One shard: a hash-bucketed map plus a logical clock. Entries are
-/// addressed by their content hash and disambiguated by structural key
-/// comparison, so lookups need no owned key. Eviction scans for the
-/// stalest entry — O(shard capacity), trivial at session cache sizes.
-struct Lru<K, V> {
+/// addressed by their key hash and disambiguated by comparing key bytes,
+/// so lookups need no owned key. Eviction scans for the stalest filled
+/// entry — O(shard capacity), trivial at session cache sizes.
+struct Lru<V> {
     capacity: usize,
     tick: u64,
     len: usize,
-    map: HashMap<u64, Vec<LruEntry<K, V>>>,
+    map: HashMap<u64, Vec<LruEntry<V>>>,
 }
 
-impl<K: PartialEq, V> Lru<K, V> {
-    fn new(capacity: usize) -> Lru<K, V> {
+impl<V> Lru<V> {
+    fn new(capacity: usize) -> Lru<V> {
         Lru { capacity: capacity.max(1), tick: 0, len: 0, map: HashMap::new() }
     }
 
-    fn get(&mut self, hash: u64, matches: impl Fn(&K) -> bool) -> Option<&V> {
+    fn get(&mut self, hash: u64, matches: impl Fn(&[u8]) -> bool) -> Option<&Cell<V>> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.map.get_mut(&hash)?.iter_mut().find(|e| matches(&e.key))?;
         entry.last_used = tick;
-        Some(&entry.value)
+        Some(&entry.cell)
     }
 
-    /// Inserts (or replaces) an entry; returns the number of evictions
-    /// performed (0 or 1).
-    fn insert(&mut self, hash: u64, key: K, value: V) -> u64 {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) =
-            self.map.get_mut(&hash).and_then(|bucket| bucket.iter_mut().find(|e| e.key == key))
-        {
-            entry.value = value;
-            entry.last_used = tick;
-            return 0;
-        }
+    /// Inserts an entry for an absent key, first evicting the stalest
+    /// filled entries while the shard is full; returns the number
+    /// evicted. Unfilled entries are never evicted, so a shard full of
+    /// in-flight work grows past its capacity until that work is done.
+    fn insert(&mut self, hash: u64, key: Box<[u8]>, cell: Cell<V>) -> u64 {
         let mut evictions = 0;
-        if self.len >= self.capacity {
-            let mut stalest: Option<(u64, usize, u64)> = None;
-            for (&h, bucket) in &self.map {
-                for (i, e) in bucket.iter().enumerate() {
-                    if stalest.is_none_or(|(_, _, lu)| e.last_used < lu) {
-                        stalest = Some((h, i, e.last_used));
-                    }
-                }
-            }
-            if let Some((h, i, _)) = stalest {
-                let bucket = self.map.get_mut(&h).expect("stalest bucket exists");
-                bucket.swap_remove(i);
-                if bucket.is_empty() {
-                    self.map.remove(&h);
-                }
-                self.len -= 1;
-                evictions = 1;
-            }
+        while self.len >= self.capacity {
+            let stalest = self
+                .map
+                .iter()
+                .flat_map(|(&h, bucket)| bucket.iter().map(move |e| (h, e)))
+                .filter(|(_, e)| e.cell.get().is_some())
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(h, e)| (h, Arc::clone(&e.cell)));
+            let Some((h, cell)) = stalest else { break };
+            self.remove(h, &cell);
+            evictions += 1;
         }
-        self.map.entry(hash).or_default().push(LruEntry { key, value, last_used: tick });
+        self.tick += 1;
+        self.map.entry(hash).or_default().push(LruEntry { key, cell, last_used: self.tick });
         self.len += 1;
         evictions
     }
 
-    fn len(&self) -> usize {
-        self.len
+    /// Removes the entry holding `cell`, if it is still present.
+    fn remove(&mut self, hash: u64, cell: &Cell<V>) {
+        let Some(bucket) = self.map.get_mut(&hash) else { return };
+        let Some(i) = bucket.iter().position(|e| Arc::ptr_eq(&e.cell, cell)) else { return };
+        bucket.swap_remove(i);
+        if bucket.is_empty() {
+            self.map.remove(&hash);
+        }
+        self.len -= 1;
     }
 }
 
-/// Rounds the requested shard count down to a power of two no larger
-/// than the capacity (so every shard holds at least one entry).
-fn shard_count(requested: usize, capacity: usize) -> usize {
-    let clamped = requested.clamp(1, capacity.max(1));
+/// Lock shards per cache.
+const DEFAULT_SHARDS: usize = 8;
+
+/// The shard count for `capacity` entries: [`DEFAULT_SHARDS`] rounded
+/// down to a power of two no larger than the capacity (so every shard
+/// holds at least one entry).
+fn shard_count(capacity: usize) -> usize {
+    let clamped = DEFAULT_SHARDS.clamp(1, capacity.max(1));
     1 << (usize::BITS - 1 - clamped.leading_zeros())
 }
 
-/// A cache split into power-of-two lock shards selected by content hash:
-/// compiles touching different keys lock different mutexes.
-struct ShardedCache<K, V> {
-    shards: Box<[Mutex<Lru<K, V>>]>,
-    mask: u64,
+/// How [`CoalescingCache::get_or_run`] served a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Served {
+    /// The key's cell was filled: a cached value.
+    Hit,
+    /// The key's cell was unfilled: this request waited for the request
+    /// running the work and shares its result.
+    Coalesced,
+    /// The key was absent: this request ran the work.
+    Led,
 }
 
-impl<K: PartialEq, V: Clone> ShardedCache<K, V> {
-    fn new(capacity: usize, shards: usize) -> ShardedCache<K, V> {
+/// A cache whose entries are once-cells, split into power-of-two lock
+/// shards selected by key hash: compiles touching different keys lock
+/// different mutexes, and identical cold requests coalesce onto one run.
+struct CoalescingCache<V> {
+    shards: Box<[Mutex<Lru<V>>]>,
+    mask: u64,
+    evictions: AtomicU64,
+}
+
+impl<V: Clone> CoalescingCache<V> {
+    fn new(capacity: usize) -> CoalescingCache<V> {
         let capacity = capacity.max(1);
-        let shards = shard_count(shards, capacity);
+        let shards = shard_count(capacity);
         let base = capacity / shards;
         let remainder = capacity % shards;
-        let shards: Box<[Mutex<Lru<K, V>>]> =
+        let shards: Box<[Mutex<Lru<V>>]> =
             (0..shards).map(|i| Mutex::new(Lru::new(base + usize::from(i < remainder)))).collect();
         let mask = shards.len() as u64 - 1;
-        ShardedCache { shards, mask }
+        CoalescingCache { shards, mask, evictions: AtomicU64::new(0) }
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<Lru<K, V>> {
-        &self.shards[(hash & self.mask) as usize]
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Lru<V>> {
+        self.shards[(hash & self.mask) as usize].lock().expect("cache shard mutex")
     }
 
-    fn get(&self, hash: u64, matches: impl Fn(&K) -> bool) -> Option<V> {
-        self.shard(hash).lock().expect("cache shard mutex").get(hash, matches).cloned()
-    }
-
-    /// Inserts an entry; returns the number of evictions performed.
-    fn insert(&self, hash: u64, key: K, value: V) -> u64 {
-        self.shard(hash).lock().expect("cache shard mutex").insert(hash, key, value)
+    /// Serves `key` (whose [`CacheKey::hash`] is `hash`): a filled entry
+    /// is a hit, an unfilled one is waited on, and an absent one is
+    /// inserted unfilled while this request runs `run` and fills it.
+    /// Errors reach every waiter but are never cached.
+    fn get_or_run(
+        &self,
+        hash: u64,
+        key: &CacheKey<'_>,
+        run: impl FnOnce() -> Result<V, CoreError>,
+    ) -> (Result<V, CoreError>, Served) {
+        let mut shard = self.shard(hash);
+        if let Some(cell) = shard.get(hash, |stored| key.matches(stored)) {
+            if let Some(Ok(value)) = cell.get() {
+                return (Ok(value.clone()), Served::Hit);
+            }
+            let cell = Arc::clone(cell);
+            drop(shard);
+            return (cell.wait().clone(), Served::Coalesced);
+        }
+        let cell = Cell::default();
+        let evicted = shard.insert(hash, key.to_bytes().into_boxed_slice(), Arc::clone(&cell));
+        drop(shard);
+        self.evictions.fetch_add(evicted, Relaxed);
+        let lead = Lead { cache: self, hash, cell };
+        let result = run();
+        lead.fill(result.clone());
+        (result, Served::Led)
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard mutex").len()).sum()
+        self.shards.iter().map(|s| s.lock().expect("cache shard mutex").len).sum()
     }
 }
 
-// ---------------------------------------------------------------------
-// Request coalescing
-// ---------------------------------------------------------------------
-
-/// A cell shared by every thread waiting on one in-flight compilation.
-/// The leader fills it exactly once; waiters block on the condvar and
-/// clone the result out.
-struct InflightCell<V> {
-    result: Mutex<Option<Result<V, CoreError>>>,
-    ready: Condvar,
-}
-
-impl<V: Clone> InflightCell<V> {
-    fn new() -> InflightCell<V> {
-        InflightCell { result: Mutex::new(None), ready: Condvar::new() }
-    }
-
-    fn wait(&self) -> Result<V, CoreError> {
-        let mut result = self.result.lock().expect("in-flight cell mutex");
-        while result.is_none() {
-            result = self.ready.wait(result).expect("in-flight cell mutex");
-        }
-        result.as_ref().expect("cell filled").clone()
-    }
-
-    fn fill(&self, value: Result<V, CoreError>) {
-        let mut result = self.result.lock().expect("in-flight cell mutex");
-        debug_assert!(result.is_none(), "an in-flight cell is filled exactly once");
-        *result = Some(value);
-        self.ready.notify_all();
-    }
-}
-
-/// The outcome of claiming a key that missed the cache.
-enum Claim<'a, K: PartialEq + Clone, V: Clone> {
-    /// The leading thread finished between the cache probe and the claim;
-    /// the value was re-read from the cache.
-    Cached(V),
-    /// Another thread is already compiling this key: wait on its cell.
-    Coalesced(Arc<InflightCell<V>>),
-    /// This thread leads: run the work, then [`LeaderGuard::finish`].
-    Leader(LeaderGuard<'a, K, V>),
-}
-
-/// One hash bucket of in-flight cells; structural key comparison on
-/// probe (hash collisions must not coalesce distinct requests).
-type InflightBucket<K, V> = Vec<(K, Arc<InflightCell<V>>)>;
-
-/// The in-flight table for one cache level: content hash → cells.
-struct Inflight<K, V> {
-    cells: Mutex<HashMap<u64, InflightBucket<K, V>>>,
-}
-
-impl<K: PartialEq + Clone, V: Clone> Inflight<K, V> {
-    fn new() -> Inflight<K, V> {
-        Inflight { cells: Mutex::new(HashMap::new()) }
-    }
-
-    /// Claims `key`: coalesce onto an existing cell, or re-probe the
-    /// cache (`recheck`, called under the table lock — completion inserts
-    /// into the cache *before* retiring its cell, so a vanished cell
-    /// guarantees a cache hit here), or become the leader.
-    fn claim(&self, hash: u64, key: &K, recheck: impl FnOnce() -> Option<V>) -> Claim<'_, K, V> {
-        let mut cells = self.cells.lock().expect("in-flight table mutex");
-        if let Some(bucket) = cells.get(&hash) {
-            if let Some((_, cell)) = bucket.iter().find(|(k, _)| k == key) {
-                return Claim::Coalesced(Arc::clone(cell));
-            }
-        }
-        if let Some(value) = recheck() {
-            return Claim::Cached(value);
-        }
-        let cell = Arc::new(InflightCell::new());
-        cells.entry(hash).or_default().push((key.clone(), Arc::clone(&cell)));
-        Claim::Leader(LeaderGuard { inflight: self, hash, key: key.clone(), cell, done: false })
-    }
-
-    fn remove(&self, hash: u64, key: &K) {
-        let mut cells = self.cells.lock().expect("in-flight table mutex");
-        if let Some(bucket) = cells.get_mut(&hash) {
-            bucket.retain(|(k, _)| k != key);
-            if bucket.is_empty() {
-                cells.remove(&hash);
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn is_empty(&self) -> bool {
-        self.cells.lock().expect("in-flight table mutex").is_empty()
-    }
-}
-
-/// The leader's obligation to publish a result. If the leader panics
-/// before [`LeaderGuard::finish`], the drop guard retires the cell with
-/// an error so waiters wake instead of blocking forever — and the next
-/// request for the key starts a fresh compile (no poisoning).
-struct LeaderGuard<'a, K: PartialEq + Clone, V: Clone> {
-    inflight: &'a Inflight<K, V>,
+/// The running request's duty to fill its cell. Dropped with the cell
+/// unfilled — the work panicked — it fills it with an error, so waiters
+/// wake instead of blocking forever. Taking the shard lock there cannot
+/// panic: the work runs with the lock released and nothing under it
+/// panics, so it is never poisoned.
+struct Lead<'a, V: Clone> {
+    cache: &'a CoalescingCache<V>,
     hash: u64,
-    key: K,
-    cell: Arc<InflightCell<V>>,
-    done: bool,
+    cell: Cell<V>,
 }
 
-impl<K: PartialEq + Clone, V: Clone> LeaderGuard<'_, K, V> {
-    /// Retires the cell and wakes every waiter with `result`. On success
-    /// the value must already be in the cache: requesters who miss the
-    /// cell afterwards re-probe the cache and must find it.
-    fn finish(mut self, result: Result<V, CoreError>) {
-        self.inflight.remove(self.hash, &self.key);
-        self.cell.fill(result);
-        self.done = true;
+impl<V: Clone> Lead<'_, V> {
+    /// Fills the cell. An error first removes the entry, so waiters
+    /// already holding the cell see it but the next request runs afresh.
+    fn fill(&self, result: Result<V, CoreError>) {
+        if result.is_err() {
+            self.cache.shard(self.hash).remove(self.hash, &self.cell);
+        }
+        let filled = self.cell.set(result);
+        debug_assert!(filled.is_ok(), "a cache cell is filled exactly once");
     }
 }
 
-impl<K: PartialEq + Clone, V: Clone> Drop for LeaderGuard<'_, K, V> {
+impl<V: Clone> Drop for Lead<'_, V> {
     fn drop(&mut self) {
-        if !self.done {
-            self.inflight.remove(self.hash, &self.key);
-            self.cell.fill(Err(CoreError::Ir(
+        if self.cell.get().is_none() {
+            self.fill(Err(CoreError::Ir(
                 "in-flight compilation abandoned (the leading thread panicked)".to_string(),
             )));
         }
@@ -587,7 +556,6 @@ struct SharedStats {
     artifact_hits: AtomicU64,
     artifact_misses: AtomicU64,
     artifact_coalesced: AtomicU64,
-    evictions: AtomicU64,
     frontend_spent_ns: AtomicU64,
     frontend_saved_ns: AtomicU64,
     artifact_saved_ns: AtomicU64,
@@ -599,7 +567,7 @@ struct SharedStats {
 }
 
 impl SharedStats {
-    fn snapshot(&self) -> CacheStats {
+    fn snapshot(&self, evictions: u64) -> CacheStats {
         CacheStats {
             frontend_hits: self.frontend_hits.load(Relaxed),
             frontend_misses: self.frontend_misses.load(Relaxed),
@@ -607,7 +575,7 @@ impl SharedStats {
             artifact_hits: self.artifact_hits.load(Relaxed),
             artifact_misses: self.artifact_misses.load(Relaxed),
             artifact_coalesced: self.artifact_coalesced.load(Relaxed),
-            evictions: self.evictions.load(Relaxed),
+            evictions,
             frontend_spent: Duration::from_nanos(self.frontend_spent_ns.load(Relaxed)),
             frontend_saved: Duration::from_nanos(self.frontend_saved_ns.load(Relaxed)),
             artifact_saved: Duration::from_nanos(self.artifact_saved_ns.load(Relaxed)),
@@ -714,7 +682,6 @@ impl CompileRequest {
 /// The shared frontend artifact: one kernel instance typechecked and
 /// lowered, before any pipeline pass ran.
 struct Frontend {
-    kernel: TKernel,
     module: Module,
     cost: Duration,
 }
@@ -727,11 +694,9 @@ type CachedArtifact = (Arc<Compiled>, Duration);
 const DEFAULT_ARTIFACT_CAPACITY: usize = 64;
 /// Default frontend-cache capacity (one entry per kernel × captures).
 const DEFAULT_FRONTEND_CAPACITY: usize = 16;
-/// Default lock-shard count for both caches.
-const DEFAULT_SHARDS: usize = 8;
 
-/// Configures and constructs a [`Session`]: cache capacities, lock-shard
-/// counts, and extra output backends.
+/// Configures and constructs a [`Session`]: cache capacities, the disk
+/// cache, and extra output backends.
 ///
 /// Backends must be registered **before** the session is shared — a
 /// session behind an `Arc` is immutable, which is what makes it safely
@@ -743,7 +708,6 @@ const DEFAULT_SHARDS: usize = 8;
 ///     "qpu k() -> bit[1] { '0' | std.measure }",
 /// )
 /// .artifact_capacity(128)
-/// .shards(4)
 /// .build()?;
 /// assert!(session.backend_names().contains(&"qasm"));
 /// # Ok::<(), asdf_core::CoreError>(())
@@ -752,7 +716,6 @@ pub struct SessionBuilder {
     source: String,
     frontend_capacity: usize,
     artifact_capacity: usize,
-    shards: usize,
     backends: BackendRegistry,
     disk_cache: Option<PathBuf>,
     disk_capacity: usize,
@@ -763,7 +726,6 @@ impl std::fmt::Debug for SessionBuilder {
         f.debug_struct("SessionBuilder")
             .field("frontend_capacity", &self.frontend_capacity)
             .field("artifact_capacity", &self.artifact_capacity)
-            .field("shards", &self.shards)
             .field("backends", &self.backends.names())
             .field("disk_cache", &self.disk_cache)
             .finish_non_exhaustive()
@@ -778,7 +740,6 @@ impl SessionBuilder {
             source: source.to_string(),
             frontend_capacity: DEFAULT_FRONTEND_CAPACITY,
             artifact_capacity: DEFAULT_ARTIFACT_CAPACITY,
-            shards: DEFAULT_SHARDS,
             backends,
             disk_cache: None,
             disk_capacity: DEFAULT_DISK_CAPACITY,
@@ -796,15 +757,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn artifact_capacity(mut self, entries: usize) -> SessionBuilder {
         self.artifact_capacity = entries;
-        self
-    }
-
-    /// Lock-shard count for both caches (rounded down to a power of two,
-    /// clamped so every shard holds at least one entry). `1` gives a
-    /// single global LRU — exact eviction order, no concurrency.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> SessionBuilder {
-        self.shards = shards.max(1);
         self
     }
 
@@ -861,10 +813,8 @@ impl SessionBuilder {
             source_hash,
             program,
             backends: self.backends,
-            frontends: ShardedCache::new(self.frontend_capacity, self.shards),
-            artifacts: ShardedCache::new(self.artifact_capacity, self.shards),
-            frontend_inflight: Inflight::new(),
-            artifact_inflight: Inflight::new(),
+            frontends: CoalescingCache::new(self.frontend_capacity),
+            artifacts: CoalescingCache::new(self.artifact_capacity),
             stats: SharedStats::default(),
             disk,
         })
@@ -883,10 +833,8 @@ pub struct Session {
     source_hash: u64,
     program: Program,
     backends: BackendRegistry,
-    frontends: ShardedCache<FrontendKey, Arc<Frontend>>,
-    artifacts: ShardedCache<ArtifactKey, CachedArtifact>,
-    frontend_inflight: Inflight<FrontendKey, Arc<Frontend>>,
-    artifact_inflight: Inflight<ArtifactKey, CachedArtifact>,
+    frontends: CoalescingCache<Arc<Frontend>>,
+    artifacts: CoalescingCache<CachedArtifact>,
     stats: SharedStats,
     disk: Option<DiskCache>,
 }
@@ -913,27 +861,10 @@ impl Session {
         Session::builder(source).build()
     }
 
-    /// A [`SessionBuilder`] over `source`: cache capacities, shard
-    /// counts, and extra backends are fixed here, before first use.
+    /// A [`SessionBuilder`] over `source`: cache capacities, the disk
+    /// cache, and extra backends are fixed here, before first use.
     pub fn builder(source: &str) -> SessionBuilder {
         SessionBuilder::new(source)
-    }
-
-    /// [`Session::new`] with explicit cache bounds (entries, not bytes).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Frontend`] when `source` does not lex or
-    /// parse.
-    pub fn with_capacity(
-        source: &str,
-        frontend_capacity: usize,
-        artifact_capacity: usize,
-    ) -> Result<Session, CoreError> {
-        Session::builder(source)
-            .frontend_capacity(frontend_capacity)
-            .artifact_capacity(artifact_capacity)
-            .build()
     }
 
     /// The source text this session compiles.
@@ -947,15 +878,12 @@ impl Session {
         self.source_hash
     }
 
-    /// The parsed program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
     /// A snapshot of the cache counters. Reads atomics only — never
     /// contends with in-flight compiles.
     pub fn cache_stats(&self) -> CacheStats {
-        self.stats.snapshot()
+        let evictions =
+            self.frontends.evictions.load(Relaxed) + self.artifacts.evictions.load(Relaxed);
+        self.stats.snapshot(evictions)
     }
 
     /// Current (frontend, artifact) cache entry counts.
@@ -983,104 +911,37 @@ impl Session {
     /// coalesced waiter; the failure is not cached, so a later identical
     /// request retries from scratch.
     pub fn compile(&self, request: &CompileRequest) -> Result<Arc<Compiled>, CoreError> {
-        let frontend_hash = self.request_frontend_hash(request);
-        let artifact_hash = artifact_hash(frontend_hash, &request.options);
-
-        // Warm path: pure probe, no allocation.
-        let probe = |key: &ArtifactKey| artifact_key_matches(key, self.source_hash, request);
-        if let Some((artifact, cost)) = self.artifacts.get(artifact_hash, probe) {
-            self.stats.artifact_hits.fetch_add(1, Relaxed);
+        let key = CacheKey { source_hash: self.source_hash, request, options: true };
+        let hash = key.hash();
+        let mut ran_pipeline = false;
+        let (result, served) = self.artifacts.get_or_run(hash, &key, || {
+            // The disk sits between the in-memory cache and the pipeline,
+            // on the leader's path: concurrent identical requests coalesce
+            // onto one disk read exactly as they do onto one pipeline run.
+            if let Some(revived) = self.load_from_disk(hash, &key) {
+                return Ok(revived);
+            }
+            ran_pipeline = true;
+            self.stats.artifact_misses.fetch_add(1, Relaxed);
+            let started = Instant::now();
+            let artifact = self.compile_cold(request)?;
+            Ok((artifact, started.elapsed()))
+        });
+        match served {
+            Served::Hit => self.stats.artifact_hits.fetch_add(1, Relaxed),
+            Served::Coalesced => self.stats.artifact_coalesced.fetch_add(1, Relaxed),
+            Served::Led => 0,
+        };
+        let (artifact, cost) = result?;
+        if served != Served::Led {
             SharedStats::add_duration(&self.stats.artifact_saved_ns, cost);
-            return Ok(artifact);
         }
-
-        // Cold path: build the owned key, then lead or coalesce.
-        let key = self.build_artifact_key(request);
-        let claim = self
-            .artifact_inflight
-            .claim(artifact_hash, &key, || self.artifacts.get(artifact_hash, probe));
-        match claim {
-            Claim::Cached((artifact, cost)) => {
-                self.stats.artifact_hits.fetch_add(1, Relaxed);
-                SharedStats::add_duration(&self.stats.artifact_saved_ns, cost);
-                Ok(artifact)
-            }
-            Claim::Coalesced(cell) => {
-                self.stats.artifact_coalesced.fetch_add(1, Relaxed);
-                let (artifact, cost) = cell.wait()?;
-                SharedStats::add_duration(&self.stats.artifact_saved_ns, cost);
-                Ok(artifact)
-            }
-            Claim::Leader(guard) => {
-                // Disk layer between the in-memory LRU and the pipeline.
-                // Only the leader probes the file, so concurrent identical
-                // requests coalesce onto one disk read exactly as they
-                // coalesce onto one pipeline run.
-                let key_bytes = self.disk.as_ref().map(|_| encode_artifact_key(&key));
-                if let (Some(disk), Some(key_bytes)) = (&self.disk, &key_bytes) {
-                    let started = Instant::now();
-                    match disk.load(artifact_hash, key_bytes) {
-                        DiskLookup::Hit(stored) => {
-                            self.stats.disk_hits.fetch_add(1, Relaxed);
-                            return match self.revive(request, frontend_hash, *stored) {
-                                Ok(artifact) => {
-                                    let cost = started.elapsed();
-                                    let evicted = self.artifacts.insert(
-                                        artifact_hash,
-                                        key,
-                                        (Arc::clone(&artifact), cost),
-                                    );
-                                    self.stats.evictions.fetch_add(evicted, Relaxed);
-                                    guard.finish(Ok((Arc::clone(&artifact), cost)));
-                                    Ok(artifact)
-                                }
-                                Err(e) => {
-                                    guard.finish(Err(e.clone()));
-                                    Err(e)
-                                }
-                            };
-                        }
-                        DiskLookup::Quarantined(_) => {
-                            self.stats.disk_quarantined.fetch_add(1, Relaxed);
-                            self.stats.disk_misses.fetch_add(1, Relaxed);
-                        }
-                        DiskLookup::Miss => {
-                            self.stats.disk_misses.fetch_add(1, Relaxed);
-                        }
-                    }
-                }
-                self.stats.artifact_misses.fetch_add(1, Relaxed);
-                let started = Instant::now();
-                match self.compile_cold(request, frontend_hash) {
-                    Ok(artifact) => {
-                        let cost = started.elapsed();
-                        // Cache first, then retire the cell: a requester
-                        // that misses the cell must find the cache entry.
-                        let evicted = self.artifacts.insert(
-                            artifact_hash,
-                            key,
-                            (Arc::clone(&artifact), cost),
-                        );
-                        self.stats.evictions.fetch_add(evicted, Relaxed);
-                        guard.finish(Ok((Arc::clone(&artifact), cost)));
-                        // Persist after publishing: a write failure costs
-                        // nothing but the persistence.
-                        if let (Some(disk), Some(key_bytes)) = (&self.disk, key_bytes) {
-                            let stored = compiled_to_artifact(&artifact, key_bytes);
-                            if let Some(evicted) = disk.store(artifact_hash, &stored) {
-                                self.stats.disk_writes.fetch_add(1, Relaxed);
-                                self.stats.disk_evictions.fetch_add(evicted, Relaxed);
-                            }
-                        }
-                        Ok(artifact)
-                    }
-                    Err(e) => {
-                        guard.finish(Err(e.clone()));
-                        Err(e)
-                    }
-                }
-            }
+        if ran_pipeline {
+            // Persist after the cell is filled, so waiters never wait on
+            // the write and a write failure costs nothing but persistence.
+            self.store_to_disk(hash, &key, &artifact);
         }
+        Ok(artifact)
     }
 
     /// Emits a compiled artifact through a registered backend — the one
@@ -1114,14 +975,43 @@ impl Session {
         artifact.lints.iter().map(|d| d.render(&self.source)).collect()
     }
 
+    /// Revives a disk-cached artifact, when a disk cache is configured
+    /// and holds one for this key. A revived artifact runs neither the
+    /// frontend nor the pipeline.
+    fn load_from_disk(&self, hash: u64, key: &CacheKey<'_>) -> Option<CachedArtifact> {
+        let disk = self.disk.as_ref()?;
+        let started = Instant::now();
+        match disk.load(hash, &key.to_bytes()) {
+            DiskLookup::Hit(stored) => {
+                self.stats.disk_hits.fetch_add(1, Relaxed);
+                Some((Arc::new(revive(*stored)), started.elapsed()))
+            }
+            DiskLookup::Quarantined(_) => {
+                self.stats.disk_quarantined.fetch_add(1, Relaxed);
+                self.stats.disk_misses.fetch_add(1, Relaxed);
+                None
+            }
+            DiskLookup::Miss => {
+                self.stats.disk_misses.fetch_add(1, Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Persists a freshly compiled artifact under its key, when a disk
+    /// cache is configured.
+    fn store_to_disk(&self, hash: u64, key: &CacheKey<'_>, artifact: &Compiled) {
+        let Some(disk) = &self.disk else { return };
+        if let Some(evicted) = disk.store(hash, &compiled_to_artifact(artifact, key.to_bytes())) {
+            self.stats.disk_writes.fetch_add(1, Relaxed);
+            self.stats.disk_evictions.fetch_add(evicted, Relaxed);
+        }
+    }
+
     /// The pipeline + reg2mem half of a cold compile, over a (possibly
     /// coalesced) shared frontend.
-    fn compile_cold(
-        &self,
-        request: &CompileRequest,
-        frontend_hash: u64,
-    ) -> Result<Arc<Compiled>, CoreError> {
-        let frontend = self.frontend_for(request, frontend_hash)?;
+    fn compile_cold(&self, request: &CompileRequest) -> Result<Arc<Compiled>, CoreError> {
+        let frontend = self.frontend_for(request)?;
         let mut module = frontend.module.clone();
         let stats = request.options.pipeline().run(&mut module)?;
         // Lints run over the post-pipeline module: spans survive lowering
@@ -1161,147 +1051,32 @@ impl Session {
             entry: request.kernel.clone(),
             circuit,
             routing,
-            kernel: frontend.kernel.clone(),
             stats,
             lints,
         }))
     }
 
-    /// Revives a disk-cached artifact into a [`Compiled`]: everything but
-    /// the typed kernel comes from the file; the kernel is re-derived
-    /// through the (cached, coalesced) frontend. Frontend work is *not*
-    /// pipeline work — a revived artifact still counts as "no pipeline
-    /// run".
-    fn revive(
-        &self,
-        request: &CompileRequest,
-        frontend_hash: u64,
-        stored: Artifact,
-    ) -> Result<Arc<Compiled>, CoreError> {
-        let frontend = self.frontend_for(request, frontend_hash)?;
-        Ok(Arc::new(Compiled {
-            module: stored.module,
-            entry: stored.entry,
-            circuit: stored.circuit,
-            routing: stored.routing,
-            kernel: frontend.kernel.clone(),
-            stats: stored.stats,
-            lints: stored.lints,
-        }))
-    }
-
-    /// The persistent disk cache, when one was configured.
-    pub fn disk_cache(&self) -> Option<&DiskCache> {
-        self.disk.as_ref()
-    }
-
     /// The shared frontend for a request: cache hit, coalesced wait, or a
     /// leading frontend run.
-    fn frontend_for(
-        &self,
-        request: &CompileRequest,
-        frontend_hash: u64,
-    ) -> Result<Arc<Frontend>, CoreError> {
-        let probe = |key: &FrontendKey| frontend_key_matches(key, self.source_hash, request);
-        if let Some(frontend) = self.frontends.get(frontend_hash, probe) {
-            self.stats.frontend_hits.fetch_add(1, Relaxed);
+    fn frontend_for(&self, request: &CompileRequest) -> Result<Arc<Frontend>, CoreError> {
+        let key = CacheKey { source_hash: self.source_hash, request, options: false };
+        let (result, served) = self.frontends.get_or_run(key.hash(), &key, || {
+            self.stats.frontend_misses.fetch_add(1, Relaxed);
+            let dims = request.effective_dims();
+            let frontend = self.run_frontend(&request.kernel, &request.captures, &dims)?;
+            SharedStats::add_duration(&self.stats.frontend_spent_ns, frontend.cost);
+            Ok(Arc::new(frontend))
+        });
+        match served {
+            Served::Hit => self.stats.frontend_hits.fetch_add(1, Relaxed),
+            Served::Coalesced => self.stats.frontend_coalesced.fetch_add(1, Relaxed),
+            Served::Led => 0,
+        };
+        let frontend = result?;
+        if served != Served::Led {
             SharedStats::add_duration(&self.stats.frontend_saved_ns, frontend.cost);
-            return Ok(frontend);
         }
-        let key = self.build_frontend_key(request);
-        let claim = self
-            .frontend_inflight
-            .claim(frontend_hash, &key, || self.frontends.get(frontend_hash, probe));
-        match claim {
-            Claim::Cached(frontend) => {
-                self.stats.frontend_hits.fetch_add(1, Relaxed);
-                SharedStats::add_duration(&self.stats.frontend_saved_ns, frontend.cost);
-                Ok(frontend)
-            }
-            Claim::Coalesced(cell) => {
-                self.stats.frontend_coalesced.fetch_add(1, Relaxed);
-                let frontend = cell.wait()?;
-                SharedStats::add_duration(&self.stats.frontend_saved_ns, frontend.cost);
-                Ok(frontend)
-            }
-            Claim::Leader(guard) => {
-                self.stats.frontend_misses.fetch_add(1, Relaxed);
-                let dims = request.effective_dims();
-                match self.run_frontend(&request.kernel, &request.captures, &dims) {
-                    Ok(frontend) => {
-                        let frontend = Arc::new(frontend);
-                        SharedStats::add_duration(&self.stats.frontend_spent_ns, frontend.cost);
-                        let evicted =
-                            self.frontends.insert(frontend_hash, key, Arc::clone(&frontend));
-                        self.stats.evictions.fetch_add(evicted, Relaxed);
-                        guard.finish(Ok(Arc::clone(&frontend)));
-                        Ok(frontend)
-                    }
-                    Err(e) => {
-                        guard.finish(Err(e.clone()));
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Hashes the frontend-relevant parts of a request in place (no
-    /// owned key, no allocation).
-    fn request_frontend_hash(&self, request: &CompileRequest) -> u64 {
-        let mut h = Fnv::new();
-        h.write_u64(self.source_hash);
-        h.write_usize(request.kernel.len());
-        h.write(request.kernel.as_bytes());
-        h.write_usize(request.captures.len());
-        for c in &request.captures {
-            hash_capture(c, &mut h);
-        }
-        h.write_usize(effective_dims_len(&request.options.dims, &request.dims));
-        for_each_effective_dim(&request.options.dims, &request.dims, |k, v| {
-            h.write_usize(k.len());
-            h.write(k.as_bytes());
-            h.write_i64(v);
-        });
-        h.finish()
-    }
-
-    /// Builds the owned frontend key (cold path only).
-    fn build_frontend_key(&self, request: &CompileRequest) -> FrontendKey {
-        let mut dims = Vec::with_capacity(effective_dims_len(&request.options.dims, &request.dims));
-        for_each_effective_dim(&request.options.dims, &request.dims, |k, v| {
-            dims.push((k.to_string(), v));
-        });
-        FrontendKey {
-            source_hash: self.source_hash,
-            kernel: request.kernel.clone(),
-            captures: request.captures.clone(),
-            dims,
-        }
-    }
-
-    /// Builds the owned artifact key (cold path only).
-    fn build_artifact_key(&self, request: &CompileRequest) -> ArtifactKey {
-        let CompileOptions {
-            inline,
-            peephole,
-            decompose,
-            verify,
-            dims: _,
-            rewrite_fuel,
-            lints,
-            target,
-        } = &request.options;
-        ArtifactKey {
-            frontend: self.build_frontend_key(request),
-            inline: *inline,
-            peephole: *peephole,
-            decompose: decompose_tag(*decompose),
-            verify: *verify,
-            rewrite_fuel: *rewrite_fuel,
-            lints: *lints,
-            target: target.clone(),
-        }
+        Ok(frontend)
     }
 
     /// §4 + §5.1: instantiation, typechecking, canonicalization, and
@@ -1330,54 +1105,14 @@ impl Session {
         }
         lower_kernel(&kernel, &mut module)?;
 
-        Ok(Frontend { kernel, module, cost: started.elapsed() })
+        Ok(Frontend { module, cost: started.elapsed() })
     }
 }
 
-/// The hash of an artifact key: the frontend content hash extended with
-/// every pipeline option that changes the produced IR.
-fn artifact_hash(frontend_hash: u64, options: &CompileOptions) -> u64 {
-    let CompileOptions {
-        inline,
-        peephole,
-        decompose,
-        verify,
-        dims: _,
-        rewrite_fuel,
-        lints,
-        target,
-    } = options;
-    let mut h = Fnv::new();
-    h.write_u64(frontend_hash);
-    h.write_u8(u8::from(*inline));
-    h.write_u8(u8::from(*peephole));
-    h.write_u8(decompose_tag(*decompose));
-    h.write_u8(u8::from(*verify));
-    h.write_u8(u8::from(*lints));
-    match rewrite_fuel {
-        None => h.write_u8(0),
-        Some(fuel) => {
-            h.write_u8(1);
-            h.write_u64(*fuel);
-        }
-    }
-    match target {
-        None => h.write_u8(0),
-        Some(name) => {
-            h.write_u8(1);
-            h.write_usize(name.len());
-            h.write(name.as_bytes());
-        }
-    }
-    h.finish()
-}
-
-/// Converts a compiled result into its serializable artifact form. The
-/// typed kernel is deliberately not serialized: it is re-derived through
-/// the frontend on revival, which keeps the format free of AST
-/// internals. `key` holds the canonical cache-key bytes the disk cache
-/// verifies on load; pass an empty vec when only the content hash
-/// matters.
+/// Converts a compiled result into its serializable artifact form; every
+/// field of [`Compiled`] round-trips. `key` holds the canonical cache-key
+/// bytes the disk cache verifies on load; pass an empty vec when only the
+/// content hash matters.
 pub fn compiled_to_artifact(compiled: &Compiled, key: Vec<u8>) -> Artifact {
     Artifact {
         entry: compiled.entry.clone(),
@@ -1390,63 +1125,16 @@ pub fn compiled_to_artifact(compiled: &Compiled, key: Vec<u8>) -> Artifact {
     }
 }
 
-/// Canonical byte encoding of an [`ArtifactKey`]: two structurally equal
-/// keys encode identically, and any difference (kernel, captures, sorted
-/// dims, or any pipeline option) changes the bytes. Stored inside each
-/// disk entry so a lookup verifies the full key rather than trusting the
-/// 64-bit filename hash.
-fn encode_artifact_key(key: &ArtifactKey) -> Vec<u8> {
-    let mut e = asdf_artifact::Encoder::new();
-    e.u64(key.frontend.source_hash);
-    e.str(&key.frontend.kernel);
-    e.usize(key.frontend.captures.len());
-    for capture in &key.frontend.captures {
-        encode_capture(&mut e, capture);
-    }
-    e.usize(key.frontend.dims.len());
-    for (name, value) in &key.frontend.dims {
-        e.str(name);
-        e.i64(*value);
-    }
-    e.bool(key.inline);
-    e.bool(key.peephole);
-    e.u8(key.decompose);
-    e.bool(key.verify);
-    e.bool(key.lints);
-    match key.rewrite_fuel {
-        None => e.u8(0),
-        Some(fuel) => {
-            e.u8(1);
-            e.u64(fuel);
-        }
-    }
-    match &key.target {
-        None => e.u8(0),
-        Some(name) => {
-            e.u8(1);
-            e.str(name);
-        }
-    }
-    e.into_bytes()
-}
-
-fn encode_capture(e: &mut asdf_artifact::Encoder, capture: &CaptureValue) {
-    match capture {
-        CaptureValue::Bits(bits) => {
-            e.u8(0);
-            e.usize(bits.len());
-            for bit in bits {
-                e.bool(*bit);
-            }
-        }
-        CaptureValue::CFunc { name, captures } => {
-            e.u8(1);
-            e.str(name);
-            e.usize(captures.len());
-            for nested in captures {
-                encode_capture(e, nested);
-            }
-        }
+/// The inverse of [`compiled_to_artifact`]: a disk-cached artifact as a
+/// [`Compiled`] (the key bytes are dropped).
+fn revive(stored: Artifact) -> Compiled {
+    Compiled {
+        module: stored.module,
+        entry: stored.entry,
+        circuit: stored.circuit,
+        routing: stored.routing,
+        stats: stored.stats,
+        lints: stored.lints,
     }
 }
 
@@ -1487,74 +1175,269 @@ fn referenced_kernels(kernel: &TKernel) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
 
     const _: () = {
         const fn assert_sync<T: Sync + Send>() {}
         assert_sync::<Session>()
     };
 
-    #[test]
-    fn lru_bounds_and_evicts_stalest() {
-        let mut lru: Lru<u32, u32> = Lru::new(2);
-        lru.insert(1, 1, 10);
-        lru.insert(2, 2, 20);
-        assert_eq!(lru.get(1, |k| *k == 1), Some(&10)); // 1 is now fresher than 2
-        assert_eq!(lru.insert(3, 3, 30), 1);
-        assert_eq!(lru.len(), 2);
-        assert_eq!(lru.get(2, |k| *k == 2), None, "stalest entry evicted");
-        assert_eq!(lru.get(1, |k| *k == 1), Some(&10));
-        assert_eq!(lru.get(3, |k| *k == 3), Some(&30));
+    fn filled(value: u32) -> Cell<u32> {
+        Arc::new(OnceLock::from(Ok(value)))
+    }
+
+    fn cached(lru: &mut Lru<u32>, hash: u64, key: &[u8]) -> Option<u32> {
+        lru.get(hash, |stored| stored == key)?.get()?.clone().ok()
     }
 
     #[test]
-    fn lru_disambiguates_hash_collisions_structurally() {
-        let mut lru: Lru<&str, u32> = Lru::new(4);
-        // Two distinct keys sharing one content hash must coexist.
-        lru.insert(7, "a", 1);
-        lru.insert(7, "b", 2);
-        assert_eq!(lru.get(7, |k| *k == "a"), Some(&1));
-        assert_eq!(lru.get(7, |k| *k == "b"), Some(&2));
-        assert_eq!(lru.get(7, |k| *k == "c"), None);
-        // Replacing an existing key does not grow the cache.
-        lru.insert(7, "a", 9);
-        assert_eq!(lru.len(), 2);
-        assert_eq!(lru.get(7, |k| *k == "a"), Some(&9));
+    fn lru_bounds_and_evicts_stalest() {
+        let mut lru: Lru<u32> = Lru::new(2);
+        lru.insert(1, b"1".as_slice().into(), filled(10));
+        lru.insert(2, b"2".as_slice().into(), filled(20));
+        assert_eq!(cached(&mut lru, 1, b"1"), Some(10)); // 1 is now fresher than 2
+        assert_eq!(lru.insert(3, b"3".as_slice().into(), filled(30)), 1);
+        assert_eq!(lru.len, 2);
+        assert_eq!(cached(&mut lru, 2, b"2"), None, "stalest entry evicted");
+        assert_eq!(cached(&mut lru, 1, b"1"), Some(10));
+        assert_eq!(cached(&mut lru, 3, b"3"), Some(30));
     }
 
     #[test]
     fn shard_counts_are_powers_of_two_within_capacity() {
-        assert_eq!(shard_count(8, 64), 8);
-        assert_eq!(shard_count(8, 2), 2);
-        assert_eq!(shard_count(8, 3), 2);
-        assert_eq!(shard_count(5, 64), 4);
-        assert_eq!(shard_count(1, 64), 1);
-        assert_eq!(shard_count(8, 0), 1);
+        assert_eq!(shard_count(64), 8);
+        assert_eq!(shard_count(8), 8);
+        assert_eq!(shard_count(5), 4);
+        assert_eq!(shard_count(3), 2);
+        assert_eq!(shard_count(2), 2);
+        assert_eq!(shard_count(1), 1);
+        assert_eq!(shard_count(0), 1);
+    }
+
+    /// The artifact key of `request` (the cache tests pass hashes
+    /// explicitly, so collisions can be forced).
+    fn key(request: &CompileRequest) -> CacheKey<'_> {
+        CacheKey { source_hash: 0, request, options: true }
+    }
+
+    /// Spins until `holders` references to the cell under `hash` exist
+    /// (the cache's, the running request's, and the waiters'), i.e. until
+    /// the waiters hold the unfilled cell and must coalesce onto it.
+    fn await_holders(cache: &CoalescingCache<u32>, hash: u64, holders: usize) {
+        while cache.shard(hash).map.get(&hash).map_or(0, |b| Arc::strong_count(&b[0].cell))
+            < holders
+        {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn sharded_cache_capacity_is_global() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::new(6, 4);
-        let mut evictions = 0;
-        for i in 0..32u64 {
-            evictions += cache.insert(i, i, i);
+        let cache: CoalescingCache<u32> = CoalescingCache::new(6);
+        for i in 0..32u32 {
+            let request = CompileRequest::kernel(&format!("k{i}"));
+            let key = key(&request);
+            let (value, served) = cache.get_or_run(key.hash(), &key, || Ok(i));
+            assert_eq!((value, served), (Ok(i), Served::Led));
         }
         assert!(cache.len() <= 6, "global bound holds, got {}", cache.len());
-        assert_eq!(evictions + cache.len() as u64, 32);
+        assert_eq!(cache.evictions.load(Relaxed) + cache.len() as u64, 32);
     }
 
     #[test]
-    fn capture_hashing_distinguishes_shapes() {
-        let bits = CaptureValue::bits_from_str("101");
-        let cfunc = CaptureValue::CFunc { name: "f".into(), captures: vec![bits.clone()] };
-        let hash = |c: &CaptureValue| {
-            let mut h = Fnv::new();
-            hash_capture(c, &mut h);
-            h.finish()
+    fn cache_coalesces_then_serves_hits() {
+        let cache: CoalescingCache<u32> = CoalescingCache::new(4);
+        let a = CompileRequest::kernel("a");
+        std::thread::scope(|scope| {
+            let mut waiter = None;
+            let (value, served) = cache.get_or_run(1, &key(&a), || {
+                waiter = Some(scope.spawn(|| cache.get_or_run(1, &key(&a), || panic!("one lead"))));
+                await_holders(&cache, 1, 3);
+                Ok(7)
+            });
+            assert_eq!((value, served), (Ok(7), Served::Led));
+            let waited = waiter.expect("spawned").join().expect("waiter finished");
+            assert_eq!(waited, (Ok(7), Served::Coalesced), "the waiter shares the result");
+        });
+        // The filled entry stays cached: the next request is a hit.
+        assert_eq!(cache.get_or_run(1, &key(&a), || Ok(0)), (Ok(7), Served::Hit));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn cache_errors_reach_waiters_without_poisoning() {
+        let cache: CoalescingCache<u32> = CoalescingCache::new(4);
+        let a = CompileRequest::kernel("a");
+        std::thread::scope(|scope| {
+            let mut waiter = None;
+            let (value, served) = cache.get_or_run(9, &key(&a), || {
+                waiter = Some(scope.spawn(|| cache.get_or_run(9, &key(&a), || Ok(0))));
+                await_holders(&cache, 9, 3);
+                Err(CoreError::Ir("boom".into()))
+            });
+            assert_eq!((value, served), (Err(CoreError::Ir("boom".into())), Served::Led));
+            let waited = waiter.expect("spawned").join().expect("waiter finished");
+            assert_eq!(waited, (Err(CoreError::Ir("boom".into())), Served::Coalesced));
+        });
+        // The error was not cached: the next request leads afresh.
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.get_or_run(9, &key(&a), || Ok(3)), (Ok(3), Served::Led));
+    }
+
+    #[test]
+    fn cache_leader_panic_wakes_waiters() {
+        let cache: CoalescingCache<u32> = CoalescingCache::new(4);
+        let a = CompileRequest::kernel("a");
+        let waited = std::thread::scope(|scope| {
+            let mut waiter = None;
+            let leader = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.get_or_run(3, &key(&a), || {
+                    waiter = Some(scope.spawn(|| cache.get_or_run(3, &key(&a), || Ok(0))));
+                    await_holders(&cache, 3, 3);
+                    panic!("the leading thread dies before filling its cell")
+                })
+            }));
+            assert!(leader.is_err(), "the leader's panic propagates to its caller");
+            waiter.expect("spawned").join().expect("waiter finished")
+        });
+        let (value, served) = waited;
+        assert_eq!(served, Served::Coalesced);
+        let err = value.expect_err("an abandoned cell delivers an error");
+        assert!(err.to_string().contains("abandoned"), "{err}");
+        assert_eq!(cache.len(), 0, "the abandoned entry was removed");
+        assert_eq!(cache.get_or_run(3, &key(&a), || Ok(5)), (Ok(5), Served::Led));
+    }
+
+    #[test]
+    fn distinct_keys_under_one_hash_never_coalesce() {
+        let cache: CoalescingCache<u32> = CoalescingCache::new(4);
+        let (a, b) = (CompileRequest::kernel("a"), CompileRequest::kernel("b"));
+        // While `a` is in flight, `b` under the same hash leads its own run.
+        let (value, served) = cache.get_or_run(1, &key(&a), || {
+            assert_eq!(cache.get_or_run(1, &key(&b), || Ok(8)), (Ok(8), Served::Led));
+            Ok(7)
+        });
+        assert_eq!((value, served), (Ok(7), Served::Led));
+        assert_eq!(cache.get_or_run(1, &key(&a), || Ok(0)), (Ok(7), Served::Hit));
+        assert_eq!(cache.get_or_run(1, &key(&b), || Ok(0)), (Ok(8), Served::Hit));
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn unfilled_entries_are_never_evicted() {
+        let cache: CoalescingCache<u32> = CoalescingCache::new(1);
+        let (a, b, c) =
+            (CompileRequest::kernel("a"), CompileRequest::kernel("b"), CompileRequest::kernel("c"));
+        cache
+            .get_or_run(1, &key(&a), || {
+                // The one slot holds `a`, still unfilled: `b` cannot evict it
+                // and the shard grows past its capacity instead.
+                assert_eq!(cache.get_or_run(2, &key(&b), || Ok(2)), (Ok(2), Served::Led));
+                assert_eq!(cache.len(), 2);
+                assert_eq!(cache.evictions.load(Relaxed), 0);
+                Ok(1)
+            })
+            .0
+            .expect("leader succeeded");
+        // Once both are filled, the next insert shrinks the shard back to
+        // its bound.
+        assert_eq!(cache.get_or_run(3, &key(&c), || Ok(3)), (Ok(3), Served::Led));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.evictions.load(Relaxed), 2);
+    }
+
+    #[test]
+    fn cache_keys_cover_every_component_and_nothing_else() {
+        let base = CompileRequest::kernel("k")
+            .with_capture(CaptureValue::CFunc {
+                name: "f".into(),
+                captures: vec![CaptureValue::bits_from_str("101")],
+            })
+            .with_dim("N", 3)
+            .with_options(CompileOptions::default().with_rewrite_fuel(None).with_dim("M", 2));
+        let artifact = |request: &CompileRequest| {
+            let key = CacheKey { source_hash: 1, request, options: true };
+            (key.to_bytes(), key.hash())
         };
-        assert_ne!(hash(&bits), hash(&cfunc));
-        assert_eq!(hash(&bits), hash(&CaptureValue::bits_from_str("101")));
-        assert_ne!(hash(&bits), hash(&CaptureValue::bits_from_str("1010")));
+        let (bytes, hash) = artifact(&base);
+        assert_eq!(hash, fnv1a(&bytes), "the hash is FNV-1a of the key bytes");
+        assert!(key(&base).matches(&key(&base).to_bytes()));
+        assert!(!key(&base).matches(&bytes), "the source hash is part of the key");
+
+        let options = |f: fn(&mut CompileOptions)| {
+            let mut request = base.clone();
+            f(&mut request.options);
+            request
+        };
+        let changed = [
+            ("kernel", CompileRequest { kernel: "j".into(), ..base.clone() }),
+            (
+                "capture",
+                CompileRequest {
+                    captures: vec![CaptureValue::CFunc {
+                        name: "f".into(),
+                        captures: vec![CaptureValue::bits_from_str("100")],
+                    }],
+                    ..base.clone()
+                },
+            ),
+            (
+                "capture shape",
+                CompileRequest {
+                    captures: vec![CaptureValue::bits_from_str("101")],
+                    ..base.clone()
+                },
+            ),
+            ("request dim", base.clone().with_dim("N", 4)),
+            ("request dim over an options dim", base.clone().with_dim("M", 9)),
+            (
+                "options dim",
+                options(|o| {
+                    o.dims.insert("M".into(), 5);
+                }),
+            ),
+            ("inline", options(|o| o.inline = !o.inline)),
+            ("peephole", options(|o| o.peephole = !o.peephole)),
+            ("decompose", options(|o| o.decompose = Some(DecomposeStyle::VChain))),
+            ("verify", options(|o| o.verify = !o.verify)),
+            ("rewrite_fuel", options(|o| o.rewrite_fuel = Some(5))),
+            ("lints", options(|o| o.lints = !o.lints)),
+            ("target", options(|o| o.target = Some("linear-16".into()))),
+        ];
+        for (what, request) in &changed {
+            let (changed_bytes, changed_hash) = artifact(request);
+            assert_ne!(changed_bytes, bytes, "{what} changes the key bytes");
+            assert_ne!(changed_hash, hash, "{what} changes the hash");
+            let key = CacheKey { source_hash: 1, request, options: true };
+            assert!(!key.matches(&bytes), "{what} does not match the stored key");
+        }
+
+        // The frontend key is the artifact key without the options.
+        let frontend = CacheKey { source_hash: 1, request: &base, options: false }.to_bytes();
+        assert!(bytes.starts_with(&frontend) && bytes.len() > frontend.len());
+        let no_inline = options(|o| o.inline = false);
+        let frontend_key = CacheKey { source_hash: 1, request: &no_inline, options: false };
+        assert!(frontend_key.matches(&frontend), "options are not part of the frontend key");
+
+        // Where a binding lives and the order it was inserted in do not
+        // matter; a request dim overrides an options dim of the same name.
+        let mut moved = CompileRequest::kernel("k")
+            .with_captures(&base.captures)
+            .with_dim("M", 2)
+            .with_options(CompileOptions::default().with_rewrite_fuel(None).with_dim("N", 3));
+        assert_eq!(artifact(&moved), (bytes.clone(), hash), "moving a binding");
+        moved.options.dims.insert("M".into(), 9);
+        assert_eq!(artifact(&moved), (bytes.clone(), hash), "request dims win");
+        let names = ["A", "B", "C", "D", "E", "F", "G", "H"];
+        let (mut forward, mut backward) = (moved.clone(), moved);
+        forward.dims = HashMap::new();
+        backward.dims = HashMap::new();
+        for (value, name) in names.iter().enumerate() {
+            forward.dims.insert((*name).to_string(), value as i64);
+        }
+        for (value, name) in names.iter().enumerate().rev() {
+            backward.dims.insert((*name).to_string(), value as i64);
+        }
+        assert_eq!(artifact(&forward), artifact(&backward), "insertion order");
     }
 
     #[test]
@@ -1567,75 +1450,6 @@ mod tests {
         let mut seen = Vec::new();
         for_each_effective_dim(&options, &request, |k, v| seen.push((k.to_string(), v)));
         assert_eq!(seen, vec![("A".to_string(), 7), ("N".to_string(), 5), ("Z".to_string(), 1)]);
-        let stored = seen;
-        assert!(dims_match(&stored, &options, &request));
-        assert!(!dims_match(&stored, &options, &HashMap::new()));
-    }
-
-    #[test]
-    fn inflight_coalesces_then_retires_deterministically() {
-        let inflight: Inflight<u32, u32> = Inflight::new();
-        let leader = match inflight.claim(1, &42, || None) {
-            Claim::Leader(guard) => guard,
-            _ => panic!("first claim leads"),
-        };
-        // A second claim for the same key coalesces onto the cell.
-        let cell = match inflight.claim(1, &42, || None) {
-            Claim::Coalesced(cell) => cell,
-            _ => panic!("second claim coalesces"),
-        };
-        // A different key under the same hash is its own leader.
-        let other = match inflight.claim(1, &43, || None) {
-            Claim::Leader(guard) => guard,
-            _ => panic!("distinct keys never coalesce, even on hash collision"),
-        };
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                tx.send(cell.wait()).expect("send waiter result");
-            });
-            leader.finish(Ok(7));
-        });
-        assert_eq!(rx.recv().expect("waiter finished"), Ok(7));
-        other.finish(Ok(8));
-        assert!(inflight.is_empty(), "all cells retired");
-        // The key is claimable again — nothing was poisoned.
-        assert!(matches!(inflight.claim(1, &42, || None), Claim::Leader(_)));
-    }
-
-    #[test]
-    fn inflight_errors_reach_waiters_without_poisoning() {
-        let inflight: Inflight<u32, u32> = Inflight::new();
-        let leader = match inflight.claim(9, &1, || None) {
-            Claim::Leader(guard) => guard,
-            _ => panic!("leads"),
-        };
-        let cell = match inflight.claim(9, &1, || None) {
-            Claim::Coalesced(cell) => cell,
-            _ => panic!("coalesces"),
-        };
-        leader.finish(Err(CoreError::Ir("boom".into())));
-        assert_eq!(cell.wait(), Err(CoreError::Ir("boom".into())));
-        // Retry is clean: the next claim leads again.
-        assert!(matches!(inflight.claim(9, &1, || None), Claim::Leader(_)));
-    }
-
-    #[test]
-    fn inflight_leader_panic_wakes_waiters() {
-        let inflight: Inflight<u32, u32> = Inflight::new();
-        let leader = match inflight.claim(3, &5, || None) {
-            Claim::Leader(guard) => guard,
-            _ => panic!("leads"),
-        };
-        let cell = match inflight.claim(3, &5, || None) {
-            Claim::Coalesced(cell) => cell,
-            _ => panic!("coalesces"),
-        };
-        // Simulate the leading thread dying before finish().
-        drop(leader);
-        let err = cell.wait().expect_err("abandoned cell delivers an error");
-        assert!(err.to_string().contains("abandoned"), "{err}");
-        assert!(inflight.is_empty());
     }
 
     #[test]
@@ -1686,12 +1500,13 @@ mod tests {
         drop(first);
 
         // A fresh session over the same directory revives the artifact
-        // from disk: frontend work runs, the pipeline does not.
+        // from disk: neither the frontend nor the pipeline runs.
         let second = Session::builder(source).disk_cache(&dir).build().expect("rebuild");
         let revived = second.compile(&request).expect("revived compile");
         let stats = second.cache_stats();
         assert_eq!(stats.disk_hits, 1, "restart serves from disk");
         assert_eq!(stats.artifact_misses, 0, "no pipeline run after restart");
+        assert_eq!(stats.frontend_misses, 0, "no frontend run after restart");
         assert_eq!(revived.entry, cold.entry);
         assert_eq!(revived.circuit, cold.circuit);
         assert_eq!(revived.module.funcs(), cold.module.funcs());
@@ -1737,16 +1552,5 @@ mod tests {
         assert_eq!(stats.disk_writes, 1, "the rebuilt artifact was re-persisted");
         assert!(artifact.circuit.is_some());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn inflight_recheck_runs_under_the_table_lock() {
-        let inflight: Inflight<u32, u32> = Inflight::new();
-        // No cell and a recheck hit: the claim reports Cached.
-        match inflight.claim(2, &2, || Some(11)) {
-            Claim::Cached(v) => assert_eq!(v, 11),
-            _ => panic!("recheck hit short-circuits leadership"),
-        }
-        assert!(inflight.is_empty(), "a cached claim registers nothing");
     }
 }

@@ -108,7 +108,8 @@ fn different_sessions_have_different_source_hashes() {
 #[test]
 fn lru_eviction_bounds_memory() {
     // Capacity 2 artifacts; 8 distinct requests.
-    let session = Session::with_capacity(BV_SRC, 2, 2).unwrap();
+    let session =
+        Session::builder(BV_SRC).frontend_capacity(2).artifact_capacity(2).build().unwrap();
     for width in 1..=8u32 {
         let secret: String = "1".repeat(width as usize);
         session.compile(&bv_request(&secret)).unwrap();
@@ -218,27 +219,6 @@ fn backends_are_fixed_before_sharing() {
     let artifact = session.compile(&bv_request("101")).unwrap();
     let emitted = session.emit(&artifact, "upper").unwrap();
     assert!(emitted.contains("OPENQASM"), "{emitted}");
-}
-
-#[test]
-fn single_shard_restores_exact_global_lru_order() {
-    // shards(1) is the deterministic configuration: one global LRU whose
-    // eviction order is exact (the sharded default approximates it
-    // per-shard).
-    let session = Session::builder(BV_SRC)
-        .frontend_capacity(2)
-        .artifact_capacity(2)
-        .shards(1)
-        .build()
-        .unwrap();
-    for width in 1..=4u32 {
-        session.compile(&bv_request(&"1".repeat(width as usize))).unwrap();
-    }
-    // "111" and "1111" are the two freshest; "1" was evicted first.
-    session.compile(&bv_request("1111")).unwrap();
-    assert_eq!(session.cache_stats().artifact_hits, 1);
-    session.compile(&bv_request("1")).unwrap();
-    assert_eq!(session.cache_stats().artifact_hits, 1, "oldest entry was evicted");
 }
 
 #[test]

@@ -299,8 +299,6 @@ enum Mutation {
     Replace { idx: usize, op: Op },
     /// Erase the op at `idx` of the root block.
     Erase { idx: usize },
-    /// Insert `op` before `idx` of the root block.
-    InsertBefore { idx: usize, op: Op },
     /// Rewrite every use of `from` (function-wide) to `to`.
     Rauw { from: Value, to: Value },
 }
@@ -311,7 +309,6 @@ enum Mutation {
 /// [`find_def`](Rewriter::find_def), [`use_count`](Rewriter::use_count))
 /// observe the pre-firing IR; mutations ([`replace_op`](Rewriter::replace_op),
 /// [`erase_op`](Rewriter::erase_op),
-/// [`insert_before`](Rewriter::insert_before),
 /// [`replace_all_uses`](Rewriter::replace_all_uses)) are queued and applied
 /// after the pattern returns `true`, and the driver uses the queued record
 /// to requeue exactly the changed def-use neighborhood. Structural edits
@@ -376,11 +373,6 @@ impl<'a> Rewriter<'a> {
     pub fn op(&self) -> &Op {
         self.assert_clean();
         &self.block().ops[self.root_idx]
-    }
-
-    /// The root op's index within [`Rewriter::block`].
-    pub fn root_idx(&self) -> usize {
-        self.root_idx
     }
 
     /// The block containing the root op.
@@ -453,12 +445,6 @@ impl<'a> Rewriter<'a> {
     /// Queues erasure of the root op.
     pub fn erase_root(&mut self) {
         self.erase_op(self.root_idx);
-    }
-
-    /// Queues insertion of `op` before pre-firing index `idx` of the root
-    /// block.
-    pub fn insert_before(&mut self, idx: usize, op: Op) {
-        self.log.push(Mutation::InsertBefore { idx, op });
     }
 
     /// Queues a function-wide rewrite of every use of `from` to `to`
@@ -670,14 +656,14 @@ struct AppliedChange {
     /// Values whose def or users changed — the seeds of the neighborhood
     /// requeue.
     touched: Vec<Value>,
-    /// Slots of created (inserted or replacement) ops, including ops
-    /// inside their regions.
+    /// Slots of created (replacement) ops, including the ops inside
+    /// their regions.
     created: Vec<SlotId>,
 }
 
 /// Applies a queued mutation log to `func` (root block at `path`),
 /// keeping `index` in sync. Edits address pre-firing indices; application
-/// order is replaces, erases, inserts, then RAUWs.
+/// order is replaces, erases, then RAUWs.
 fn apply_mutations(
     func: &mut Func,
     path: &BlockPath,
@@ -687,13 +673,11 @@ fn apply_mutations(
     let mut change = AppliedChange::default();
     let mut replaces: Vec<(usize, Op)> = Vec::new();
     let mut erases: Vec<usize> = Vec::new();
-    let mut inserts: Vec<(usize, Op)> = Vec::new();
     let mut rauws: Vec<(Value, Value)> = Vec::new();
     for mutation in log {
         match mutation {
             Mutation::Replace { idx, op } => replaces.push((idx, op)),
             Mutation::Erase { idx } => erases.push(idx),
-            Mutation::InsertBefore { idx, op } => inserts.push((idx, op)),
             Mutation::Rauw { from, to } => rauws.push((from, to)),
         }
     }
@@ -734,25 +718,7 @@ fn apply_mutations(
         }
     }
 
-    // 3. Inserts, ascending, with indices adjusted for the erases and for
-    //    previously applied inserts.
-    inserts.sort_by_key(|(idx, _)| *idx);
-    for (applied_inserts, (orig_idx, op)) in inserts.into_iter().enumerate() {
-        let shift = erases.iter().filter(|&&e| e < orig_idx).count();
-        let eff = orig_idx - shift + applied_inserts;
-        change.touched.extend(op.operands.iter().chain(op.results.iter()));
-        for i in eff..index.blocks[bid].slots.len() {
-            let s = index.blocks[bid].slots[i];
-            index.slots[s].pos += 1;
-        }
-        let first_new = index.slots.len();
-        let slot = index.index_op(&op, bid, eff);
-        index.blocks[bid].slots.insert(eff, slot);
-        change.created.extend(first_new..index.slots.len());
-        func.block_at_mut(path).ops.insert(eff, op);
-    }
-
-    // 4. RAUWs, in queued order.
+    // 3. RAUWs, in queued order.
     for (from, to) in rauws {
         if from == to {
             continue;
@@ -1373,53 +1339,6 @@ mod tests {
         driver.run(&mut module);
         assert_eq!(driver.stats.trace.len(), 1);
         assert_eq!(driver.stats.trace[0], "fold-fadd @ f:0:2");
-    }
-
-    /// A pattern using `insert_before`: splits `fadd(a, a)` into
-    /// `c = fmul(a, a); fadd -> replaced by fneg(c)` — contrived, but it
-    /// exercises insertion through the queued-mutation path.
-    struct SplitSelfAdd;
-
-    impl RewritePattern for SplitSelfAdd {
-        fn name(&self) -> &'static str {
-            "split-self-add"
-        }
-
-        fn match_and_rewrite(&self, rw: &mut Rewriter<'_>) -> bool {
-            let op = rw.op();
-            if !matches!(op.kind, OpKind::FAdd) || op.operands[0] != op.operands[1] {
-                return false;
-            }
-            let (a, result, idx) = (op.operands[0], op.results[0], rw.root_idx());
-            let mid = rw.new_value(Type::F64);
-            rw.insert_before(idx, Op::new(OpKind::FMul, vec![a, a], vec![mid]));
-            rw.replace_root(Op::new(OpKind::FNeg, vec![mid], vec![result]));
-            true
-        }
-    }
-
-    #[test]
-    fn insert_before_keeps_index_and_ir_in_sync() {
-        let mut b = FuncBuilder::new(
-            "s",
-            FuncType::new(vec![Type::F64], vec![Type::F64], false),
-            Visibility::Public,
-        );
-        let arg = b.args()[0];
-        let mut bb = b.block();
-        let sum = bb.push(OpKind::FAdd, vec![arg, arg], vec![Type::F64]);
-        bb.push(OpKind::Return, vec![sum[0]], vec![]);
-        let mut module = Module::new();
-        module.add_func(b.finish());
-
-        let mut driver = GreedyRewriteDriver::new();
-        driver.add_pattern(Box::new(SplitSelfAdd));
-        assert_eq!(driver.run(&mut module), 1);
-        crate::verify::verify_module(&module).unwrap();
-        let func = module.func("s").unwrap();
-        assert_eq!(func.body.ops.len(), 3);
-        assert!(matches!(func.body.ops[0].kind, OpKind::FMul));
-        assert!(matches!(func.body.ops[1].kind, OpKind::FNeg));
     }
 
     /// Replaces `fsub` with an `scf.if` whose regions contain freshly

@@ -49,6 +49,8 @@ struct Registry {
     sessions: HashMap<String, (Arc<Session>, u64)>,
     tick: u64,
     capacity: usize,
+    /// The counters of evicted sessions, as they stood at eviction.
+    retired: CacheStats,
 }
 
 impl Default for CompileServer {
@@ -71,6 +73,7 @@ impl CompileServer {
                 sessions: HashMap::new(),
                 tick: 0,
                 capacity: capacity.max(1),
+                retired: CacheStats::default(),
             }),
             target_counts: Mutex::new(BTreeMap::new()),
             disk: None,
@@ -130,7 +133,9 @@ impl CompileServer {
                 .min_by_key(|(_, (_, stamp))| *stamp)
                 .map(|(key, _)| key.clone())
             {
-                registry.sessions.remove(&stalest);
+                if let Some((evicted, _)) = registry.sessions.remove(&stalest) {
+                    registry.retired.merge(&evicted.cache_stats());
+                }
             }
         }
         registry.sessions.insert(source.to_string(), (Arc::clone(&session), tick));
@@ -142,10 +147,12 @@ impl CompileServer {
         self.registry.lock().expect("registry lock").sessions.len()
     }
 
-    /// Cache counters aggregated across every live session.
+    /// The number of live sessions, and cache counters over the server's
+    /// lifetime: every live session's plus those of evicted sessions as
+    /// they stood at eviction.
     pub fn stats(&self) -> (usize, CacheStats) {
         let registry = self.registry.lock().expect("registry lock");
-        let mut merged = CacheStats::default();
+        let mut merged = registry.retired;
         for (session, _) in registry.sessions.values() {
             merged.merge(&session.cache_stats());
         }

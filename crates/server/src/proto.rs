@@ -15,7 +15,8 @@
 //!   ```json
 //!   {"op":"lint","source":"...","kernel":"k"}
 //!   ```
-//! - `stats` — aggregate cache counters across every live session:
+//! - `stats` — cache counters over the server's lifetime (evicted
+//!   sessions included) and the live session count:
 //!   ```json
 //!   {"op":"stats"}
 //!   ```

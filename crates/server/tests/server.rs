@@ -127,6 +127,13 @@ fn failures_come_back_as_structured_errors() {
     assert_eq!(response.get("ok"), Some(&Value::Bool(false)));
     assert_eq!(response.get("code").and_then(Value::as_str), Some("E0004"), "{response}");
 
+    // A circuit too wide to simulate is a backend error, not a panic.
+    let line = r#"{"op":"emit","backend":"sim","source":"qpu k[N]() -> bit[N] { 'p'[N] | std[N].measure }","kernel":"k","dims":{"N":40}}"#;
+    let response = parse(&server.handle_line(line)).unwrap();
+    assert_eq!(response.get("ok"), Some(&Value::Bool(false)));
+    assert_eq!(response.get("code").and_then(Value::as_str), Some("E0104"), "{response}");
+    assert!(response.get("error").and_then(Value::as_str).unwrap().contains("40 qubits"));
+
     // The server survives all of the above and still compiles.
     let response = parse(&server.handle_line(&compile_line("11"))).unwrap();
     assert_eq!(response.get("ok"), Some(&Value::Bool(true)));
@@ -146,6 +153,9 @@ fn session_registry_is_bounded_lru() {
         assert_eq!(response.get("ok"), Some(&Value::Bool(true)), "{response}");
     }
     assert_eq!(server.session_count(), 2, "the oldest session was evicted");
+    let (sessions, stats) = server.stats();
+    assert_eq!(sessions, 2);
+    assert_eq!(stats.artifact_misses, 3, "an evicted session's counters are kept");
 }
 
 #[test]

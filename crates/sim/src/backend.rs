@@ -17,7 +17,7 @@
 
 use crate::kernel::KernelProgram;
 use crate::run::{measurement_distribution_threads, pool_for_state, sample_per_shot};
-use crate::state::StateVector;
+use crate::state::{StateVector, MAX_QUBITS};
 use asdf_codegen::backend::{Backend, BackendError, EmitInput};
 use asdf_qcircuit::CircuitOp;
 
@@ -55,6 +55,17 @@ impl Backend for SimBackend {
         let circuit = input
             .circuit
             .ok_or_else(|| BackendError::NeedsCircuit { backend: self.name().to_string() })?;
+        // Every path below allocates a state vector over all the circuit's
+        // qubits; refuse an oversized one before anything is allocated.
+        if circuit.num_qubits > MAX_QUBITS {
+            return Err(BackendError::Emit {
+                backend: self.name().to_string(),
+                message: format!(
+                    "state vector too large: {} qubits (max {MAX_QUBITS})",
+                    circuit.num_qubits
+                ),
+            });
+        }
 
         let measures = circuit
             .ops
@@ -140,5 +151,15 @@ mod tests {
         let input = EmitInput { module: &module, entry: "k", circuit: None };
         let err = SimBackend::default().emit(&input).unwrap_err();
         assert!(matches!(err, BackendError::NeedsCircuit { .. }), "{err}");
+    }
+
+    #[test]
+    fn oversized_circuit_is_a_structured_error() {
+        let module = Module::new();
+        let circuit = Circuit::new(MAX_QUBITS + 1);
+        let input = EmitInput { module: &module, entry: "k", circuit: Some(&circuit) };
+        let err = SimBackend::default().emit(&input).unwrap_err();
+        assert!(matches!(err, BackendError::Emit { .. }), "{err}");
+        assert!(err.to_string().contains("27 qubits"), "{err}");
     }
 }
