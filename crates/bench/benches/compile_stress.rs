@@ -15,30 +15,14 @@
 //!
 //! Each full run appends a trajectory point to `BENCH_compile.json` at
 //! the repo root. `--smoke` (or env `COMPILE_STRESS_SMOKE=1`) shrinks
-//! the workload and skips the scaling assertion for CI.
+//! the workload, skips the scaling assertion and prints the point
+//! instead of appending it.
 
-use asdf_ast::CaptureValue;
+use asdf_bench::{bv_request, record_trajectory_point, smoke_mode, BV_SRC};
 use asdf_core::{CompileRequest, Session};
 use criterion::black_box;
-use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-const BV_SRC: &str = r"
-    classical f[N](secret: bit[N], x: bit[N]) -> bit {
-        (secret & x).xor_reduce()
-    }
-    qpu kernel[N](f: cfunc[N, 1]) -> bit[N] {
-        'p'[N] | f.sign | pm[N] >> std[N] | std[N].measure
-    }
-";
-
-fn bv_request(secret: &str) -> CompileRequest {
-    CompileRequest::kernel("kernel").with_capture(CaptureValue::CFunc {
-        name: "f".into(),
-        captures: vec![CaptureValue::bits_from_str(secret)],
-    })
-}
 
 /// The request stream every worker replays: eight hot keys cycled
 /// round-robin, with every tenth slot replaced by a unique cold key.
@@ -139,34 +123,8 @@ fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
-fn append_trajectory_point(point: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_compile.json");
-    let rewritten = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) => {
-                    let body = body.trim_end();
-                    if body.ends_with('[') {
-                        format!("{body}\n  {point}\n]\n")
-                    } else {
-                        format!("{body},\n  {point}\n]\n")
-                    }
-                }
-                None => format!("[\n  {point}\n]\n"),
-            }
-        }
-        Err(_) => format!("[\n  {point}\n]\n"),
-    };
-    match std::fs::write(&path, rewritten) {
-        Ok(()) => println!("trajectory point appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("COMPILE_STRESS_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke_mode("COMPILE_STRESS_SMOKE");
     let (len, trials) = if smoke { (60, 2) } else { (240, 5) };
     let (schedule, unique_keys) = build_schedule(len);
     println!(
@@ -237,5 +195,5 @@ fn main() {
         peak.coalesced,
         peak.requests,
     );
-    append_trajectory_point(&point);
+    record_trajectory_point("BENCH_compile.json", &point, smoke);
 }

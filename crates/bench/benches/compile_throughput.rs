@@ -12,78 +12,21 @@
 //! - **matrix** — one session compiling all 12 configurations (11
 //!   frontend hits) vs 12 cold compiles.
 //!
-//! Each run appends a trajectory point to `BENCH_compile.json` at the
-//! repo root. `--smoke` (or env `COMPILE_THROUGHPUT_SMOKE=1`) shrinks
-//! the workload for CI.
+//! Each full run appends a trajectory point to `BENCH_compile.json` at
+//! the repo root. `--smoke` (or env `COMPILE_THROUGHPUT_SMOKE=1`) shrinks
+//! the workload for CI and prints the point instead of appending it.
 
-use asdf_ast::CaptureValue;
-use asdf_core::{CompileOptions, CompileRequest, Session};
+use asdf_bench::{bv_request, median_time, record_trajectory_point, smoke_mode, BV_SRC};
+use asdf_core::{CompileOptions, Session};
 use criterion::black_box;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-const BV_SRC: &str = r"
-    classical f[N](secret: bit[N], x: bit[N]) -> bit {
-        (secret & x).xor_reduce()
-    }
-    qpu kernel[N](f: cfunc[N, 1]) -> bit[N] {
-        'p'[N] | f.sign | pm[N] >> std[N] | std[N].measure
-    }
-";
-
-fn bv_request(secret: &str) -> CompileRequest {
-    CompileRequest::kernel("kernel").with_capture(CaptureValue::CFunc {
-        name: "f".into(),
-        captures: vec![CaptureValue::bits_from_str(secret)],
-    })
-}
-
-/// Median wall-clock of `samples` runs (after one warmup).
-fn median_time<O>(samples: usize, mut f: impl FnMut() -> O) -> Duration {
-    black_box(f());
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
+use std::time::Duration;
 
 fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
-fn append_trajectory_point(point: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_compile.json");
-    let rewritten = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) => {
-                    let body = body.trim_end();
-                    if body.ends_with('[') {
-                        format!("{body}\n  {point}\n]\n")
-                    } else {
-                        format!("{body},\n  {point}\n]\n")
-                    }
-                }
-                None => format!("[\n  {point}\n]\n"),
-            }
-        }
-        Err(_) => format!("[\n  {point}\n]\n"),
-    };
-    match std::fs::write(&path, rewritten) {
-        Ok(()) => println!("trajectory point appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("COMPILE_THROUGHPUT_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke_mode("COMPILE_THROUGHPUT_SMOKE");
     let (secret, samples, warm_batch) =
         if smoke { ("1101", 10, 200) } else { ("110100", 30, 2000) };
     let request = bv_request(secret);
@@ -158,5 +101,5 @@ fn main() {
         us(matrix_cold),
         matrix_speedup,
     );
-    append_trajectory_point(&point);
+    record_trajectory_point("BENCH_compile.json", &point, smoke);
 }

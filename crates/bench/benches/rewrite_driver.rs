@@ -15,18 +15,19 @@
 //! driver run fires nothing, erases nothing, and leaves the module
 //! unchanged). It prints the measured times beside the latest committed
 //! `BENCH_opt.json` point of the same mode; in full mode the wide
-//! workload's op and firing counts must equal that point's. It then
-//! appends a trajectory point. `--smoke` (or env `REWRITE_DRIVER_SMOKE=1`)
-//! shrinks the workload for CI.
+//! workload's op and firing counts must equal that point's. A full run
+//! then appends a trajectory point. `--smoke` (or env
+//! `REWRITE_DRIVER_SMOKE=1`) shrinks the workload for CI and prints the
+//! point instead of appending it.
 
+use asdf_bench::{median_time, record_trajectory_point, smoke_mode, trajectory_path};
 use asdf_core::{CompileOptions, CompileRequest, Session};
 use asdf_difftest::{gen_case, GenOptions};
 use asdf_ir::rewrite::GreedyRewriteDriver;
 use asdf_ir::{FuncBuilder, FuncType, GateKind, Module, OpKind, Type, Value, Visibility};
 use asdf_qcircuit::peephole::peephole_patterns;
 use criterion::black_box;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One wire's worth of gate chain: pairs that cancel or merge away.
 const WIRE_CHAIN: &[GateKind] = &[
@@ -98,20 +99,6 @@ fn difftest_modules(count: usize) -> Vec<Module> {
     modules
 }
 
-/// Median wall-clock of `samples` runs (after one warmup).
-fn median_time<O>(samples: usize, mut f: impl FnMut() -> O) -> Duration {
-    black_box(f());
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
 fn us(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
@@ -152,14 +139,10 @@ fn run_driver(modules: &[Module], samples: usize) -> (Duration, usize) {
     (time, modules.iter().map(check_fixpoint).sum())
 }
 
-fn bench_opt_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_opt.json")
-}
-
 /// The latest `rewrite_driver` point of `mode` in `BENCH_opt.json` (one
 /// point per line).
 fn committed_point(mode: &str) -> Option<String> {
-    let text = std::fs::read_to_string(bench_opt_path()).ok()?;
+    let text = std::fs::read_to_string(trajectory_path("BENCH_opt.json")).ok()?;
     let mode_field = format!("\"mode\": \"{mode}\"");
     text.lines()
         .rev()
@@ -184,34 +167,8 @@ fn beside(point: Option<&str>, key: &str) -> String {
     }
 }
 
-fn append_trajectory_point(point: &str) {
-    let path = bench_opt_path();
-    let rewritten = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) => {
-                    let body = body.trim_end();
-                    if body.ends_with('[') {
-                        format!("{body}\n  {point}\n]\n")
-                    } else {
-                        format!("{body},\n  {point}\n]\n")
-                    }
-                }
-                None => format!("[\n  {point}\n]\n"),
-            }
-        }
-        Err(_) => format!("[\n  {point}\n]\n"),
-    };
-    match std::fs::write(&path, rewritten) {
-        Ok(()) => println!("trajectory point appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("REWRITE_DRIVER_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke_mode("REWRITE_DRIVER_SMOKE");
     let (wires, reps, cases, samples) = if smoke { (48, 1, 6, 3) } else { (120, 2, 12, 5) };
     let mode = if smoke { "smoke" } else { "full" };
     let committed = committed_point(mode);
@@ -262,5 +219,5 @@ fn main() {
         difftest.len(),
         us(dt_time),
     );
-    append_trajectory_point(&point);
+    record_trajectory_point("BENCH_opt.json", &point, smoke);
 }

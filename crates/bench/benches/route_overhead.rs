@@ -8,17 +8,15 @@
 //! exceed a target's qubit budget are reported as skipped, not dropped
 //! silently.
 //!
-//! Each run appends a trajectory point to `BENCH_route.json` at the repo
-//! root. `--smoke` (or env `ROUTE_OVERHEAD_SMOKE=1`) shrinks the sample
-//! count for CI.
+//! Each full run appends a trajectory point to `BENCH_route.json` at the
+//! repo root. `--smoke` (or env `ROUTE_OVERHEAD_SMOKE=1`) shrinks the
+//! sample count for CI and prints the point instead of appending it.
 
 use asdf_ast::CaptureValue;
+use asdf_bench::{median_time, record_trajectory_point, smoke_mode};
 use asdf_core::{CompileOptions, Compiler};
 use asdf_qcircuit::Circuit;
 use asdf_target::Target;
-use criterion::black_box;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 const TARGETS: [&str; 3] = ["linear-16", "ring-8", "grid-4x4"];
 
@@ -87,20 +85,6 @@ fn examples() -> Vec<Example> {
     ]
 }
 
-/// Median wall-clock of `samples` runs (after one warmup).
-fn median_time<O>(samples: usize, mut f: impl FnMut() -> O) -> Duration {
-    black_box(f());
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
 fn compile_example(
     source: &str,
     kernel: &str,
@@ -115,34 +99,8 @@ fn compile_example(
     compiled.circuit
 }
 
-fn append_trajectory_point(point: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_route.json");
-    let rewritten = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) => {
-                    let body = body.trim_end();
-                    if body.ends_with('[') {
-                        format!("{body}\n  {point}\n]\n")
-                    } else {
-                        format!("{body},\n  {point}\n]\n")
-                    }
-                }
-                None => format!("[\n  {point}\n]\n"),
-            }
-        }
-        Err(_) => format!("[\n  {point}\n]\n"),
-    };
-    match std::fs::write(&path, rewritten) {
-        Ok(()) => println!("trajectory point appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("ROUTE_OVERHEAD_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke_mode("ROUTE_OVERHEAD_SMOKE");
     let samples = if smoke { 5 } else { 30 };
     println!("route_overhead: {samples} samples{}", if smoke { " (smoke)" } else { "" });
     println!(
@@ -204,5 +162,5 @@ fn main() {
         if smoke { "smoke" } else { "full" },
         entries.join(", "),
     );
-    append_trajectory_point(&point);
+    record_trajectory_point("BENCH_route.json", &point, smoke);
 }

@@ -1,28 +1,27 @@
-//! Simulation-engine bench: the SIMD + multithreaded kernel path against
-//! its own history, on seeded random circuits.
+//! Simulation-engine bench: the pooled SIMD kernel path on seeded random
+//! circuits, tracked against its own history in `BENCH_sim.json`.
 //!
 //! Two measurements:
 //!
 //! - **single_state**, over a qubit grid (12/16/20 full, 8/10 smoke) with
-//!   a threads axis — the pre-SIMD kernel path (unfused program, scalar
-//!   per-pair loops: exactly what earlier revisions shipped) vs the fused
-//!   SIMD run kernels on one thread vs the same kernels with the pair
-//!   enumeration split over all cores;
+//!   a threads axis — the fused program's SIMD run kernels on one thread
+//!   vs the same kernels with the pair enumeration split over all cores;
 //! - **unitary** — extracting all `2^n` unitary columns at the smallest
 //!   grid size (the difftest oracle's hottest loop), naive per-column
 //!   re-simulation vs [`asdf_sim::batched_columns`].
 //!
-//! Each run appends a trajectory point to `BENCH_sim.json` at the repo
-//! root, so speedups are tracked across commits. `--smoke` (or env
-//! `SIM_KERNELS_SMOKE=1`) shrinks the workload for CI.
+//! Each full run appends a trajectory point to `BENCH_sim.json` at the
+//! repo root, so kernel times are tracked across commits. `--smoke` (or
+//! env `SIM_KERNELS_SMOKE=1`) shrinks the workload for CI and prints the
+//! point instead of appending it.
 
+use asdf_bench::{record_trajectory_point, smoke_mode};
 use asdf_ir::GateKind;
 use asdf_qcircuit::{Circuit, CircuitOp};
 use asdf_sim::{batched_columns, columns_equivalent, KernelProgram, StateVector};
 use criterion::black_box;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use threadpool::ThreadPool;
 
@@ -107,34 +106,8 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn append_trajectory_point(point: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim.json");
-    let rewritten = match std::fs::read_to_string(&path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            match trimmed.strip_suffix(']') {
-                Some(body) => {
-                    let body = body.trim_end();
-                    if body.ends_with('[') {
-                        format!("{body}\n  {point}\n]\n")
-                    } else {
-                        format!("{body},\n  {point}\n]\n")
-                    }
-                }
-                None => format!("[\n  {point}\n]\n"),
-            }
-        }
-        Err(_) => format!("[\n  {point}\n]\n"),
-    };
-    match std::fs::write(&path, rewritten) {
-        Ok(()) => println!("trajectory point appended to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke")
-        || std::env::var("SIM_KERNELS_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = smoke_mode("SIM_KERNELS_SMOKE");
     // (qubits, gates, single-state samples) per grid size.
     let grid: &[(usize, usize, usize)] = if smoke {
         &[(8, 100, 20), (10, 150, 10)]
@@ -160,20 +133,14 @@ fn main() {
         "kernel engine disagrees with the naive reference"
     );
 
-    // single_state grid: the pre-SIMD kernel path (unfused + scalar pair
-    // loops) vs the fused SIMD kernels serially vs across all cores.
+    // single_state grid: the fused SIMD kernels serially vs across all
+    // cores.
     let serial = ThreadPool::new(1);
     let wide = ThreadPool::new(threads);
     let mut grid_points = Vec::new();
     for &(num_qubits, gates, samples) in grid {
         let circuit = random_circuit(num_qubits, gates, SEED);
-        let unfused = KernelProgram::compile_unfused(&circuit);
         let fused = KernelProgram::compile(&circuit);
-        let pr3 = min_time(samples, || {
-            let mut state = StateVector::zero(num_qubits);
-            unfused.apply_gates_scalar(&mut state);
-            state
-        });
         let simd = min_time(samples, || {
             let mut state = StateVector::zero(num_qubits);
             fused.apply_gates_pooled(&mut state, &serial);
@@ -184,27 +151,20 @@ fn main() {
             fused.apply_gates_pooled(&mut state, &wide);
             state
         });
-        let speedup = pr3.as_secs_f64() / simd.as_secs_f64();
-        let speedup_mt = pr3.as_secs_f64() / simd_mt.as_secs_f64();
         let scaling = simd.as_secs_f64() / simd_mt.as_secs_f64();
         println!(
-            "single_state {num_qubits:>2}q ({} ops -> {} fused): scalar {:>9.3?} | simd(1t) \
-             {:>9.3?} ({speedup:.2}x) | simd({threads}t) {:>9.3?} ({speedup_mt:.2}x, 1->{threads}t \
-             scaling {scaling:.2}x)",
-            unfused.ops().len(),
+            "single_state {num_qubits:>2}q ({} ops -> {} fused): simd(1t) {:>9.3?} | \
+             simd({threads}t) {:>9.3?} (1->{threads}t scaling {scaling:.2}x)",
+            circuit.ops.len(),
             fused.ops().len(),
-            pr3,
             simd,
             simd_mt,
         );
         grid_points.push(format!(
             "{{\"qubits\": {num_qubits}, \"gates\": {}, \"kernel_ops\": {}, \
-             \"scalar_ms\": {:.3}, \"simd_ms\": {:.3}, \"simd_mt_ms\": {:.3}, \
-             \"speedup\": {speedup:.2}, \"speedup_mt\": {speedup_mt:.2}, \
-             \"scaling\": {scaling:.2}}}",
+             \"simd_ms\": {:.3}, \"simd_mt_ms\": {:.3}, \"scaling\": {scaling:.2}}}",
             circuit.ops.len(),
             fused.ops().len(),
-            ms(pr3),
             ms(simd),
             ms(simd_mt),
         ));
@@ -232,5 +192,5 @@ fn main() {
         ms(kernel_unitary),
         unitary_speedup,
     );
-    append_trajectory_point(&point);
+    record_trajectory_point("BENCH_sim.json", &point, smoke);
 }

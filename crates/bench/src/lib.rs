@@ -15,6 +15,9 @@ use asdf_core::{CompileOptions, CompileRequest, Compiler, Session};
 use asdf_qcircuit::Circuit;
 use asdf_resource::{estimate, Estimate, SurfaceCodeParams};
 use std::collections::HashMap;
+use std::hint::black_box;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// The four compilers of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,6 +235,78 @@ pub fn table1_rows(n: usize) -> Vec<Table1Row> {
             }
         })
         .collect()
+}
+
+/// Whether a bench runs in smoke mode: `--smoke` on its command line, or
+/// `env_var=1` in its environment.
+pub fn smoke_mode(env_var: &str) -> bool {
+    std::env::args().any(|a| a == "--smoke") || std::env::var(env_var).is_ok_and(|v| v == "1")
+}
+
+/// Median wall-clock of `samples` runs of `f` (after one warmup).
+///
+/// # Panics
+///
+/// Panics if `samples` is zero.
+pub fn median_time<O>(samples: usize, mut f: impl FnMut() -> O) -> Duration {
+    black_box(f());
+    let mut times: Vec<Duration> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed()
+        })
+        .collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
+/// The Fig. 1 Bernstein–Vazirani program the compile benches run.
+pub const BV_SRC: &str = r"
+    classical f[N](secret: bit[N], x: bit[N]) -> bit {
+        (secret & x).xor_reduce()
+    }
+    qpu kernel[N](f: cfunc[N, 1]) -> bit[N] {
+        'p'[N] | f.sign | pm[N] >> std[N] | std[N].measure
+    }
+";
+
+/// A request for [`BV_SRC`]'s kernel with `secret` (a `'0'`/`'1'` string)
+/// bound as the oracle's capture.
+pub fn bv_request(secret: &str) -> CompileRequest {
+    CompileRequest::kernel("kernel").with_capture(CaptureValue::CFunc {
+        name: "f".into(),
+        captures: vec![CaptureValue::bits_from_str(secret)],
+    })
+}
+
+/// The path of the trajectory file `file` (e.g. `BENCH_sim.json`) at the
+/// repository root.
+pub fn trajectory_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(file)
+}
+
+/// Records one bench trajectory point (a one-line JSON object). A full run
+/// appends it to the JSON array in [`trajectory_path`]`(file)`; a smoke
+/// run only prints it, so smoke runs leave the committed files untouched.
+pub fn record_trajectory_point(file: &str, point: &str, smoke: bool) {
+    if smoke {
+        println!("trajectory point (smoke run, not recorded in {file}):\n{point}");
+        return;
+    }
+    let path = trajectory_path(file);
+    let rewritten = match std::fs::read_to_string(&path) {
+        Ok(existing) => match existing.trim_end().strip_suffix(']').map(str::trim_end) {
+            Some(body) if body.ends_with('[') => format!("{body}\n  {point}\n]\n"),
+            Some(body) => format!("{body},\n  {point}\n]\n"),
+            None => format!("[\n  {point}\n]\n"),
+        },
+        Err(_) => format!("[\n  {point}\n]\n"),
+    };
+    match std::fs::write(&path, rewritten) {
+        Ok(()) => println!("trajectory point appended to {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
 }
 
 #[cfg(test)]

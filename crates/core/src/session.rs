@@ -735,7 +735,7 @@ impl std::fmt::Debug for SessionBuilder {
 impl SessionBuilder {
     fn new(source: &str) -> SessionBuilder {
         let mut backends = BackendRegistry::with_codegen_backends();
-        backends.register(Box::new(SimBackend::default()));
+        backends.register(Box::new(SimBackend));
         SessionBuilder {
             source: source.to_string(),
             frontend_capacity: DEFAULT_FRONTEND_CAPACITY,

@@ -192,8 +192,9 @@ pub struct RewriteStats {
 /// A DAG-to-DAG rewrite driven by a [`GreedyRewriteDriver`].
 ///
 /// A pattern inspects the op at the rewriter's root — plus whatever block
-/// context it needs via [`Rewriter::block`], [`Rewriter::find_def`], and
-/// [`Rewriter::use_count`] — and, on a match, queues its edits on the
+/// context it needs via [`Rewriter::block`], [`Rewriter::find_def`],
+/// [`Rewriter::single_user`] and [`Rewriter::use_count`] — and, on a
+/// match, queues its edits on the
 /// handle and returns `true`. Reads must precede mutations: queued edits
 /// are applied only after the pattern returns, so every read observes the
 /// consistent pre-firing IR.
@@ -414,6 +415,21 @@ impl<'a> Rewriter<'a> {
     pub fn use_count(&self, v: Value) -> usize {
         self.assert_clean();
         self.index.use_count(v)
+    }
+
+    /// The index of the op using `v` in the root block, read in O(1) from
+    /// the driver's user index — the counterpart of
+    /// [`Rewriter::find_def`]. `None` unless `v` has exactly one use
+    /// function-wide and that use is an operand of a live op of the root
+    /// block (a use inside a nested region does not count as one).
+    pub fn single_user(&self, v: Value) -> Option<usize> {
+        self.assert_clean();
+        let [slot] = self.index.users.get(v.index())?.as_slice() else {
+            return None;
+        };
+        let user = &self.index.slots[*slot];
+        let root_block = self.index.slots[self.root].block;
+        (user.live && user.block == root_block).then_some(user.pos)
     }
 
     // ----- mutations (queued) -----
@@ -1152,6 +1168,56 @@ mod tests {
         with_rewriter(&mut func, &vec![(3, 0, 0)], 0, |rw| {
             assert_eq!(rw.find_def(a), None);
             assert_eq!(rw.find_def(s), None);
+        });
+    }
+
+    #[test]
+    fn single_user_edge_cases() {
+        let mut b = FuncBuilder::new(
+            "u",
+            FuncType::new(vec![Type::I1, Type::F64], vec![Type::F64], false),
+            Visibility::Public,
+        );
+        let (cond, x) = (b.args()[0], b.args()[1]);
+        let mut bb = b.block();
+        let a = bb.push(OpKind::ConstF64 { value: 1.0 }, vec![], vec![Type::F64])[0];
+        let twice = bb.push(OpKind::FAdd, vec![a, a], vec![Type::F64])[0];
+        let n = bb.push(OpKind::ConstF64 { value: 2.0 }, vec![], vec![Type::F64])[0];
+        let s = bb.push(OpKind::FAdd, vec![twice, x], vec![Type::F64])[0];
+        let then_block = bb.subblock(vec![], |sb| {
+            sb.push(OpKind::Yield, vec![n], vec![]);
+        });
+        let else_block = bb.subblock(vec![], |sb| {
+            sb.push(OpKind::Yield, vec![s], vec![]);
+        });
+        let r = bb.push_with_regions(
+            OpKind::ScfIf,
+            vec![cond],
+            vec![Type::F64],
+            vec![
+                crate::block::Region::single(then_block),
+                crate::block::Region::single(else_block),
+            ],
+        )[0];
+        let late = bb.push(OpKind::FAdd, vec![r, x], vec![Type::F64])[0];
+        bb.push(OpKind::Return, vec![late], vec![]);
+        let mut func = b.finish();
+
+        // Rooted at the first op of the entry block.
+        with_rewriter(&mut func, &vec![], 0, |rw| {
+            assert_eq!(rw.single_user(twice), Some(3));
+            assert_eq!(rw.single_user(r), Some(5));
+            assert_eq!(rw.single_user(late), Some(6));
+            assert_eq!(rw.single_user(a), None, "two uses by one op");
+            assert_eq!(rw.single_user(x), None, "two users");
+            assert_eq!(rw.single_user(n), None, "the one use is inside a nested region");
+            assert_eq!(rw.single_user(s), None, "the one use is inside a nested region");
+        });
+        // Rooted inside the then-region: `n`'s yield is now in the root's
+        // block, and `twice`'s user in the enclosing block is not.
+        with_rewriter(&mut func, &vec![(4, 0, 0)], 0, |rw| {
+            assert_eq!(rw.single_user(n), Some(0));
+            assert_eq!(rw.single_user(twice), None);
         });
     }
 

@@ -273,25 +273,19 @@ impl RewritePattern for RelaxedPeephole {
         }
         // Trace the target forward: H -> X -> qfreez, each single-use.
         let target_out = *mcx.results.last().expect("gate has results");
-        let single_user = |v: Value| -> Option<usize> {
-            if rw.use_count(v) != 1 {
-                return None;
-            }
-            block.ops.iter().position(|op| op.operands.contains(&v))
-        };
-        let Some(h_post) = single_user(target_out) else {
+        let Some(h_post) = rw.single_user(target_out) else {
             return false;
         };
         if !matches!(block.ops[h_post].kind, OpKind::Gate { gate: GateKind::H, num_controls: 0 }) {
             return false;
         }
-        let Some(x_post) = single_user(block.ops[h_post].results[0]) else {
+        let Some(x_post) = rw.single_user(block.ops[h_post].results[0]) else {
             return false;
         };
         if !matches!(block.ops[x_post].kind, OpKind::Gate { gate: GateKind::X, num_controls: 0 }) {
             return false;
         }
-        let Some(free_idx) = single_user(block.ops[x_post].results[0]) else {
+        let Some(free_idx) = rw.single_user(block.ops[x_post].results[0]) else {
             return false;
         };
         if !matches!(block.ops[free_idx].kind, OpKind::QFreeZ | OpKind::QFree) {

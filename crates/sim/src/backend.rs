@@ -16,7 +16,7 @@
 //! it" as just another target.
 
 use crate::kernel::KernelProgram;
-use crate::run::{measurement_distribution_threads, pool_for_state, sample_per_shot};
+use crate::run::{measurement_distribution, pool_for_state, sample_per_shot};
 use crate::state::{StateVector, MAX_QUBITS};
 use asdf_codegen::backend::{Backend, BackendError, EmitInput};
 use asdf_qcircuit::CircuitOp;
@@ -26,21 +26,11 @@ const FALLBACK_SHOTS: usize = 4096;
 /// Seed used by the sampling fallback, for reproducible text.
 const FALLBACK_SEED: u64 = 0x51D_BACC;
 
-/// The state-vector simulation backend (registry name `sim`).
+/// The state-vector simulation backend (registry name `sim`). Its worker
+/// pool is sized from the state (see [`crate::run::PARALLEL_STATE_MIN`]);
+/// results are identical for every worker count.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SimBackend {
-    /// Simulation worker threads: `0` sizes the pool automatically from
-    /// the state size (see [`crate::run::PARALLEL_STATE_MIN`]), `n`
-    /// forces exactly `n` workers. Results are identical either way.
-    threads: usize,
-}
-
-impl SimBackend {
-    /// A backend pinned to `threads` simulation workers (`0` = automatic).
-    pub fn with_threads(threads: usize) -> Self {
-        SimBackend { threads }
-    }
-}
+pub struct SimBackend;
 
 impl Backend for SimBackend {
     fn name(&self) -> &'static str {
@@ -72,7 +62,7 @@ impl Backend for SimBackend {
             .iter()
             .any(|op| matches!(op, CircuitOp::Measure { .. } | CircuitOp::Reset { .. }));
         if measures {
-            if let Some(dist) = measurement_distribution_threads(circuit, self.threads) {
+            if let Some(dist) = measurement_distribution(circuit) {
                 let mut out = String::from("# exact measurement distribution\n");
                 for (bits, p) in dist {
                     out.push_str(&format!("{bits} {p:.12}\n"));
@@ -94,7 +84,7 @@ impl Backend for SimBackend {
 
         // Measurement-free: the final state from |0...0>.
         let mut state = StateVector::zero(circuit.num_qubits);
-        let pool = pool_for_state(self.threads, state.amplitudes().len());
+        let pool = pool_for_state(0, state.amplitudes().len());
         KernelProgram::compile(circuit).apply_gates_pooled(&mut state, &pool);
         let n = circuit.num_qubits;
         let mut out = String::from("# final state amplitudes from |0...0>\n");
@@ -117,7 +107,7 @@ mod tests {
     fn emit(circuit: &Circuit) -> String {
         let module = Module::new();
         let input = EmitInput { module: &module, entry: "k", circuit: Some(circuit) };
-        SimBackend::default().emit(&input).unwrap()
+        SimBackend.emit(&input).unwrap()
     }
 
     #[test]
@@ -149,7 +139,7 @@ mod tests {
     fn missing_circuit_is_a_structured_error() {
         let module = Module::new();
         let input = EmitInput { module: &module, entry: "k", circuit: None };
-        let err = SimBackend::default().emit(&input).unwrap_err();
+        let err = SimBackend.emit(&input).unwrap_err();
         assert!(matches!(err, BackendError::NeedsCircuit { .. }), "{err}");
     }
 
@@ -158,7 +148,7 @@ mod tests {
         let module = Module::new();
         let circuit = Circuit::new(MAX_QUBITS + 1);
         let input = EmitInput { module: &module, entry: "k", circuit: Some(&circuit) };
-        let err = SimBackend::default().emit(&input).unwrap_err();
+        let err = SimBackend.emit(&input).unwrap_err();
         assert!(matches!(err, BackendError::Emit { .. }), "{err}");
         assert!(err.to_string().contains("27 qubits"), "{err}");
     }

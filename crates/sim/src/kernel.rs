@@ -15,8 +15,11 @@
 //!   depositing a dense counter's bits over the free bit positions —
 //!   no per-index branching.
 //!
-//! The same kernels back the batched unitary extraction in
-//! [`crate::batch`], which applies a program to many basis columns at once.
+//! Each op runs as contiguous runs through the [`crate::simd`] slice
+//! kernels, or per pair / per quad with the same scalar expressions when
+//! its runs are single amplitudes. The batched unitary extraction in
+//! [`crate::batch`] executes the same compiled program with its own
+//! structure-of-arrays loops over many basis columns at once.
 
 use crate::complex::Complex;
 use crate::simd;
@@ -106,19 +109,18 @@ pub struct KernelProgram {
 
 impl KernelProgram {
     /// Compiles `circuit` into fused kernel ops: single-qubit run fusion
-    /// ([`Self::compile_unfused`]) followed by two-qubit quad fusion, which
-    /// collapses adjacent ops whose wires fit in one pair into a single
-    /// [`KernelOp::Unitary4`] memory pass.
+    /// followed by two-qubit quad fusion, which collapses adjacent ops
+    /// whose wires fit in one pair into a single [`KernelOp::Unitary4`]
+    /// memory pass.
     pub fn compile(circuit: &Circuit) -> Self {
         let mut program = Self::compile_unfused(circuit);
         program.ops = fuse_quads(std::mem::take(&mut program.ops));
         program
     }
 
-    /// Compiles `circuit` with single-qubit fusion only — the pre-quad
-    /// pipeline, retained as the differential-testing and benchmarking
-    /// baseline for the 4×4 fusion stage.
-    pub fn compile_unfused(circuit: &Circuit) -> Self {
+    /// Compiles `circuit` with single-qubit fusion only: the first stage
+    /// of [`Self::compile`].
+    fn compile_unfused(circuit: &Circuit) -> Self {
         let n = circuit.num_qubits;
         let mask = |q: usize| 1usize << (n - 1 - q);
         let mut ops: Vec<KernelOp> = Vec::with_capacity(circuit.ops.len());
@@ -212,7 +214,7 @@ impl KernelProgram {
         })
     }
 
-    /// Applies the program to `state`.
+    /// Applies the program to `state` on one thread.
     ///
     /// # Panics
     ///
@@ -221,52 +223,22 @@ impl KernelProgram {
     /// [`crate::run::Simulator::run_program`]).
     pub fn apply_state(&self, state: &mut StateVector) {
         assert!(self.is_unitary(), "apply_state on a measuring program; use Simulator");
-        self.apply_gates(state);
-    }
-
-    /// Applies only the unitary ops (gates), skipping measurements and
-    /// resets, on one thread. Callers must have established that the
-    /// skipped ops do not affect the amplitudes they read — e.g. the
-    /// terminal-measurement analysis of
-    /// [`crate::run::measurement_distribution`].
-    pub fn apply_gates(&self, state: &mut StateVector) {
         self.apply_gates_pooled(state, &ThreadPool::new(1));
     }
 
-    /// [`Self::apply_gates`] with each gate's pair enumeration split across
-    /// `pool`. Pairs partition disjointly, so workers never synchronize,
-    /// and the per-element arithmetic is identical on every path: the
-    /// result is **bit-identical** for every worker count (and to
-    /// [`Self::apply_gates_scalar`]).
+    /// Applies only the unitary ops (gates), skipping measurements and
+    /// resets, with each gate's pair enumeration split across `pool`.
+    /// Callers must have established that the skipped ops do not affect
+    /// the amplitudes they read — e.g. the terminal-measurement analysis of
+    /// [`crate::run::measurement_distribution`]. Pairs partition
+    /// disjointly, so workers never synchronize, and the per-element
+    /// arithmetic is identical on every path: the result is
+    /// **bit-identical** for every worker count.
     pub fn apply_gates_pooled(&self, state: &mut StateVector, pool: &ThreadPool) {
         assert_eq!(state.num_qubits(), self.num_qubits, "state size mismatch");
         let amps = state.amps_mut();
         for op in &self.ops {
             apply_op_pooled(amps, op, pool);
-        }
-    }
-
-    /// The scalar reference application: per-pair deposit loops with plain
-    /// [`Complex`] arithmetic, no SIMD lanes and no pool. Retained for the
-    /// SIMD-vs-scalar equivalence suites and as the benchmark baseline
-    /// (with [`Self::compile_unfused`], this is exactly the pre-SIMD
-    /// kernel path).
-    pub fn apply_gates_scalar(&self, state: &mut StateVector) {
-        assert_eq!(state.num_qubits(), self.num_qubits, "state size mismatch");
-        let amps = state.amps_mut();
-        for op in &self.ops {
-            match op {
-                KernelOp::Unitary { matrix, tmask, cmask } => {
-                    apply_unitary_scalar(amps, matrix, *tmask, *cmask);
-                }
-                KernelOp::Unitary4 { matrix, lomask, himask } => {
-                    apply_unitary4_scalar(amps, matrix, *lomask, *himask);
-                }
-                KernelOp::Swap { amask, bmask, cmask } => {
-                    apply_swap_scalar(amps, *amask, *bmask, *cmask);
-                }
-                KernelOp::Measure { .. } | KernelOp::Reset { .. } => {}
-            }
         }
     }
 }
@@ -971,118 +943,6 @@ pub(crate) fn apply_swap_pooled(
             lo.swap_with_slice(hi);
         }
     });
-}
-
-/// The pre-SIMD 2×2 application: per-pair deposit loops with plain
-/// [`Complex`] arithmetic (plus the contiguous uncontrolled fast path),
-/// exactly as shipped before the run/SIMD rework. Reference for the
-/// equivalence suites and the benchmark baseline.
-pub(crate) fn apply_unitary_scalar(
-    amps: &mut [Complex],
-    matrix: &Matrix2,
-    tmask: usize,
-    cmask: usize,
-) {
-    let [[m00, m01], [m10, m11]] = *matrix;
-    let form = classify(matrix);
-    if cmask == 0 {
-        // Contiguous fast path: every aligned block of 2*tmask amplitudes
-        // splits into tmask pairs at distance tmask.
-        for chunk in amps.chunks_exact_mut(tmask << 1) {
-            let (lo, hi) = chunk.split_at_mut(tmask);
-            match form {
-                MatrixForm::Phase => {
-                    for b in hi.iter_mut() {
-                        *b = m11 * *b;
-                    }
-                }
-                MatrixForm::Diagonal => {
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        *a = m00 * *a;
-                        *b = m11 * *b;
-                    }
-                }
-                MatrixForm::FlipX => lo.swap_with_slice(hi),
-                MatrixForm::AntiDiagonal => {
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        let a0 = *a;
-                        *a = m01 * *b;
-                        *b = m10 * a0;
-                    }
-                }
-                MatrixForm::General => {
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        let a0 = *a;
-                        let a1 = *b;
-                        *a = m00 * a0 + m01 * a1;
-                        *b = m10 * a0 + m11 * a1;
-                    }
-                }
-            }
-        }
-    } else {
-        let fixed = single_bit_masks(tmask | cmask);
-        let pairs = amps.len() >> fixed.len();
-        for k in 0..pairs {
-            let i = deposit(k, &fixed) | cmask;
-            let j = i | tmask;
-            match form {
-                MatrixForm::Phase => amps[j] = m11 * amps[j],
-                MatrixForm::Diagonal => {
-                    amps[i] = m00 * amps[i];
-                    amps[j] = m11 * amps[j];
-                }
-                MatrixForm::FlipX => amps.swap(i, j),
-                MatrixForm::AntiDiagonal => {
-                    let a0 = amps[i];
-                    amps[i] = m01 * amps[j];
-                    amps[j] = m10 * a0;
-                }
-                MatrixForm::General => {
-                    let a0 = amps[i];
-                    let a1 = amps[j];
-                    amps[i] = m00 * a0 + m01 * a1;
-                    amps[j] = m10 * a0 + m11 * a1;
-                }
-            }
-        }
-    }
-}
-
-/// The scalar reference for [`KernelOp::Unitary4`]: per-quad deposit loop
-/// with plain [`Complex`] arithmetic, form dispatch and accumulation order
-/// matching the pooled path bit for bit.
-pub(crate) fn apply_unitary4_scalar(
-    amps: &mut [Complex],
-    matrix: &Matrix4,
-    lomask: usize,
-    himask: usize,
-) {
-    let fixed = [lomask, himask];
-    let quads = amps.len() >> 2;
-    let form = quad_form(matrix);
-    let len = amps.len();
-    let base = SendPtr(amps.as_mut_ptr());
-    for k in 0..quads {
-        let i0 = deposit(k, &fixed);
-        let idx = [i0, i0 | lomask, i0 | himask, i0 | himask | lomask];
-        debug_assert!(idx.iter().all(|&i| i < len));
-        // SAFETY: a quad's four indices are distinct and in bounds, and
-        // `amps` is exclusively borrowed.
-        unsafe { apply_quad_at(base, idx, &form, matrix) };
-    }
-}
-
-/// The scalar reference swap: per-pair deposit loop, exactly the pre-run
-/// implementation.
-pub(crate) fn apply_swap_scalar(amps: &mut [Complex], amask: usize, bmask: usize, cmask: usize) {
-    let fixed = single_bit_masks(amask | bmask | cmask);
-    let pairs = amps.len() >> fixed.len();
-    for k in 0..pairs {
-        let i = deposit(k, &fixed) | cmask | amask;
-        let j = i ^ amask ^ bmask;
-        amps.swap(i, j);
-    }
 }
 
 /// The 2x2 matrix of a single-target gate.

@@ -75,33 +75,10 @@ impl Simulator {
         self.run_program(&KernelProgram::compile(circuit))
     }
 
-    /// Runs one shot starting from a caller-prepared state (for kernels
-    /// with qubit arguments, e.g. teleportation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state size does not match the circuit.
-    pub fn run_from(&mut self, circuit: &Circuit, state: StateVector) -> RunResult {
-        self.run_program_from(&KernelProgram::compile(circuit), state)
-    }
-
     /// Runs one shot of a precompiled program from |0...0>. Compiling once
     /// and running many shots amortizes the gate-fusion prepass.
     pub fn run_program(&mut self, program: &KernelProgram) -> RunResult {
-        self.run_program_from(program, StateVector::zero(program.num_qubits()))
-    }
-
-    /// Runs one shot of a precompiled program from a caller-prepared state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state size does not match the program.
-    pub fn run_program_from(
-        &mut self,
-        program: &KernelProgram,
-        mut state: StateVector,
-    ) -> RunResult {
-        assert_eq!(state.num_qubits(), program.num_qubits(), "state size mismatch");
+        let mut state = StateVector::zero(program.num_qubits());
         let pool = pool_for_state(self.threads, state.amplitudes().len());
         let mut bits = vec![false; program.num_bits()];
         for op in program.ops() {

@@ -7,25 +7,24 @@
 //! instructions on every target that has them, and to plain scalar code
 //! everywhere else — the scalar fallback is the same source.
 //!
-//! Two kernel families are built on it:
+//! The kernels built on it are **AoS** (array-of-structures) slice
+//! kernels over `[Complex]` runs — the layout of
+//! [`crate::state::StateVector`] — called by the pooled pair/quad updates
+//! in [`crate::kernel`]. A 4-lane vector holds two interleaved complex
+//! values; complex multiplication uses a pair-swap shuffle
+//! ([`F64x4::swap_pairs`]) plus a sign-alternating coefficient vector.
+//! (The batched extraction in [`crate::batch`] keeps separate re/im
+//! planes and runs its own loops over them; it does not use this module.)
 //!
-//! - **AoS** (array-of-structures) kernels over `[Complex]` runs — the
-//!   layout of [`crate::state::StateVector`] — used by the contiguous-run
-//!   pair/quad updates in [`crate::kernel`]. A 4-lane vector holds two
-//!   interleaved complex values; complex multiplication uses a pair-swap
-//!   shuffle ([`F64x4::swap_pairs`]) plus a sign-alternating coefficient
-//!   vector.
-//! - **SoA** (structure-of-arrays) kernels over separate re/im `f64`
-//!   planes — the layout of the batched extraction scratch in
-//!   [`crate::batch`] — where every lane is independent and no shuffle is
-//!   needed.
-//!
-//! Every routine computes each output element with the **same IEEE-754
+//! Every kernel computes each output element with the **same IEEE-754
 //! expression, in the same order**, whether it lands in the vector body or
-//! the scalar tail; both are bit-identical to the scalar reference loops
-//! in [`crate::kernel`]. This is what lets the property suites demand
-//! *exact* amplitude equality between the SIMD and scalar paths, and
-//! between single- and multi-threaded runs.
+//! the scalar tail, and that expression is the plain [`Complex`]
+//! arithmetic of the per-pair and per-quad fallbacks in [`crate::kernel`]
+//! (`m * x`, `m00 * a + m01 * b`, left-to-right row sums). The unit tests
+//! below pin that equality bit for bit for every kernel; together with
+//! the disjoint run partition it makes multi-threaded runs bit-identical
+//! to single-threaded ones. The semantic reference for the whole path is
+//! [`crate::state::StateVector::apply_naive`].
 //!
 //! The module also hosts the **fixed-shape chunked pairwise summation**
 //! behind probability and normalization sums (`masked_norm_sqr_sum`):
@@ -623,6 +622,90 @@ mod tests {
             assert_eq!(lo[k], ra, "lo[{k}]");
             assert_eq!(hi[k], rb, "hi[{k}]");
         }
+    }
+
+    /// `len` distinct complex values with no zero or unit parts.
+    fn sample_run(len: usize, salt: f64) -> Vec<Complex> {
+        (0..len)
+            .map(|k| Complex::new(salt + k as f64 * 0.21, 1.0 - salt - k as f64 * 0.17))
+            .collect()
+    }
+
+    #[test]
+    fn pair_antidiagonal_run_matches_scalar_pair_update_exactly() {
+        let (m01, m10) = (Complex::new(-0.1, 0.9), Complex::new(0.7, -0.2));
+        // 5 values per run: two full vectors and a scalar tail.
+        let (mut lo, mut hi) = (sample_run(5, 0.05), sample_run(5, -0.4));
+        let reference: Vec<(Complex, Complex)> =
+            lo.iter().zip(&hi).map(|(&a, &b)| (m01 * b, m10 * a)).collect();
+        pair_antidiagonal_run(&mut lo, &mut hi, m01, m10);
+        for (k, (ra, rb)) in reference.into_iter().enumerate() {
+            assert_eq!(lo[k], ra, "lo[{k}]");
+            assert_eq!(hi[k], rb, "hi[{k}]");
+        }
+    }
+
+    /// The interleaved kernels take back-to-back `(lo, hi)` couples; every
+    /// couple fills exactly one vector, so they have no scalar tail.
+    #[test]
+    fn interleaved_runs_match_scalar_pair_updates_exactly() {
+        let (m00, m01) = (Complex::new(0.3, 0.4), Complex::new(-0.1, 0.9));
+        let (m10, m11) = (Complex::new(0.7, -0.2), Complex::new(0.5, 0.5));
+        let input = sample_run(6, 0.12);
+        let expect = |update: &dyn Fn(Complex, Complex) -> (Complex, Complex)| -> Vec<Complex> {
+            input.chunks(2).flat_map(|p| <[Complex; 2]>::from(update(p[0], p[1]))).collect()
+        };
+
+        let mut xs = input.clone();
+        interleaved_diag_run(&mut xs, m00, m11);
+        assert_eq!(xs, expect(&|a, b| (m00 * a, m11 * b)), "diag");
+
+        let mut xs = input.clone();
+        interleaved_antidiag_run(&mut xs, m01, m10);
+        assert_eq!(xs, expect(&|a, b| (m01 * b, m10 * a)), "antidiag");
+
+        let mut xs = input.clone();
+        interleaved_general_run(&mut xs, m00, m01, m10, m11);
+        assert_eq!(xs, expect(&|a, b| (m00 * a + m01 * b, m10 * a + m11 * b)), "general");
+    }
+
+    #[test]
+    fn quad_runs_match_scalar_quad_updates_exactly() {
+        let m: [[Complex; 4]; 4] = std::array::from_fn(|r| {
+            std::array::from_fn(|c| {
+                let k = (4 * r + c) as f64;
+                Complex::new(0.1 + 0.13 * k, 0.3 - 0.07 * k)
+            })
+        });
+        // 5 values per run: two full vectors and a scalar tail.
+        let input: [Vec<Complex>; 4] = std::array::from_fn(|r| sample_run(5, 0.1 * r as f64));
+        let apply = |kernel: &dyn Fn([&mut [Complex]; 4])| -> [Vec<Complex>; 4] {
+            let mut rows = input.clone();
+            let [r0, r1, r2, r3] = &mut rows;
+            kernel([r0, r1, r2, r3]);
+            rows
+        };
+        // Output row `r`, element `k`, from the k-th input column `a`.
+        let expect = |row: &dyn Fn(usize, [Complex; 4]) -> Complex| -> [Vec<Complex>; 4] {
+            std::array::from_fn(|r| {
+                (0..5).map(|k| row(r, std::array::from_fn(|c| input[c][k]))).collect()
+            })
+        };
+
+        let general = apply(&|rows| quad_general_run(rows, &m));
+        let sum_rows = |r: usize, a: [Complex; 4]| {
+            let mut acc = m[r][0] * a[0];
+            for c in 1..4 {
+                acc += m[r][c] * a[c];
+            }
+            acc
+        };
+        assert_eq!(general, expect(&sum_rows), "general");
+
+        let src = [2, 0, 3, 1];
+        let scale = [m[0][1], m[1][2], m[2][3], m[3][0]];
+        let monomial = apply(&|rows| quad_monomial_run(rows, src, scale));
+        assert_eq!(monomial, expect(&|r, a| scale[r] * a[src[r]]), "monomial");
     }
 
     #[test]

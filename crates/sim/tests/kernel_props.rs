@@ -60,10 +60,14 @@ fn realize(recipe: &GateRecipe) -> Option<(GateKind, Vec<usize>, Vec<usize>)> {
     Some((gate, controls, targets))
 }
 
+/// The circuit of `recipes` over `num_qubits` wires: wires at or beyond
+/// `num_qubits` are dropped from each recipe before it is realized.
 fn circuit_from(num_qubits: usize, recipes: &[GateRecipe]) -> Circuit {
     let mut circuit = Circuit::new(num_qubits);
     for recipe in recipes {
-        if let Some((gate, controls, targets)) = realize(recipe) {
+        let mut recipe = recipe.clone();
+        recipe.wires.retain(|&w| w < num_qubits);
+        if let Some((gate, controls, targets)) = realize(&recipe) {
             circuit.gate(gate, &controls, &targets);
         }
     }
@@ -86,27 +90,28 @@ proptest! {
     ) {
         let mut fast = StateVector::zero(num_qubits);
         let mut naive = StateVector::zero(num_qubits);
-        for recipe in &recipes {
-            let mut recipe = recipe.clone();
-            recipe.wires.retain(|&w| w < num_qubits);
-            let Some((gate, controls, targets)) = realize(&recipe) else {
-                continue;
-            };
-            fast.apply(gate, &controls, &targets);
-            naive.apply_naive(gate, &controls, &targets);
+        for op in &circuit_from(num_qubits, &recipes).ops {
+            if let CircuitOp::Gate { gate, controls, targets } = op {
+                fast.apply(*gate, controls, targets);
+                naive.apply_naive(*gate, controls, targets);
+            }
         }
         assert_states_close(&fast, &naive, 1e-10);
     }
 
-    /// The gate-fusion prepass preserves semantics: a fused program applied
-    /// to |0..0> equals gate-by-gate naive application.
+    /// The gate-fusion prepass and the pooled kernels preserve semantics: a
+    /// fused program applied to |0..0> equals gate-by-gate naive
+    /// application, on 1 to 12 qubits.
     #[test]
-    fn fused_program_matches_unfused(recipes in arb_gates(6, 40)) {
-        let circuit = circuit_from(6, &recipes);
+    fn fused_program_matches_unfused(
+        num_qubits in 1usize..=12,
+        recipes in arb_gates(12, 40),
+    ) {
+        let circuit = circuit_from(num_qubits, &recipes);
         let program = KernelProgram::compile(&circuit);
-        let mut fused = StateVector::zero(6);
+        let mut fused = StateVector::zero(num_qubits);
         program.apply_state(&mut fused);
-        let mut naive = StateVector::zero(6);
+        let mut naive = StateVector::zero(num_qubits);
         for op in &circuit.ops {
             if let CircuitOp::Gate { gate, controls, targets } = op {
                 naive.apply_naive(*gate, controls, targets);
