@@ -1,28 +1,34 @@
 //! Rewrite-driver bench: the worklist driver over the peephole patterns.
 //!
-//! Two workloads:
+//! Three workloads:
 //!
 //! - **wide** — a synthetic single-block function of `W` parallel qubit
 //!   wires, each carrying an interleaved chain of cancelling/merging gate
 //!   pairs (`H H`, `X X`, `S S†`, `T T†`, `P(θ) P(−θ)`, `H X H`). Every
 //!   firing is scattered across a wide block, so a driver that revisits
 //!   more than the touched neighborhood pays O(ops) per firing.
+//! - **bundle** — the shape wide programs such as bv lower to: a `W`-wide
+//!   `qbunpack`, the same per-wire chains, then a `qbpack`. A requeue walk
+//!   that hops through the unpack or the pack from one wire to all of
+//!   them pays O(W) per firing; the driver's `visits` (live ops popped)
+//!   show it.
 //! - **difftest** — modules generated by the difftest program generator,
 //!   compiled to QCircuit IR with peephole disabled (`opt+nopeep+whole`),
 //!   then optimized by the driver: the realistic shape.
 //!
 //! Each run checks that every output verifies and is a fixpoint (a second
 //! driver run fires nothing, erases nothing, and leaves the module
-//! unchanged). It prints the measured times beside the latest committed
-//! `BENCH_opt.json` point of the same mode; in full mode the wide
-//! workload's op and firing counts must equal that point's. A full run
-//! then appends a trajectory point. `--smoke` (or env
+//! unchanged). A full run prints the measured times beside the latest
+//! committed full-mode `BENCH_opt.json` point, checks that the wide and
+//! bundle op and firing counts equal that point's (bundle counts once a
+//! point holds them), and appends a trajectory point. `--smoke` (or env
 //! `REWRITE_DRIVER_SMOKE=1`) shrinks the workload for CI and prints the
 //! point instead of appending it.
 
 use asdf_bench::{median_time, record_trajectory_point, smoke_mode, trajectory_path};
 use asdf_core::{CompileOptions, CompileRequest, Session};
 use asdf_difftest::{gen_case, GenOptions};
+use asdf_ir::func::BlockBuilder;
 use asdf_ir::rewrite::GreedyRewriteDriver;
 use asdf_ir::{FuncBuilder, FuncType, GateKind, Module, OpKind, Type, Value, Visibility};
 use asdf_qcircuit::peephole::peephole_patterns;
@@ -46,27 +52,44 @@ const WIRE_CHAIN: &[GateKind] = &[
     GateKind::P(-0.7),
 ];
 
-/// A single-block function of `wires` qubit wires, each carrying `reps`
-/// repetitions of [`WIRE_CHAIN`], interleaved round-robin so consecutive
-/// rewrite opportunities are `wires` ops apart.
-fn wide_module(wires: usize, reps: usize) -> Module {
-    let ty = FuncType::new(vec![Type::Qubit; wires], vec![Type::Qubit; wires], true);
-    let mut b = FuncBuilder::new("wide", ty, Visibility::Public);
-    let mut current: Vec<Value> = b.args().to_vec();
-    let mut bb = b.block();
+/// Pushes `reps` repetitions of [`WIRE_CHAIN`] onto every wire head,
+/// interleaved round-robin so consecutive rewrite opportunities are
+/// `heads.len()` ops apart.
+fn push_wire_chains(bb: &mut BlockBuilder<'_>, heads: &mut [Value], reps: usize) {
     for _ in 0..reps {
         for &gate in WIRE_CHAIN {
-            for wire_head in current.iter_mut() {
-                let out = bb.push(
-                    OpKind::Gate { gate, num_controls: 0 },
-                    vec![*wire_head],
-                    vec![Type::Qubit],
-                );
-                *wire_head = out[0];
+            for head in heads.iter_mut() {
+                let kind = OpKind::Gate { gate, num_controls: 0 };
+                *head = bb.push(kind, vec![*head], vec![Type::Qubit])[0];
             }
         }
     }
-    bb.push(OpKind::Return, current, vec![]);
+}
+
+/// A single-block function of `wires` qubit wires, each carrying `reps`
+/// repetitions of [`WIRE_CHAIN`].
+fn wide_module(wires: usize, reps: usize) -> Module {
+    let ty = FuncType::new(vec![Type::Qubit; wires], vec![Type::Qubit; wires], true);
+    let mut b = FuncBuilder::new("wide", ty, Visibility::Public);
+    let mut heads: Vec<Value> = b.args().to_vec();
+    let mut bb = b.block();
+    push_wire_chains(&mut bb, &mut heads, reps);
+    bb.push(OpKind::Return, heads, vec![]);
+    let mut module = Module::new();
+    module.add_func(b.finish());
+    module
+}
+
+/// A `qbundle[wires]` function that unpacks its argument, runs
+/// [`WIRE_CHAIN`] on every wire, and packs the wires again.
+fn bundle_module(wires: usize) -> Module {
+    let mut b = FuncBuilder::new("bundle", FuncType::rev_qbundle(wires), Visibility::Public);
+    let arg = b.args()[0];
+    let mut bb = b.block();
+    let mut heads = bb.push(OpKind::QbUnpack, vec![arg], vec![Type::Qubit; wires]);
+    push_wire_chains(&mut bb, &mut heads, 1);
+    let packed = bb.push(OpKind::QbPack, heads, vec![Type::QBundle(wires)]);
+    bb.push(OpKind::Return, packed, vec![]);
     let mut module = Module::new();
     module.add_func(b.finish());
     module
@@ -111,24 +134,32 @@ fn module_ops(module: &Module) -> usize {
         .sum()
 }
 
+/// What one driver run over a workload did.
+#[derive(Default)]
+struct Work {
+    fires: usize,
+    visits: usize,
+}
+
 /// Runs the driver over `module`, checks that the result verifies and
 /// that a second run fires nothing, erases nothing, and leaves the module
-/// unchanged; returns the first run's firings.
-fn check_fixpoint(module: &Module) -> usize {
+/// unchanged; returns the first run's firings and visits.
+fn check_fixpoint(module: &Module) -> Work {
     let mut m = module.clone();
-    let fires = GreedyRewriteDriver::from_patterns(peephole_patterns()).run(&mut m);
+    let mut first = GreedyRewriteDriver::from_patterns(peephole_patterns());
+    let fires = first.run(&mut m);
     asdf_ir::verify::verify_module(&m).expect("rewritten bench module verifies");
     let normal_form = m.to_string();
     let mut second = GreedyRewriteDriver::from_patterns(peephole_patterns());
     assert_eq!(second.run(&mut m), 0, "bench output is not a fixpoint: {:?}", second.stats.fired);
     assert_eq!(second.stats.dce_erased, 0, "a second run erased ops from a bench output");
     assert_eq!(m.to_string(), normal_form, "a second run changed a bench output");
-    fires
+    Work { fires, visits: first.stats.visits }
 }
 
 /// Times the driver over clones of every module and checks every output;
-/// returns (median time, total firings).
-fn run_driver(modules: &[Module], samples: usize) -> (Duration, usize) {
+/// returns the median time and the summed work.
+fn run_driver(modules: &[Module], samples: usize) -> (Duration, Work) {
     let time = median_time(samples, || {
         for module in modules {
             let mut m = module.clone();
@@ -136,17 +167,20 @@ fn run_driver(modules: &[Module], samples: usize) -> (Duration, usize) {
             black_box(m);
         }
     });
-    (time, modules.iter().map(check_fixpoint).sum())
+    let work = modules.iter().map(check_fixpoint).fold(Work::default(), |sum, w| Work {
+        fires: sum.fires + w.fires,
+        visits: sum.visits + w.visits,
+    });
+    (time, work)
 }
 
-/// The latest `rewrite_driver` point of `mode` in `BENCH_opt.json` (one
+/// The latest full-mode `rewrite_driver` point in `BENCH_opt.json` (one
 /// point per line).
-fn committed_point(mode: &str) -> Option<String> {
+fn committed_full_point() -> Option<String> {
     let text = std::fs::read_to_string(trajectory_path("BENCH_opt.json")).ok()?;
-    let mode_field = format!("\"mode\": \"{mode}\"");
     text.lines()
         .rev()
-        .find(|l| l.contains("\"bench\": \"rewrite_driver\"") && l.contains(&mode_field))
+        .find(|l| l.contains("\"bench\": \"rewrite_driver\"") && l.contains("\"mode\": \"full\""))
         .map(str::to_string)
 }
 
@@ -158,64 +192,100 @@ fn field(point: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// The committed point's `key` (microseconds), for printing beside a
-/// measured time.
-fn beside(point: Option<&str>, key: &str) -> String {
-    match point.and_then(|p| field(p, key)) {
-        Some(committed) => format!("committed {committed:.1}us"),
-        None => "no committed point".to_string(),
+/// A measured time, beside the committed full-mode point's `key`
+/// (microseconds) when there is one.
+fn time_beside(time: Duration, point: Option<&str>, key: &str) -> String {
+    match point.map(|p| field(p, key)) {
+        Some(Some(committed)) => format!("{time:>10.3?}  (committed {committed:.1}us)"),
+        Some(None) => format!("{time:>10.3?}  (no committed {key})"),
+        None => format!("{time:>10.3?}"),
     }
 }
 
 fn main() {
     let smoke = smoke_mode("REWRITE_DRIVER_SMOKE");
-    let (wires, reps, cases, samples) = if smoke { (48, 1, 6, 3) } else { (120, 2, 12, 5) };
+    let (wires, reps, bundle_wires, cases, samples) =
+        if smoke { (48, 1, 128, 6, 3) } else { (120, 2, 512, 12, 5) };
     let mode = if smoke { "smoke" } else { "full" };
-    let committed = committed_point(mode);
+    // Smoke runs are never recorded, so only a full run has a committed
+    // point to compare with.
+    let committed = if smoke {
+        None
+    } else {
+        Some(committed_full_point().expect("BENCH_opt.json holds a full-mode rewrite_driver point"))
+    };
+    let committed = committed.as_deref();
 
     let wide = vec![wide_module(wires, reps)];
     let wide_ops = module_ops(&wide[0]);
+    let bundle = vec![bundle_module(bundle_wires)];
+    let bundle_ops = module_ops(&bundle[0]);
     println!(
-        "rewrite_driver: wide {wires}x{} ({wide_ops} ops), {cases} difftest modules, \
-         {samples} samples{}",
+        "rewrite_driver: wide {wires}x{} ({wide_ops} ops), bundle {bundle_wires}x{} \
+         ({bundle_ops} ops), {cases} difftest modules, {samples} samples{}",
         reps * WIRE_CHAIN.len(),
+        WIRE_CHAIN.len(),
         if smoke { " (smoke)" } else { "" }
     );
 
-    let (wide_time, wide_fires) = run_driver(&wide, samples);
+    let (wide_time, wide_work) = run_driver(&wide, samples);
     println!(
-        "wide      worklist {wide_time:>10.3?}  ({})  ({wide_fires} firings)",
-        beside(committed.as_deref(), "wide_worklist_us")
+        "wide      worklist {}  ({} firings, {} visits)",
+        time_beside(wide_time, committed, "wide_worklist_us"),
+        wide_work.fires,
+        wide_work.visits
+    );
+
+    let (bundle_time, bundle_work) = run_driver(&bundle, samples);
+    println!(
+        "bundle    worklist {}  ({} firings, {} visits)",
+        time_beside(bundle_time, committed, "bundle_worklist_us"),
+        bundle_work.fires,
+        bundle_work.visits
     );
 
     let difftest = difftest_modules(cases);
     let difftest_ops: usize = difftest.iter().map(module_ops).sum();
-    let (dt_time, dt_fires) = run_driver(&difftest, samples);
+    let (dt_time, dt_work) = run_driver(&difftest, samples);
     println!(
-        "difftest  worklist {dt_time:>10.3?}  ({})  ({} modules, {difftest_ops} ops, \
-         {dt_fires} firings)",
-        beside(committed.as_deref(), "difftest_worklist_us"),
-        difftest.len()
+        "difftest  worklist {}  ({} modules, {difftest_ops} ops, {} firings)",
+        time_beside(dt_time, committed, "difftest_worklist_us"),
+        difftest.len(),
+        dt_work.fires
     );
 
-    if !smoke {
-        let point = committed.expect("BENCH_opt.json holds a full-mode rewrite_driver point");
-        for (key, measured) in [("wide_ops", wide_ops), ("wide_fires", wide_fires)] {
+    if let Some(point) = committed {
+        for (key, measured) in [("wide_ops", wide_ops), ("wide_fires", wide_work.fires)] {
             assert_eq!(
-                field(&point, key),
+                field(point, key),
                 Some(measured as f64),
                 "{key} differs from the committed full-mode point"
             );
+        }
+        // Points from before the bundle workload lack its counts.
+        for (key, measured) in [("bundle_ops", bundle_ops), ("bundle_fires", bundle_work.fires)] {
+            if let Some(committed) = field(point, key) {
+                assert_eq!(
+                    committed, measured as f64,
+                    "{key} differs from the committed full-mode point"
+                );
+            }
         }
     }
 
     let point = format!(
         "{{\"bench\": \"rewrite_driver\", \"mode\": \"{mode}\", \
-         \"wide_ops\": {wide_ops}, \"wide_fires\": {wide_fires}, \
+         \"wide_ops\": {wide_ops}, \"wide_fires\": {}, \
          \"wide_worklist_us\": {:.1}, \
+         \"bundle_ops\": {bundle_ops}, \"bundle_fires\": {}, \"bundle_visits\": {}, \
+         \"bundle_worklist_us\": {:.1}, \
          \"difftest_modules\": {}, \"difftest_ops\": {difftest_ops}, \
          \"difftest_worklist_us\": {:.1}}}",
+        wide_work.fires,
         us(wide_time),
+        bundle_work.fires,
+        bundle_work.visits,
+        us(bundle_time),
         difftest.len(),
         us(dt_time),
     );

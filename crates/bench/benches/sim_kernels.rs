@@ -3,7 +3,7 @@
 //!
 //! Two measurements:
 //!
-//! - **single_state**, over a qubit grid (12/16/20 full, 8/10 smoke) with
+//! - **single_state**, over a qubit grid (12/16/18/20 full, 8/10 smoke) with
 //!   a threads axis — the fused program's SIMD run kernels on one thread
 //!   vs the same kernels with the pair enumeration split over all cores;
 //! - **unitary** — extracting all `2^n` unitary columns at the smallest
@@ -112,7 +112,7 @@ fn main() {
     let grid: &[(usize, usize, usize)] = if smoke {
         &[(8, 100, 20), (10, 150, 10)]
     } else {
-        &[(12, 200, 60), (16, 200, 25), (20, 200, 9)]
+        &[(12, 200, 60), (16, 200, 25), (18, 200, 15), (20, 200, 9)]
     };
     let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     println!(

@@ -37,23 +37,31 @@ pub fn circuit_to_qasm(circuit: &Circuit) -> String {
 }
 
 fn emit_gate(out: &mut String, gate: GateKind, controls: &[usize], targets: &[usize]) {
-    let name = base_name(gate);
-    let params = gate.param().map(|theta| format!("({theta:.12})")).unwrap_or_default();
     // Prefer stdgates names for common controlled forms.
-    let (prefix, name) = match (gate, controls.len()) {
-        (_, 0) => (String::new(), name.to_string()),
-        (GateKind::X, 1) => (String::new(), "cx".to_string()),
-        (GateKind::X, 2) => (String::new(), "ccx".to_string()),
-        (GateKind::Z, 1) => (String::new(), "cz".to_string()),
-        (GateKind::Y, 1) => (String::new(), "cy".to_string()),
-        (GateKind::H, 1) => (String::new(), "ch".to_string()),
-        (GateKind::P(_), 1) => (String::new(), "cp".to_string()),
-        (GateKind::Swap, 1) => (String::new(), "cswap".to_string()),
-        (_, n) => (format!("ctrl({n}) @ "), name.to_string()),
+    let name = match (gate, controls.len()) {
+        (_, 0) => base_name(gate),
+        (GateKind::X, 1) => "cx",
+        (GateKind::X, 2) => "ccx",
+        (GateKind::Z, 1) => "cz",
+        (GateKind::Y, 1) => "cy",
+        (GateKind::H, 1) => "ch",
+        (GateKind::P(_), 1) => "cp",
+        (GateKind::Swap, 1) => "cswap",
+        (_, n) => {
+            let _ = write!(out, "ctrl({n}) @ ");
+            base_name(gate)
+        }
     };
-    let qubits: Vec<String> =
-        controls.iter().chain(targets.iter()).map(|q| format!("q[{q}]")).collect();
-    let _ = writeln!(out, "{prefix}{name}{params} {};", qubits.join(", "));
+    out.push_str(name);
+    if let Some(theta) = gate.param() {
+        let _ = write!(out, "({theta:.12})");
+    }
+    let mut sep = " ";
+    for q in controls.iter().chain(targets) {
+        let _ = write!(out, "{sep}q[{q}]");
+        sep = ", ";
+    }
+    out.push_str(";\n");
 }
 
 fn base_name(gate: GateKind) -> &'static str {

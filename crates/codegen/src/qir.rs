@@ -52,41 +52,32 @@ fn circuit_to_base_qir(circuit: &Circuit, entry: &str) -> String {
     out.push_str("%Qubit = type opaque\n%Result = type opaque\n\n");
     let _ = writeln!(out, "define void @{entry}() #0 {{");
     out.push_str("entry:\n");
-    let q = |i: usize| format!("inttoptr (i64 {i} to %Qubit*)");
-    let mut result_idx = 0usize;
     for op in &circuit.ops {
         match op {
             CircuitOp::Gate { gate, controls, targets } => {
                 let (name, suffix) = gate_intrinsic(*gate, controls.len());
-                let mut args: Vec<String> = Vec::new();
+                let _ = write!(out, "  call void @__quantum__qis__{name}__{suffix}(");
+                let mut sep = "";
                 if let Some(theta) = gate.param() {
-                    args.push(format!("double {theta:.15}"));
+                    let _ = write!(out, "double {theta:.15}");
+                    sep = ", ";
                 }
-                for &c in controls {
-                    args.push(format!("%Qubit* {}", q(c)));
+                for q in controls.iter().chain(targets) {
+                    let _ = write!(out, "{sep}%Qubit* inttoptr (i64 {q} to %Qubit*)");
+                    sep = ", ";
                 }
-                for &t in targets {
-                    args.push(format!("%Qubit* {}", q(t)));
-                }
-                let _ = writeln!(
-                    out,
-                    "  call void @__quantum__qis__{name}__{suffix}({})",
-                    args.join(", ")
-                );
+                out.push_str(")\n");
             }
             CircuitOp::Measure { qubit, bit } => {
                 let _ = writeln!(
                     out,
-                    "  call void @__quantum__qis__mz__body(%Qubit* {}, %Result* inttoptr (i64 {bit} to %Result*))",
-                    q(*qubit)
+                    "  call void @__quantum__qis__mz__body(%Qubit* inttoptr (i64 {qubit} to %Qubit*), %Result* inttoptr (i64 {bit} to %Result*))"
                 );
-                result_idx = result_idx.max(bit + 1);
             }
             CircuitOp::Reset { qubit } => {
                 let _ = writeln!(
                     out,
-                    "  call void @__quantum__qis__reset__body(%Qubit* {})",
-                    q(*qubit)
+                    "  call void @__quantum__qis__reset__body(%Qubit* inttoptr (i64 {qubit} to %Qubit*))"
                 );
             }
         }

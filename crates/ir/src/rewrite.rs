@@ -7,10 +7,10 @@
 //! IR touched by a previous rewrite. This module rebuilds that design:
 //!
 //! - [`RewritePattern`]: a DAG-to-DAG rewrite. Patterns *read* the op at the
-//!   rewriter's root (plus its block neighborhood) and *mutate* exclusively
-//!   through the [`Rewriter`] handle, so the driver learns exactly which ops
-//!   were created, erased, or had operands change and can requeue only the
-//!   affected def-use neighborhood.
+//!   rewriter's root (plus the def- and use-chains around it) and *mutate*
+//!   exclusively through the [`Rewriter`] handle, so the driver learns
+//!   exactly which ops were created, erased, or had operands change and can
+//!   requeue only the affected def-use neighborhood.
 //! - [`Rewriter`]: the mutation handle. Edits are queued and applied when
 //!   the pattern returns `true`; reads always observe the pre-firing IR.
 //!   Def and use lookups are answered by the driver's incrementally
@@ -181,6 +181,9 @@ pub struct RewriteStats {
     pub fires: usize,
     /// Ops removed by the integrated classical dead-code elimination.
     pub dce_erased: usize,
+    /// Live ops popped from the worklist: the driver's work, which the
+    /// directed requeue keeps within a small constant of ops + firings.
+    pub visits: usize,
     /// `pattern @ func:block:op` lines, when tracing is enabled.
     pub trace: Vec<String>,
 }
@@ -198,6 +201,29 @@ pub struct RewriteStats {
 /// handle and returns `true`. Reads must precede mutations: queued edits
 /// are applied only after the pattern returns, so every read observes the
 /// consistent pre-firing IR.
+///
+/// # Lookaround contract
+///
+/// After a firing, the driver requeues only the ops at most three def-use
+/// hops from a value whose def or users changed, walking in two
+/// directions: forward (the value's users, then their results' users, …)
+/// and backward (the value's def, then the defs of that op's operands, …).
+/// A pattern rooted at an op may therefore read:
+///
+/// - ops on a def-chain from the root (the def of an operand, the def of
+///   one of that op's operands, …) or on a use-chain from it (a user of a
+///   result, a user of one of that op's results, …), at most three hops
+///   away;
+/// - the use lists ([`Rewriter::use_count`], [`Rewriter::single_user`]) of
+///   the values on those chains.
+///
+/// A pattern that reads anything else, such as another user of an
+/// operand's def, may miss an opportunity that a change elsewhere created,
+/// and the driver's result is then no longer a fixpoint. Every stock
+/// pattern reads only such chains and use lists, and all but
+/// `indirect-to-direct-call` (which follows a `func_adj`/`func_pred`
+/// wrapper chain to its `func_const`, however long) stay within three
+/// hops.
 ///
 /// # Example
 ///
@@ -822,6 +848,7 @@ impl GreedyRewriteDriver {
             if !index.slots[slot].live {
                 continue;
             }
+            self.stats.visits += 1;
             let (path, idx) = index.location(slot);
 
             // Patterns first, best benefit wins; then integrated DCE.
@@ -927,18 +954,26 @@ struct NeighborhoodScratch {
     value_mark: Vec<u32>,
     frontier: Vec<Value>,
     next: Vec<Value>,
-    adjacent: Vec<SlotId>,
 }
 
-/// How many def-use hops around a change are requeued. Must be at least
-/// the deepest op-graph lookaround of any registered pattern (the stock
-/// patterns look at most 3 hops, e.g. the Fig. 10 relaxed peephole's
-/// `qalloc; x; h` prologue).
+/// How many def-use hops around a change are requeued in each direction.
+/// Must be at least the deepest lookaround of any registered pattern (see
+/// [`RewritePattern`]); the stock patterns look at most 3 hops, e.g. the
+/// Fig. 10 relaxed peephole's `qalloc; x; h` prologue.
 const NEIGHBORHOOD_RADIUS: usize = 3;
 
-/// Requeues the def-use neighborhood of the touched values, out to
-/// [`NEIGHBORHOOD_RADIUS`] hops — enough for every registered pattern's
-/// lookaround to observe the change.
+/// Which def-use edges a requeue walk follows.
+#[derive(Clone, Copy)]
+enum Direction {
+    /// From a value to its users, then to their results.
+    Forward,
+    /// From a value to its def, then to that def's operands.
+    Backward,
+}
+
+/// Requeues every op within [`NEIGHBORHOOD_RADIUS`] hops of a touched
+/// value along a use-chain (forward) or a def-chain (backward): exactly
+/// the ops whose pattern lookaround can observe the change.
 fn enqueue_neighborhood(
     func: &Func,
     index: &FuncIndex,
@@ -947,8 +982,6 @@ fn enqueue_neighborhood(
     in_list: &mut Vec<bool>,
     scratch: &mut NeighborhoodScratch,
 ) {
-    scratch.epoch += 1;
-    let epoch = scratch.epoch;
     if scratch.slot_mark.len() < index.slots.len() {
         scratch.slot_mark.resize(index.slots.len(), 0);
     }
@@ -958,54 +991,73 @@ fn enqueue_neighborhood(
     if in_list.len() < index.slots.len() {
         in_list.resize(index.slots.len(), false);
     }
-
-    scratch.frontier.clear();
-    for &v in touched {
-        if v.index() < scratch.value_mark.len() && scratch.value_mark[v.index()] != epoch {
-            scratch.value_mark[v.index()] = epoch;
-            scratch.frontier.push(v);
-        }
+    for direction in [Direction::Forward, Direction::Backward] {
+        scratch.walk(func, index, touched, direction, worklist, in_list);
     }
-    for depth in 0..NEIGHBORHOOD_RADIUS {
-        scratch.adjacent.clear();
-        for &v in &scratch.frontier {
-            if let Some(s) = index.def_slot(v) {
-                if index.slots[s].live && scratch.slot_mark[s] != epoch {
-                    scratch.slot_mark[s] = epoch;
-                    scratch.adjacent.push(s);
-                }
+}
+
+impl NeighborhoodScratch {
+    /// One breadth-first walk from `touched` in `direction`.
+    fn walk(
+        &mut self,
+        func: &Func,
+        index: &FuncIndex,
+        touched: &[Value],
+        direction: Direction,
+        worklist: &mut Vec<SlotId>,
+        in_list: &mut [bool],
+    ) {
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.frontier.clear();
+        for &v in touched {
+            if v.index() < self.value_mark.len() && self.value_mark[v.index()] != epoch {
+                self.value_mark[v.index()] = epoch;
+                self.frontier.push(v);
             }
-            if v.index() < index.users.len() {
-                for &s in &index.users[v.index()] {
-                    if index.slots[s].live && scratch.slot_mark[s] != epoch {
-                        scratch.slot_mark[s] = epoch;
-                        scratch.adjacent.push(s);
+        }
+        for depth in 0..NEIGHBORHOOD_RADIUS {
+            self.next.clear();
+            for &v in &self.frontier {
+                let hop: &[SlotId] = match direction {
+                    Direction::Forward => index.users.get(v.index()).map_or(&[], Vec::as_slice),
+                    Direction::Backward => index
+                        .def
+                        .get(v.index())
+                        .and_then(Option::as_ref)
+                        .map_or(&[], std::slice::from_ref),
+                };
+                for &s in hop {
+                    if !index.slots[s].live || self.slot_mark[s] == epoch {
+                        continue;
+                    }
+                    self.slot_mark[s] = epoch;
+                    if !in_list[s] {
+                        in_list[s] = true;
+                        worklist.push(s);
+                    }
+                    if depth + 1 < NEIGHBORHOOD_RADIUS {
+                        let op = index.op(func, s);
+                        let onward = match direction {
+                            Direction::Forward => &op.results,
+                            Direction::Backward => &op.operands,
+                        };
+                        for &w in onward {
+                            if w.index() < self.value_mark.len()
+                                && self.value_mark[w.index()] != epoch
+                            {
+                                self.value_mark[w.index()] = epoch;
+                                self.next.push(w);
+                            }
+                        }
                     }
                 }
             }
-        }
-        scratch.next.clear();
-        for &s in &scratch.adjacent {
-            if !in_list[s] {
-                in_list[s] = true;
-                worklist.push(s);
+            if self.next.is_empty() {
+                break;
             }
-            if depth + 1 < NEIGHBORHOOD_RADIUS {
-                let op = index.op(func, s);
-                for &v in op.operands.iter().chain(op.results.iter()) {
-                    if v.index() < scratch.value_mark.len()
-                        && scratch.value_mark[v.index()] != epoch
-                    {
-                        scratch.value_mark[v.index()] = epoch;
-                        scratch.next.push(v);
-                    }
-                }
-            }
+            std::mem::swap(&mut self.frontier, &mut self.next);
         }
-        if scratch.next.is_empty() {
-            break;
-        }
-        std::mem::swap(&mut scratch.frontier, &mut scratch.next);
     }
 }
 
@@ -1481,6 +1533,76 @@ mod tests {
         patterns.add(Box::new(WrapInIf));
         patterns.add(Box::new(FoldFAdd));
         assert_fixpoint(&mut module, patterns);
+    }
+
+    /// Cancels `g(g(x))` for a single-use, self-inverse, uncontrolled `H`
+    /// or `X` — a stand-in for the peephole patterns, which live
+    /// downstream.
+    struct CancelSelfInverse;
+
+    impl RewritePattern for CancelSelfInverse {
+        fn name(&self) -> &'static str {
+            "cancel-self-inverse"
+        }
+
+        fn match_and_rewrite(&self, rw: &mut Rewriter<'_>) -> bool {
+            let op2 = rw.op();
+            let OpKind::Gate { gate: GateKind::H | GateKind::X, num_controls: 0 } = op2.kind else {
+                return false;
+            };
+            let Some((idx1, 0)) = rw.find_def(op2.operands[0]) else { return false };
+            let op1 = &rw.block().ops[idx1];
+            if op1.kind != op2.kind || rw.use_count(op2.operands[0]) != 1 {
+                return false;
+            }
+            let (input, output) = (op1.operands[0], op2.results[0]);
+            rw.erase_op(idx1);
+            rw.erase_root();
+            rw.replace_all_uses(output, input);
+            true
+        }
+    }
+
+    /// The shape wide programs lower to: a `wires`-wide `qbunpack`, an
+    /// `H X X H` chain per wire (interleaved round-robin), and a `qbpack`.
+    fn bundle_module(wires: usize) -> Module {
+        let ty = FuncType::rev_qbundle(wires);
+        let mut b = FuncBuilder::new("bundle", ty, Visibility::Public);
+        let arg = b.args()[0];
+        let mut bb = b.block();
+        let mut heads = bb.push(OpKind::QbUnpack, vec![arg], vec![Type::Qubit; wires]);
+        for gate in [GateKind::H, GateKind::X, GateKind::X, GateKind::H] {
+            for head in &mut heads {
+                let kind = OpKind::Gate { gate, num_controls: 0 };
+                *head = bb.push(kind, vec![*head], vec![Type::Qubit])[0];
+            }
+        }
+        let packed = bb.push(OpKind::QbPack, heads, vec![Type::QBundle(wires)]);
+        bb.push(OpKind::Return, packed, vec![]);
+        let mut module = Module::new();
+        module.add_func(b.finish());
+        module
+    }
+
+    #[test]
+    fn requeue_work_stays_linear_on_a_wide_bundle() {
+        let wires = 256;
+        let mut module = bundle_module(wires);
+        let ops = 4 * wires + 3;
+        let mut driver = GreedyRewriteDriver::new();
+        driver.add_pattern(Box::new(CancelSelfInverse));
+        assert_eq!(driver.run(&mut module), 2 * wires, "both pairs cancel on every wire");
+        crate::verify::verify_module(&module).unwrap();
+        assert_eq!(module.func("bundle").unwrap().body.ops.len(), 3, "unpack, pack, return");
+        // A walk that hops from one wire through the unpack or the pack to
+        // every other wire would requeue O(wires) ops per firing.
+        let work = ops + driver.stats.fires;
+        assert!(
+            driver.stats.visits <= 2 * work,
+            "{} visits for {ops} ops and {} firings",
+            driver.stats.visits,
+            driver.stats.fires
+        );
     }
 
     #[test]

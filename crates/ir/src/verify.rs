@@ -5,8 +5,13 @@
 //! (§4); the IR verifier re-enforces the same invariant after every pass,
 //! which catches transformation bugs early: any quantum value must be used
 //! exactly once and cannot be discarded.
+//!
+//! Verification is linear in the size of the function: definedness,
+//! visibility and linear use counts live in arrays indexed by value
+//! (values are arena indices below [`Func::num_values`]), sized once per
+//! function and shared by all of its blocks.
 
-use crate::block::{Block, BlockPath};
+use crate::block::{Block, BlockPath, Region};
 use crate::error::IrError;
 use crate::func::Func;
 use crate::module::Module;
@@ -14,7 +19,7 @@ use crate::op::{Op, OpKind};
 use crate::print::op_line;
 use crate::types::{FuncType, Type};
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Verifies a whole module.
 ///
@@ -23,8 +28,9 @@ use std::collections::{HashMap, HashSet};
 /// Returns [`IrError::Verify`] naming the offending function and op on the
 /// first violation found.
 pub fn verify_module(module: &Module) -> Result<(), IrError> {
+    let mut scratch = Scratch::default();
     for func in module.funcs() {
-        verify_func(func, Some(module))?;
+        verify_with(func, Some(module), &mut scratch)?;
     }
     Ok(())
 }
@@ -36,18 +42,74 @@ pub fn verify_module(module: &Module) -> Result<(), IrError> {
 ///
 /// Returns [`IrError::Verify`] on the first violation.
 pub fn verify_func(func: &Func, module: Option<&Module>) -> Result<(), IrError> {
-    let ctx = Ctx { func, module };
-    ctx.verify_block(&func.body, &func.ty.results, &HashSet::new(), &HashSet::new(), &Vec::new())
-        .map_err(IrError::Verify)
+    verify_with(func, module, &mut Scratch::default())
+}
+
+fn verify_with(func: &Func, module: Option<&Module>, scratch: &mut Scratch) -> Result<(), IrError> {
+    scratch.reset(func.num_values());
+    let mut ctx = Ctx { func, module, s: scratch };
+    ctx.verify_block(&func.body, &func.ty.results, 0..0, &Vec::new()).map_err(IrError::Verify)
+}
+
+/// "No block" in [`Scratch::def_block`], "no use" in
+/// [`Scratch::last_use`].
+const NONE: u32 = u32::MAX;
+
+/// The verifier's bookkeeping for one function.
+#[derive(Default)]
+struct Scratch {
+    /// Per value: the visit number of the block defining it (as a block
+    /// argument, a lent linear value, or an op result), or [`NONE`].
+    def_block: Vec<u32>,
+    /// Per linear value: its uses so far in the block defining it.
+    uses: Vec<u32>,
+    /// Per linear value: the op index of its latest use there, or [`NONE`].
+    last_use: Vec<u32>,
+    /// Per block visit: whether the block is still being verified, i.e.
+    /// encloses the current block (its classical values are visible).
+    open: Vec<bool>,
+    /// The linear values lent to the `scf.if` branches being verified, one
+    /// slice per nesting level, each with the lending block's `(uses,
+    /// last_use)` to restore after every branch.
+    lent: Vec<(Value, u32, u32)>,
+    /// The lendable values of one region-bearing op, each with a bit per
+    /// `scf.if` branch that uses it.
+    region_uses: Vec<(Value, u8)>,
+}
+
+impl Scratch {
+    fn reset(&mut self, num_values: usize) {
+        self.def_block.clear();
+        self.def_block.resize(num_values, NONE);
+        if self.uses.len() < num_values {
+            self.uses.resize(num_values, 0);
+            self.last_use.resize(num_values, NONE);
+        }
+        self.open.clear();
+        self.lent.clear();
+    }
+
+    fn define(&mut self, v: Value, block: u32) {
+        let i = v.index();
+        self.def_block[i] = block;
+        self.uses[i] = 0;
+        self.last_use[i] = NONE;
+    }
+
+    /// Whether `block` (a visit number or [`NONE`]) is still open.
+    fn is_open(&self, block: u32) -> bool {
+        block != NONE && self.open[block as usize]
+    }
 }
 
 struct Ctx<'a> {
     func: &'a Func,
     module: Option<&'a Module>,
+    s: &'a mut Scratch,
 }
 
-impl Ctx<'_> {
-    fn ty(&self, v: Value) -> &Type {
+impl<'a> Ctx<'a> {
+    fn ty(&self, v: Value) -> &'a Type {
         self.func.value_type(v)
     }
 
@@ -69,17 +131,17 @@ impl Ctx<'_> {
         format!("at {}: {msg}\n  in op: {}", self.location(path, op_idx), op_line(op))
     }
 
-    /// Verifies a block given the result types its terminator must return,
-    /// the classical values visible from enclosing scopes, and any outer
-    /// *linear* values this block is responsible for consuming exactly once
-    /// (`scf.if` branch regions receive the linear values the branch
-    /// consumes, per the Appendix C inlining pattern).
+    /// Verifies a block given the result types its terminator must return
+    /// and the range of [`Scratch::lent`] holding the *linear* values of
+    /// the enclosing block this block must consume exactly once (`scf.if`
+    /// branch regions receive the linear values the branch consumes, per
+    /// the Appendix C inlining pattern). Classical values of every
+    /// enclosing block are visible.
     fn verify_block(
-        &self,
+        &mut self,
         block: &Block,
         expected_results: &[Type],
-        outer_classical: &HashSet<Value>,
-        outer_linear: &HashSet<Value>,
+        lent: Range<usize>,
         path: &BlockPath,
     ) -> Result<(), String> {
         // Structural: non-empty, terminator last and only last.
@@ -107,21 +169,19 @@ impl Ctx<'_> {
 
         // Definedness + linearity bookkeeping. Outer linear values lent to
         // this block must be consumed exactly once, like block arguments.
-        let mut defined: HashSet<Value> = block.args.iter().copied().collect();
-        defined.extend(outer_linear.iter().copied());
-        // Per linear value: (use count, op index of the latest use), the
-        // latter so over-use errors can print the offending op.
-        let mut linear_uses: HashMap<Value, (usize, Option<usize>)> = block
-            .args
-            .iter()
-            .chain(outer_linear.iter())
-            .filter(|v| self.ty(**v).is_linear())
-            .map(|v| (*v, (0usize, None)))
-            .collect();
+        let me = u32::try_from(self.s.open.len()).expect("fewer than 2^32 blocks");
+        self.s.open.push(true);
+        for &arg in &block.args {
+            self.s.define(arg, me);
+        }
+        for i in lent.clone() {
+            self.s.define(self.s.lent[i].0, me);
+        }
 
         for (idx, op) in block.ops.iter().enumerate() {
             for &operand in &op.operands {
-                if operand.index() >= self.func.num_values() {
+                let i = operand.index();
+                if i >= self.func.num_values() {
                     return Err(self.op_err(
                         path,
                         idx,
@@ -129,139 +189,184 @@ impl Ctx<'_> {
                         format!("uses out-of-arena value {operand}"),
                     ));
                 }
-                if !defined.contains(&operand) {
-                    if self.ty(operand).is_linear() {
-                        return Err(self.op_err(
-                            path,
-                            idx,
-                            op,
-                            format!("uses linear value {operand} not defined in this block"),
-                        ));
+                let linear = self.ty(operand).is_linear();
+                let def = self.s.def_block[i];
+                if def == me {
+                    if linear {
+                        self.s.uses[i] += 1;
+                        self.s.last_use[i] = idx as u32;
                     }
-                    if !outer_classical.contains(&operand) {
-                        return Err(self.op_err(
-                            path,
-                            idx,
-                            op,
-                            format!("uses undefined value {operand}"),
-                        ));
-                    }
-                }
-                if let Some((count, last_use)) = linear_uses.get_mut(&operand) {
-                    *count += 1;
-                    *last_use = Some(idx);
+                } else if linear {
+                    return Err(self.op_err(
+                        path,
+                        idx,
+                        op,
+                        format!("uses linear value {operand} not defined in this block"),
+                    ));
+                } else if !self.s.is_open(def) {
+                    return Err(self.op_err(
+                        path,
+                        idx,
+                        op,
+                        format!("uses undefined value {operand}"),
+                    ));
                 }
             }
 
             self.check_op(op, expected_results).map_err(|e| self.op_err(path, idx, op, e))?;
 
             if !op.regions.is_empty() {
-                // Linear values from enclosing scopes may flow into scf.if
-                // branch regions (each branch consumes them exactly once,
-                // and both branches must agree); lambdas may never capture
-                // linear values (their bodies run later).
-                let mut outer_linear_used: Vec<Value> = op
-                    .transitive_uses()
-                    .into_iter()
-                    .filter(|v| {
-                        !op.operands.contains(v) && defined.contains(v) && self.ty(*v).is_linear()
-                    })
-                    .collect();
-                // A value consumed once per branch is one use of the
-                // scf.if as a whole.
-                outer_linear_used.sort_unstable();
-                outer_linear_used.dedup();
-                if matches!(op.kind, OpKind::Lambda { .. }) && !outer_linear_used.is_empty() {
-                    return Err(self.op_err(
-                        path,
-                        idx,
-                        op,
-                        format!(
-                            "lambda captures linear value {} inside its region",
-                            outer_linear_used[0]
-                        ),
-                    ));
-                }
-                if matches!(op.kind, OpKind::ScfIf) && !outer_linear_used.is_empty() {
-                    // Each branch must use exactly the same outer linear
-                    // values; verified per-region below. Count once here.
-                    let mut sets: Vec<HashSet<Value>> = Vec::new();
-                    for region in &op.regions {
-                        let mut set = HashSet::new();
-                        for b in &region.blocks {
-                            collect_outer_uses(b, &mut set);
-                        }
-                        set.retain(|v| outer_linear_used.contains(v));
-                        sets.push(set);
-                    }
-                    if sets.len() == 2 && sets[0] != sets[1] {
-                        return Err(self.op_err(
-                            path,
-                            idx,
-                            op,
-                            "branches consume different linear values".to_string(),
-                        ));
-                    }
-                    for v in &outer_linear_used {
-                        if let Some((count, last_use)) = linear_uses.get_mut(v) {
-                            *count += 1;
-                            *last_use = Some(idx);
-                        }
-                    }
-                }
-                let mut visible: HashSet<Value> = outer_classical.clone();
-                visible.extend(defined.iter().filter(|v| !self.ty(**v).is_linear()));
-                let lent: HashSet<Value> = if matches!(op.kind, OpKind::ScfIf) {
-                    outer_linear_used.iter().copied().collect()
-                } else {
-                    HashSet::new()
-                };
-                let nested_results: Vec<Type> = match &op.kind {
-                    OpKind::ScfIf => op.results.iter().map(|v| self.ty(*v).clone()).collect(),
-                    OpKind::Lambda { func_ty } => func_ty.results.clone(),
-                    _ => Vec::new(),
-                };
-                for (region_idx, region) in op.regions.iter().enumerate() {
-                    for (block_idx, nested) in region.blocks.iter().enumerate() {
-                        // Nested violations already carry their own
-                        // `func:block:op` coordinates; propagate unchanged.
-                        let mut nested_path = path.clone();
-                        nested_path.push((idx, region_idx, block_idx));
-                        self.verify_block(nested, &nested_results, &visible, &lent, &nested_path)?;
-                    }
-                }
+                self.verify_regions(op, idx, me, path)?;
             }
 
             for &result in &op.results {
-                if !defined.insert(result) {
+                if self.s.is_open(self.s.def_block[result.index()]) {
                     return Err(self.op_err(path, idx, op, format!("redefines value {result}")));
                 }
-                if self.ty(result).is_linear() {
-                    linear_uses.insert(result, (0, None));
-                }
+                self.s.define(result, me);
             }
         }
 
-        for (value, (count, last_use)) in linear_uses {
-            if count != 1 {
-                let msg = format!(
-                    "linear value {value} ({}) used {count} times; must be exactly once",
-                    self.ty(value)
-                );
-                // Over-use points at the offending (latest) use; under-use
-                // points at the terminator, where the value should have
-                // been consumed by.
-                let idx = last_use.unwrap_or(block.ops.len() - 1);
-                return Err(self.op_err(path, idx, &block.ops[idx], msg));
+        // Every linear value defined here is consumed exactly once; the
+        // first violation in definition order (block arguments, lent
+        // values, then op results in program order) is reported.
+        for &arg in &block.args {
+            self.check_consumed(block, arg, path)?;
+        }
+        for i in lent {
+            self.check_consumed(block, self.s.lent[i].0, path)?;
+        }
+        for op in &block.ops {
+            for &result in &op.results {
+                self.check_consumed(block, result, path)?;
             }
         }
+        self.s.open[me as usize] = false;
+        Ok(())
+    }
+
+    /// Fails unless `v`, defined in `block`, is classical or used exactly
+    /// once there.
+    fn check_consumed(&self, block: &Block, v: Value, path: &BlockPath) -> Result<(), String> {
+        let count = self.s.uses[v.index()];
+        if count == 1 || !self.ty(v).is_linear() {
+            return Ok(());
+        }
+        let msg =
+            format!("linear value {v} ({}) used {count} times; must be exactly once", self.ty(v));
+        // Over-use points at the offending (latest) use; under-use points
+        // at the terminator, where the value should have been consumed by.
+        let idx = match self.s.last_use[v.index()] {
+            NONE => block.ops.len() - 1,
+            last => last as usize,
+        };
+        Err(self.op_err(path, idx, &block.ops[idx], msg))
+    }
+
+    /// Verifies the regions of `op`, the `idx`-th op of block visit `me`.
+    /// Linear values of that block may flow into `scf.if` branch regions:
+    /// each branch consumes them exactly once, both branches must agree,
+    /// and the `scf.if` as a whole counts as one use. Lambdas may never
+    /// capture linear values (their bodies run later).
+    fn verify_regions(
+        &mut self,
+        op: &Op,
+        idx: usize,
+        me: u32,
+        path: &BlockPath,
+    ) -> Result<(), String> {
+        let func = self.func;
+        let s = &mut *self.s;
+        s.region_uses.clear();
+        for_each_nested_operand(&op.regions, &mut |v| {
+            let lendable = s.def_block.get(v.index()) == Some(&me)
+                && func.value_type(v).is_linear()
+                && !op.operands.contains(&v);
+            if lendable {
+                s.region_uses.push((v, 0));
+            }
+        });
+        s.region_uses.sort_unstable();
+        s.region_uses.dedup();
+        if let Some(&(first, _)) = s.region_uses.first() {
+            if matches!(op.kind, OpKind::Lambda { .. }) {
+                return Err(self.op_err(
+                    path,
+                    idx,
+                    op,
+                    format!("lambda captures linear value {first} inside its region"),
+                ));
+            }
+        }
+
+        let base = s.lent.len();
+        if matches!(op.kind, OpKind::ScfIf) {
+            // Every lendable value is used in some branch (the verifier
+            // checked there are exactly two), so the branches agree iff
+            // each one uses all of them.
+            for (branch, region) in op.regions.iter().enumerate() {
+                for_each_nested_operand(std::slice::from_ref(region), &mut |v| {
+                    if let Ok(pos) = s.region_uses.binary_search_by_key(&v, |u| u.0) {
+                        s.region_uses[pos].1 |= 1 << branch;
+                    }
+                });
+            }
+            if s.region_uses.iter().any(|u| u.1 != 0b11) {
+                return Err(self.op_err(
+                    path,
+                    idx,
+                    op,
+                    "branches consume different linear values".to_string(),
+                ));
+            }
+            for &(v, _) in &s.region_uses {
+                let i = v.index();
+                s.uses[i] += 1;
+                s.last_use[i] = idx as u32;
+                s.lent.push((v, s.uses[i], s.last_use[i]));
+            }
+        }
+        let lent = base..s.lent.len();
+
+        let if_results: Vec<Type>;
+        let nested_results: &[Type] = match &op.kind {
+            OpKind::ScfIf => {
+                if_results = op.results.iter().map(|v| self.ty(*v).clone()).collect();
+                &if_results
+            }
+            OpKind::Lambda { func_ty } => &func_ty.results,
+            _ => &[],
+        };
+        for (region_idx, region) in op.regions.iter().enumerate() {
+            for (block_idx, nested) in region.blocks.iter().enumerate() {
+                // Nested violations already carry their own
+                // `func:block:op` coordinates; propagate unchanged.
+                let mut nested_path = path.clone();
+                nested_path.push((idx, region_idx, block_idx));
+                self.verify_block(nested, nested_results, lent.clone(), &nested_path)?;
+                // The branch consumed its loans; restore the lender's view.
+                for i in lent.clone() {
+                    let (v, uses, last_use) = self.s.lent[i];
+                    self.s.def_block[v.index()] = me;
+                    self.s.uses[v.index()] = uses;
+                    self.s.last_use[v.index()] = last_use;
+                }
+            }
+        }
+        self.s.lent.truncate(base);
         Ok(())
     }
 
     /// Per-op signature checks.
     fn check_op(&self, op: &Op, expected_results: &[Type]) -> Result<(), String> {
-        let operand_tys: Vec<&Type> = op.operands.iter().map(|v| self.ty(*v)).collect();
-        let result_tys: Vec<&Type> = op.results.iter().map(|v| self.ty(*v)).collect();
+        let ty = |v: &Value| self.ty(*v);
+        let operand = |i: usize| op.operands.get(i).map(ty);
+        let all = |values: &[Value], want: &Type| values.iter().all(|v| ty(v) == want);
+        // Exactly one result, of type `want`.
+        let yields = |want: &Type| op.results.len() == 1 && ty(&op.results[0]) == want;
+        let yields_func = |want: &FuncType| {
+            op.results.len() == 1 && matches!(ty(&op.results[0]), Type::Func(ft) if **ft == *want)
+        };
         let expect = |cond: bool, msg: &str| -> Result<(), String> {
             if cond {
                 Ok(())
@@ -273,76 +378,64 @@ impl Ctx<'_> {
         match &op.kind {
             OpKind::QbPrep { dim, .. } => {
                 expect(op.operands.is_empty(), "qbprep takes no operands")?;
-                expect(
-                    result_tys.len() == 1 && *result_tys[0] == Type::QBundle(*dim),
-                    "qbprep yields one qbundle of its dimension",
-                )
+                expect(yields(&Type::QBundle(*dim)), "qbprep yields one qbundle of its dimension")
             }
             OpKind::QbDiscard | OpKind::QbDiscardZ => {
                 expect(
-                    operand_tys.len() == 1 && matches!(operand_tys[0], Type::QBundle(_)),
+                    op.operands.len() == 1 && matches!(operand(0), Some(Type::QBundle(_))),
                     "discard takes one qbundle",
                 )?;
                 expect(op.results.is_empty(), "discard yields nothing")
             }
             OpKind::QbTrans { basis_in, basis_out } => {
-                let Some(Type::QBundle(n)) = operand_tys.first().copied() else {
+                let Some(Type::QBundle(n)) = operand(0) else {
                     return Err("qbtrans operand 0 must be a qbundle".to_string());
                 };
                 expect(
                     basis_in.dim() == *n && basis_out.dim() == *n,
                     "qbtrans basis dimensions must match the qbundle",
                 )?;
+                expect(all(&op.operands[1..], &Type::F64), "qbtrans phase operands must be f64")?;
                 expect(
-                    operand_tys[1..].iter().all(|t| **t == Type::F64),
-                    "qbtrans phase operands must be f64",
-                )?;
-                expect(
-                    result_tys.len() == 1 && *result_tys[0] == Type::QBundle(*n),
+                    yields(&Type::QBundle(*n)),
                     "qbtrans yields one qbundle of the same dimension",
                 )
             }
             OpKind::QbMeas { basis } => {
-                let Some(Type::QBundle(n)) = operand_tys.first().copied() else {
+                let Some(Type::QBundle(n)) = operand(0) else {
                     return Err("qbmeas takes a qbundle".to_string());
                 };
                 expect(basis.dim() == *n, "qbmeas basis dimension must match")?;
                 expect(
-                    result_tys.len() == 1 && *result_tys[0] == Type::BitBundle(*n),
+                    yields(&Type::BitBundle(*n)),
                     "qbmeas yields a bitbundle of the same dimension",
                 )
             }
             OpKind::QbPack => {
                 // Zero operands produce the unit bundle qbundle[0] (the
                 // result of `discard`).
-                expect(operand_tys.iter().all(|t| **t == Type::Qubit), "qbpack takes qubits")?;
-                expect(
-                    result_tys.len() == 1 && *result_tys[0] == Type::QBundle(op.operands.len()),
-                    "qbpack yields qbundle[N]",
-                )
+                expect(all(&op.operands, &Type::Qubit), "qbpack takes qubits")?;
+                expect(yields(&Type::QBundle(op.operands.len())), "qbpack yields qbundle[N]")
             }
             OpKind::QbUnpack => {
-                let Some(Type::QBundle(n)) = operand_tys.first().copied() else {
+                let Some(Type::QBundle(n)) = operand(0) else {
                     return Err("qbunpack takes a qbundle".to_string());
                 };
                 expect(
-                    result_tys.len() == *n && result_tys.iter().all(|t| **t == Type::Qubit),
+                    op.results.len() == *n && all(&op.results, &Type::Qubit),
                     "qbunpack yields N qubits",
                 )
             }
             OpKind::BitPack => {
-                expect(operand_tys.iter().all(|t| **t == Type::I1), "bitpack takes i1s")?;
-                expect(
-                    result_tys.len() == 1 && *result_tys[0] == Type::BitBundle(op.operands.len()),
-                    "bitpack yields bitbundle[N]",
-                )
+                expect(all(&op.operands, &Type::I1), "bitpack takes i1s")?;
+                expect(yields(&Type::BitBundle(op.operands.len())), "bitpack yields bitbundle[N]")
             }
             OpKind::BitUnpack => {
-                let Some(Type::BitBundle(n)) = operand_tys.first().copied() else {
+                let Some(Type::BitBundle(n)) = operand(0) else {
                     return Err("bitunpack takes a bitbundle".to_string());
                 };
                 expect(
-                    result_tys.len() == *n && result_tys.iter().all(|t| **t == Type::I1),
+                    op.results.len() == *n && all(&op.results, &Type::I1),
                     "bitunpack yields N i1s",
                 )
             }
@@ -352,32 +445,28 @@ impl Ctx<'_> {
                         .func(symbol)
                         .ok_or_else(|| format!("func_const references unknown @{symbol}"))?;
                     expect(
-                        result_tys.len() == 1 && *result_tys[0] == Type::func(target.ty.clone()),
+                        yields_func(&target.ty),
                         "func_const result type must match the symbol's signature",
                     )?;
                 }
                 Ok(())
             }
             OpKind::FuncAdj => {
-                let Some(Type::Func(ft)) = operand_tys.first().copied() else {
+                let Some(fn_ty @ Type::Func(ft)) = operand(0) else {
                     return Err("func_adj takes a function value".to_string());
                 };
                 expect(ft.reversible, "func_adj requires a reversible function")?;
-                expect(
-                    result_tys.len() == 1 && *result_tys[0] == Type::Func(ft.clone()),
-                    "func_adj preserves the function type",
-                )
+                expect(yields(fn_ty), "func_adj preserves the function type")
             }
             OpKind::FuncPred { pred } => {
-                let Some(Type::Func(ft)) = operand_tys.first().copied() else {
+                let Some(Type::Func(ft)) = operand(0) else {
                     return Err("func_pred takes a function value".to_string());
                 };
                 let n =
                     rev_qbundle_dim(ft).ok_or("func_pred requires qbundle[N] -rev-> qbundle[N]")?;
                 let m = pred.dim();
                 expect(
-                    result_tys.len() == 1
-                        && *result_tys[0] == Type::func(FuncType::rev_qbundle(m + n)),
+                    yields_func(&FuncType::rev_qbundle(m + n)),
                     "func_pred yields qbundle[M+N] -rev-> qbundle[M+N]",
                 )
             }
@@ -387,13 +476,13 @@ impl Ctx<'_> {
                     .func(callee)
                     .ok_or_else(|| format!("call references unknown @{callee}"))?;
                 let effective = effective_call_type(&target.ty, *adj, pred.as_ref())?;
-                check_signature(&effective, &operand_tys, &result_tys)
+                self.check_signature(&effective, &op.operands, &op.results)
             }
             OpKind::CallIndirect => {
-                let Some(Type::Func(ft)) = operand_tys.first().copied() else {
+                let Some(Type::Func(ft)) = operand(0) else {
                     return Err("call_indirect operand 0 must be a function value".to_string());
                 };
-                check_signature(ft, &operand_tys[1..], &result_tys)
+                self.check_signature(ft, &op.operands[1..], &op.results)
             }
             OpKind::Lambda { func_ty } => {
                 expect(op.regions.len() == 1, "lambda has one region")?;
@@ -403,116 +492,95 @@ impl Ctx<'_> {
                     "lambda block args must be captures ++ params",
                 )?;
                 for (cap, arg) in op.operands.iter().zip(&block.args) {
-                    expect(self.ty(*cap) == self.ty(*arg), "lambda capture/arg type mismatch")?;
-                    expect(!self.ty(*cap).is_linear(), "lambda cannot capture linear values")?;
+                    expect(ty(cap) == ty(arg), "lambda capture/arg type mismatch")?;
+                    expect(!ty(cap).is_linear(), "lambda cannot capture linear values")?;
                 }
                 for (input, arg) in func_ty.inputs.iter().zip(&block.args[op.operands.len()..]) {
-                    expect(input == self.ty(*arg), "lambda param type mismatch")?;
+                    expect(input == ty(arg), "lambda param type mismatch")?;
                 }
-                expect(
-                    result_tys.len() == 1 && *result_tys[0] == Type::func(func_ty.clone()),
-                    "lambda yields its function type",
-                )
+                expect(yields_func(func_ty), "lambda yields its function type")
             }
             OpKind::Return | OpKind::Yield => {
                 expect(op.results.is_empty(), "terminators yield nothing")?;
                 expect(
-                    operand_tys.len() == expected_results.len()
-                        && operand_tys.iter().zip(expected_results).all(|(a, b)| **a == *b),
+                    op.operands.len() == expected_results.len()
+                        && op.operands.iter().zip(expected_results).all(|(v, t)| ty(v) == t),
                     "terminator operands must match the enclosing result types",
                 )
             }
             OpKind::ScfIf => {
                 expect(
-                    operand_tys.len() == 1 && *operand_tys[0] == Type::I1,
+                    op.operands.len() == 1 && all(&op.operands, &Type::I1),
                     "scf.if takes one i1",
                 )?;
                 expect(op.regions.len() == 2, "scf.if has then and else regions")
             }
-            OpKind::ConstF64 { .. } => expect(
-                op.operands.is_empty() && result_tys.len() == 1 && *result_tys[0] == Type::F64,
-                "f64 constant",
-            ),
-            OpKind::ConstI1 { .. } => expect(
-                op.operands.is_empty() && result_tys.len() == 1 && *result_tys[0] == Type::I1,
-                "i1 constant",
-            ),
+            OpKind::ConstF64 { .. } => {
+                expect(op.operands.is_empty() && yields(&Type::F64), "f64 constant")
+            }
+            OpKind::ConstI1 { .. } => {
+                expect(op.operands.is_empty() && yields(&Type::I1), "i1 constant")
+            }
             OpKind::FAdd | OpKind::FSub | OpKind::FMul | OpKind::FDiv => expect(
-                operand_tys.len() == 2
-                    && operand_tys.iter().all(|t| **t == Type::F64)
-                    && result_tys.len() == 1
-                    && *result_tys[0] == Type::F64,
+                op.operands.len() == 2 && all(&op.operands, &Type::F64) && yields(&Type::F64),
                 "binary f64 arithmetic",
             ),
             OpKind::FNeg => expect(
-                operand_tys.len() == 1
-                    && *operand_tys[0] == Type::F64
-                    && result_tys.len() == 1
-                    && *result_tys[0] == Type::F64,
+                op.operands.len() == 1 && all(&op.operands, &Type::F64) && yields(&Type::F64),
                 "unary f64 negation",
             ),
             OpKind::XorI1 | OpKind::AndI1 => expect(
-                operand_tys.len() == 2
-                    && operand_tys.iter().all(|t| **t == Type::I1)
-                    && result_tys.len() == 1
-                    && *result_tys[0] == Type::I1,
+                op.operands.len() == 2 && all(&op.operands, &Type::I1) && yields(&Type::I1),
                 "binary i1 logic",
             ),
             OpKind::NotI1 => expect(
-                operand_tys.len() == 1
-                    && *operand_tys[0] == Type::I1
-                    && result_tys.len() == 1
-                    && *result_tys[0] == Type::I1,
+                op.operands.len() == 1 && all(&op.operands, &Type::I1) && yields(&Type::I1),
                 "unary i1 logic",
             ),
-            OpKind::QAlloc => expect(
-                op.operands.is_empty() && result_tys.len() == 1 && *result_tys[0] == Type::Qubit,
-                "qalloc yields one qubit",
-            ),
+            OpKind::QAlloc => {
+                expect(op.operands.is_empty() && yields(&Type::Qubit), "qalloc yields one qubit")
+            }
             OpKind::QFree | OpKind::QFreeZ => expect(
-                operand_tys.len() == 1 && *operand_tys[0] == Type::Qubit && op.results.is_empty(),
+                op.operands.len() == 1 && all(&op.operands, &Type::Qubit) && op.results.is_empty(),
                 "qfree takes one qubit",
             ),
             OpKind::Gate { gate, num_controls } => {
                 let total = num_controls + gate.num_targets();
                 expect(
-                    operand_tys.len() == total && operand_tys.iter().all(|t| **t == Type::Qubit),
+                    op.operands.len() == total && all(&op.operands, &Type::Qubit),
                     "gate takes controls + targets qubits",
                 )?;
                 expect(
-                    result_tys.len() == total && result_tys.iter().all(|t| **t == Type::Qubit),
+                    op.results.len() == total && all(&op.results, &Type::Qubit),
                     "gate yields a new state per operand qubit",
                 )
             }
             OpKind::Measure => expect(
-                operand_tys.len() == 1
-                    && *operand_tys[0] == Type::Qubit
-                    && result_tys.len() == 2
-                    && *result_tys[0] == Type::Qubit
-                    && *result_tys[1] == Type::I1,
+                op.operands.len() == 1
+                    && all(&op.operands, &Type::Qubit)
+                    && op.results.len() == 2
+                    && *ty(&op.results[0]) == Type::Qubit
+                    && *ty(&op.results[1]) == Type::I1,
                 "measure yields (qubit, i1)",
             ),
             OpKind::ArrPack => {
-                let Some(first) = operand_tys.first() else {
+                let Some(first) = operand(0) else {
                     return Err("arrpack needs at least one element".to_string());
                 };
+                expect(all(&op.operands, first), "arrpack elements must share a type")?;
                 expect(
-                    operand_tys.iter().all(|t| t == first),
-                    "arrpack elements must share a type",
-                )?;
-                expect(
-                    result_tys.len() == 1
-                        && *result_tys[0]
-                            == Type::Array(Box::new((*first).clone()), op.operands.len()),
+                    op.results.len() == 1
+                        && matches!(ty(&op.results[0]),
+                            Type::Array(elem, n) if **elem == *first && *n == op.operands.len()),
                     "arrpack yields array<T>[N]",
                 )
             }
             OpKind::ArrUnpack => {
-                let Some(Type::Array(elem, n)) = operand_tys.first().copied() else {
+                let Some(Type::Array(elem, n)) = operand(0) else {
                     return Err("arrunpack takes an array".to_string());
                 };
                 expect(
-                    result_tys.len() == *n && result_tys.iter().all(|t| *t == &**elem),
+                    op.results.len() == *n && all(&op.results, elem),
                     "arrunpack yields N elements",
                 )
             }
@@ -522,46 +590,51 @@ impl Ctx<'_> {
                         return Err(format!("callable_create references unknown @{symbol}"));
                     }
                 }
-                expect(
-                    result_tys.len() == 1 && *result_tys[0] == Type::Callable,
-                    "callable_create yields a callable",
-                )
+                expect(yields(&Type::Callable), "callable_create yields a callable")
             }
             OpKind::CallableAdjoint | OpKind::CallableControl { .. } => expect(
-                operand_tys.len() == 1
-                    && *operand_tys[0] == Type::Callable
-                    && result_tys.len() == 1
-                    && *result_tys[0] == Type::Callable,
+                op.operands.len() == 1
+                    && all(&op.operands, &Type::Callable)
+                    && yields(&Type::Callable),
                 "callable modifiers take and yield a callable",
             ),
             OpKind::CallableInvoke => expect(
-                !operand_tys.is_empty() && *operand_tys[0] == Type::Callable,
+                operand(0) == Some(&Type::Callable),
                 "callable_invoke operand 0 must be a callable",
             ),
         }
     }
+
+    fn check_signature(
+        &self,
+        ft: &FuncType,
+        args: &[Value],
+        results: &[Value],
+    ) -> Result<(), String> {
+        let matches = |values: &[Value], types: &[Type]| {
+            values.len() == types.len() && values.iter().zip(types).all(|(v, t)| self.ty(*v) == t)
+        };
+        if !matches(args, &ft.inputs) {
+            return Err("call arguments do not match the callee signature".to_string());
+        }
+        if !matches(results, &ft.results) {
+            return Err("call results do not match the callee signature".to_string());
+        }
+        Ok(())
+    }
 }
 
-/// Collects values used in `block` (transitively through regions) that are
-/// not defined inside it.
-fn collect_outer_uses(block: &Block, out: &mut HashSet<Value>) {
-    let mut defined: HashSet<Value> = block.args.iter().copied().collect();
-    for op in &block.ops {
-        for v in &op.operands {
-            if !defined.contains(v) {
-                out.insert(*v);
+/// Calls `f` on every operand of every op in `regions`, transitively
+/// through nested regions.
+fn for_each_nested_operand(regions: &[Region], f: &mut impl FnMut(Value)) {
+    for region in regions {
+        for block in &region.blocks {
+            for op in &block.ops {
+                op.operands.iter().for_each(|v| f(*v));
+                for_each_nested_operand(&op.regions, f);
             }
         }
-        for region in &op.regions {
-            for nested in &region.blocks {
-                // Nested defines shadow; approximate by recursing with the
-                // same accumulator and filtering at the call site.
-                collect_outer_uses(nested, out);
-            }
-        }
-        defined.extend(op.results.iter().copied());
     }
-    out.retain(|v| !defined.contains(v));
 }
 
 /// For `qbundle[N] -rev-> qbundle[N]` types, returns `N`.
@@ -597,17 +670,6 @@ pub fn effective_call_type(
         ty = FuncType::rev_qbundle(pred.dim() + n);
     }
     Ok(ty)
-}
-
-fn check_signature(ft: &FuncType, args: &[&Type], results: &[&Type]) -> Result<(), String> {
-    if args.len() != ft.inputs.len() || args.iter().zip(&ft.inputs).any(|(a, b)| **a != *b) {
-        return Err("call arguments do not match the callee signature".to_string());
-    }
-    if results.len() != ft.results.len() || results.iter().zip(&ft.results).any(|(a, b)| **a != *b)
-    {
-        return Err("call results do not match the callee signature".to_string());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -673,6 +735,33 @@ mod tests {
         bb.push(OpKind::Return, vec![], vec![]);
         let err = verify(b.finish()).unwrap_err();
         assert!(err.to_string().contains("used 0 times"), "{err}");
+    }
+
+    #[test]
+    fn linear_violations_are_reported_in_definition_order() {
+        // Two dropped block arguments, then two dropped qalloc results:
+        // the first argument is reported, and on every run the same one.
+        let verify_drops = |with_args: bool| {
+            let inputs = if with_args { vec![Type::Qubit, Type::Qubit] } else { vec![] };
+            let mut b =
+                FuncBuilder::new("k", FuncType::new(inputs, vec![], false), Visibility::Public);
+            let mut bb = b.block();
+            bb.push(OpKind::QAlloc, vec![], vec![Type::Qubit]);
+            bb.push(OpKind::QAlloc, vec![], vec![Type::Qubit]);
+            bb.push(OpKind::Return, vec![], vec![]);
+            verify(b.finish()).unwrap_err().to_string()
+        };
+        let args_first = verify_drops(true);
+        assert!(args_first.contains("linear value %0 (qubit) used 0 times"), "{args_first}");
+        for _ in 0..50 {
+            assert_eq!(verify_drops(true), args_first);
+        }
+        // Without arguments, the first qalloc's result (%0) comes first.
+        let results_first = verify_drops(false);
+        assert!(results_first.contains("linear value %0 (qubit) used 0 times"), "{results_first}");
+        for _ in 0..50 {
+            assert_eq!(verify_drops(false), results_first);
+        }
     }
 
     #[test]

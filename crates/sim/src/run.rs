@@ -16,8 +16,10 @@ use threadpool::ThreadPool;
 
 /// Amplitude count at or above which an auto-threaded (`threads == 0`)
 /// single-state run spreads gate kernels across all cores; below it the
-/// per-gate work cannot amortize a thread spawn.
-pub const PARALLEL_STATE_MIN: usize = 1 << 16;
+/// per-gate work cannot amortize a thread spawn. On a 2-core x86-64 VM,
+/// on `sim_kernels`' 200-gate random circuits, two workers lose to one up
+/// to 17 qubits, break even at 18 and win from 19.
+pub const PARALLEL_STATE_MIN: usize = 1 << 19;
 
 /// The worker pool for a single-state run: `threads == 0` picks the
 /// machine's parallelism for states of at least [`PARALLEL_STATE_MIN`]
