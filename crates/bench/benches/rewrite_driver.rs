@@ -25,7 +25,9 @@
 //! `REWRITE_DRIVER_SMOKE=1`) shrinks the workload for CI and prints the
 //! point instead of appending it.
 
-use asdf_bench::{median_time, record_trajectory_point, smoke_mode, trajectory_path};
+use asdf_bench::{
+    committed_full_point, json_field, median_time, record_trajectory_point, smoke_mode,
+};
 use asdf_core::{CompileOptions, CompileRequest, Session};
 use asdf_difftest::{gen_case, GenOptions};
 use asdf_ir::func::BlockBuilder;
@@ -174,28 +176,10 @@ fn run_driver(modules: &[Module], samples: usize) -> (Duration, Work) {
     (time, work)
 }
 
-/// The latest full-mode `rewrite_driver` point in `BENCH_opt.json` (one
-/// point per line).
-fn committed_full_point() -> Option<String> {
-    let text = std::fs::read_to_string(trajectory_path("BENCH_opt.json")).ok()?;
-    text.lines()
-        .rev()
-        .find(|l| l.contains("\"bench\": \"rewrite_driver\"") && l.contains("\"mode\": \"full\""))
-        .map(str::to_string)
-}
-
-/// A numeric field of a one-line JSON point.
-fn field(point: &str, key: &str) -> Option<f64> {
-    let start = point.find(&format!("\"{key}\": "))? + key.len() + 4;
-    let rest = &point[start..];
-    let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))?;
-    rest[..end].parse().ok()
-}
-
 /// A measured time, beside the committed full-mode point's `key`
 /// (microseconds) when there is one.
 fn time_beside(time: Duration, point: Option<&str>, key: &str) -> String {
-    match point.map(|p| field(p, key)) {
+    match point.map(|p| json_field(p, key)) {
         Some(Some(committed)) => format!("{time:>10.3?}  (committed {committed:.1}us)"),
         Some(None) => format!("{time:>10.3?}  (no committed {key})"),
         None => format!("{time:>10.3?}"),
@@ -212,7 +196,10 @@ fn main() {
     let committed = if smoke {
         None
     } else {
-        Some(committed_full_point().expect("BENCH_opt.json holds a full-mode rewrite_driver point"))
+        Some(
+            committed_full_point("BENCH_opt.json", "rewrite_driver")
+                .expect("BENCH_opt.json holds a full-mode rewrite_driver point"),
+        )
     };
     let committed = committed.as_deref();
 
@@ -257,14 +244,14 @@ fn main() {
     if let Some(point) = committed {
         for (key, measured) in [("wide_ops", wide_ops), ("wide_fires", wide_work.fires)] {
             assert_eq!(
-                field(point, key),
+                json_field(point, key),
                 Some(measured as f64),
                 "{key} differs from the committed full-mode point"
             );
         }
         // Points from before the bundle workload lack its counts.
         for (key, measured) in [("bundle_ops", bundle_ops), ("bundle_fires", bundle_work.fires)] {
-            if let Some(committed) = field(point, key) {
+            if let Some(committed) = json_field(point, key) {
                 assert_eq!(
                     committed, measured as f64,
                     "{key} differs from the committed full-mode point"

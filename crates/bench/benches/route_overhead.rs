@@ -8,17 +8,29 @@
 //! exceed a target's qubit budget are reported as skipped, not dropped
 //! silently.
 //!
+//! One wide point follows: a 128-bit Simon (256 qubits) on `grid-16x16`,
+//! where the cost of the initial layout in the width shows. A full run
+//! checks its swaps and routed depth against the latest committed
+//! full-mode point that holds it.
+//!
 //! Each full run appends a trajectory point to `BENCH_route.json` at the
 //! repo root. `--smoke` (or env `ROUTE_OVERHEAD_SMOKE=1`) shrinks the
 //! sample count for CI and prints the point instead of appending it.
 
 use asdf_ast::CaptureValue;
-use asdf_bench::{median_time, record_trajectory_point, smoke_mode};
+use asdf_baselines::Benchmark;
+use asdf_bench::{
+    asdf_circuit, committed_full_point, json_field, median_time, record_trajectory_point,
+    smoke_mode,
+};
 use asdf_core::{CompileOptions, Compiler};
 use asdf_qcircuit::Circuit;
 use asdf_target::Target;
 
 const TARGETS: [&str; 3] = ["linear-16", "ring-8", "grid-4x4"];
+
+/// The wide point: (program name, Simon width, target).
+const WIDE: (&str, usize, &str) = ("simon128", 128, "grid-16x16");
 
 /// One `examples/` program: (name, source, kernel, captures, dims).
 type Example =
@@ -99,6 +111,59 @@ fn compile_example(
     compiled.circuit
 }
 
+/// One routed `(program, target)` measurement.
+struct Entry {
+    swaps: usize,
+    routed_depth: usize,
+    json: String,
+}
+
+/// Routes `circuit` onto `target_name`, checks and prints the result, and
+/// returns its entry; `None` (printed as skipped) when the circuit exceeds
+/// the target.
+fn measure(name: &str, circuit: &Circuit, target_name: &str, samples: usize) -> Option<Entry> {
+    let target = Target::parse(target_name).expect("builtin target parses");
+    let routed = match target.route(circuit) {
+        Ok(routed) => routed,
+        Err(e) if asdf_target::is_capacity_error(&e.to_string()) => {
+            println!(
+                "{name:<16} {target_name:<10} {:>7} (exceeds target capacity; skipped)",
+                circuit.num_qubits
+            );
+            return None;
+        }
+        Err(e) => panic!("routing {name} onto {target_name} failed: {e}"),
+    };
+    target.validate(&routed.circuit).expect("routed circuit is native and coupled");
+    let overhead = asdf_resource::route_overhead(
+        &asdf_target::route::translate_to_native(circuit),
+        &routed.circuit,
+        routed.info.swap_count,
+    );
+    let route_time = median_time(samples, || target.route(circuit).unwrap());
+    let route_us = route_time.as_secs_f64() * 1e6;
+    println!(
+        "{name:<16} {target_name:<10} {:>7} {:>6} {:>6} -> {:>4} {:>8.2}x {:>10.1}",
+        routed.circuit.num_qubits,
+        overhead.swap_count,
+        overhead.unrouted_depth,
+        overhead.routed_depth,
+        overhead.depth_overhead(),
+        route_us,
+    );
+    let json = format!(
+        "{{\"program\": \"{name}\", \"target\": \"{target_name}\", \
+         \"swaps\": {}, \"unrouted_depth\": {}, \"routed_depth\": {}, \
+         \"depth_overhead\": {:.3}, \"route_us\": {:.1}}}",
+        overhead.swap_count,
+        overhead.unrouted_depth,
+        overhead.routed_depth,
+        overhead.depth_overhead(),
+        route_us,
+    );
+    Some(Entry { swaps: overhead.swap_count, routed_depth: overhead.routed_depth, json })
+}
+
 fn main() {
     let smoke = smoke_mode("ROUTE_OVERHEAD_SMOKE");
     let samples = if smoke { 5 } else { 30 };
@@ -115,47 +180,32 @@ fn main() {
             continue;
         };
         for target_name in TARGETS {
-            let target = Target::parse(target_name).expect("builtin target parses");
-            let routed = match target.route(&circuit) {
-                Ok(routed) => routed,
-                Err(e) if asdf_target::is_capacity_error(&e.to_string()) => {
-                    println!(
-                        "{name:<16} {target_name:<10} {:>7} (exceeds target capacity; skipped)",
-                        circuit.num_qubits
-                    );
-                    continue;
-                }
-                Err(e) => panic!("routing {name} onto {target_name} failed: {e}"),
-            };
-            target.validate(&routed.circuit).expect("routed circuit is native and coupled");
-            let overhead = asdf_resource::route_overhead(
-                &asdf_target::route::translate_to_native(&circuit),
-                &routed.circuit,
-                routed.info.swap_count,
-            );
-            let route_time = median_time(samples, || target.route(&circuit).unwrap());
-            let route_us = route_time.as_secs_f64() * 1e6;
-            println!(
-                "{name:<16} {target_name:<10} {:>7} {:>6} {:>6} -> {:>4} {:>8.2}x {:>10.1}",
-                routed.circuit.num_qubits,
-                overhead.swap_count,
-                overhead.unrouted_depth,
-                overhead.routed_depth,
-                overhead.depth_overhead(),
-                route_us,
-            );
-            entries.push(format!(
-                "{{\"program\": \"{name}\", \"target\": \"{target_name}\", \
-                 \"swaps\": {}, \"unrouted_depth\": {}, \"routed_depth\": {}, \
-                 \"depth_overhead\": {:.3}, \"route_us\": {:.1}}}",
-                overhead.swap_count,
-                overhead.unrouted_depth,
-                overhead.routed_depth,
-                overhead.depth_overhead(),
-                route_us,
-            ));
+            entries.extend(measure(name, &circuit, target_name, samples).map(|e| e.json));
         }
     }
+
+    let (wide_name, width, wide_target) = WIDE;
+    let simon = Benchmark::paper_suite(width)
+        .into_iter()
+        .find_map(|(name, b)| (name == "simon").then_some(b))
+        .expect("the paper suite holds simon");
+    let wide = measure(wide_name, &asdf_circuit(&simon), wide_target, samples)
+        .expect("the wide program fits its target");
+    // Smoke runs are never recorded, so only a full run has a committed
+    // point to compare with; points from before the wide entry lack it.
+    let committed =
+        if smoke { None } else { committed_full_point("BENCH_route.json", "route_overhead") };
+    let tag = format!("\"program\": \"{wide_name}\", \"target\": \"{wide_target}\"");
+    if let Some(at) = committed.as_deref().and_then(|point| Some(&point[point.find(&tag)?..])) {
+        for (key, measured) in [("swaps", wide.swaps), ("routed_depth", wide.routed_depth)] {
+            assert_eq!(
+                json_field(at, key),
+                Some(measured as f64),
+                "{wide_name} {key} differs from the committed full-mode point"
+            );
+        }
+    }
+    entries.push(wide.json);
 
     let point = format!(
         "{{\"bench\": \"route_overhead\", \"mode\": \"{}\", \"entries\": [{}]}}",

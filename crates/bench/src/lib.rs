@@ -309,9 +309,39 @@ pub fn record_trajectory_point(file: &str, point: &str, smoke: bool) {
     }
 }
 
+/// The latest full-mode point of `bench` in the trajectory file `file`
+/// (one point per line), if one is committed.
+pub fn committed_full_point(file: &str, bench: &str) -> Option<String> {
+    let text = std::fs::read_to_string(trajectory_path(file)).ok()?;
+    let tag = format!("\"bench\": \"{bench}\"");
+    text.lines()
+        .rev()
+        .find(|l| l.contains(&tag) && l.contains("\"mode\": \"full\""))
+        .map(str::to_string)
+}
+
+/// The first numeric field `key` of a one-line JSON point, or of a slice
+/// of one.
+pub fn json_field(point: &str, key: &str) -> Option<f64> {
+    let start = point.find(&format!("\"{key}\": "))? + key.len() + 4;
+    let rest = &point[start..];
+    let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))?;
+    rest[..end].parse().ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_fields_parse_from_points() {
+        let point =
+            r#"{"bench": "b", "mode": "full", "n": 42, "t_us": 1.5, "entries": [{"swaps": 7}]}"#;
+        assert_eq!(json_field(point, "n"), Some(42.0));
+        assert_eq!(json_field(point, "t_us"), Some(1.5));
+        assert_eq!(json_field(point, "swaps"), Some(7.0));
+        assert_eq!(json_field(point, "depth"), None);
+    }
 
     #[test]
     fn table1_shape_matches_paper() {

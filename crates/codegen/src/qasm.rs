@@ -7,6 +7,7 @@
 
 use asdf_ir::GateKind;
 use asdf_qcircuit::{Circuit, CircuitOp};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Renders a circuit as an OpenQASM 3 program.
@@ -20,10 +21,13 @@ pub fn circuit_to_qasm(circuit: &Circuit) -> String {
         let _ = writeln!(out, "bit[{bits}] c;");
     }
     out.push('\n');
+    // Rendered angles by bit pattern: wide programs repeat a few angles
+    // across thousands of gates, and formatting a float dominates a line.
+    let mut angles: HashMap<u64, String> = HashMap::new();
     for op in &circuit.ops {
         match op {
             CircuitOp::Gate { gate, controls, targets } => {
-                emit_gate(&mut out, *gate, controls, targets);
+                emit_gate(&mut out, &mut angles, *gate, controls, targets);
             }
             CircuitOp::Measure { qubit, bit } => {
                 let _ = writeln!(out, "c[{bit}] = measure q[{qubit}];");
@@ -36,7 +40,13 @@ pub fn circuit_to_qasm(circuit: &Circuit) -> String {
     out
 }
 
-fn emit_gate(out: &mut String, gate: GateKind, controls: &[usize], targets: &[usize]) {
+fn emit_gate(
+    out: &mut String,
+    angles: &mut HashMap<u64, String>,
+    gate: GateKind,
+    controls: &[usize],
+    targets: &[usize],
+) {
     // Prefer stdgates names for common controlled forms.
     let name = match (gate, controls.len()) {
         (_, 0) => base_name(gate),
@@ -54,7 +64,7 @@ fn emit_gate(out: &mut String, gate: GateKind, controls: &[usize], targets: &[us
     };
     out.push_str(name);
     if let Some(theta) = gate.param() {
-        let _ = write!(out, "({theta:.12})");
+        out.push_str(angles.entry(theta.to_bits()).or_insert_with(|| format!("({theta:.12})")));
     }
     let mut sep = " ";
     for q in controls.iter().chain(targets) {
@@ -95,6 +105,21 @@ mod tests {
         assert!(qasm.contains("cp(0.5"));
         assert!(qasm.contains("c[0] = measure q[2];"));
         assert!(qasm.contains("reset q[1];"));
+    }
+
+    #[test]
+    fn repeated_angles_render_like_fresh_ones() {
+        let mut c = Circuit::new(2);
+        for theta in [0.5, -0.0, 0.5, 0.0, 1.0 / 3.0, -0.0] {
+            c.gate(GateKind::P(theta), &[0], &[1]);
+        }
+        let qasm = circuit_to_qasm(&c);
+        let angles: Vec<&str> =
+            qasm.lines().filter_map(|l| l.strip_prefix("cp(")?.split(')').next()).collect();
+        let fresh: Vec<String> =
+            [0.5, -0.0, 0.5, 0.0, 1.0 / 3.0, -0.0].iter().map(|t| format!("{t:.12}")).collect();
+        assert_eq!(angles, fresh);
+        assert_eq!(angles[1], "-0.000000000000", "signed zero keeps its sign");
     }
 
     #[test]

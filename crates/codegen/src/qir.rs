@@ -52,6 +52,8 @@ fn circuit_to_base_qir(circuit: &Circuit, entry: &str) -> String {
     out.push_str("%Qubit = type opaque\n%Result = type opaque\n\n");
     let _ = writeln!(out, "define void @{entry}() #0 {{");
     out.push_str("entry:\n");
+    // Rendered angles by bit pattern (see `circuit_to_qasm`).
+    let mut angles: HashMap<u64, String> = HashMap::new();
     for op in &circuit.ops {
         match op {
             CircuitOp::Gate { gate, controls, targets } => {
@@ -59,7 +61,11 @@ fn circuit_to_base_qir(circuit: &Circuit, entry: &str) -> String {
                 let _ = write!(out, "  call void @__quantum__qis__{name}__{suffix}(");
                 let mut sep = "";
                 if let Some(theta) = gate.param() {
-                    let _ = write!(out, "double {theta:.15}");
+                    out.push_str(
+                        angles
+                            .entry(theta.to_bits())
+                            .or_insert_with(|| format!("double {theta:.15}")),
+                    );
                     sep = ", ";
                 }
                 for q in controls.iter().chain(targets) {

@@ -91,6 +91,7 @@ fn main() -> ExitCode {
         // positive.
         harness = harness.with_lints();
     }
+    let persisting = cache_dir.is_some();
     if let Some(dir) = cache_dir {
         println!("difftest: persisting artifacts under {dir}");
         harness = harness.with_disk_cache(dir);
@@ -144,6 +145,14 @@ fn main() -> ExitCode {
         cache.artifact_coalesced,
         cache.artifact_hits + cache.artifact_coalesced + cache.artifact_misses,
     );
+    if persisting {
+        // A repeat sweep revives only what survived the directory's
+        // capacity bound; writes far above it mean most artifacts did not.
+        println!(
+            "session disk cache: {} hits, {} misses, {} writes, {} evictions",
+            cache.disk_hits, cache.disk_misses, cache.disk_writes, cache.disk_evictions,
+        );
+    }
     // Routing overhead per hardware-targeted configuration, rendered
     // through the resource estimator's SWAP/depth summary.
     for config in report.configs.iter().filter(|c| c.routing.routed_cases > 0) {

@@ -225,6 +225,19 @@ pub struct RewriteStats {
 /// wrapper chain to its `func_const`, however long) stay within three
 /// hops.
 ///
+/// # Dead entries
+///
+/// An erase moves no other op. The erased op stays in the function's entry
+/// block as a dead entry, and the driver drops every dead entry at once
+/// when the run ends. A nested block is compacted at the end of each
+/// firing instead, so an op's regions never hold a dead entry and a
+/// pattern may copy a region-bearing op whole. During a run,
+/// [`Rewriter::block`] and [`Rewriter::func`] may therefore show dead
+/// entries in the entry block. A pattern reaches other ops only through
+/// [`Rewriter::op`], [`Rewriter::find_def`] and [`Rewriter::single_user`],
+/// which never return one, and never by scanning the block or offsetting a
+/// position. Every stock pattern reads this way.
+///
 /// # Example
 ///
 /// ```
@@ -402,13 +415,15 @@ impl<'a> Rewriter<'a> {
         &self.block().ops[self.root_idx]
     }
 
-    /// The block containing the root op.
+    /// The block containing the root op. It may hold dead entries; see
+    /// [`RewritePattern`].
     pub fn block(&self) -> &Block {
         self.assert_clean();
         self.func.block_at(self.path)
     }
 
-    /// The function being rewritten.
+    /// The function being rewritten. Its entry block may hold dead
+    /// entries; see [`RewritePattern`].
     pub fn func(&self) -> &Func {
         self.assert_clean();
         self.func
@@ -526,7 +541,7 @@ struct BlockData {
     /// `(owning op slot, region index, block index)`; `None` for the entry
     /// block.
     parent: Option<(SlotId, usize, usize)>,
-    /// Slot ids parallel to the block's ops.
+    /// Slot ids parallel to the block's ops, dead entries included.
     slots: Vec<SlotId>,
 }
 
@@ -620,6 +635,50 @@ impl FuncIndex {
         }
     }
 
+    /// Drops the dead entries of `block` (indexed as `bid`), keeping the
+    /// survivors' order, and renumbers their positions.
+    fn compact(&mut self, block: &mut Block, bid: BlockId) {
+        let FuncIndex { slots, blocks, .. } = self;
+        let ids = &mut blocks[bid].slots;
+        let mut live = ids.iter().map(|&s| slots[s].live);
+        block.ops.retain(|_| live.next().expect("one slot per op"));
+        ids.retain(|&s| slots[s].live);
+        for (pos, &s) in ids.iter().enumerate() {
+            slots[s].pos = pos;
+        }
+    }
+
+    /// Where a live slot sits in the function with its dead entries
+    /// dropped: `(preorder block number in Func::block_paths, op index)`.
+    /// O(func); the firing trace is its only user.
+    fn live_location(&self, slot: SlotId) -> (usize, usize) {
+        let SlotData { block, pos, .. } = self.slots[slot];
+        let block_no =
+            self.block_number(0, block, &mut 0).expect("a live slot's block is reachable");
+        let idx = self.blocks[block].slots[..pos].iter().filter(|&&s| self.slots[s].live).count();
+        (block_no, idx)
+    }
+
+    /// Numbers `bid` and the blocks nested under its live ops in preorder,
+    /// starting from `*next`; returns the number of `target` once reached.
+    fn block_number(&self, bid: BlockId, target: BlockId, next: &mut usize) -> Option<usize> {
+        if bid == target {
+            return Some(*next);
+        }
+        *next += 1;
+        for &slot in &self.blocks[bid].slots {
+            if !self.slots[slot].live {
+                continue;
+            }
+            for &(_, child) in &self.slots[slot].children {
+                if let Some(number) = self.block_number(child, target, next) {
+                    return Some(number);
+                }
+            }
+        }
+        None
+    }
+
     fn use_count(&self, v: Value) -> usize {
         self.users.get(v.index()).map(Vec::len).unwrap_or(0)
     }
@@ -705,7 +764,7 @@ struct AppliedChange {
 
 /// Applies a queued mutation log to `func` (root block at `path`),
 /// keeping `index` in sync. Edits address pre-firing indices; application
-/// order is replaces, erases, then RAUWs.
+/// order is replaces, erases (in place, as dead entries), then RAUWs.
 fn apply_mutations(
     func: &mut Func,
     path: &BlockPath,
@@ -748,16 +807,12 @@ fn apply_mutations(
         change.created.extend(first_new..index.slots.len());
     }
 
-    // 2. Erases, descending so indices stay valid.
-    for &idx in erases.iter().rev() {
-        let old = func.block_at_mut(path).ops.remove(idx);
+    // 2. Erases: each erased op stays where it is as a dead entry, so no
+    //    position moves.
+    for &idx in &erases {
+        let old = &func.block_at(path).ops[idx];
         change.touched.extend(old.operands.iter().chain(old.results.iter()));
-        let slot = index.blocks[bid].slots.remove(idx);
-        index.unindex_op(&old, slot);
-        for i in idx..index.blocks[bid].slots.len() {
-            let s = index.blocks[bid].slots[i];
-            index.slots[s].pos -= 1;
-        }
+        index.unindex_op(old, index.blocks[bid].slots[idx]);
     }
 
     // 3. RAUWs, in queued order.
@@ -770,6 +825,12 @@ fn apply_mutations(
         index.replace_all_uses(func, from, to);
     }
 
+    // A nested block is compacted at once: a pattern may copy a whole
+    // region-bearing op (the if-pushdowns clone an `scf.if`), and the copy
+    // must not carry dead entries. Only the entry block defers.
+    if !erases.is_empty() && index.blocks[bid].parent.is_some() {
+        index.compact(func.block_at_mut(path), bid);
+    }
     change
 }
 
@@ -867,15 +928,14 @@ impl GreedyRewriteDriver {
                         }
                         let log = rw.into_log();
                         if self.config.trace {
-                            // Preorder block number in `Func::block_paths`
-                            // (O(func), trace-only).
-                            let block_no = func
-                                .block_paths()
-                                .iter()
-                                .position(|p| *p == path)
-                                .unwrap_or(usize::MAX);
-                            let line =
-                                format!("{} @ {}:{}:{}", pattern.name(), func_name, block_no, idx);
+                            let (block_no, live_idx) = index.live_location(slot);
+                            let line = format!(
+                                "{} @ {}:{}:{}",
+                                pattern.name(),
+                                func_name,
+                                block_no,
+                                live_idx
+                            );
                             eprintln!("[rewrite] {line}");
                             self.stats.trace.push(line);
                         }
@@ -941,6 +1001,8 @@ impl GreedyRewriteDriver {
                 );
             }
         }
+        // The entry block (block 0) is the one block holding dead entries.
+        index.compact(&mut func.body, 0);
         fires
     }
 }
@@ -1312,6 +1374,142 @@ mod tests {
         let func = module.func("g").unwrap();
         let then = &func.body.ops[0].regions[0].blocks[0];
         assert_eq!(then.ops.len(), 2, "folded const + yield:\n{func}");
+    }
+
+    /// Erases `fneg(fneg(x))` (the inner `fneg` single-use) and rewires
+    /// its users to `x`: two erasures per firing.
+    struct FoldDoubleFNeg;
+
+    impl RewritePattern for FoldDoubleFNeg {
+        fn name(&self) -> &'static str {
+            "fold-double-fneg"
+        }
+
+        fn match_and_rewrite(&self, rw: &mut Rewriter<'_>) -> bool {
+            let op = rw.op();
+            if !matches!(op.kind, OpKind::FNeg) {
+                return false;
+            }
+            let (inner, result) = (op.operands[0], op.results[0]);
+            let Some((inner_idx, _)) = rw.find_def(inner) else { return false };
+            let inner_op = &rw.block().ops[inner_idx];
+            if !matches!(inner_op.kind, OpKind::FNeg) || rw.use_count(inner) != 1 {
+                return false;
+            }
+            let original = inner_op.operands[0];
+            rw.erase_op(inner_idx);
+            rw.erase_root();
+            rw.replace_all_uses(result, original);
+            true
+        }
+    }
+
+    /// `chains` rounds of `n = fneg(fneg(acc)); acc = fmul(n, x)` from
+    /// `acc = x`; returns the final `acc`.
+    fn push_fneg_chains(bb: &mut crate::func::BlockBuilder<'_>, x: Value, chains: usize) -> Value {
+        let mut acc = x;
+        for _ in 0..chains {
+            let n1 = bb.push(OpKind::FNeg, vec![acc], vec![Type::F64])[0];
+            let n2 = bb.push(OpKind::FNeg, vec![n1], vec![Type::F64])[0];
+            acc = bb.push(OpKind::FMul, vec![n2, x], vec![Type::F64])[0];
+        }
+        acc
+    }
+
+    /// Checks that `ops` are `chains` fmuls threading `acc` from `x`,
+    /// followed by `tail` other ops.
+    fn assert_fmul_chain(ops: &[Op], x: Value, chains: usize, tail: usize) {
+        assert_eq!(ops.len(), chains + tail, "{ops:?}");
+        let mut acc = x;
+        for op in &ops[..chains] {
+            assert_eq!((&op.kind, op.operands.as_slice()), (&OpKind::FMul, [acc, x].as_slice()));
+            acc = op.results[0];
+        }
+    }
+
+    /// Never fires; records how many ops the then-region of the `scf.if`
+    /// feeding an `fadd` holds when a pattern reads it.
+    struct RegionProbe(std::rc::Rc<std::cell::Cell<Option<usize>>>);
+
+    impl RewritePattern for RegionProbe {
+        fn name(&self) -> &'static str {
+            "region-probe"
+        }
+
+        fn match_and_rewrite(&self, rw: &mut Rewriter<'_>) -> bool {
+            let op = rw.op();
+            if matches!(op.kind, OpKind::FAdd) {
+                if let Some((if_idx, _)) = rw.find_def(op.operands[1]) {
+                    let if_op = &rw.block().ops[if_idx];
+                    self.0.set(Some(if_op.regions[0].blocks[0].ops.len()));
+                }
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn erasures_at_top_level_and_in_regions_leave_no_dead_entries() {
+        let (top, nested) = (40, 30);
+        let mut b = FuncBuilder::new(
+            "e",
+            FuncType::new(vec![Type::I1, Type::F64], vec![Type::F64], false),
+            Visibility::Public,
+        );
+        let (cond, x) = (b.args()[0], b.args()[1]);
+        let mut bb = b.block();
+        let acc = push_fneg_chains(&mut bb, x, top);
+        let then_block = bb.subblock(vec![], |sb| {
+            let inner = push_fneg_chains(sb, x, nested);
+            sb.push(OpKind::Yield, vec![inner], vec![]);
+        });
+        let else_block = bb.subblock(vec![], |sb| {
+            sb.push(OpKind::Yield, vec![x], vec![]);
+        });
+        let r = bb.push_with_regions(
+            OpKind::ScfIf,
+            vec![cond],
+            vec![Type::F64],
+            vec![
+                crate::block::Region::single(then_block),
+                crate::block::Region::single(else_block),
+            ],
+        )[0];
+        let sum = bb.push(OpKind::FAdd, vec![acc, r], vec![Type::F64]);
+        bb.push(OpKind::Return, sum, vec![]);
+        let mut module = Module::new();
+        module.add_func(b.finish());
+
+        let config = RewriteConfig::default().with_trace(true);
+        let probe = std::rc::Rc::new(std::cell::Cell::new(None));
+        let mut set = PatternSet::new();
+        set.add(Box::new(FoldDoubleFNeg));
+        set.add(Box::new(RegionProbe(probe.clone())));
+        let mut driver = GreedyRewriteDriver::with_config(set, config);
+        assert_eq!(driver.run(&mut module), top + nested);
+        crate::verify::verify_module(&module).unwrap();
+        // Mid-run, after its erasures, the region already held only live
+        // ops: a pattern copying the `scf.if` would copy no dead entry.
+        assert_eq!(probe.get(), Some(nested + 1));
+
+        // Survivors keep their order and no dead entry remains, at the top
+        // level and inside the region.
+        let func = module.func("e").unwrap();
+        assert_fmul_chain(&func.body.ops, x, top, 3);
+        assert!(matches!(func.body.ops[top].kind, OpKind::ScfIf));
+        assert_fmul_chain(&func.body.ops[top].regions[0].blocks[0].ops, x, nested, 1);
+
+        // Trace positions count live ops only: the k-th firing sits after
+        // the k fmuls the earlier firings left.
+        let expected: Vec<String> = (0..top)
+            .map(|k| format!("fold-double-fneg @ e:0:{}", k + 1))
+            .chain((0..nested).map(|k| format!("fold-double-fneg @ e:1:{}", k + 1)))
+            .collect();
+        assert_eq!(driver.stats.trace, expected);
+
+        let mut patterns = PatternSet::new();
+        patterns.add(Box::new(FoldDoubleFNeg));
+        assert_fixpoint(&mut module, patterns);
     }
 
     /// Rewrites that cascade: P-gate-style chained folds where each fold

@@ -191,44 +191,58 @@ fn embed_in_place(xag: &Xag) -> Result<Embedding, String> {
 /// Greedy scheduler for in-place operand realization: returns the
 /// realization order with chosen pivots, or the blocked operand set on
 /// deadlock. Operands in `scratch_ops` are excluded (they use scratch
-/// lines).
+/// lines). Each support lists distinct wires, as parity supports do.
 ///
 /// Heuristic: among schedulable operands (support disjoint from used
 /// pivots), prefer one with a *free* pivot — a support wire no other
 /// pending operand reads — since realizing it cannot block anyone. An
 /// operand without a free pivot is deferred as long as possible.
+///
+/// A used-pivot bitmap answers "schedulable?", a per-wire count of pending
+/// readers answers "free?" (a wire is free for `k` when `k` is its only
+/// pending reader), and each round stops at the first operand that
+/// qualifies, so a round costs only the supports it reads.
 fn schedule_in_place(
     supports: &[(Vec<usize>, bool)],
     scratch_ops: &[usize],
 ) -> Result<Vec<(usize, usize)>, Vec<usize>> {
-    let mut pending: Vec<usize> =
-        (0..supports.len()).filter(|k| !scratch_ops.contains(k)).collect();
-    let mut used_pivots: Vec<usize> = Vec::new();
-    let mut order: Vec<(usize, usize)> = Vec::new();
-    while !pending.is_empty() {
-        let schedulable: Vec<usize> = pending
-            .iter()
-            .copied()
-            .filter(|&k| supports[k].0.iter().all(|w| !used_pivots.contains(w)))
-            .collect();
-        if schedulable.is_empty() {
-            return Err(pending);
+    let wires = supports.iter().flat_map(|(support, _)| support).max().map_or(0, |&w| w + 1);
+    let mut is_scratch = vec![false; supports.len()];
+    for &k in scratch_ops {
+        is_scratch[k] = true;
+    }
+    let mut pending: Vec<usize> = (0..supports.len()).filter(|&k| !is_scratch[k]).collect();
+    let mut readers = vec![0u32; wires];
+    for &k in &pending {
+        for &w in &supports[k].0 {
+            readers[w] += 1;
         }
-        let free_pivot =
-            |k: usize| -> Option<usize> {
-                supports[k].0.iter().copied().find(|w| {
-                    !pending.iter().any(|&other| other != k && supports[other].0.contains(w))
-                })
-            };
-        let (op_idx, pivot) =
-            schedulable.iter().copied().find_map(|k| free_pivot(k).map(|p| (k, p))).unwrap_or_else(
-                || {
-                    let k = schedulable[0];
-                    (k, supports[k].0[0])
-                },
-            );
-        pending.retain(|&k| k != op_idx);
-        used_pivots.push(pivot);
+    }
+    let mut used = vec![false; wires];
+    let mut order: Vec<(usize, usize)> = Vec::with_capacity(pending.len());
+    while !pending.is_empty() {
+        // (position in `pending`, operand, pivot)
+        let mut first_schedulable = None;
+        let mut free = None;
+        for (at, &k) in pending.iter().enumerate() {
+            let support = &supports[k].0;
+            if support.iter().any(|&w| used[w]) {
+                continue;
+            }
+            if let Some(&w) = support.iter().find(|&&w| readers[w] == 1) {
+                free = Some((at, k, w));
+                break;
+            }
+            first_schedulable.get_or_insert((at, k, support[0]));
+        }
+        let Some((at, op_idx, pivot)) = free.or(first_schedulable) else {
+            return Err(pending);
+        };
+        pending.remove(at);
+        for &w in &supports[op_idx].0 {
+            readers[w] -= 1;
+        }
+        used[pivot] = true;
         order.push((op_idx, pivot));
     }
     Ok(order)
@@ -305,6 +319,7 @@ fn embed_per_node(xag: &Xag) -> Result<Embedding, String> {
 mod tests {
     use super::*;
     use crate::xag::Signal;
+    use proptest::prelude::*;
 
     /// Checks an embedding against direct network evaluation on every
     /// input, including the y-accumulation and ancilla-restoration
@@ -425,6 +440,114 @@ mod tests {
         g.set_outputs(vec![out]);
         let emb = check(&g, EmbedStyle::InPlaceXor);
         assert_eq!(emb.ancilla_lines.len(), g.live_and_nodes().len());
+    }
+
+    #[test]
+    fn wide_and_reduce_embeds_to_the_small_shape() {
+        // Compute MCX, copy CNOT, uncompute MCX, whatever the width.
+        let shape = |n: usize| {
+            let emb = embed_xor(&and_reduce(n), EmbedStyle::InPlaceXor).unwrap();
+            let gates = &emb.circuit.gates;
+            assert_eq!(gates.len(), 3, "n={n}");
+            let ancilla = emb.ancilla_lines[0];
+            let controls: Vec<usize> = gates[0].controls.iter().map(|&(line, _)| line).collect();
+            assert_eq!(controls, emb.input_lines, "n={n}: the MCX reads every input in place");
+            assert_eq!(gates[0].target, ancilla);
+            assert_eq!(gates[1], McxGate::cnot(ancilla, emb.output_lines[0]));
+            assert_eq!(gates[2], gates[0]);
+            (emb.ancilla_lines.len(), gates.iter().map(|g| g.controls.len()).collect::<Vec<_>>())
+        };
+        assert_eq!(shape(4), (1, vec![4, 1, 4]));
+        assert_eq!(shape(1024), (1, vec![1024, 1, 1024]));
+    }
+
+    /// The quadratic-scan scheduler the bitmap-and-count one replaced,
+    /// kept as the reference its decisions must match.
+    fn schedule_in_place_reference(
+        supports: &[(Vec<usize>, bool)],
+        scratch_ops: &[usize],
+    ) -> Result<Vec<(usize, usize)>, Vec<usize>> {
+        let mut pending: Vec<usize> =
+            (0..supports.len()).filter(|k| !scratch_ops.contains(k)).collect();
+        let mut used_pivots: Vec<usize> = Vec::new();
+        let mut order: Vec<(usize, usize)> = Vec::new();
+        while !pending.is_empty() {
+            let schedulable: Vec<usize> = pending
+                .iter()
+                .copied()
+                .filter(|&k| supports[k].0.iter().all(|w| !used_pivots.contains(w)))
+                .collect();
+            if schedulable.is_empty() {
+                return Err(pending);
+            }
+            let free_pivot = |k: usize| -> Option<usize> {
+                supports[k].0.iter().copied().find(|w| {
+                    !pending.iter().any(|&other| other != k && supports[other].0.contains(w))
+                })
+            };
+            let (op_idx, pivot) = schedulable
+                .iter()
+                .copied()
+                .find_map(|k| free_pivot(k).map(|p| (k, p)))
+                .unwrap_or_else(|| {
+                    let k = schedulable[0];
+                    (k, supports[k].0[0])
+                });
+            pending.retain(|&k| k != op_idx);
+            used_pivots.push(pivot);
+            order.push((op_idx, pivot));
+        }
+        Ok(order)
+    }
+
+    /// Runs `embed_in_place`'s demote-and-retry loop with both schedulers,
+    /// asserting they agree at every step; returns the deadlocks seen.
+    fn assert_schedulers_agree(supports: &[(Vec<usize>, bool)], mut scratch: Vec<usize>) -> usize {
+        let mut deadlocks = 0;
+        loop {
+            let expected = schedule_in_place_reference(supports, &scratch);
+            assert_eq!(schedule_in_place(supports, &scratch), expected, "scratch {scratch:?}");
+            match expected {
+                Ok(_) => return deadlocks,
+                Err(blocked) => {
+                    deadlocks += 1;
+                    scratch.push(blocked[0]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_supports_deadlock_like_the_reference() {
+        // Both operands read wires 0 and 1: neither has a free pivot, the
+        // first takes wire 0, and the second is blocked on it.
+        let supports = vec![(vec![0, 1], false), (vec![1, 0], true)];
+        assert_eq!(schedule_in_place(&supports, &[]), Err(vec![1]));
+        assert_eq!(assert_schedulers_agree(&supports, Vec::new()), 1);
+    }
+
+    /// Random supports: up to 12 operands, each a shuffled set of distinct
+    /// wires below `wires` (at most 16), plus a random scratch subset.
+    fn arb_supports() -> impl Strategy<Value = (Vec<(Vec<usize>, bool)>, Vec<usize>)> {
+        (1usize..=16, 1usize..=12).prop_flat_map(|(wires, ops)| {
+            let support = proptest::sample::subsequence((0..wires).collect::<Vec<_>>(), 1..=wires)
+                .prop_shuffle();
+            (
+                proptest::collection::vec((support, any::<bool>()), ops),
+                proptest::sample::subsequence((0..ops).collect::<Vec<_>>(), 0..=ops / 2)
+                    .prop_shuffle(),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+        /// The scheduler makes the reference's decisions: the same order
+        /// and pivots, the same blocked sets, the same scratch demotions.
+        #[test]
+        fn scheduler_matches_the_reference((supports, scratch) in arb_supports()) {
+            assert_schedulers_agree(&supports, scratch);
+        }
     }
 
     #[test]
