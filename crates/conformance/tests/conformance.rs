@@ -9,14 +9,16 @@
 //! GOLDEN_REGEN=1 cargo test -p asdf-conformance
 //! ```
 
+use asdf_baselines::Benchmark;
 use asdf_conformance::{check_golden, corpus, difftest_corpus, example_corpus, TRACE_SEED};
-use asdf_core::{compiled_to_artifact, CompileRequest, Session};
+use asdf_core::{compiled_to_artifact, CompileOptions, CompileRequest, Session};
 use asdf_difftest::gen::{gen_case, GenOptions};
 use asdf_ir::GateKind;
 use asdf_qcircuit::CircuitOp;
 use asdf_sim::trace::{record_trace, replay_divergence, state_digest, Trace};
 use asdf_sim::Simulator;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Every corpus entry's artifact content hash, pinned in one golden
@@ -29,6 +31,62 @@ fn artifact_content_hashes_match_goldens() {
         let _ = writeln!(listing, "{} {:016x}", entry.name, entry.content_hash());
     }
     check_golden("artifact_hashes.txt", &listing);
+}
+
+/// Wide programs, pinned by hash only (their circuits are too wide to
+/// simulate): the artifact content hash and the FNV-1a of the `qasm` and
+/// `qir-base` text of each. Output changes that show only at width —
+/// decomposition ancillas, routing on a large grid, emitters over
+/// thousands of gates — fail here.
+#[test]
+fn wide_output_hashes_match_goldens() {
+    let suite = |n: usize, family: &str| {
+        Benchmark::paper_suite(n)
+            .into_iter()
+            .find_map(|(name, benchmark)| (name == family).then_some(benchmark))
+            .expect("the paper suite holds every family")
+    };
+    let plus = (
+        "qpu kernel[N]() -> bit[N] { 'p'[N] | std[N].measure }".to_string(),
+        "kernel",
+        Vec::new(),
+        HashMap::from([("N".to_string(), 4096)]),
+    );
+    let grid = Some("grid-16x16");
+    let programs = [
+        ("bv512", asdf_bench::qwerty_program(&suite(512, "bv")), None),
+        ("dj256", asdf_bench::qwerty_program(&suite(256, "dj")), None),
+        ("simon256", asdf_bench::qwerty_program(&suite(256, "simon")), None),
+        (
+            "grover256x2",
+            asdf_bench::qwerty_program(&Benchmark::Grover { n: 256, iterations: 2 }),
+            None,
+        ),
+        ("period64", asdf_bench::qwerty_program(&suite(64, "period")), None),
+        ("p4096", plus, None),
+        ("simon128@grid-16x16", asdf_bench::qwerty_program(&suite(128, "simon")), grid),
+        ("period64@grid-16x16", asdf_bench::qwerty_program(&suite(64, "period")), grid),
+    ];
+    let mut listing = String::new();
+    for (name, (source, kernel, captures, dims), target) in programs {
+        let mut options = CompileOptions { dims, ..CompileOptions::default() };
+        options.target = target.map(str::to_string);
+        let session = Session::new(&source).expect("wide program parses");
+        let request = CompileRequest::kernel(kernel).with_captures(&captures).with_options(options);
+        let compiled = session.compile(&request).expect("wide program compiles");
+        let emitted = |backend: &str| {
+            let text = session.emit(&compiled, backend).expect("wide program emits");
+            asdf_artifact::fnv1a(text.as_bytes())
+        };
+        let _ = writeln!(
+            listing,
+            "{name} artifact {:016x} qasm {:016x} qir-base {:016x}",
+            compiled_to_artifact(&compiled, Vec::new()).content_hash(),
+            emitted("qasm"),
+            emitted("qir-base"),
+        );
+    }
+    check_golden("wide_hashes.txt", &listing);
 }
 
 /// Every static-circuit corpus entry's seeded execution trace, replayed
