@@ -6,6 +6,7 @@
 //! bytes; corruption surfaces as a value the caller can match on,
 //! render, or turn into a compiler diagnostic (the `E0106` code).
 
+use asdf_qcircuit::CircuitError;
 use std::fmt;
 
 /// The stable diagnostic code shared by every artifact decode failure.
@@ -85,6 +86,14 @@ pub enum ArtifactError {
         /// What invariant was violated.
         context: &'static str,
     },
+    /// A decoded circuit op that [`asdf_qcircuit::Circuit`] rejects (a
+    /// qubit out of range or repeated, or a wrong target count).
+    InvalidCircuitOp {
+        /// The op's position in the circuit.
+        index: usize,
+        /// Why the circuit rejects it.
+        error: CircuitError,
+    },
     /// An I/O failure around artifact storage (e.g. the cache directory
     /// cannot be created). Carries the rendered OS error.
     Io(String),
@@ -155,6 +164,9 @@ impl fmt::Display for ArtifactError {
             }
             ArtifactError::Invalid { context } => {
                 write!(f, "corrupt artifact: invalid {context}")
+            }
+            ArtifactError::InvalidCircuitOp { index, error } => {
+                write!(f, "corrupt artifact: circuit op {index}: {error}")
             }
             ArtifactError::Io(message) => {
                 write!(f, "artifact storage i/o error: {message}")

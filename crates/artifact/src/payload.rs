@@ -586,12 +586,12 @@ fn decode_basis_vector(d: &mut Decoder<'_>) -> Result<BasisVector, ArtifactError
 /// Encodes a lowered circuit.
 pub fn encode_circuit(e: &mut Encoder, circuit: &Circuit) {
     e.usize(circuit.num_qubits);
-    e.usize(circuit.ops.len());
-    for op in &circuit.ops {
+    e.usize(circuit.ops().len());
+    for op in circuit.ops() {
         match op {
             CircuitOp::Gate { gate, controls, targets } => {
                 e.u8(0);
-                encode_gate(e, gate);
+                encode_gate(e, &gate);
                 e.usize(controls.len());
                 for c in controls {
                     e.usize(*c);
@@ -603,36 +603,40 @@ pub fn encode_circuit(e: &mut Encoder, circuit: &Circuit) {
             }
             CircuitOp::Measure { qubit, bit } => {
                 e.u8(1);
-                e.usize(*qubit);
-                e.usize(*bit);
+                e.usize(qubit);
+                e.usize(bit);
             }
             CircuitOp::Reset { qubit } => {
                 e.u8(2);
-                e.usize(*qubit);
+                e.usize(qubit);
             }
         }
     }
 }
 
-/// Decodes a lowered circuit.
+/// Decodes a lowered circuit, checking every op as
+/// [`Circuit::try_push`] does: qubits in range, none repeated within a
+/// gate, and the gate's target count.
 pub fn decode_circuit(d: &mut Decoder<'_>) -> Result<Circuit, ArtifactError> {
     let num_qubits = d.usize("circuit qubits")?;
     let op_count = d.count(1, "circuit ops")?;
-    let mut ops = Vec::with_capacity(op_count);
-    for _ in 0..op_count {
+    let mut circuit = Circuit::new(num_qubits);
+    // One buffer for each gate's controls, then its targets.
+    let mut qubits: Vec<usize> = Vec::new();
+    for index in 0..op_count {
         let op = match d.u8("circuit op")? {
             0 => {
                 let gate = decode_gate(d)?;
+                qubits.clear();
                 let control_count = d.count(8, "gate control list")?;
-                let mut controls = Vec::with_capacity(control_count);
                 for _ in 0..control_count {
-                    controls.push(d.usize("gate control")?);
+                    qubits.push(d.usize("gate control")?);
                 }
                 let target_count = d.count(8, "gate target list")?;
-                let mut targets = Vec::with_capacity(target_count);
                 for _ in 0..target_count {
-                    targets.push(d.usize("gate target")?);
+                    qubits.push(d.usize("gate target")?);
                 }
+                let (controls, targets) = qubits.split_at(control_count);
                 CircuitOp::Gate { gate, controls, targets }
             }
             1 => CircuitOp::Measure {
@@ -644,9 +648,9 @@ pub fn decode_circuit(d: &mut Decoder<'_>) -> Result<Circuit, ArtifactError> {
                 return Err(ArtifactError::BadTag { context: "circuit op", tag: u64::from(tag) })
             }
         };
-        ops.push(op);
+        circuit.try_push(op).map_err(|error| ArtifactError::InvalidCircuitOp { index, error })?;
     }
-    Ok(Circuit { num_qubits, ops })
+    Ok(circuit)
 }
 
 /// Encodes routing telemetry.
@@ -793,4 +797,90 @@ pub fn decode_lints(d: &mut Decoder<'_>) -> Result<Vec<Diagnostic>, ArtifactErro
         lints.push(Diagnostic { code, severity, message, labels, notes });
     }
     Ok(lints)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asdf_qcircuit::CircuitError;
+
+    /// `CX(0 -> 1); measure q0 -> c0; reset q1` on two qubits, encoded. Byte
+    /// offsets: the CX's gate tag at 17, its control at 26 and its target
+    /// at 42; the measured qubit at 51; the reset qubit at 68.
+    fn encoded() -> Vec<u8> {
+        let mut circuit = Circuit::new(2);
+        circuit.gate(GateKind::X, &[0], &[1]);
+        circuit.measure(0, 0);
+        circuit.reset(1);
+        let mut e = Encoder::new();
+        encode_circuit(&mut e, &circuit);
+        let bytes = e.into_bytes();
+        let decoded = decode_circuit(&mut Decoder::new(&bytes)).expect("clean bytes decode");
+        assert_eq!(decoded, circuit);
+        bytes
+    }
+
+    /// Decodes the circuit with the 8-byte word at `offset` set to `value`.
+    fn decode_patched(offset: usize, value: u64) -> Result<Circuit, ArtifactError> {
+        let mut bytes = encoded();
+        bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        decode_circuit(&mut Decoder::new(&bytes))
+    }
+
+    #[test]
+    fn out_of_range_gate_qubits_are_rejected() {
+        assert_eq!(
+            decode_patched(42, 5),
+            Err(ArtifactError::InvalidCircuitOp {
+                index: 0,
+                error: CircuitError::QubitOutOfRange { qubit: 5 }
+            })
+        );
+    }
+
+    #[test]
+    fn repeated_gate_qubits_are_rejected() {
+        assert_eq!(
+            decode_patched(26, 1),
+            Err(ArtifactError::InvalidCircuitOp {
+                index: 0,
+                error: CircuitError::DuplicateQubit { qubit: 1 }
+            })
+        );
+    }
+
+    #[test]
+    fn wrong_target_counts_are_rejected() {
+        // The CX becomes a controlled SWAP with a single target.
+        let mut bytes = encoded();
+        bytes[17] = 14;
+        let err = decode_circuit(&mut Decoder::new(&bytes)).unwrap_err();
+        assert_eq!(
+            err,
+            ArtifactError::InvalidCircuitOp {
+                index: 0,
+                error: CircuitError::TargetArity { gate: GateKind::Swap, targets: 1 }
+            }
+        );
+        assert_eq!(err.code(), "E0106");
+        assert!(err.to_string().contains("circuit op 0: target arity for"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_measure_and_reset_qubits_are_rejected() {
+        assert_eq!(
+            decode_patched(51, 2),
+            Err(ArtifactError::InvalidCircuitOp {
+                index: 1,
+                error: CircuitError::QubitOutOfRange { qubit: 2 }
+            })
+        );
+        assert_eq!(
+            decode_patched(68, 7),
+            Err(ArtifactError::InvalidCircuitOp {
+                index: 2,
+                error: CircuitError::QubitOutOfRange { qubit: 7 }
+            })
+        );
+    }
 }

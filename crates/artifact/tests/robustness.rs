@@ -13,7 +13,7 @@ use asdf_ir::{
     Block, Func, FuncType, GateKind, Module, Op, OpKind, PassStat, PassStatistics, Region, SrcSpan,
     Type, Visibility,
 };
-use asdf_qcircuit::{Circuit, CircuitOp};
+use asdf_qcircuit::Circuit;
 use asdf_target::RoutingInfo;
 use std::time::Duration;
 
@@ -90,20 +90,12 @@ fn sample_artifact() -> Artifact {
     helper.body = Block { args: vec![hq], ops: vec![Op::new(OpKind::Return, vec![hq], vec![])] };
     module.add_func(helper);
 
-    let circuit = Circuit {
-        num_qubits: 2,
-        ops: vec![
-            CircuitOp::Gate { gate: GateKind::H, controls: vec![], targets: vec![0] },
-            CircuitOp::Gate { gate: GateKind::X, controls: vec![0], targets: vec![1] },
-            CircuitOp::Gate {
-                gate: GateKind::Rz(std::f64::consts::FRAC_PI_3),
-                controls: vec![],
-                targets: vec![1],
-            },
-            CircuitOp::Measure { qubit: 0, bit: 0 },
-            CircuitOp::Reset { qubit: 1 },
-        ],
-    };
+    let mut circuit = Circuit::new(2);
+    circuit.gate(GateKind::H, &[], &[0]);
+    circuit.gate(GateKind::X, &[0], &[1]);
+    circuit.gate(GateKind::Rz(std::f64::consts::FRAC_PI_3), &[], &[1]);
+    circuit.measure(0, 0);
+    circuit.reset(1);
     let routing = RoutingInfo {
         target: "linear-16".into(),
         initial_layout: vec![3, 1],

@@ -35,7 +35,7 @@ pub fn optimize(circuit: &Circuit) -> Circuit {
         report.converged,
         "transpiler failed to converge within {MAX_OPTIMIZE_PASSES} passes \
          ({} ops remain) — a pass pair is oscillating",
-        report.circuit.ops.len()
+        report.circuit.ops().len()
     );
     report.circuit
 }
@@ -56,28 +56,29 @@ pub fn optimize_report(circuit: &Circuit) -> OptimizeReport {
 }
 
 fn one_pass(circuit: &Circuit) -> Circuit {
-    let mut out: Vec<CircuitOp> = Vec::with_capacity(circuit.ops.len());
+    // Views of the surviving ops: merging rewrites a view's gate, and every
+    // view's qubits stay those of an input op.
+    let mut out: Vec<CircuitOp<'_>> = Vec::with_capacity(circuit.ops().len());
     // last_touch[q] = index in `out` of the last op touching qubit q.
     let mut last_touch: Vec<Option<usize>> = vec![None; circuit.num_qubits];
 
-    for op in &circuit.ops {
-        let qubits = op.qubits();
+    for op in circuit.ops() {
         let candidate = match op {
             CircuitOp::Gate { gate, controls, targets } => {
                 // All touched qubits must point at one previous gate with
                 // identical structure.
-                let prev_idx = qubits
-                    .iter()
-                    .map(|&q| last_touch[q])
-                    .collect::<Option<Vec<usize>>>()
-                    .and_then(|idxs| idxs.windows(2).all(|w| w[0] == w[1]).then(|| idxs[0]));
-                prev_idx.and_then(|idx| match &out[idx] {
+                let mut touches = op.qubits().map(|q| last_touch[q]);
+                let prev_idx = match touches.next() {
+                    Some(Some(first)) if touches.all(|t| t == Some(first)) => Some(first),
+                    _ => None,
+                };
+                prev_idx.and_then(|idx| match out[idx] {
                     CircuitOp::Gate {
                         gate: prev_gate,
                         controls: prev_controls,
                         targets: prev_targets,
                     } if prev_controls == controls && prev_targets == targets => {
-                        merge(*prev_gate, *gate).map(|merged| (idx, merged))
+                        merge(prev_gate, gate).map(|merged| (idx, merged))
                     }
                     _ => None,
                 })
@@ -97,12 +98,12 @@ fn one_pass(circuit: &Circuit) -> Circuit {
                     };
                 }
                 // Recompute last-touch for the removed gate's qubits.
-                for &q in &qubits {
+                for q in op.qubits() {
                     last_touch[q] = out
                         .iter()
                         .enumerate()
                         .rev()
-                        .find(|(_, o)| o.qubits().contains(&q))
+                        .find(|(_, o)| o.qubits().any(|touched| touched == q))
                         .map(|(i, _)| i);
                 }
             }
@@ -113,17 +114,14 @@ fn one_pass(circuit: &Circuit) -> Circuit {
             }
             None => {
                 let idx = out.len();
-                out.push(op.clone());
-                for &q in &qubits {
+                out.push(op);
+                for q in op.qubits() {
                     last_touch[q] = Some(idx);
                 }
             }
         }
     }
-
-    let mut result = Circuit { num_qubits: circuit.num_qubits, ops: out };
-    h_conjugation(&mut result);
-    result
+    h_conjugation(circuit.num_qubits, &out)
 }
 
 /// Combined gate for two adjacent gates on identical qubits; `Some(None)`
@@ -172,39 +170,39 @@ fn merge(first: GateKind, second: GateKind) -> Option<Option<GateKind>> {
     }
 }
 
-/// Rewrites uncontrolled H·X·H → Z and H·Z·H → X runs in place.
-fn h_conjugation(circuit: &mut Circuit) {
+/// Builds the circuit of `ops`, rewriting uncontrolled H·X·H → Z and
+/// H·Z·H → X runs in one left-to-right scan (a rewritten run is not
+/// revisited).
+fn h_conjugation(num_qubits: usize, ops: &[CircuitOp<'_>]) -> Circuit {
+    let single = |op: &CircuitOp<'_>| match *op {
+        CircuitOp::Gate { gate, controls: [], targets: &[t] } => Some((gate, t)),
+        _ => None,
+    };
+    let mut circuit = Circuit::new(num_qubits);
     let mut i = 0;
-    while i + 2 < circuit.ops.len() {
-        let window: Vec<Option<(GateKind, usize)>> = (i..i + 3)
-            .map(|k| match &circuit.ops[k] {
-                CircuitOp::Gate { gate, controls, targets }
-                    if controls.is_empty() && targets.len() == 1 =>
-                {
-                    Some((*gate, targets[0]))
-                }
-                _ => None,
-            })
-            .collect();
-        if let (Some((GateKind::H, a)), Some((mid, b)), Some((GateKind::H, c))) =
-            (window[0], window[1], window[2])
-        {
-            if a == b && b == c {
-                let swapped = match mid {
-                    GateKind::X => Some(GateKind::Z),
-                    GateKind::Z => Some(GateKind::X),
-                    _ => None,
-                };
-                if let Some(gate) = swapped {
-                    circuit.ops[i] = CircuitOp::Gate { gate, controls: vec![], targets: vec![a] };
-                    circuit.ops.remove(i + 2);
-                    circuit.ops.remove(i + 1);
-                    continue;
+    while i < ops.len() {
+        if let [first, mid, last, ..] = &ops[i..] {
+            if let (Some((GateKind::H, a)), Some((mid, b)), Some((GateKind::H, c))) =
+                (single(first), single(mid), single(last))
+            {
+                if a == b && b == c {
+                    let swapped = match mid {
+                        GateKind::X => Some(GateKind::Z),
+                        GateKind::Z => Some(GateKind::X),
+                        _ => None,
+                    };
+                    if let Some(gate) = swapped {
+                        circuit.gate(gate, &[], &[a]);
+                        i += 3;
+                        continue;
+                    }
                 }
             }
         }
+        circuit.push(ops[i]);
         i += 1;
     }
+    circuit
 }
 
 #[cfg(test)]
@@ -228,7 +226,7 @@ mod tests {
         // T T S = Z.
         let opt = optimize(&c);
         assert_eq!(opt.gate_count(), 1);
-        assert!(matches!(opt.ops[0], CircuitOp::Gate { gate: GateKind::Z, .. }));
+        assert!(matches!(opt.ops().next(), Some(CircuitOp::Gate { gate: GateKind::Z, .. })));
     }
 
     #[test]
@@ -248,7 +246,7 @@ mod tests {
         c.gate(GateKind::H, &[], &[0]);
         let opt = optimize(&c);
         assert_eq!(opt.gate_count(), 1);
-        assert!(matches!(opt.ops[0], CircuitOp::Gate { gate: GateKind::Z, .. }));
+        assert!(matches!(opt.ops().next(), Some(CircuitOp::Gate { gate: GateKind::Z, .. })));
     }
 
     #[test]

@@ -78,9 +78,9 @@ fn naive_columns(circuit: &Circuit, inputs: &[usize]) -> Vec<StateVector> {
         .iter()
         .map(|&input| {
             let mut state = StateVector::basis(circuit.num_qubits, input);
-            for op in &circuit.ops {
+            for op in circuit.ops() {
                 if let CircuitOp::Gate { gate, controls, targets } = op {
-                    state.apply_naive(*gate, controls, targets);
+                    state.apply_naive(gate, controls, targets);
                 }
             }
             state
@@ -155,7 +155,7 @@ fn main() {
         println!(
             "single_state {num_qubits:>2}q ({} ops -> {} fused): simd(1t) {:>9.3?} | \
              simd({threads}t) {:>9.3?} (1->{threads}t scaling {scaling:.2}x)",
-            circuit.ops.len(),
+            circuit.ops().len(),
             fused.ops().len(),
             simd,
             simd_mt,
@@ -163,7 +163,7 @@ fn main() {
         grid_points.push(format!(
             "{{\"qubits\": {num_qubits}, \"gates\": {}, \"kernel_ops\": {}, \
              \"simd_ms\": {:.3}, \"simd_mt_ms\": {:.3}, \"scaling\": {scaling:.2}}}",
-            circuit.ops.len(),
+            circuit.ops().len(),
             fused.ops().len(),
             ms(simd),
             ms(simd_mt),

@@ -24,10 +24,10 @@ pub fn circuit_to_qasm(circuit: &Circuit) -> String {
     // Rendered angles by bit pattern: wide programs repeat a few angles
     // across thousands of gates, and formatting a float dominates a line.
     let mut angles: HashMap<u64, String> = HashMap::new();
-    for op in &circuit.ops {
+    for op in circuit.ops() {
         match op {
             CircuitOp::Gate { gate, controls, targets } => {
-                emit_gate(&mut out, &mut angles, *gate, controls, targets);
+                emit_gate(&mut out, &mut angles, gate, controls, targets);
             }
             CircuitOp::Measure { qubit, bit } => {
                 let _ = writeln!(out, "c[{bit}] = measure q[{qubit}];");

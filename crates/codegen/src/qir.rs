@@ -54,10 +54,10 @@ fn circuit_to_base_qir(circuit: &Circuit, entry: &str) -> String {
     out.push_str("entry:\n");
     // Rendered angles by bit pattern (see `circuit_to_qasm`).
     let mut angles: HashMap<u64, String> = HashMap::new();
-    for op in &circuit.ops {
+    for op in circuit.ops() {
         match op {
             CircuitOp::Gate { gate, controls, targets } => {
-                let (name, suffix) = gate_intrinsic(*gate, controls.len());
+                let (name, suffix) = gate_intrinsic(gate, controls.len());
                 let _ = write!(out, "  call void @__quantum__qis__{name}__{suffix}(");
                 let mut sep = "";
                 if let Some(theta) = gate.param() {

@@ -14,7 +14,7 @@ use asdf_conformance::{check_golden, corpus, difftest_corpus, example_corpus, TR
 use asdf_core::{compiled_to_artifact, CompileOptions, CompileRequest, Session};
 use asdf_difftest::gen::{gen_case, GenOptions};
 use asdf_ir::GateKind;
-use asdf_qcircuit::CircuitOp;
+use asdf_qcircuit::{Circuit, CircuitOp};
 use asdf_sim::trace::{record_trace, replay_divergence, state_digest, Trace};
 use asdf_sim::Simulator;
 use proptest::prelude::*;
@@ -170,22 +170,27 @@ fn sabotaged_circuits_are_caught_by_replay() {
     assert_eq!(replay_divergence(&golden, circuit), None, "clean circuit replays clean");
 
     // Flip the first Hadamard into a Z, as a miscompiled pass would.
-    let mut sabotaged = circuit.clone();
-    let step = sabotaged
-        .ops
-        .iter()
+    let step = circuit
+        .ops()
         .position(|op| matches!(op, CircuitOp::Gate { gate: GateKind::H, .. }))
         .expect("quickstart starts in superposition");
-    let CircuitOp::Gate { controls, targets, .. } = sabotaged.ops[step].clone() else {
-        unreachable!()
-    };
-    sabotaged.ops[step] = CircuitOp::Gate { gate: GateKind::Z, controls, targets };
+    let mut sabotaged = Circuit::new(circuit.num_qubits);
+    for (i, mut op) in circuit.ops().enumerate() {
+        if let CircuitOp::Gate { gate, .. } = &mut op {
+            if i == step {
+                *gate = GateKind::Z;
+            }
+        }
+        sabotaged.push(op);
+    }
     let divergence = replay_divergence(&golden, &sabotaged).expect("sabotage must be caught");
     assert_eq!(divergence.step, step, "divergence pinpoints the corrupted step");
 
     // Dropping a trailing op is caught as a length divergence.
-    let mut truncated = circuit.clone();
-    truncated.ops.pop();
+    let mut truncated = Circuit::new(circuit.num_qubits);
+    for op in circuit.ops().take(circuit.ops().len() - 1) {
+        truncated.push(op);
+    }
     assert!(replay_divergence(&golden, &truncated).is_some());
 }
 

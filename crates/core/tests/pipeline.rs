@@ -171,11 +171,7 @@ fn swap_translation_is_swap() {
     let compiled = compile(src, "swapper", vec![]);
     let circuit = compiled.circuit.unwrap();
     // Prepare |01>: measurement must read |10>.
-    let mut with_prep = asdf_qcircuit::Circuit::new(circuit.num_qubits);
-    with_prep.gate(asdf_ir::GateKind::X, &[], &[1]);
-    for op in &circuit.ops {
-        with_prep.ops.push(op.clone());
-    }
+    let with_prep = circuit.with_basis_input(&[false, true]);
     let counts = sample(&with_prep, 8, 5);
     assert_eq!(counts.len(), 1);
     assert!(counts.contains_key("10"), "{counts:?}");
@@ -191,9 +187,7 @@ fn predicated_flip_is_cnot() {
     let compiled = compile(src, "cnot", vec![]);
     let circuit = compiled.circuit.unwrap();
     // |10> -> |11>, |00> -> |00>.
-    let mut flipped = asdf_qcircuit::Circuit::new(circuit.num_qubits);
-    flipped.gate(asdf_ir::GateKind::X, &[], &[0]);
-    flipped.ops.extend(circuit.ops.iter().cloned());
+    let flipped = circuit.with_basis_input(&[true]);
     let counts = sample(&flipped, 8, 5);
     assert_eq!(counts.len(), 1);
     assert!(counts.contains_key("11"), "{counts:?}");
@@ -268,9 +262,7 @@ fn fourier_roundtrip_is_identity() {
     ";
     let compiled = compile(src, "ft", vec![]);
     let circuit = compiled.circuit.unwrap();
-    let mut with_prep = asdf_qcircuit::Circuit::new(circuit.num_qubits);
-    with_prep.gate(asdf_ir::GateKind::X, &[], &[2]);
-    with_prep.ops.extend(circuit.ops.iter().cloned());
+    let with_prep = circuit.with_basis_input(&[false, false, true]);
     let counts = sample(&with_prep, 16, 2);
     assert_eq!(counts.len(), 1);
     assert!(counts.contains_key("001"), "{counts:?}");

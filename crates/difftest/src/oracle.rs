@@ -200,7 +200,7 @@ fn columns_from_circuit(
             circuit.num_qubits, case.width
         ));
     }
-    if !circuit.ops.iter().all(|op| matches!(op, CircuitOp::Gate { .. })) {
+    if !circuit.ops().all(|op| matches!(op, CircuitOp::Gate { .. })) {
         return Semantics::Broken(
             "measurement-free program compiled to a circuit with measure/reset ops".to_string(),
         );

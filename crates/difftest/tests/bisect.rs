@@ -11,7 +11,7 @@
 use asdf_core::{CompileOptions, CompileRequest, Session};
 use asdf_difftest::{fuel_bisect, gen_case, GenOptions, Harness, OracleOptions, SweepOptions};
 use asdf_ir::GateKind;
-use asdf_qcircuit::CircuitOp;
+use asdf_qcircuit::{Circuit, CircuitOp};
 use std::collections::BTreeMap;
 
 const BELL: &str = r"
@@ -88,8 +88,9 @@ fn sabotage_outside_the_pipeline_does_not_reproduce_under_bisection() {
     let harness =
         Harness::new(OracleOptions { shots: 1024, dyn_shots: 96, ..OracleOptions::default() })
             .with_sabotage(sabotaged, |circuit| {
-                for op in &mut circuit.ops {
-                    if let CircuitOp::Gate { gate, .. } = op {
+                let mut flipped = Circuit::new(circuit.num_qubits);
+                for mut op in circuit.ops() {
+                    if let CircuitOp::Gate { gate, .. } = &mut op {
                         *gate = match *gate {
                             GateKind::S => GateKind::Sdg,
                             GateKind::Sdg => GateKind::S,
@@ -100,7 +101,9 @@ fn sabotage_outside_the_pipeline_does_not_reproduce_under_bisection() {
                             other => other,
                         };
                     }
+                    flipped.push(op);
                 }
+                *circuit = flipped;
             });
     let report = harness.run_sweep(&SweepOptions {
         seed: 0xA5DF,

@@ -32,7 +32,7 @@ fn generated_circuit(sweep_seed: u64, index: usize) -> Option<Circuit> {
     }
     let compiled = session.compile(&request.with_options(CompileOptions::default())).ok()?;
     let circuit = compiled.circuit.clone()?;
-    let gates_only = circuit.ops.iter().all(|op| matches!(op, CircuitOp::Gate { .. }));
+    let gates_only = circuit.ops().all(|op| matches!(op, CircuitOp::Gate { .. }));
     (gates_only && circuit.num_qubits <= 8).then_some(circuit)
 }
 

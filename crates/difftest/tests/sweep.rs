@@ -71,8 +71,9 @@ fn lint_sweep_has_zero_false_positives() {
 /// The intentionally broken pass: every diagonal phase gate has its sign
 /// flipped, exactly the kind of bug a peephole rewrite could introduce.
 fn flip_phase_signs(circuit: &mut asdf_qcircuit::Circuit) {
-    for op in &mut circuit.ops {
-        if let CircuitOp::Gate { gate, .. } = op {
+    let mut flipped = asdf_qcircuit::Circuit::new(circuit.num_qubits);
+    for mut op in circuit.ops() {
+        if let CircuitOp::Gate { gate, .. } = &mut op {
             *gate = match *gate {
                 GateKind::S => GateKind::Sdg,
                 GateKind::Sdg => GateKind::S,
@@ -83,7 +84,9 @@ fn flip_phase_signs(circuit: &mut asdf_qcircuit::Circuit) {
                 other => other,
             };
         }
+        flipped.push(op);
     }
+    *circuit = flipped;
 }
 
 #[test]

@@ -1,20 +1,29 @@
 //! The straight-line circuit form: the final, register-addressed shape of
 //! a compiled kernel.
+//!
+//! A [`Circuit`] is stored flat: one fixed-size `Copy` record per op, in
+//! execution order, and one qubit arena that holds every gate's controls
+//! followed by its targets. Appending a gate extends the two arrays, so
+//! building a circuit allocates per circuit rather than per gate, a clone
+//! is two copies and a drop two frees. Ops are read through borrowed
+//! [`CircuitOp`] views ([`Circuit::ops`]) and written only through the
+//! builder methods, which check each op as it is appended.
 
 use asdf_ir::GateKind;
 use std::fmt;
 
-/// One operation of a straight-line circuit.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CircuitOp {
+/// One operation of a straight-line circuit, as a read-only view into a
+/// [`Circuit`]. Build one to append it with [`Circuit::push`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CircuitOp<'a> {
     /// A (possibly controlled) gate.
     Gate {
         /// The base gate.
         gate: GateKind,
         /// Control qubit indices (all positive controls).
-        controls: Vec<usize>,
+        controls: &'a [usize],
         /// Target qubit indices (`gate.num_targets()` of them).
-        targets: Vec<usize>,
+        targets: &'a [usize],
     },
     /// Standard-basis measurement into classical bit `bit`.
     Measure {
@@ -30,25 +39,100 @@ pub enum CircuitOp {
     },
 }
 
-impl CircuitOp {
-    /// All qubit indices the op touches.
-    pub fn qubits(&self) -> Vec<usize> {
-        match self {
-            CircuitOp::Gate { controls, targets, .. } => {
-                controls.iter().chain(targets.iter()).copied().collect()
+impl CircuitOp<'_> {
+    /// All qubit indices the op touches: a gate's controls, then its
+    /// targets.
+    pub fn qubits(&self) -> impl Iterator<Item = usize> + '_ {
+        let (first, rest): (&[usize], &[usize]) = match self {
+            CircuitOp::Gate { controls, targets, .. } => (controls, targets),
+            CircuitOp::Measure { qubit, .. } | CircuitOp::Reset { qubit } => {
+                (std::slice::from_ref(qubit), &[])
             }
-            CircuitOp::Measure { qubit, .. } | CircuitOp::Reset { qubit } => vec![*qubit],
+        };
+        first.iter().chain(rest).copied()
+    }
+}
+
+/// Why an op cannot be appended to a circuit.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CircuitError {
+    /// A gate's target count differs from `gate.num_targets()`.
+    TargetArity {
+        /// The gate.
+        gate: GateKind,
+        /// The number of targets given.
+        targets: usize,
+    },
+    /// A qubit index at or past the circuit's width.
+    QubitOutOfRange {
+        /// The index.
+        qubit: usize,
+    },
+    /// A gate naming the same qubit twice.
+    DuplicateQubit {
+        /// The repeated index.
+        qubit: usize,
+    },
+}
+
+impl fmt::Display for CircuitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CircuitError::TargetArity { gate, targets } => write!(
+                f,
+                "target arity for {gate}: {targets} targets given, {} expected",
+                gate.num_targets()
+            ),
+            CircuitError::QubitOutOfRange { qubit } => write!(f, "qubit {qubit} out of range"),
+            CircuitError::DuplicateQubit { qubit } => write!(f, "duplicate qubit {qubit} in gate"),
+        }
+    }
+}
+
+impl std::error::Error for CircuitError {}
+
+/// The stored form of one op.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Record {
+    /// A gate on `qubits[start..start + num_controls]` (its controls),
+    /// followed by its `gate.num_targets()` targets.
+    Gate {
+        gate: GateKind,
+        start: usize,
+        num_controls: usize,
+    },
+    Measure {
+        qubit: usize,
+        bit: usize,
+    },
+    Reset {
+        qubit: usize,
+    },
+}
+
+impl Record {
+    /// This record with its arena offset moved `by` entries on.
+    fn shifted(self, by: usize) -> Record {
+        match self {
+            Record::Gate { gate, start, num_controls } => {
+                Record::Gate { gate, start: start + by, num_controls }
+            }
+            other => other,
         }
     }
 }
 
 /// A straight-line, register-addressed quantum circuit.
 ///
+/// Ops are kept as one record per op plus one shared qubit arena (see the
+/// [module docs](self)); the arena holds exactly the gates' qubits in op
+/// order, so two circuits with the same ops compare equal.
+///
 /// # Example
 ///
 /// ```
 /// use asdf_ir::GateKind;
-/// use asdf_qcircuit::Circuit;
+/// use asdf_qcircuit::{Circuit, CircuitOp};
 ///
 /// let mut c = Circuit::new(2);
 /// c.gate(GateKind::H, &[], &[0]);
@@ -58,19 +142,114 @@ impl CircuitOp {
 /// assert_eq!(c.num_qubits, 2);
 /// assert_eq!(c.num_bits(), 2);
 /// assert_eq!(c.two_qubit_gate_count(), 1);
+/// assert_eq!(
+///     c.ops().nth(1),
+///     Some(CircuitOp::Gate { gate: GateKind::X, controls: &[0], targets: &[1] })
+/// );
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Circuit {
     /// Number of qubit registers.
     pub num_qubits: usize,
-    /// Ops in execution order.
-    pub ops: Vec<CircuitOp>,
+    /// One record per op, in execution order.
+    records: Vec<Record>,
+    /// Every gate's controls then targets, in op order.
+    qubits: Vec<usize>,
 }
 
 impl Circuit {
     /// An empty circuit on `num_qubits` qubits.
     pub fn new(num_qubits: usize) -> Self {
-        Circuit { num_qubits, ops: Vec::new() }
+        Circuit { num_qubits, records: Vec::new(), qubits: Vec::new() }
+    }
+
+    /// The ops in execution order.
+    pub fn ops(&self) -> impl ExactSizeIterator<Item = CircuitOp<'_>> + '_ {
+        self.records.iter().map(|record| self.view(record))
+    }
+
+    fn view(&self, record: &Record) -> CircuitOp<'_> {
+        match *record {
+            Record::Gate { gate, start, num_controls } => {
+                let (controls, targets) =
+                    self.gate_qubits(gate, start, num_controls).split_at(num_controls);
+                CircuitOp::Gate { gate, controls, targets }
+            }
+            Record::Measure { qubit, bit } => CircuitOp::Measure { qubit, bit },
+            Record::Reset { qubit } => CircuitOp::Reset { qubit },
+        }
+    }
+
+    fn gate_qubits(&self, gate: GateKind, start: usize, num_controls: usize) -> &[usize] {
+        &self.qubits[start..start + num_controls + gate.num_targets()]
+    }
+
+    /// The qubits of the op `record` stores, controls first.
+    fn record_qubits<'a>(&'a self, record: &'a Record) -> &'a [usize] {
+        match record {
+            Record::Gate { gate, start, num_controls } => {
+                self.gate_qubits(*gate, *start, *num_controls)
+            }
+            Record::Measure { qubit, .. } | Record::Reset { qubit } => std::slice::from_ref(qubit),
+        }
+    }
+
+    /// Checks `record` against the circuit's width; a gate's qubits must
+    /// already be in the arena.
+    fn check(&self, record: &Record) -> Result<(), CircuitError> {
+        let qubits = self.record_qubits(record);
+        for (i, &qubit) in qubits.iter().enumerate() {
+            if qubit >= self.num_qubits {
+                return Err(CircuitError::QubitOutOfRange { qubit });
+            }
+            if qubits[..i].contains(&qubit) {
+                return Err(CircuitError::DuplicateQubit { qubit });
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends `op` after checking it: every qubit in range, no qubit
+    /// repeated within a gate, and `gate.num_targets()` targets. On error
+    /// the circuit is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// The first check `op` fails, as a [`CircuitError`].
+    pub fn try_push(&mut self, op: CircuitOp<'_>) -> Result<(), CircuitError> {
+        let record = match op {
+            CircuitOp::Gate { gate, controls, targets } => {
+                if targets.len() != gate.num_targets() {
+                    return Err(CircuitError::TargetArity { gate, targets: targets.len() });
+                }
+                let start = self.qubits.len();
+                self.qubits.extend_from_slice(controls);
+                self.qubits.extend_from_slice(targets);
+                Record::Gate { gate, start, num_controls: controls.len() }
+            }
+            CircuitOp::Measure { qubit, bit } => Record::Measure { qubit, bit },
+            CircuitOp::Reset { qubit } => Record::Reset { qubit },
+        };
+        if let Err(error) = self.check(&record) {
+            if let Record::Gate { start, .. } = record {
+                self.qubits.truncate(start);
+            }
+            return Err(error);
+        }
+        self.records.push(record);
+        Ok(())
+    }
+
+    /// Appends `op`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Circuit::try_push`] would fail, with its message.
+    #[track_caller]
+    pub fn push(&mut self, op: CircuitOp<'_>) {
+        if let Err(error) = self.try_push(op) {
+            panic!("{error}");
+        }
     }
 
     /// Appends a gate.
@@ -79,19 +258,9 @@ impl Circuit {
     ///
     /// Panics if indices are out of range, repeated, or the target count
     /// does not match the gate.
+    #[track_caller]
     pub fn gate(&mut self, gate: GateKind, controls: &[usize], targets: &[usize]) {
-        assert_eq!(targets.len(), gate.num_targets(), "target arity for {gate}");
-        let mut seen = Vec::with_capacity(controls.len() + targets.len());
-        for &q in controls.iter().chain(targets) {
-            assert!(q < self.num_qubits, "qubit {q} out of range");
-            assert!(!seen.contains(&q), "duplicate qubit {q} in gate");
-            seen.push(q);
-        }
-        self.ops.push(CircuitOp::Gate {
-            gate,
-            controls: controls.to_vec(),
-            targets: targets.to_vec(),
-        });
+        self.push(CircuitOp::Gate { gate, controls, targets });
     }
 
     /// Appends a measurement.
@@ -99,9 +268,9 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if the qubit is out of range.
+    #[track_caller]
     pub fn measure(&mut self, qubit: usize, bit: usize) {
-        assert!(qubit < self.num_qubits, "qubit {qubit} out of range");
-        self.ops.push(CircuitOp::Measure { qubit, bit });
+        self.push(CircuitOp::Measure { qubit, bit });
     }
 
     /// Appends a reset.
@@ -109,9 +278,9 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if the qubit is out of range.
+    #[track_caller]
     pub fn reset(&mut self, qubit: usize) {
-        assert!(qubit < self.num_qubits, "qubit {qubit} out of range");
-        self.ops.push(CircuitOp::Reset { qubit });
+        self.push(CircuitOp::Reset { qubit });
     }
 
     /// Adds a fresh qubit register, returning its index.
@@ -136,17 +305,20 @@ impl Circuit {
                 out.gate(GateKind::X, &[], &[q]);
             }
         }
-        out.ops.extend(self.ops.iter().cloned());
+        // The ops were checked against this same width.
+        let base = out.qubits.len();
+        out.qubits.extend_from_slice(&self.qubits);
+        out.records.extend(self.records.iter().map(|record| record.shifted(base)));
         out
     }
 
     /// Number of classical bits (one past the largest measurement
     /// destination).
     pub fn num_bits(&self) -> usize {
-        self.ops
+        self.records
             .iter()
-            .filter_map(|op| match op {
-                CircuitOp::Measure { bit, .. } => Some(bit + 1),
+            .filter_map(|record| match record {
+                Record::Measure { bit, .. } => Some(bit + 1),
                 _ => None,
             })
             .max()
@@ -155,24 +327,26 @@ impl Circuit {
 
     /// Total gate count (excluding measurements and resets).
     pub fn gate_count(&self) -> usize {
-        self.ops.iter().filter(|op| matches!(op, CircuitOp::Gate { .. })).count()
+        self.records.iter().filter(|record| matches!(record, Record::Gate { .. })).count()
     }
 
     /// Count of gates acting on two or more qubits (controls included).
     pub fn two_qubit_gate_count(&self) -> usize {
-        self.ops
+        self.records
             .iter()
-            .filter(|op| matches!(op, CircuitOp::Gate { .. }) && op.qubits().len() >= 2)
+            .filter(|record| {
+                matches!(record, Record::Gate { gate, num_controls, .. }
+                    if num_controls + gate.num_targets() >= 2)
+            })
             .count()
     }
 
     /// T-gate count: `T`/`Tdg` gates plus `P(±π/4)` phases.
     pub fn t_count(&self) -> usize {
-        self.ops
+        self.records
             .iter()
-            .filter(|op| {
-                matches!(op, CircuitOp::Gate { gate, controls, .. }
-                    if controls.is_empty() && is_t_like(*gate))
+            .filter(|record| {
+                matches!(record, Record::Gate { gate, num_controls: 0, .. } if is_t_like(*gate))
             })
             .count()
     }
@@ -181,10 +355,10 @@ impl Circuit {
     /// `Ry`, `Rz` angles), which fault-tolerant hardware synthesizes at
     /// extra cost.
     pub fn rotation_count(&self) -> usize {
-        self.ops
+        self.records
             .iter()
-            .filter(|op| match op {
-                CircuitOp::Gate { gate, .. } => {
+            .filter(|record| match record {
+                Record::Gate { gate, .. } => {
                     gate.param().is_some() && !is_clifford_angle(*gate) && !is_t_like(*gate)
                 }
                 _ => false,
@@ -194,7 +368,7 @@ impl Circuit {
 
     /// Number of measurements.
     pub fn measure_count(&self) -> usize {
-        self.ops.iter().filter(|op| matches!(op, CircuitOp::Measure { .. })).count()
+        self.records.iter().filter(|record| matches!(record, Record::Measure { .. })).count()
     }
 
     /// Circuit depth: the length of the longest chain of ops sharing
@@ -202,11 +376,10 @@ impl Circuit {
     pub fn depth(&self) -> usize {
         let mut avail = vec![0usize; self.num_qubits];
         let mut depth = 0usize;
-        for op in &self.ops {
-            let qubits = op.qubits();
-            let start = qubits.iter().map(|&q| avail[q]).max().unwrap_or(0);
-            let end = start + 1;
-            for q in qubits {
+        for record in &self.records {
+            let qubits = self.record_qubits(record);
+            let end = qubits.iter().map(|&q| avail[q]).max().unwrap_or(0) + 1;
+            for &q in qubits {
                 avail[q] = end;
             }
             depth = depth.max(end);
@@ -218,19 +391,24 @@ impl Circuit {
     ///
     /// # Panics
     ///
-    /// Panics if the mapping is too short or out of range.
+    /// Panics if the mapping is too short or out of range, or maps two
+    /// qubits of one gate to the same qubit.
+    #[track_caller]
     pub fn append_mapped(&mut self, other: &Circuit, mapping: &[usize]) {
         assert!(mapping.len() >= other.num_qubits, "mapping too short");
-        for op in &other.ops {
-            match op {
-                CircuitOp::Gate { gate, controls, targets } => {
-                    let c: Vec<usize> = controls.iter().map(|&q| mapping[q]).collect();
-                    let t: Vec<usize> = targets.iter().map(|&q| mapping[q]).collect();
-                    self.gate(*gate, &c, &t);
-                }
-                CircuitOp::Measure { qubit, bit } => self.measure(mapping[*qubit], *bit),
-                CircuitOp::Reset { qubit } => self.reset(mapping[*qubit]),
+        let base = self.qubits.len();
+        self.qubits.extend(other.qubits.iter().map(|&q| mapping[q]));
+        self.records.reserve(other.records.len());
+        for record in &other.records {
+            let record = match record.shifted(base) {
+                Record::Measure { qubit, bit } => Record::Measure { qubit: mapping[qubit], bit },
+                Record::Reset { qubit } => Record::Reset { qubit: mapping[qubit] },
+                gate => gate,
+            };
+            if let Err(error) = self.check(&record) {
+                panic!("{error}");
             }
+            self.records.push(record);
         }
     }
 }
@@ -257,10 +435,27 @@ fn is_clifford_angle(gate: GateKind) -> bool {
     }
 }
 
+/// Prints as `Circuit { num_qubits, ops: [..] }`, each op as its
+/// [`CircuitOp`] view.
+impl fmt::Debug for Circuit {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Ops<'a>(&'a Circuit);
+        impl fmt::Debug for Ops<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.ops()).finish()
+            }
+        }
+        f.debug_struct("Circuit")
+            .field("num_qubits", &self.num_qubits)
+            .field("ops", &Ops(self))
+            .finish()
+    }
+}
+
 impl fmt::Display for Circuit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "circuit[{} qubits, {} ops]", self.num_qubits, self.ops.len())?;
-        for op in &self.ops {
+        writeln!(f, "circuit[{} qubits, {} ops]", self.num_qubits, self.records.len())?;
+        for op in self.ops() {
             match op {
                 CircuitOp::Gate { gate, controls, targets } => {
                     write!(f, "  {gate}")?;
@@ -329,14 +524,89 @@ mod tests {
     }
 
     #[test]
+    fn rejected_ops_leave_the_circuit_unchanged() {
+        let mut c = Circuit::new(3);
+        c.gate(GateKind::X, &[0], &[1]);
+        let before = c.clone();
+        let gate = |gate, controls, targets| CircuitOp::Gate { gate, controls, targets };
+        let cases = [
+            (gate(GateKind::X, &[0, 1], &[3]), CircuitError::QubitOutOfRange { qubit: 3 }),
+            (gate(GateKind::Z, &[2, 0], &[2]), CircuitError::DuplicateQubit { qubit: 2 }),
+            (
+                gate(GateKind::Swap, &[], &[0]),
+                CircuitError::TargetArity { gate: GateKind::Swap, targets: 1 },
+            ),
+            (CircuitOp::Measure { qubit: 3, bit: 0 }, CircuitError::QubitOutOfRange { qubit: 3 }),
+            (CircuitOp::Reset { qubit: 9 }, CircuitError::QubitOutOfRange { qubit: 9 }),
+        ];
+        for (op, error) in cases {
+            assert_eq!(c.try_push(op), Err(error), "{op:?}");
+            assert_eq!(c, before, "{op:?} left a trace");
+        }
+        // The arena still lines up: the next gate reads back intact.
+        c.gate(GateKind::Swap, &[2], &[0, 1]);
+        assert_eq!(
+            c.ops().last(),
+            Some(CircuitOp::Gate { gate: GateKind::Swap, controls: &[2], targets: &[0, 1] })
+        );
+    }
+
+    #[test]
+    fn views_debug_and_display_like_owned_ops() {
+        let mut c = Circuit::new(3);
+        c.gate(GateKind::X, &[0, 1], &[2]);
+        c.measure(2, 0);
+        c.reset(1);
+        assert_eq!(
+            format!("{c:?}"),
+            "Circuit { num_qubits: 3, ops: [Gate { gate: X, controls: [0, 1], targets: [2] }, \
+             Measure { qubit: 2, bit: 0 }, Reset { qubit: 1 }] }"
+        );
+        assert_eq!(
+            c.to_string(),
+            "circuit[3 qubits, 3 ops]\n  x ctrl[0, 1] [2]\n  measure q2 -> c0\n  reset q1\n"
+        );
+        let qubits: Vec<Vec<usize>> = c.ops().map(|op| op.qubits().collect()).collect();
+        assert_eq!(qubits, vec![vec![0, 1, 2], vec![2], vec![1]]);
+    }
+
+    #[test]
+    fn basis_input_prepends_flips() {
+        let mut c = Circuit::new(3);
+        c.gate(GateKind::X, &[0], &[2]);
+        c.measure(2, 0);
+        let prepared = c.with_basis_input(&[true, false, true]);
+        let mut expected = Circuit::new(3);
+        expected.gate(GateKind::X, &[], &[0]);
+        expected.gate(GateKind::X, &[], &[2]);
+        expected.gate(GateKind::X, &[0], &[2]);
+        expected.measure(2, 0);
+        assert_eq!(prepared, expected);
+    }
+
+    #[test]
     fn append_mapped_remaps() {
         let mut inner = Circuit::new(2);
         inner.gate(GateKind::X, &[0], &[1]);
+        inner.measure(1, 0);
         let mut outer = Circuit::new(4);
+        outer.gate(GateKind::H, &[], &[0]);
         outer.append_mapped(&inner, &[3, 1]);
+        let ops: Vec<CircuitOp<'_>> = outer.ops().skip(1).collect();
         assert_eq!(
-            outer.ops[0],
-            CircuitOp::Gate { gate: GateKind::X, controls: vec![3], targets: vec![1] }
+            ops,
+            vec![
+                CircuitOp::Gate { gate: GateKind::X, controls: &[3], targets: &[1] },
+                CircuitOp::Measure { qubit: 1, bit: 0 },
+            ]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate qubit 2 in gate")]
+    fn append_mapped_rejects_merged_qubits() {
+        let mut inner = Circuit::new(2);
+        inner.gate(GateKind::X, &[0], &[1]);
+        Circuit::new(3).append_mapped(&inner, &[2, 2]);
     }
 }

@@ -33,18 +33,20 @@ pub enum DecomposeStyle {
 }
 
 /// Rewrites every gate of `circuit` into the fault-tolerant set
-/// {1-qubit gates, CX, CZ, CP}. Multi-controlled gates allocate reusable
-/// ancilla registers appended after the original registers.
+/// {uncontrolled gates (SWAP included), CX, CZ}: a singly-controlled
+/// phase becomes `P` rotations and CX, so no CP survives. Multi-controlled
+/// gates allocate reusable ancilla registers appended after the original
+/// registers.
 pub fn decompose(circuit: &Circuit, style: DecomposeStyle) -> Circuit {
     let mut out =
         Decomposer { circuit: Circuit::new(circuit.num_qubits), free_ancillas: Vec::new(), style };
-    for op in &circuit.ops {
+    for op in circuit.ops() {
         match op {
             CircuitOp::Gate { gate, controls, targets } => {
-                out.controlled_gate(*gate, controls, targets);
+                out.controlled_gate(gate, controls, targets);
             }
-            CircuitOp::Measure { qubit, bit } => out.circuit.measure(*qubit, *bit),
-            CircuitOp::Reset { qubit } => out.circuit.reset(*qubit),
+            CircuitOp::Measure { qubit, bit } => out.circuit.measure(qubit, bit),
+            CircuitOp::Reset { qubit } => out.circuit.reset(qubit),
         }
     }
     out.circuit
@@ -347,7 +349,7 @@ mod tests {
         c.gate(GateKind::P(0.4), &[0, 1], &[2]);
         let out = decompose(&c, DecomposeStyle::Selinger);
         // Everything is now <= 1 control.
-        for op in &out.ops {
+        for op in out.ops() {
             if let CircuitOp::Gate { controls, .. } = op {
                 assert!(controls.len() <= 1);
             }
@@ -360,8 +362,8 @@ mod tests {
         let mut c = Circuit::new(3);
         c.gate(GateKind::Swap, &[0], &[1, 2]);
         let out = decompose(&c, DecomposeStyle::Selinger);
-        assert!(out.ops.len() > 3);
-        for op in &out.ops {
+        assert!(out.ops().len() > 3);
+        for op in out.ops() {
             if let CircuitOp::Gate { gate, controls, .. } = op {
                 assert!(controls.len() <= 1, "no multi-controls remain: {gate}");
             }
@@ -373,13 +375,9 @@ mod tests {
         let mut c = Circuit::new(2);
         c.gate(GateKind::H, &[0], &[1]);
         let out = decompose(&c, DecomposeStyle::Selinger);
+        assert!(out.ops().any(|op| matches!(op, CircuitOp::Gate { gate: GateKind::Ry(_), .. })));
         assert!(out
-            .ops
-            .iter()
-            .any(|op| matches!(op, CircuitOp::Gate { gate: GateKind::Ry(_), .. })));
-        assert!(out
-            .ops
-            .iter()
+            .ops()
             .any(|op| matches!(op, CircuitOp::Gate { gate: GateKind::Z, controls, .. } if controls.len() == 1)));
     }
 }

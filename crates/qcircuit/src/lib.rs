@@ -4,6 +4,12 @@
 //! relaxed peephole of Fig. 10), and multi-controlled-gate decomposition
 //! using Selinger's controlled-iX scheme.
 //!
+//! A [`Circuit`] is flat: one fixed-size record per op and one qubit
+//! arena holding each gate's controls and then its targets. Consumers read
+//! it through borrowed [`CircuitOp`] views and write it only through its
+//! checked builder methods, so a circuit allocates per circuit, not per
+//! gate.
+//!
 //! The pipeline position: `asdf-core` lowers Qwerty IR into QCircuit
 //! dialect ops (defined in `asdf-ir`); [`peephole`] cleans redundancies
 //! left by systematic lowering; [`reg2mem`] converts SSA values to
@@ -16,5 +22,5 @@ pub mod decompose;
 pub mod peephole;
 pub mod reg2mem;
 
-pub use circuit::{Circuit, CircuitOp};
+pub use circuit::{Circuit, CircuitError, CircuitOp};
 pub use decompose::DecomposeStyle;

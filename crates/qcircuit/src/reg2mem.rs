@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(circuit.num_bits(), 2);
         assert_eq!(circuit.measure_count(), 2);
         // qfree emitted a reset.
-        assert!(circuit.ops.iter().any(|op| matches!(op, crate::circuit::CircuitOp::Reset { .. })));
+        assert!(circuit.ops().any(|op| matches!(op, crate::circuit::CircuitOp::Reset { .. })));
     }
 
     #[test]
@@ -244,7 +244,8 @@ mod tests {
         bb.push(OpKind::Return, vec![], vec![]);
         let circuit = lower_to_circuit(&b.finish()).unwrap();
         assert_eq!(circuit.num_qubits, 2);
-        let crate::circuit::CircuitOp::Gate { controls, targets, .. } = &circuit.ops[0] else {
+        let Some(crate::circuit::CircuitOp::Gate { controls, targets, .. }) = circuit.ops().next()
+        else {
             panic!()
         };
         assert_eq!((controls[0], targets[0]), (0, 1));
@@ -281,10 +282,9 @@ mod tests {
         let circuit = lower_to_circuit(&func).unwrap();
         assert_eq!(circuit.num_qubits, 5, "three argument registers, then two allocations");
         let measures: Vec<(usize, usize)> = circuit
-            .ops
-            .iter()
+            .ops()
             .filter_map(|op| match op {
-                crate::circuit::CircuitOp::Measure { qubit, bit } => Some((*qubit, *bit)),
+                crate::circuit::CircuitOp::Measure { qubit, bit } => Some((qubit, bit)),
                 _ => None,
             })
             .collect();

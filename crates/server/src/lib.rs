@@ -182,7 +182,7 @@ impl CompileServer {
                     Some(circuit) => Value::Object(vec![
                         ("qubits".into(), Value::int(circuit.num_qubits as i64)),
                         ("bits".into(), Value::int(circuit.num_bits() as i64)),
-                        ("ops".into(), Value::int(circuit.ops.len() as i64)),
+                        ("ops".into(), Value::int(circuit.ops().len() as i64)),
                     ]),
                 };
                 let routing = match &artifact.routing {

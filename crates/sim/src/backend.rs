@@ -58,8 +58,7 @@ impl Backend for SimBackend {
         }
 
         let measures = circuit
-            .ops
-            .iter()
+            .ops()
             .any(|op| matches!(op, CircuitOp::Measure { .. } | CircuitOp::Reset { .. }));
         if measures {
             if let Some(dist) = measurement_distribution(circuit) {

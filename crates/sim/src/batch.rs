@@ -340,9 +340,9 @@ mod tests {
             .iter()
             .map(|&input| {
                 let mut state = StateVector::basis(circuit.num_qubits, input);
-                for op in &circuit.ops {
+                for op in circuit.ops() {
                     if let CircuitOp::Gate { gate, controls, targets } = op {
-                        state.apply_naive(*gate, controls, targets);
+                        state.apply_naive(gate, controls, targets);
                     }
                 }
                 state

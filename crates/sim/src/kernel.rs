@@ -123,7 +123,7 @@ impl KernelProgram {
     fn compile_unfused(circuit: &Circuit) -> Self {
         let n = circuit.num_qubits;
         let mask = |q: usize| 1usize << (n - 1 - q);
-        let mut ops: Vec<KernelOp> = Vec::with_capacity(circuit.ops.len());
+        let mut ops: Vec<KernelOp> = Vec::with_capacity(circuit.ops().len());
         let mut pending: Vec<Option<Matrix2>> = vec![None; n];
 
         fn flush(
@@ -137,7 +137,7 @@ impl KernelProgram {
             }
         }
 
-        for op in &circuit.ops {
+        for op in circuit.ops() {
             match op {
                 CircuitOp::Gate { gate: GateKind::Swap, controls, targets } => {
                     for &q in controls.iter().chain(targets) {
@@ -150,25 +150,25 @@ impl KernelProgram {
                         cmask,
                     });
                 }
-                CircuitOp::Gate { gate, controls, targets } if controls.is_empty() => {
+                CircuitOp::Gate { gate, controls: [], targets } => {
                     let wire = targets[0];
                     let acc = pending[wire].unwrap_or(IDENTITY_2Q);
-                    pending[wire] = Some(matmul(&matrix_1q(*gate), &acc));
+                    pending[wire] = Some(matmul(&matrix_1q(gate), &acc));
                 }
                 CircuitOp::Gate { gate, controls, targets } => {
                     for &q in controls.iter().chain(targets) {
                         flush(&mut ops, &mut pending, q, mask(q));
                     }
                     let cmask = controls.iter().fold(0, |acc, &c| acc | mask(c));
-                    push_unitary(&mut ops, matrix_1q(*gate), mask(targets[0]), cmask);
+                    push_unitary(&mut ops, matrix_1q(gate), mask(targets[0]), cmask);
                 }
                 CircuitOp::Measure { qubit, bit } => {
-                    flush(&mut ops, &mut pending, *qubit, mask(*qubit));
-                    ops.push(KernelOp::Measure { qubit: *qubit, bit: *bit });
+                    flush(&mut ops, &mut pending, qubit, mask(qubit));
+                    ops.push(KernelOp::Measure { qubit, bit });
                 }
                 CircuitOp::Reset { qubit } => {
-                    flush(&mut ops, &mut pending, *qubit, mask(*qubit));
-                    ops.push(KernelOp::Reset { qubit: *qubit });
+                    flush(&mut ops, &mut pending, qubit, mask(qubit));
+                    ops.push(KernelOp::Reset { qubit });
                 }
             }
         }
@@ -180,7 +180,7 @@ impl KernelProgram {
             num_qubits: n,
             num_bits: circuit.num_bits(),
             ops,
-            source_ops: circuit.ops.len(),
+            source_ops: circuit.ops().len(),
         }
     }
 
@@ -1134,9 +1134,9 @@ mod tests {
         let mut fused = StateVector::zero(4);
         p.apply_state(&mut fused);
         let mut plain = StateVector::zero(4);
-        for op in &c.ops {
+        for op in c.ops() {
             if let CircuitOp::Gate { gate, controls, targets } = op {
-                plain.apply_naive(*gate, controls, targets);
+                plain.apply_naive(gate, controls, targets);
             }
         }
         for (a, b) in fused.amplitudes().iter().zip(plain.amplitudes()) {
@@ -1176,9 +1176,9 @@ mod tests {
         let mut fused = StateVector::zero(3);
         p.apply_state(&mut fused);
         let mut plain = StateVector::zero(3);
-        for op in &c.ops {
+        for op in c.ops() {
             if let CircuitOp::Gate { gate, controls, targets } = op {
-                plain.apply_naive(*gate, controls, targets);
+                plain.apply_naive(gate, controls, targets);
             }
         }
         for (a, b) in fused.amplitudes().iter().zip(plain.amplitudes()) {

@@ -180,18 +180,18 @@ pub fn measurement_distribution_threads(
 ) -> Option<Vec<(String, f64)>> {
     let mut measured: Vec<(usize, usize)> = Vec::new(); // (qubit, bit)
     let mut bit_used = vec![false; circuit.num_bits()];
-    for op in &circuit.ops {
+    for op in circuit.ops() {
         match op {
             CircuitOp::Reset { .. } => return None,
             CircuitOp::Measure { qubit, bit } => {
-                if measured.iter().any(|&(q, _)| q == *qubit) || bit_used[*bit] {
+                if measured.iter().any(|&(q, _)| q == qubit) || bit_used[bit] {
                     return None;
                 }
-                bit_used[*bit] = true;
-                measured.push((*qubit, *bit));
+                bit_used[bit] = true;
+                measured.push((qubit, bit));
             }
             CircuitOp::Gate { .. } => {
-                if op.qubits().iter().any(|q| measured.iter().any(|&(m, _)| m == *q)) {
+                if op.qubits().any(|q| measured.iter().any(|&(m, _)| m == q)) {
                     return None;
                 }
             }
@@ -230,7 +230,7 @@ pub fn measurement_distribution_threads(
 pub fn unitary_of(circuit: &Circuit) -> Vec<StateVector> {
     assert!(circuit.num_qubits <= 12, "unitary extraction is exponential");
     assert!(
-        circuit.ops.iter().all(|op| matches!(op, CircuitOp::Gate { .. })),
+        circuit.ops().all(|op| matches!(op, CircuitOp::Gate { .. })),
         "unitary extraction requires a measurement-free circuit"
     );
     let inputs: Vec<usize> = (0..(1usize << circuit.num_qubits)).collect();

@@ -147,40 +147,40 @@ pub fn record_trace(circuit: &Circuit, seed: u64) -> Trace {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = StateVector::zero(circuit.num_qubits);
     let mut bits = vec![false; circuit.num_bits()];
-    let mut events = Vec::with_capacity(circuit.ops.len());
-    for op in &circuit.ops {
+    let mut events = Vec::with_capacity(circuit.ops().len());
+    for op in circuit.ops() {
         let event = match op {
             CircuitOp::Gate { gate, controls, targets } => {
-                state.apply_naive(*gate, controls, targets);
+                state.apply_naive(gate, controls, targets);
                 TraceEvent::Gate {
-                    label: gate_label(*gate, controls, targets),
+                    label: gate_label(gate, controls, targets),
                     digest: state_digest(&state),
                 }
             }
             CircuitOp::Measure { qubit, bit } => {
-                let p1 = state.prob_one(*qubit);
+                let p1 = state.prob_one(qubit);
                 let outcome = rng.gen_bool(p1.clamp(0.0, 1.0));
-                state.collapse(*qubit, outcome);
-                bits[*bit] = outcome;
+                state.collapse(qubit, outcome);
+                bits[bit] = outcome;
                 TraceEvent::Measure {
-                    qubit: *qubit,
-                    bit: *bit,
+                    qubit,
+                    bit,
                     prob_one_micro: (p1 / PROB_GRID).round() as u64,
                     outcome,
                     digest: state_digest(&state),
                 }
             }
             CircuitOp::Reset { qubit } => {
-                let p1 = state.prob_one(*qubit);
+                let p1 = state.prob_one(qubit);
                 let mut outcome = false;
                 if p1 > 1e-12 {
                     outcome = rng.gen_bool(p1.clamp(0.0, 1.0));
-                    state.collapse(*qubit, outcome);
+                    state.collapse(qubit, outcome);
                     if outcome {
-                        state.apply_naive(asdf_ir::GateKind::X, &[], &[*qubit]);
+                        state.apply_naive(asdf_ir::GateKind::X, &[], &[qubit]);
                     }
                 }
-                TraceEvent::Reset { qubit: *qubit, outcome, digest: state_digest(&state) }
+                TraceEvent::Reset { qubit, outcome, digest: state_digest(&state) }
             }
         };
         events.push(event);
@@ -384,10 +384,10 @@ mod tests {
 
     fn bell_pair() -> Circuit {
         let mut c = Circuit::new(2);
-        c.ops.push(CircuitOp::Gate { gate: GateKind::H, controls: vec![], targets: vec![0] });
-        c.ops.push(CircuitOp::Gate { gate: GateKind::X, controls: vec![0], targets: vec![1] });
-        c.ops.push(CircuitOp::Measure { qubit: 0, bit: 0 });
-        c.ops.push(CircuitOp::Measure { qubit: 1, bit: 1 });
+        c.gate(GateKind::H, &[], &[0]);
+        c.gate(GateKind::X, &[0], &[1]);
+        c.measure(0, 0);
+        c.measure(1, 1);
         c
     }
 
@@ -412,16 +412,20 @@ mod tests {
         assert_eq!(replay_divergence(&golden, &circuit), None);
 
         // Sabotage: a miscompiled H -> Z at step 0 diverges immediately.
-        let mut sabotaged = circuit.clone();
-        sabotaged.ops[0] =
-            CircuitOp::Gate { gate: GateKind::Z, controls: vec![], targets: vec![0] };
+        let mut sabotaged = Circuit::new(2);
+        sabotaged.gate(GateKind::Z, &[], &[0]);
+        for op in circuit.ops().skip(1) {
+            sabotaged.push(op);
+        }
         let divergence = replay_divergence(&golden, &sabotaged).expect("must diverge");
         assert_eq!(divergence.step, 0);
         assert!(divergence.expected.contains("gate h"), "{divergence}");
 
         // Sabotage: a dropped trailing op diverges on length.
-        let mut truncated = circuit.clone();
-        truncated.ops.pop();
+        let mut truncated = Circuit::new(2);
+        for op in circuit.ops().take(3) {
+            truncated.push(op);
+        }
         let divergence = replay_divergence(&golden, &truncated).expect("must diverge");
         assert_eq!(divergence.step, 3);
     }

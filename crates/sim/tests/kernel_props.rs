@@ -90,10 +90,10 @@ proptest! {
     ) {
         let mut fast = StateVector::zero(num_qubits);
         let mut naive = StateVector::zero(num_qubits);
-        for op in &circuit_from(num_qubits, &recipes).ops {
+        for op in circuit_from(num_qubits, &recipes).ops() {
             if let CircuitOp::Gate { gate, controls, targets } = op {
-                fast.apply(*gate, controls, targets);
-                naive.apply_naive(*gate, controls, targets);
+                fast.apply(gate, controls, targets);
+                naive.apply_naive(gate, controls, targets);
             }
         }
         assert_states_close(&fast, &naive, 1e-10);
@@ -112,9 +112,9 @@ proptest! {
         let mut fused = StateVector::zero(num_qubits);
         program.apply_state(&mut fused);
         let mut naive = StateVector::zero(num_qubits);
-        for op in &circuit.ops {
+        for op in circuit.ops() {
             if let CircuitOp::Gate { gate, controls, targets } = op {
-                naive.apply_naive(*gate, controls, targets);
+                naive.apply_naive(gate, controls, targets);
             }
         }
         assert_states_close(&fused, &naive, 1e-10);
@@ -133,9 +133,9 @@ proptest! {
             .iter()
             .map(|&input| {
                 let mut state = StateVector::basis(5, input);
-                for op in &circuit.ops {
+                for op in circuit.ops() {
                     if let CircuitOp::Gate { gate, controls, targets } = op {
-                        state.apply_naive(*gate, controls, targets);
+                        state.apply_naive(gate, controls, targets);
                     }
                 }
                 state

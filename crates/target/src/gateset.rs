@@ -17,7 +17,7 @@ pub struct NativeGateSet;
 impl NativeGateSet {
     /// Whether `op` is native, ignoring connectivity. Measurements and
     /// resets are always admitted.
-    pub fn admits(&self, op: &CircuitOp) -> bool {
+    pub fn admits(&self, op: &CircuitOp<'_>) -> bool {
         match op {
             CircuitOp::Gate { gate, controls, targets } => match (gate, controls.len()) {
                 (GateKind::Swap, _) => false,
@@ -60,7 +60,7 @@ impl Default for GateCosts {
 
 impl GateCosts {
     /// Cost of one op.
-    pub fn of(&self, op: &CircuitOp) -> u64 {
+    pub fn of(&self, op: &CircuitOp<'_>) -> u64 {
         match op {
             CircuitOp::Gate { controls, .. } => {
                 if controls.is_empty() {
@@ -79,8 +79,8 @@ impl GateCosts {
 mod tests {
     use super::*;
 
-    fn gate(gate: GateKind, controls: &[usize], targets: &[usize]) -> CircuitOp {
-        CircuitOp::Gate { gate, controls: controls.to_vec(), targets: targets.to_vec() }
+    fn gate<'a>(gate: GateKind, controls: &'a [usize], targets: &'a [usize]) -> CircuitOp<'a> {
+        CircuitOp::Gate { gate, controls, targets }
     }
 
     #[test]

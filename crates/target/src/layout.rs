@@ -89,7 +89,7 @@ pub fn initial_layout(circuit: &Circuit, graph: &CouplingGraph) -> Vec<usize> {
 /// both.
 fn interaction_partners(circuit: &Circuit) -> Vec<Vec<(usize, u64)>> {
     let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for op in &circuit.ops {
+    for op in circuit.ops() {
         if let CircuitOp::Gate { controls, targets, .. } = op {
             let qubits = || controls.iter().chain(targets).copied();
             for (i, a) in qubits().enumerate() {
@@ -123,9 +123,9 @@ mod tests {
         let n_logical = circuit.num_qubits;
         let n_physical = graph.num_qubits();
         let mut weights = vec![vec![0u64; n_logical]; n_logical];
-        for op in &circuit.ops {
+        for op in circuit.ops() {
             if let CircuitOp::Gate { .. } = op {
-                let qubits = op.qubits();
+                let qubits: Vec<usize> = op.qubits().collect();
                 for (i, &a) in qubits.iter().enumerate() {
                     for &b in &qubits[i + 1..] {
                         weights[a][b] += 1;

@@ -65,7 +65,7 @@ pub struct Routed {
 pub fn translate_to_native(circuit: &Circuit) -> Circuit {
     let lowered = decompose(circuit, DecomposeStyle::Selinger);
     let mut out = Circuit::new(lowered.num_qubits);
-    for op in &lowered.ops {
+    for op in lowered.ops() {
         match op {
             CircuitOp::Gate { gate: GateKind::Z, controls, targets } if controls.len() == 1 => {
                 // CZ = H_t · CX · H_t.
@@ -73,12 +73,10 @@ pub fn translate_to_native(circuit: &Circuit) -> Circuit {
                 out.gate(GateKind::X, &[controls[0]], &[targets[0]]);
                 out.gate(GateKind::H, &[], &[targets[0]]);
             }
-            CircuitOp::Gate { gate: GateKind::Swap, controls, targets } if controls.is_empty() => {
+            CircuitOp::Gate { gate: GateKind::Swap, controls: [], targets } => {
                 emit_swap(&mut out, targets[0], targets[1]);
             }
-            CircuitOp::Gate { gate, controls, targets } => out.gate(*gate, controls, targets),
-            CircuitOp::Measure { qubit, bit } => out.measure(*qubit, *bit),
-            CircuitOp::Reset { qubit } => out.reset(*qubit),
+            op => out.push(op),
         }
     }
     out
@@ -104,7 +102,7 @@ pub(crate) fn run(
     costs: &GateCosts,
 ) -> Routed {
     let gates = NativeGateSet;
-    debug_assert!(circuit.ops.iter().all(|op| gates.admits(op)), "router input must be native");
+    debug_assert!(circuit.ops().all(|op| gates.admits(&op)), "router input must be native");
     let n_logical = circuit.num_qubits;
     let n_physical = graph.num_qubits();
     assert!(n_logical <= n_physical, "circuit wider than target");
@@ -114,8 +112,7 @@ pub(crate) fn run(
 
     // Pending two-qubit gates, as logical pairs, for the lookahead score.
     let pending: Vec<(usize, (usize, usize))> = circuit
-        .ops
-        .iter()
+        .ops()
         .enumerate()
         .filter_map(|(i, op)| match op {
             CircuitOp::Gate { controls, targets, .. } if !controls.is_empty() => {
@@ -129,13 +126,13 @@ pub(crate) fn run(
     let mut out = Circuit::new(n_physical);
     let mut swap_count = 0usize;
 
-    for (i, op) in circuit.ops.iter().enumerate() {
+    for (i, op) in circuit.ops().enumerate() {
         while pending_cursor < pending.len() && pending[pending_cursor].0 < i {
             pending_cursor += 1;
         }
         match op {
-            CircuitOp::Gate { gate, controls, targets } if controls.is_empty() => {
-                out.gate(*gate, &[], &[l2p[targets[0]]]);
+            CircuitOp::Gate { gate, controls: [], targets } => {
+                out.gate(gate, &[], &[l2p[targets[0]]]);
             }
             CircuitOp::Gate { controls, targets, .. } => {
                 let (c, t) = (controls[0], targets[0]);
@@ -147,8 +144,8 @@ pub(crate) fn run(
                 }
                 out.gate(GateKind::X, &[l2p[c]], &[l2p[t]]);
             }
-            CircuitOp::Measure { qubit, bit } => out.measure(l2p[*qubit], *bit),
-            CircuitOp::Reset { qubit } => out.reset(l2p[*qubit]),
+            CircuitOp::Measure { qubit, bit } => out.measure(l2p[qubit], bit),
+            CircuitOp::Reset { qubit } => out.reset(l2p[qubit]),
         }
     }
 
@@ -259,7 +256,7 @@ mod tests {
         c.gate(GateKind::X, &[0, 1], &[3]); // Toffoli
         let native = translate_to_native(&c);
         let gates = NativeGateSet;
-        assert!(native.ops.iter().all(|op| gates.admits(op)), "{native}");
+        assert!(native.ops().all(|op| gates.admits(&op)), "{native}");
     }
 
     #[test]
@@ -287,7 +284,7 @@ mod tests {
         let g = CouplingGraph::linear(4);
         let routed = run(&c, &g, "linear-4", &GateCosts::default());
         // Whatever the layout chose, the result must only use coupled CX.
-        for op in &routed.circuit.ops {
+        for op in routed.circuit.ops() {
             if let CircuitOp::Gate { controls, targets, .. } = op {
                 if !controls.is_empty() {
                     assert!(g.coupled(controls[0], targets[0]), "uncoupled CX in {op:?}");
@@ -321,10 +318,9 @@ mod tests {
         let routed = run(&c, &g, "linear-3", &GateCosts::default());
         let measured = routed
             .circuit
-            .ops
-            .iter()
+            .ops()
             .find_map(|op| match op {
-                CircuitOp::Measure { qubit, bit } => Some((*qubit, *bit)),
+                CircuitOp::Measure { qubit, bit } => Some((qubit, bit)),
                 _ => None,
             })
             .expect("measurement survives routing");

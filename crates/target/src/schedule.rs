@@ -25,12 +25,11 @@ pub fn asap(circuit: &Circuit, costs: &GateCosts) -> Schedule {
     let mut layer_of = vec![0usize; circuit.num_qubits];
     let mut makespan = 0u64;
     let mut layers = 0usize;
-    for op in &circuit.ops {
-        let qubits = op.qubits();
-        let start = qubits.iter().map(|&q| busy_until[q]).max().unwrap_or(0);
-        let end = start + costs.of(op);
-        let layer = qubits.iter().map(|&q| layer_of[q]).max().unwrap_or(0) + 1;
-        for &q in &qubits {
+    for op in circuit.ops() {
+        let start = op.qubits().map(|q| busy_until[q]).max().unwrap_or(0);
+        let end = start + costs.of(&op);
+        let layer = op.qubits().map(|q| layer_of[q]).max().unwrap_or(0) + 1;
+        for q in op.qubits() {
             busy_until[q] = end;
             layer_of[q] = layer;
         }

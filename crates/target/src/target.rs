@@ -255,15 +255,15 @@ impl Target {
                 self.graph.num_qubits()
             )));
         }
-        for op in &circuit.ops {
-            if !self.gates.admits(op) {
+        for op in circuit.ops() {
+            if !self.gates.admits(&op) {
                 return Err(fail(format!(
                     "non-native op {op:?} (native set is {})",
                     self.gates.describe()
                 )));
             }
             if let CircuitOp::Gate { controls, targets, .. } = op {
-                if let (&[c], &[t]) = (controls.as_slice(), targets.as_slice()) {
+                if let (&[c], &[t]) = (controls, targets) {
                     if !self.graph.coupled(c, t) {
                         return Err(fail(format!("two-qubit gate on uncoupled pair {c}-{t}")));
                     }
