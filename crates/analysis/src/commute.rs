@@ -69,14 +69,13 @@ pub fn is_cancelling_pair(first: &Op, second: &Op) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asdf_ir::{GateKind, Op, Value};
+    use asdf_ir::{GateKind, Op, Value, ValueList};
 
     fn gate(g: GateKind, ins: &[u32], outs: &[u32]) -> Op {
-        Op::new(
-            OpKind::Gate { gate: g, num_controls: 0 },
-            ins.iter().map(|&i| Value::from_index(i as usize)).collect(),
-            outs.iter().map(|&i| Value::from_index(i as usize)).collect(),
-        )
+        let values = |ids: &[u32]| -> ValueList {
+            ids.iter().map(|&i| Value::from_index(i as usize)).collect()
+        };
+        Op::new(OpKind::Gate { gate: g, num_controls: 0 }, values(ins), values(outs))
     }
 
     #[test]

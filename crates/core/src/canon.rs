@@ -158,6 +158,10 @@ impl RewritePattern for FoldDoubleAdj {
         "fold-double-adj"
     }
 
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        matches!(kind, OpKind::FuncAdj)
+    }
+
     fn benefit(&self) -> usize {
         2
     }
@@ -190,6 +194,10 @@ pub struct IndirectToDirect;
 impl RewritePattern for IndirectToDirect {
     fn name(&self) -> &'static str {
         "indirect-to-direct-call"
+    }
+
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        matches!(kind, OpKind::CallIndirect)
     }
 
     fn benefit(&self) -> usize {
@@ -243,6 +251,10 @@ impl RewritePattern for IfPushdown {
         "if-pushdown-call-indirect"
     }
 
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        matches!(kind, OpKind::CallIndirect)
+    }
+
     fn match_and_rewrite(&self, rw: &mut Rewriter<'_>) -> bool {
         let op = rw.op();
         if !matches!(op.kind, OpKind::CallIndirect) {
@@ -279,7 +291,7 @@ impl RewritePattern for IfPushdown {
             // Yield the original values minus the consumed func, plus the
             // call results. (Qwerty lowering yields exactly one value, so
             // this is just the call results.)
-            let mut new_yield: Vec<Value> = terminator.operands.clone();
+            let mut new_yield: Vec<Value> = terminator.operands.to_vec();
             new_yield.remove(yield_pos);
             new_yield.extend(inner_results);
             blk.ops.push(Op::new(OpKind::Yield, new_yield, vec![]));
@@ -288,7 +300,7 @@ impl RewritePattern for IfPushdown {
 
         // The new scf.if sits at the call's position; its results are the
         // old scf.if's other results followed by the call's results.
-        let mut new_results: Vec<Value> = if_op.results.clone();
+        let mut new_results: Vec<Value> = if_op.results.to_vec();
         new_results.remove(yield_pos);
         new_results.extend(call_results);
         rw.replace_root(Op::with_regions(
@@ -309,6 +321,10 @@ pub struct AdjPredIfPushdown;
 impl RewritePattern for AdjPredIfPushdown {
     fn name(&self) -> &'static str {
         "if-pushdown-adj-pred"
+    }
+
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        matches!(kind, OpKind::FuncAdj | OpKind::FuncPred { .. })
     }
 
     fn match_and_rewrite(&self, rw: &mut Rewriter<'_>) -> bool {

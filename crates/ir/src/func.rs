@@ -4,7 +4,7 @@ use crate::block::{Block, BlockPath, Region};
 use crate::op::{Op, OpKind};
 use crate::span::SrcSpan;
 use crate::types::{FuncType, Type};
-use crate::value::Value;
+use crate::value::{Value, ValueList};
 
 /// Symbol visibility. Private functions (lifted lambdas, specializations)
 /// can be removed once fully inlined.
@@ -261,27 +261,26 @@ impl<'a> BlockBuilder<'a> {
     pub fn push(
         &mut self,
         kind: OpKind,
-        operands: Vec<Value>,
+        operands: impl Into<ValueList>,
         result_tys: Vec<Type>,
     ) -> Vec<Value> {
-        let results: Vec<Value> = result_tys.into_iter().map(|t| self.new_value(t)).collect();
-        self.block.ops.push(Op::new(kind, operands, results.clone()).with_span(self.span));
-        results
+        self.push_with_regions(kind, operands, result_tys, Vec::new())
     }
 
     /// Appends an op with regions, returning its results.
     pub fn push_with_regions(
         &mut self,
         kind: OpKind,
-        operands: Vec<Value>,
+        operands: impl Into<ValueList>,
         result_tys: Vec<Type>,
         regions: Vec<Region>,
     ) -> Vec<Value> {
-        let results: Vec<Value> = result_tys.into_iter().map(|t| self.new_value(t)).collect();
+        let results: ValueList = result_tys.into_iter().map(|t| self.new_value(t)).collect();
+        let returned = results.to_vec();
         self.block
             .ops
-            .push(Op::with_regions(kind, operands, results.clone(), regions).with_span(self.span));
-        results
+            .push(Op::with_regions(kind, operands, results, regions).with_span(self.span));
+        returned
     }
 
     /// Appends a pre-built op verbatim, stamping the builder's current span

@@ -8,8 +8,9 @@
 //!
 //! - [`Type`]s and structured op payloads ([`OpKind`]) for all five dialects,
 //!   statically registered in one enum for exhaustive matching;
-//! - [`Op`]s with operands, results, and nested single-block [`Region`]s
-//!   (used by `lambda` and `scf.if`);
+//! - [`Op`]s with operands and results (short [`ValueList`]s stored inside
+//!   the op) and nested single-block [`Region`]s (used by `lambda` and
+//!   `scf.if`);
 //! - [`Func`]tions with a per-function SSA value arena and a single entry
 //!   block (control flow is structured, as in the paper's pipeline);
 //! - a [`Module`] of functions;
@@ -64,4 +65,4 @@ pub use rewrite::{
 };
 pub use span::SrcSpan;
 pub use types::{FuncType, Type};
-pub use value::Value;
+pub use value::{Value, ValueList};

@@ -7,7 +7,7 @@
 use crate::block::Region;
 use crate::gate::GateKind;
 use crate::span::SrcSpan;
-use crate::value::Value;
+use crate::value::{Value, ValueList};
 use asdf_basis::{Basis, Eigenstate, PrimitiveBasis};
 
 /// The structured payload of an op: which operation it is, plus its
@@ -257,14 +257,20 @@ impl OpKind {
 }
 
 /// An operation: a kind plus SSA operands, results, and nested regions.
+///
+/// Operands and results are [`ValueList`]s: up to three of each live
+/// inside the op, so most ops own no heap memory for them, as in MLIR.
+/// Both dereference to `[Value]`. The constructors take anything that
+/// converts into a list: a `Vec<Value>`, an array, a slice or another
+/// list.
 #[derive(Debug, Clone)]
 pub struct Op {
     /// Which operation, with attributes.
     pub kind: OpKind,
     /// SSA operands, in dialect-defined order.
-    pub operands: Vec<Value>,
+    pub operands: ValueList,
     /// SSA results.
-    pub results: Vec<Value>,
+    pub results: ValueList,
     /// Nested regions (`lambda` has one; `scf.if` has two).
     pub regions: Vec<Region>,
     /// Frontend source range this op was lowered from
@@ -285,18 +291,28 @@ impl PartialEq for Op {
 
 impl Op {
     /// A region-free op.
-    pub fn new(kind: OpKind, operands: Vec<Value>, results: Vec<Value>) -> Self {
-        Op { kind, operands, results, regions: Vec::new(), span: SrcSpan::UNKNOWN }
+    pub fn new(
+        kind: OpKind,
+        operands: impl Into<ValueList>,
+        results: impl Into<ValueList>,
+    ) -> Self {
+        Op::with_regions(kind, operands, results, Vec::new())
     }
 
     /// An op with nested regions.
     pub fn with_regions(
         kind: OpKind,
-        operands: Vec<Value>,
-        results: Vec<Value>,
+        operands: impl Into<ValueList>,
+        results: impl Into<ValueList>,
         regions: Vec<Region>,
     ) -> Self {
-        Op { kind, operands, results, regions, span: SrcSpan::UNKNOWN }
+        Op {
+            kind,
+            operands: operands.into(),
+            results: results.into(),
+            regions,
+            span: SrcSpan::UNKNOWN,
+        }
     }
 
     /// The same op with a source span attached.
@@ -314,7 +330,7 @@ impl Op {
     /// Iterates over every value the op (transitively) uses, including uses
     /// inside nested regions but excluding values defined within them.
     pub fn transitive_uses(&self) -> Vec<Value> {
-        let mut uses = self.operands.clone();
+        let mut uses = self.operands.to_vec();
         let mut defined: std::collections::HashSet<Value> = std::collections::HashSet::new();
         fn walk(
             region: &Region,
@@ -363,6 +379,13 @@ mod tests {
         }
         .is_pure_classical());
         assert!(!OpKind::Measure.is_pure_classical());
+    }
+
+    /// Operand and result lists live inside the op without growing it.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn op_size_is_unchanged_by_inline_lists() {
+        assert_eq!(std::mem::size_of::<Op>(), 144);
     }
 
     #[test]

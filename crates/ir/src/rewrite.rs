@@ -22,10 +22,10 @@
 //!   [`Fuel`] cutoff (`ASDF_REWRITE_FUEL`) for bisecting miscompiles and an
 //!   optional firing trace (`ASDF_REWRITE_TRACE=1`).
 
-use crate::block::{Block, BlockPath};
+use crate::block::Block;
 use crate::func::Func;
 use crate::module::Module;
-use crate::op::Op;
+use crate::op::{Op, OpKind};
 use crate::types::Type;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -225,6 +225,14 @@ pub struct RewriteStats {
 /// wrapper chain to its `func_const`, however long) stay within three
 /// hops.
 ///
+/// # Root kinds
+///
+/// A pattern that can only root at some op kinds says so in
+/// [`RewritePattern::matches_root_kind`]; the driver then never offers it
+/// another op. The predicate must be implied by the pattern's own first
+/// check, so that declaring roots never changes which pattern fires. All
+/// nine stock patterns declare theirs.
+///
 /// # Dead entries
 ///
 /// An erase moves no other op. The erased op stays in the function's entry
@@ -250,6 +258,10 @@ pub struct RewriteStats {
 /// impl RewritePattern for FoldFNeg {
 ///     fn name(&self) -> &'static str {
 ///         "fold-fneg"
+///     }
+///
+///     fn matches_root_kind(&self, kind: &OpKind) -> bool {
+///         matches!(kind, OpKind::FNeg)
 ///     }
 ///
 ///     fn match_and_rewrite(&self, rw: &mut Rewriter<'_>) -> bool {
@@ -294,6 +306,23 @@ pub trait RewritePattern {
     /// convention is the net number of ops the rewrite removes.
     fn benefit(&self) -> usize {
         1
+    }
+
+    /// Whether an op of kind `kind` can be this pattern's root. The driver
+    /// offers a popped op only to the patterns that accept its kind, and
+    /// asks before it builds a [`Rewriter`], so a pattern rooted at one or
+    /// two kinds costs almost nothing on every other op.
+    ///
+    /// The predicate must be implied by the pattern's own first check:
+    /// whenever it returns `false` for an op's kind,
+    /// [`match_and_rewrite`](RewritePattern::match_and_rewrite) on that op
+    /// must return `false` too. Declaring roots then never changes which
+    /// pattern fires. Debug builds check this on every op the predicate
+    /// rejects. The default accepts every kind, so a pattern that declares
+    /// no roots is tried on every op.
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        let _ = kind;
+        true
     }
 
     /// Attempts to rewrite the op at the rewriter's root. On a match,
@@ -370,6 +399,10 @@ enum Mutation {
 ///         "drop-dead-self-add"
 ///     }
 ///
+///     fn matches_root_kind(&self, kind: &OpKind) -> bool {
+///         matches!(kind, OpKind::FAdd)
+///     }
+///
 ///     fn match_and_rewrite(&self, rw: &mut Rewriter<'_>) -> bool {
 ///         let op = rw.op();
 ///         let is_self_add = matches!(op.kind, OpKind::FAdd) && op.operands[0] == op.operands[1];
@@ -385,17 +418,16 @@ enum Mutation {
 pub struct Rewriter<'a> {
     func: &'a mut Func,
     index: &'a FuncIndex,
-    path: &'a BlockPath,
     root: SlotId,
     root_idx: usize,
     log: Vec<Mutation>,
 }
 
 impl<'a> Rewriter<'a> {
-    /// A handle rooted at `root`, whose block sits at `path` in `func`.
-    fn new(func: &'a mut Func, index: &'a FuncIndex, path: &'a BlockPath, root: SlotId) -> Self {
+    /// A handle rooted at the op in `root`.
+    fn new(func: &'a mut Func, index: &'a FuncIndex, root: SlotId) -> Self {
         let root_idx = index.slots[root].pos;
-        Rewriter { func, index, path, root, root_idx, log: Vec::new() }
+        Rewriter { func, index, root, root_idx, log: Vec::new() }
     }
 
     fn assert_clean(&self) {
@@ -419,7 +451,7 @@ impl<'a> Rewriter<'a> {
     /// [`RewritePattern`].
     pub fn block(&self) -> &Block {
         self.assert_clean();
-        self.func.block_at(self.path)
+        self.index.block(self.func, self.index.slots[self.root].block)
     }
 
     /// The function being rewritten. Its entry block may hold dead
@@ -459,16 +491,17 @@ impl<'a> Rewriter<'a> {
     }
 
     /// The index of the op using `v` in the root block, read in O(1) from
-    /// the driver's user index — the counterpart of
+    /// the driver's use lists — the counterpart of
     /// [`Rewriter::find_def`]. `None` unless `v` has exactly one use
     /// function-wide and that use is an operand of a live op of the root
     /// block (a use inside a nested region does not count as one).
     pub fn single_user(&self, v: Value) -> Option<usize> {
         self.assert_clean();
-        let [slot] = self.index.users.get(v.index())?.as_slice() else {
+        let mut users = self.index.users(v);
+        let (Some(slot), None) = (users.next(), users.next()) else {
             return None;
         };
-        let user = &self.index.slots[*slot];
+        let user = &self.index.slots[slot];
         let root_block = self.index.slots[self.root].block;
         (user.live && user.block == root_block).then_some(user.pos)
     }
@@ -526,18 +559,30 @@ impl<'a> Rewriter<'a> {
 type SlotId = usize;
 type BlockId = usize;
 
+/// The end of a use list, and "no def" in [`ValueData::def`].
+const NIL: u32 = u32::MAX;
+
+/// A slot or use-node number as a `u32` link.
+fn link_id(n: usize) -> u32 {
+    debug_assert!(n < NIL as usize, "fewer than 2^32 slots and uses");
+    n as u32
+}
+
 #[derive(Debug)]
 struct SlotData {
     live: bool,
     block: BlockId,
     pos: usize,
+    /// The use node of operand 0. The op's operands own the contiguous
+    /// nodes `first_use..first_use + operands.len()`, so operand `k` is
+    /// node `first_use + k`.
+    first_use: u32,
     /// Nested blocks of this (region-bearing) op: `((region, block), id)`.
     children: Vec<((usize, usize), BlockId)>,
 }
 
 #[derive(Debug)]
 struct BlockData {
-    live: bool,
     /// `(owning op slot, region index, block index)`; `None` for the entry
     /// block.
     parent: Option<(SlotId, usize, usize)>,
@@ -545,47 +590,87 @@ struct BlockData {
     slots: Vec<SlotId>,
 }
 
+/// One use of a value: one operand of an indexed op, like MLIR's
+/// `OpOperand`. Linked into its value's use list.
+#[derive(Debug, Clone, Copy)]
+struct UseNode {
+    /// The value used.
+    value: Value,
+    /// The using op.
+    slot: u32,
+    /// The neighbours in `value`'s use list, or [`NIL`].
+    prev: u32,
+    next: u32,
+}
+
+/// Per value: its def and its use list.
+#[derive(Debug, Clone, Copy)]
+struct ValueData {
+    /// The defining slot, or [`NIL`] (a block argument or undefined).
+    def: u32,
+    /// The first and last node of the use list, or [`NIL`].
+    head: u32,
+    tail: u32,
+    /// The list's length: the value's use count.
+    count: u32,
+}
+
+impl ValueData {
+    const UNUSED: ValueData = ValueData { def: NIL, head: NIL, tail: NIL, count: 0 };
+}
+
 /// An incrementally maintained def/use/position index over one function,
-/// giving the worklist driver stable op identities (slots), O(1) def and
-/// user lookups, and O(1) use counts. All mutations flow through
+/// giving the worklist driver stable op identities (slots), O(1) def
+/// lookups and use counts, and use lists.
+///
+/// Uses are MLIR-style: one flat array of use nodes, one node per operand
+/// of every indexed op, linked per value into a doubly linked list. A
+/// value's list is in program order when the index is built; later, uses
+/// join at its tail. So building the index allocates no per-value list,
+/// unindexing an op unlinks its nodes in O(operands), and a RAUW moves
+/// each use in O(1) by its operand position. All mutations flow through
 /// [`apply_mutations`], which keeps the index in sync without rescanning
-/// the function.
-#[derive(Debug)]
+/// the function. The driver keeps one index and rebuilds it in place for
+/// each function it runs on.
+#[derive(Debug, Default)]
 struct FuncIndex {
     slots: Vec<SlotData>,
     blocks: Vec<BlockData>,
-    /// Defining slot by value index (`None`: block argument or undefined).
-    def: Vec<Option<SlotId>>,
-    /// Using slots by value index, one entry per use (so `len` is the use
-    /// count).
-    users: Vec<Vec<SlotId>>,
+    /// Use nodes. An unindexed op's nodes stay here, unlinked.
+    uses: Vec<UseNode>,
+    /// Def and use list by value index.
+    values: Vec<ValueData>,
+    /// RAUW's scratch list of the nodes it moves.
+    moved: Vec<u32>,
 }
 
 impl FuncIndex {
+    #[cfg(test)]
     fn build(func: &Func) -> FuncIndex {
-        let mut index = FuncIndex {
-            slots: Vec::new(),
-            blocks: Vec::new(),
-            def: vec![None; func.num_values()],
-            users: vec![Vec::new(); func.num_values()],
-        };
-        index.index_block(&func.body, None);
+        let mut index = FuncIndex::default();
+        index.rebuild(func);
         index
     }
 
+    /// Indexes `func` from scratch, reusing this index's buffers.
+    fn rebuild(&mut self, func: &Func) {
+        self.slots.clear();
+        self.blocks.clear();
+        self.uses.clear();
+        self.values.clear();
+        self.values.resize(func.num_values(), ValueData::UNUSED);
+        self.index_block(&func.body, None);
+    }
+
     fn grow(&mut self, func: &Func) {
-        let n = func.num_values();
-        if self.def.len() < n {
-            self.def.resize(n, None);
-        }
-        if self.users.len() < n {
-            self.users.resize_with(n, Vec::new);
+        if self.values.len() < func.num_values() {
+            self.values.resize(func.num_values(), ValueData::UNUSED);
         }
     }
 
     fn index_block(&mut self, block: &Block, parent: Option<(SlotId, usize, usize)>) -> BlockId {
         let bid = self.blocks.len();
-        self.blocks.push(BlockData { live: true, parent, slots: Vec::new() });
+        self.blocks.push(BlockData { parent, slots: Vec::with_capacity(block.ops.len()) });
         for (pos, op) in block.ops.iter().enumerate() {
             let slot = self.index_op(op, bid, pos);
             self.blocks[bid].slots.push(slot);
@@ -595,12 +680,15 @@ impl FuncIndex {
 
     fn index_op(&mut self, op: &Op, block: BlockId, pos: usize) -> SlotId {
         let slot = self.slots.len();
-        self.slots.push(SlotData { live: true, block, pos, children: Vec::new() });
-        for &v in &op.operands {
-            self.users[v.index()].push(slot);
+        let first_use = link_id(self.uses.len());
+        self.slots.push(SlotData { live: true, block, pos, first_use, children: Vec::new() });
+        for &value in &op.operands {
+            let node = link_id(self.uses.len());
+            self.uses.push(UseNode { value, slot: link_id(slot), prev: NIL, next: NIL });
+            self.link(node);
         }
         for &r in &op.results {
-            self.def[r.index()] = Some(slot);
+            self.values[r.index()].def = link_id(slot);
         }
         for (ri, region) in op.regions.iter().enumerate() {
             for (bi, nested) in region.blocks.iter().enumerate() {
@@ -613,12 +701,13 @@ impl FuncIndex {
 
     fn unindex_op(&mut self, op: &Op, slot: SlotId) {
         self.slots[slot].live = false;
-        for &v in &op.operands {
-            self.users[v.index()].retain(|&s| s != slot);
+        let first_use = self.slots[slot].first_use;
+        for node in first_use..first_use + link_id(op.operands.len()) {
+            self.unlink(node);
         }
         for &r in &op.results {
-            if self.def[r.index()] == Some(slot) {
-                self.def[r.index()] = None;
+            if self.values[r.index()].def == link_id(slot) {
+                self.values[r.index()].def = NIL;
             }
         }
         let children = std::mem::take(&mut self.slots[slot].children);
@@ -628,11 +717,42 @@ impl FuncIndex {
     }
 
     fn unindex_block(&mut self, block: &Block, bid: BlockId) {
-        self.blocks[bid].live = false;
         let slots = std::mem::take(&mut self.blocks[bid].slots);
         for (pos, slot) in slots.into_iter().enumerate() {
             self.unindex_op(&block.ops[pos], slot);
         }
+    }
+
+    /// Appends `node` to the tail of its value's use list.
+    fn link(&mut self, node: u32) {
+        let value = &mut self.values[self.uses[node as usize].value.index()];
+        let tail = std::mem::replace(&mut value.tail, node);
+        if tail == NIL {
+            value.head = node;
+        } else {
+            self.uses[tail as usize].next = node;
+        }
+        value.count += 1;
+        let use_node = &mut self.uses[node as usize];
+        use_node.prev = tail;
+        use_node.next = NIL;
+    }
+
+    /// Removes `node` from its value's use list.
+    fn unlink(&mut self, node: u32) {
+        let UseNode { value, prev, next, .. } = self.uses[node as usize];
+        let value = &mut self.values[value.index()];
+        if prev == NIL {
+            value.head = next;
+        } else {
+            self.uses[prev as usize].next = next;
+        }
+        if next == NIL {
+            value.tail = prev;
+        } else {
+            self.uses[next as usize].prev = prev;
+        }
+        value.count -= 1;
     }
 
     /// Drops the dead entries of `block` (indexed as `bid`), keeping the
@@ -680,69 +800,137 @@ impl FuncIndex {
     }
 
     fn use_count(&self, v: Value) -> usize {
-        self.users.get(v.index()).map(Vec::len).unwrap_or(0)
+        self.values.get(v.index()).map_or(0, |d| d.count as usize)
     }
 
     fn def_slot(&self, v: Value) -> Option<SlotId> {
-        self.def.get(v.index()).copied().flatten()
+        let def = self.values.get(v.index())?.def;
+        (def != NIL).then_some(def as usize)
     }
 
-    /// The path of a block, reconstructed from maintained positions.
-    fn block_path(&self, bid: BlockId) -> BlockPath {
-        let mut rev = Vec::new();
-        let mut current = bid;
-        while let Some((slot, ri, bi)) = self.blocks[current].parent {
-            rev.push((self.slots[slot].pos, ri, bi));
-            current = self.slots[slot].block;
+    /// The slots using `v`, one per use (an op using `v` twice appears
+    /// twice), in use-list order.
+    fn users(&self, v: Value) -> impl Iterator<Item = SlotId> + '_ {
+        let mut node = self.values.get(v.index()).map_or(NIL, |d| d.head);
+        std::iter::from_fn(move || {
+            let UseNode { slot, next, .. } = *self.uses.get(node as usize)?;
+            node = next;
+            Some(slot as usize)
+        })
+    }
+
+    /// The block indexed as `bid`, found by walking up its parents (no
+    /// path is built).
+    fn block<'f>(&self, func: &'f Func, bid: BlockId) -> &'f Block {
+        match self.blocks[bid].parent {
+            None => &func.body,
+            Some((slot, ri, bi)) => {
+                let owner = &self.slots[slot];
+                &self.block(func, owner.block).ops[owner.pos].regions[ri].blocks[bi]
+            }
         }
-        rev.reverse();
-        rev
     }
 
-    fn block_id_at(&self, path: &BlockPath) -> BlockId {
-        let mut current: BlockId = 0;
-        for &(op_idx, ri, bi) in path {
-            let slot = self.blocks[current].slots[op_idx];
-            current = self.slots[slot]
-                .children
-                .iter()
-                .find(|((r, b), _)| *r == ri && *b == bi)
-                .expect("indexed child block")
-                .1;
+    /// Mutable access to the block indexed as `bid`.
+    fn block_mut<'f>(&self, func: &'f mut Func, bid: BlockId) -> &'f mut Block {
+        match self.blocks[bid].parent {
+            None => &mut func.body,
+            Some((slot, ri, bi)) => {
+                let owner = &self.slots[slot];
+                &mut self.block_mut(func, owner.block).ops[owner.pos].regions[ri].blocks[bi]
+            }
         }
-        current
-    }
-
-    fn location(&self, slot: SlotId) -> (BlockPath, usize) {
-        (self.block_path(self.slots[slot].block), self.slots[slot].pos)
     }
 
     fn op<'f>(&self, func: &'f Func, slot: SlotId) -> &'f Op {
-        let (path, pos) = self.location(slot);
-        &func.block_at(&path).ops[pos]
+        &self.block(func, self.slots[slot].block).ops[self.slots[slot].pos]
     }
 
-    /// Index-maintained RAUW: rewrites the operands of exactly the ops in
-    /// `from`'s user list (O(uses), not a function scan).
+    /// Index-maintained RAUW: rewrites exactly the operands on `from`'s
+    /// use list, each by its operand position, and moves each use node to
+    /// the tail of `to`'s list. O(uses): no operand list is scanned.
+    ///
+    /// The moved uses join `to`'s list in ascending node order, which is
+    /// ascending slot order and, within a slot, operand order: a slot's
+    /// nodes are contiguous and numbered with it.
     fn replace_all_uses(&mut self, func: &mut Func, from: Value, to: Value) {
-        let mut slots = std::mem::take(&mut self.users[from.index()]);
-        slots.sort_unstable();
-        slots.dedup();
-        for slot in slots {
-            if !self.slots[slot].live {
-                continue;
-            }
-            let (path, pos) = self.location(slot);
-            let op = &mut func.block_at_mut(&path).ops[pos];
-            let mut moved = 0usize;
-            for operand in &mut op.operands {
-                if *operand == from {
-                    *operand = to;
-                    moved += 1;
+        let mut moved = std::mem::take(&mut self.moved);
+        moved.clear();
+        let mut node = self.values[from.index()].head;
+        while node != NIL {
+            moved.push(node);
+            node = self.uses[node as usize].next;
+        }
+        moved.sort_unstable();
+        let from_data = &mut self.values[from.index()];
+        (from_data.head, from_data.tail, from_data.count) = (NIL, NIL, 0);
+        for &node in &moved {
+            let slot = self.uses[node as usize].slot as usize;
+            debug_assert!(self.slots[slot].live, "a use list holds live ops only");
+            let operand = (node - self.slots[slot].first_use) as usize;
+            let op = self.op_mut(func, slot);
+            debug_assert_eq!(op.operands[operand], from, "use node out of sync with its op");
+            op.operands[operand] = to;
+            self.uses[node as usize].value = to;
+            self.link(node);
+        }
+        self.moved = moved;
+    }
+
+    fn op_mut<'f>(&self, func: &'f mut Func, slot: SlotId) -> &'f mut Op {
+        &mut self.block_mut(func, self.slots[slot].block).ops[self.slots[slot].pos]
+    }
+}
+
+#[cfg(test)]
+impl FuncIndex {
+    /// Checks the maintained index against one freshly built from the
+    /// function's live ops: per value, the same multiset of uses (using
+    /// op and operand position), the same use count and the same def. Also
+    /// checks that every use list is well linked.
+    fn assert_consistent(&self, func: &Func) {
+        let mut live = func.clone();
+        let mut kept = self.blocks[0].slots.iter().map(|&s| self.slots[s].live);
+        live.body.ops.retain(|_| kept.next().expect("one slot per op"));
+        let fresh = FuncIndex::build(&live);
+        let mut to_kept = vec![usize::MAX; fresh.slots.len()];
+        self.pair_blocks(&fresh, 0, 0, &mut to_kept);
+        assert_eq!(self.values.len(), func.num_values());
+        for v in (0..func.num_values()).map(Value::from_index) {
+            let uses = |index: &FuncIndex, map: &dyn Fn(usize) -> usize| {
+                let (mut node, mut prev, mut uses) =
+                    (index.values[v.index()].head, NIL, Vec::new());
+                while node != NIL {
+                    let n = index.uses[node as usize];
+                    assert_eq!((n.value, n.prev), (v, prev), "use list of {v} is mislinked");
+                    let slot = n.slot as usize;
+                    uses.push((map(slot), (node - index.slots[slot].first_use) as usize));
+                    (prev, node) = (node, n.next);
                 }
+                assert_eq!(index.values[v.index()].tail, prev, "tail of {v}");
+                assert_eq!(index.use_count(v), uses.len(), "use count of {v}");
+                uses.sort_unstable();
+                uses
+            };
+            assert_eq!(uses(self, &|s| s), uses(&fresh, &|s| to_kept[s]), "uses of {v}");
+            assert_eq!(self.def_slot(v), fresh.def_slot(v).map(|s| to_kept[s]), "def of {v}");
+        }
+    }
+
+    /// Pairs the live slots of block `kept` of this index with the slots of
+    /// block `new` of `fresh`, recursively through regions.
+    fn pair_blocks(&self, fresh: &FuncIndex, kept: BlockId, new: BlockId, to_kept: &mut [SlotId]) {
+        let live = self.blocks[kept].slots.iter().filter(|&&s| self.slots[s].live);
+        assert_eq!(live.clone().count(), fresh.blocks[new].slots.len(), "ops in block {kept}");
+        for (&k, &f) in live.zip(&fresh.blocks[new].slots) {
+            to_kept[f] = k;
+            assert_eq!(self.slots[k].children.len(), fresh.slots[f].children.len());
+            for (&(at, k_child), &(_, f_child)) in
+                self.slots[k].children.iter().zip(&fresh.slots[f].children)
+            {
+                assert_eq!(self.blocks[k_child].parent, Some((k, at.0, at.1)));
+                self.pair_blocks(fresh, k_child, f_child, to_kept);
             }
-            debug_assert!(moved > 0, "user list entry without a matching operand");
-            self.users[to.index()].extend(std::iter::repeat_n(slot, moved));
         }
     }
 }
@@ -762,12 +950,12 @@ struct AppliedChange {
     created: Vec<SlotId>,
 }
 
-/// Applies a queued mutation log to `func` (root block at `path`),
+/// Applies a queued mutation log to `func` (root block indexed as `bid`),
 /// keeping `index` in sync. Edits address pre-firing indices; application
 /// order is replaces, erases (in place, as dead entries), then RAUWs.
 fn apply_mutations(
     func: &mut Func,
-    path: &BlockPath,
+    bid: BlockId,
     log: Vec<Mutation>,
     index: &mut FuncIndex,
 ) -> AppliedChange {
@@ -790,19 +978,19 @@ fn apply_mutations(
     );
 
     index.grow(func);
-    let bid = index.block_id_at(path);
 
     // 1. Replaces, at unshifted indices.
     for (idx, new_op) in replaces {
         change.touched.extend(new_op.operands.iter().chain(new_op.results.iter()));
-        let old = std::mem::replace(&mut func.block_at_mut(path).ops[idx], new_op);
+        let old = std::mem::replace(&mut index.block_mut(func, bid).ops[idx], new_op);
         change.touched.extend(old.operands.iter().chain(old.results.iter()));
         let old_slot = index.blocks[bid].slots[idx];
         index.unindex_op(&old, old_slot);
         // Everything index_op allocates — the op itself plus every op
         // inside its regions — is newly created and must be requeued.
         let first_new = index.slots.len();
-        let new_slot = index.index_op(&func.block_at(path).ops[idx], bid, idx);
+        let new_op = &index.block(func, bid).ops[idx];
+        let new_slot = index.index_op(new_op, bid, idx);
         index.blocks[bid].slots[idx] = new_slot;
         change.created.extend(first_new..index.slots.len());
     }
@@ -810,7 +998,7 @@ fn apply_mutations(
     // 2. Erases: each erased op stays where it is as a dead entry, so no
     //    position moves.
     for &idx in &erases {
-        let old = &func.block_at(path).ops[idx];
+        let old = &index.block(func, bid).ops[idx];
         change.touched.extend(old.operands.iter().chain(old.results.iter()));
         index.unindex_op(old, index.blocks[bid].slots[idx]);
     }
@@ -829,7 +1017,8 @@ fn apply_mutations(
     // region-bearing op (the if-pushdowns clone an `scf.if`), and the copy
     // must not carry dead entries. Only the entry block defers.
     if !erases.is_empty() && index.blocks[bid].parent.is_some() {
-        index.compact(func.block_at_mut(path), bid);
+        let block = index.block_mut(func, bid);
+        index.compact(block, bid);
     }
     change
 }
@@ -843,15 +1032,30 @@ fn apply_mutations(
 /// Seeds every op of every function, pops in program order, applies the
 /// best-benefit matching pattern, and requeues only the def-use
 /// neighborhood the [`Rewriter`] reported — so optimization cost scales
-/// with the number of firings, not firings × function size. Classical
-/// dead-code elimination runs on the same worklist: a popped pure op whose
-/// results are all unused is erased.
+/// with the number of firings, not firings × function size. A popped op
+/// is offered only to the patterns whose
+/// [`matches_root_kind`](RewritePattern::matches_root_kind) accepts its
+/// kind. Classical dead-code elimination runs on the same worklist: a
+/// popped pure op whose results are all unused is erased.
 #[derive(Default)]
 pub struct GreedyRewriteDriver {
     patterns: PatternSet,
     config: RewriteConfig,
     /// Statistics from the last [`run`](GreedyRewriteDriver::run).
     pub stats: RewriteStats,
+    /// Buffers reused by every function the driver runs on.
+    scratch: DriverScratch,
+}
+
+/// The index, worklist and requeue buffers of [`GreedyRewriteDriver`],
+/// kept between functions and runs so a run allocates per firing, not per
+/// op.
+#[derive(Default)]
+struct DriverScratch {
+    index: FuncIndex,
+    worklist: Vec<SlotId>,
+    in_list: Vec<bool>,
+    neighborhood: NeighborhoodScratch,
 }
 
 impl GreedyRewriteDriver {
@@ -867,7 +1071,7 @@ impl GreedyRewriteDriver {
 
     /// A driver over `patterns` with an explicit configuration.
     pub fn with_config(patterns: PatternSet, config: RewriteConfig) -> Self {
-        GreedyRewriteDriver { patterns, config, stats: RewriteStats::default() }
+        GreedyRewriteDriver { patterns, config, ..GreedyRewriteDriver::default() }
     }
 
     /// Registers a pattern.
@@ -897,11 +1101,14 @@ impl GreedyRewriteDriver {
     }
 
     fn run_func(&mut self, func: &mut Func, func_name: &str) -> usize {
-        let mut index = FuncIndex::build(func);
+        let GreedyRewriteDriver { patterns, config, stats, scratch } = self;
+        let DriverScratch { index, worklist, in_list, neighborhood } = scratch;
+        index.rebuild(func);
         // Seed in reverse so LIFO pops visit ops in program order.
-        let mut worklist: Vec<SlotId> = (0..index.slots.len()).rev().collect();
-        let mut in_list: Vec<bool> = vec![true; index.slots.len()];
-        let mut scratch = NeighborhoodScratch::default();
+        worklist.clear();
+        worklist.extend((0..index.slots.len()).rev());
+        in_list.clear();
+        in_list.resize(index.slots.len(), true);
         let mut fires = 0usize;
 
         while let Some(slot) = worklist.pop() {
@@ -909,25 +1116,32 @@ impl GreedyRewriteDriver {
             if !index.slots[slot].live {
                 continue;
             }
-            self.stats.visits += 1;
-            let (path, idx) = index.location(slot);
+            stats.visits += 1;
 
             // Patterns first, best benefit wins; then integrated DCE.
             let mut fired = false;
-            if !self.config.fuel.is_exhausted() {
-                for pattern in self.patterns.iter() {
-                    let mut rw = Rewriter::new(func, &index, &path, slot);
+            if !config.fuel.is_exhausted() {
+                for pattern in patterns.iter() {
+                    if !pattern.matches_root_kind(&index.op(func, slot).kind) {
+                        debug_assert!(
+                            !pattern.match_and_rewrite(&mut Rewriter::new(func, index, slot)),
+                            "pattern '{}' matched an op its root predicate rejects",
+                            pattern.name()
+                        );
+                        continue;
+                    }
+                    let mut rw = Rewriter::new(func, index, slot);
                     if pattern.match_and_rewrite(&mut rw) {
                         debug_assert!(
                             rw.has_mutations(),
                             "pattern '{}' reported a match without queuing edits",
                             pattern.name()
                         );
-                        if !self.config.fuel.consume() {
+                        if !config.fuel.consume() {
                             break;
                         }
                         let log = rw.into_log();
-                        if self.config.trace {
+                        if config.trace {
                             let (block_no, live_idx) = index.live_location(slot);
                             let line = format!(
                                 "{} @ {}:{}:{}",
@@ -937,17 +1151,20 @@ impl GreedyRewriteDriver {
                                 live_idx
                             );
                             eprintln!("[rewrite] {line}");
-                            self.stats.trace.push(line);
+                            stats.trace.push(line);
                         }
-                        let change = apply_mutations(func, &path, log, &mut index);
-                        *self.stats.fired.entry(pattern.name()).or_default() += 1;
-                        self.stats.fires += 1;
+                        let bid = index.slots[slot].block;
+                        let change = apply_mutations(func, bid, log, index);
+                        #[cfg(test)]
+                        index.assert_consistent(func);
+                        *stats.fired.entry(pattern.name()).or_default() += 1;
+                        stats.fires += 1;
                         fires += 1;
                         assert!(
-                            self.stats.fires <= self.config.max_fires,
+                            stats.fires <= config.max_fires,
                             "rewrite driver did not reach a fixpoint after {} firings \
                              (cyclic pattern set?)",
-                            self.config.max_fires
+                            config.max_fires
                         );
                         if in_list.len() < index.slots.len() {
                             in_list.resize(index.slots.len(), false);
@@ -960,11 +1177,11 @@ impl GreedyRewriteDriver {
                         }
                         enqueue_neighborhood(
                             func,
-                            &index,
+                            index,
                             &change.touched,
-                            &mut worklist,
-                            &mut in_list,
-                            &mut scratch,
+                            worklist,
+                            in_list,
+                            neighborhood,
                         );
                         fired = true;
                         break;
@@ -983,22 +1200,18 @@ impl GreedyRewriteDriver {
             // Integrated DCE: a pure classical op whose results are all
             // unused. (Quantum/linear ops are never dead: an unused linear
             // result is a verifier error, not dead code.)
-            let op = &func.block_at(&path).ops[idx];
+            let op = index.op(func, slot);
             if op.kind.is_pure_classical()
                 && !op.results.is_empty()
                 && op.results.iter().all(|r| index.use_count(*r) == 0)
             {
+                let SlotData { block, pos, .. } = index.slots[slot];
                 let change =
-                    apply_mutations(func, &path, vec![Mutation::Erase { idx }], &mut index);
-                self.stats.dce_erased += 1;
-                enqueue_neighborhood(
-                    func,
-                    &index,
-                    &change.touched,
-                    &mut worklist,
-                    &mut in_list,
-                    &mut scratch,
-                );
+                    apply_mutations(func, block, vec![Mutation::Erase { idx: pos }], index);
+                #[cfg(test)]
+                index.assert_consistent(func);
+                stats.dce_erased += 1;
+                enqueue_neighborhood(func, index, &change.touched, worklist, in_list, neighborhood);
             }
         }
         // The entry block (block 0) is the one block holding dead entries.
@@ -1047,8 +1260,8 @@ fn enqueue_neighborhood(
     if scratch.slot_mark.len() < index.slots.len() {
         scratch.slot_mark.resize(index.slots.len(), 0);
     }
-    if scratch.value_mark.len() < index.users.len() {
-        scratch.value_mark.resize(index.users.len(), 0);
+    if scratch.value_mark.len() < index.values.len() {
+        scratch.value_mark.resize(index.values.len(), 0);
     }
     if in_list.len() < index.slots.len() {
         in_list.resize(index.slots.len(), false);
@@ -1070,47 +1283,26 @@ impl NeighborhoodScratch {
         in_list: &mut [bool],
     ) {
         self.epoch += 1;
-        let epoch = self.epoch;
         self.frontier.clear();
         for &v in touched {
-            if v.index() < self.value_mark.len() && self.value_mark[v.index()] != epoch {
-                self.value_mark[v.index()] = epoch;
+            if self.mark(v) {
                 self.frontier.push(v);
             }
         }
         for depth in 0..NEIGHBORHOOD_RADIUS {
             self.next.clear();
-            for &v in &self.frontier {
-                let hop: &[SlotId] = match direction {
-                    Direction::Forward => index.users.get(v.index()).map_or(&[], Vec::as_slice),
-                    Direction::Backward => index
-                        .def
-                        .get(v.index())
-                        .and_then(Option::as_ref)
-                        .map_or(&[], std::slice::from_ref),
-                };
-                for &s in hop {
-                    if !index.slots[s].live || self.slot_mark[s] == epoch {
-                        continue;
+            let onward = depth + 1 < NEIGHBORHOOD_RADIUS;
+            for i in 0..self.frontier.len() {
+                let v = self.frontier[i];
+                match direction {
+                    Direction::Forward => {
+                        for s in index.users(v) {
+                            self.reach(func, index, s, direction, onward, worklist, in_list);
+                        }
                     }
-                    self.slot_mark[s] = epoch;
-                    if !in_list[s] {
-                        in_list[s] = true;
-                        worklist.push(s);
-                    }
-                    if depth + 1 < NEIGHBORHOOD_RADIUS {
-                        let op = index.op(func, s);
-                        let onward = match direction {
-                            Direction::Forward => &op.results,
-                            Direction::Backward => &op.operands,
-                        };
-                        for &w in onward {
-                            if w.index() < self.value_mark.len()
-                                && self.value_mark[w.index()] != epoch
-                            {
-                                self.value_mark[w.index()] = epoch;
-                                self.next.push(w);
-                            }
+                    Direction::Backward => {
+                        if let Some(s) = index.def_slot(v) {
+                            self.reach(func, index, s, direction, onward, worklist, in_list);
                         }
                     }
                 }
@@ -1121,14 +1313,61 @@ impl NeighborhoodScratch {
             std::mem::swap(&mut self.frontier, &mut self.next);
         }
     }
+
+    /// Requeues the op in slot `s` once per walk and, when the walk goes
+    /// `onward`, queues its results (forward) or operands (backward) for
+    /// the next hop.
+    #[allow(clippy::too_many_arguments)]
+    fn reach(
+        &mut self,
+        func: &Func,
+        index: &FuncIndex,
+        s: SlotId,
+        direction: Direction,
+        onward: bool,
+        worklist: &mut Vec<SlotId>,
+        in_list: &mut [bool],
+    ) {
+        if !index.slots[s].live || self.slot_mark[s] == self.epoch {
+            return;
+        }
+        self.slot_mark[s] = self.epoch;
+        if !in_list[s] {
+            in_list[s] = true;
+            worklist.push(s);
+        }
+        if onward {
+            let op = index.op(func, s);
+            let values = match direction {
+                Direction::Forward => &op.results,
+                Direction::Backward => &op.operands,
+            };
+            for &w in values {
+                if self.mark(w) {
+                    self.next.push(w);
+                }
+            }
+        }
+    }
+
+    /// Marks `v` as seen by this walk; returns whether it was unseen.
+    fn mark(&mut self, v: Value) -> bool {
+        match self.value_mark.get_mut(v.index()) {
+            Some(mark) if *mark != self.epoch => {
+                *mark = self.epoch;
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockPath;
     use crate::func::{FuncBuilder, Visibility};
     use crate::gate::GateKind;
-    use crate::op::OpKind;
     use crate::types::{FuncType, Type};
 
     /// A toy pattern: folds `fadd(const a, const b)` into a constant.
@@ -1226,8 +1465,23 @@ mod tests {
         f: impl FnOnce(&Rewriter<'_>) -> R,
     ) -> R {
         let index = FuncIndex::build(func);
-        let root = index.blocks[index.block_id_at(path)].slots[root_idx];
-        f(&Rewriter::new(func, &index, path, root))
+        let root = index.blocks[block_id_at(&index, path)].slots[root_idx];
+        f(&Rewriter::new(func, &index, root))
+    }
+
+    /// The index's id for the block at `path`.
+    fn block_id_at(index: &FuncIndex, path: &BlockPath) -> BlockId {
+        let mut current: BlockId = 0;
+        for &(op_idx, ri, bi) in path {
+            let slot = index.blocks[current].slots[op_idx];
+            current = index.slots[slot]
+                .children
+                .iter()
+                .find(|((r, b), _)| *r == ri && *b == bi)
+                .expect("indexed child block")
+                .1;
+        }
+        current
     }
 
     #[test]
@@ -1820,6 +2074,188 @@ mod tests {
         assert_eq!(driver.run(&mut module), 0);
         assert_eq!(driver.stats.dce_erased, 1);
         assert_eq!(module.func("g").unwrap().body.ops.len(), 2, "qalloc and return survive");
+    }
+
+    // ----- the use lists, mutation by mutation -----
+
+    /// Applies `log` with the root block at `path`, then checks the index
+    /// against a fresh one.
+    fn apply(func: &mut Func, index: &mut FuncIndex, path: &BlockPath, log: Vec<Mutation>) {
+        let bid = block_id_at(index, path);
+        apply_mutations(func, bid, log, index);
+        index.assert_consistent(func);
+    }
+
+    /// The users of `v` in use-list order, as (block id, position).
+    fn users_at(index: &FuncIndex, v: Value) -> Vec<(BlockId, usize)> {
+        index.users(v).map(|s| (index.slots[s].block, index.slots[s].pos)).collect()
+    }
+
+    fn f64_func(name: &str, params: usize) -> FuncBuilder {
+        let ty = FuncType::new(vec![Type::F64; params], vec![Type::F64], false);
+        FuncBuilder::new(name, ty, Visibility::Public)
+    }
+
+    #[test]
+    fn use_lists_start_in_program_order() {
+        let mut b = f64_func("p", 1);
+        let x = b.args()[0];
+        let mut bb = b.block();
+        let s = bb.push(OpKind::FAdd, vec![x, x], vec![Type::F64])[0];
+        let t = bb.push(OpKind::FMul, vec![s, x], vec![Type::F64])[0];
+        bb.push(OpKind::Return, vec![t], vec![]);
+        let func = b.finish();
+        let index = FuncIndex::build(&func);
+        index.assert_consistent(&func);
+        assert_eq!(users_at(&index, x), [(0, 0), (0, 0), (0, 1)]);
+        assert_eq!(index.use_count(x), 3);
+        assert_eq!(index.def_slot(x), None, "a block argument");
+        assert_eq!(index.def_slot(t), Some(1));
+    }
+
+    #[test]
+    fn rauw_of_a_value_one_op_uses_twice() {
+        // a, b = const; s = fadd(a, a); t = fadd(b, s); return t
+        let mut b = f64_func("twice", 0);
+        let mut bb = b.block();
+        let a = bb.push(OpKind::ConstF64 { value: 1.0 }, vec![], vec![Type::F64])[0];
+        let c = bb.push(OpKind::ConstF64 { value: 2.0 }, vec![], vec![Type::F64])[0];
+        let s = bb.push(OpKind::FAdd, vec![a, a], vec![Type::F64])[0];
+        let t = bb.push(OpKind::FAdd, vec![c, s], vec![Type::F64])[0];
+        bb.push(OpKind::Return, vec![t], vec![]);
+        let mut func = b.finish();
+        let mut index = FuncIndex::build(&func);
+        apply(&mut func, &mut index, &vec![], vec![Mutation::Rauw { from: a, to: c }]);
+        assert_eq!(func.body.ops[2].operands, [c, c]);
+        assert_eq!(index.use_count(a), 0);
+        // `c` already had a user; both moved uses join after it.
+        assert_eq!(users_at(&index, c), [(0, 3), (0, 2), (0, 2)]);
+    }
+
+    #[test]
+    fn rauw_appends_moved_uses_in_ascending_op_order() {
+        // x is used by p (slot 2) and q (slot 3); after RAUW(c -> a) a's
+        // list is [q, p, p], out of op order. RAUW(a -> x) must still
+        // append p's two uses before q's, as the sorted slot list did.
+        let mut b = f64_func("order", 1);
+        let x = b.args()[0];
+        let mut bb = b.block();
+        let a = bb.push(OpKind::ConstF64 { value: 1.0 }, vec![], vec![Type::F64])[0];
+        let c = bb.push(OpKind::ConstF64 { value: 2.0 }, vec![], vec![Type::F64])[0];
+        let p = bb.push(OpKind::FAdd, vec![c, c], vec![Type::F64])[0];
+        let q = bb.push(OpKind::FSub, vec![a, x], vec![Type::F64])[0];
+        let r = bb.push(OpKind::FMul, vec![p, q], vec![Type::F64])[0];
+        bb.push(OpKind::Return, vec![r], vec![]);
+        let mut func = b.finish();
+        let mut index = FuncIndex::build(&func);
+        apply(&mut func, &mut index, &vec![], vec![Mutation::Rauw { from: c, to: a }]);
+        assert_eq!(users_at(&index, a), [(0, 3), (0, 2), (0, 2)]);
+        apply(&mut func, &mut index, &vec![], vec![Mutation::Rauw { from: a, to: x }]);
+        assert_eq!(users_at(&index, x), [(0, 3), (0, 2), (0, 2), (0, 3)]);
+        assert_eq!(func.body.ops[2].operands, [x, x]);
+        assert_eq!(func.body.ops[3].operands, [x, x]);
+    }
+
+    #[test]
+    fn erase_after_its_operand_was_rauwd() {
+        // a, c = const; s = fadd(a, a) (unused); return c
+        let mut b = f64_func("erase", 0);
+        let mut bb = b.block();
+        let a = bb.push(OpKind::ConstF64 { value: 1.0 }, vec![], vec![Type::F64])[0];
+        let c = bb.push(OpKind::ConstF64 { value: 2.0 }, vec![], vec![Type::F64])[0];
+        bb.push(OpKind::FAdd, vec![a, a], vec![Type::F64]);
+        bb.push(OpKind::Return, vec![c], vec![]);
+        let mut func = b.finish();
+        let mut index = FuncIndex::build(&func);
+        apply(&mut func, &mut index, &vec![], vec![Mutation::Rauw { from: a, to: c }]);
+        assert_eq!(users_at(&index, c), [(0, 3), (0, 2), (0, 2)]);
+        apply(&mut func, &mut index, &vec![], vec![Mutation::Erase { idx: 2 }]);
+        assert_eq!(users_at(&index, c), [(0, 3)]);
+        assert_eq!(index.use_count(a), 0);
+    }
+
+    /// `cond, x, y` params; `k = const`; an `scf.if` whose then-region
+    /// computes `fadd(x, x)` and whose else-region yields `x`; `return`.
+    fn if_func() -> (Func, [Value; 4]) {
+        let ty = FuncType::new(vec![Type::I1, Type::F64, Type::F64], vec![Type::F64], false);
+        let mut b = FuncBuilder::new("if", ty, Visibility::Public);
+        let (cond, x, y) = (b.args()[0], b.args()[1], b.args()[2]);
+        let mut bb = b.block();
+        let k = bb.push(OpKind::ConstF64 { value: 1.0 }, vec![], vec![Type::F64])[0];
+        let then_block = bb.subblock(vec![], |sb| {
+            let d = sb.push(OpKind::FAdd, vec![x, x], vec![Type::F64]);
+            sb.push(OpKind::Yield, d, vec![]);
+        });
+        let else_block = bb.subblock(vec![], |sb| {
+            sb.push(OpKind::Yield, vec![x], vec![]);
+        });
+        let r = bb.push_with_regions(
+            OpKind::ScfIf,
+            vec![cond],
+            vec![Type::F64],
+            vec![
+                crate::block::Region::single(then_block),
+                crate::block::Region::single(else_block),
+            ],
+        )[0];
+        let out = bb.push(OpKind::FMul, vec![r, x], vec![Type::F64])[0];
+        bb.push(OpKind::Return, vec![out], vec![]);
+        (b.finish(), [x, y, k, r])
+    }
+
+    #[test]
+    fn rauw_inside_an_scf_if_region() {
+        let (mut func, [x, y, ..]) = if_func();
+        let mut index = FuncIndex::build(&func);
+        let (then_bid, else_bid) =
+            (block_id_at(&index, &vec![(1, 0, 0)]), block_id_at(&index, &vec![(1, 1, 0)]));
+        assert_eq!(users_at(&index, x), [(then_bid, 0), (then_bid, 0), (else_bid, 0), (0, 2)]);
+        apply(&mut func, &mut index, &vec![(1, 0, 0)], vec![Mutation::Rauw { from: x, to: y }]);
+        let regions = &func.body.ops[1].regions;
+        assert_eq!(regions[0].blocks[0].ops[0].operands, [y, y]);
+        assert_eq!(regions[1].blocks[0].ops[0].operands, [y]);
+        assert_eq!(func.body.ops[2].operands[1], y);
+        assert_eq!(users_at(&index, y), [(then_bid, 0), (then_bid, 0), (else_bid, 0), (0, 2)]);
+    }
+
+    #[test]
+    fn replacing_a_region_bearing_op() {
+        let (mut func, [x, y, k, r]) = if_func();
+        let mut index = FuncIndex::build(&func);
+        let cond = func.body.args[0];
+        let (t, e) = (func.new_value(Type::F64), func.new_value(Type::F64));
+        let region =
+            |ops: Vec<Op>| crate::block::Region::single(crate::block::Block { args: vec![], ops });
+        let replacement = Op::with_regions(
+            OpKind::ScfIf,
+            vec![cond],
+            vec![r],
+            vec![
+                region(vec![
+                    Op::new(OpKind::FSub, vec![y, k], vec![t]),
+                    Op::new(OpKind::Yield, vec![t], vec![]),
+                ]),
+                region(vec![
+                    Op::new(OpKind::FNeg, vec![k], vec![e]),
+                    Op::new(OpKind::Yield, vec![e], vec![]),
+                ]),
+            ],
+        );
+        let slots_before = index.slots.len();
+        let bid = block_id_at(&index, &vec![]);
+        let change = apply_mutations(
+            &mut func,
+            bid,
+            vec![Mutation::Replace { idx: 1, op: replacement }],
+            &mut index,
+        );
+        index.assert_consistent(&func);
+        // The new op and the four ops of its regions are created.
+        assert_eq!(change.created, (slots_before..slots_before + 5).collect::<Vec<_>>());
+        assert_eq!(users_at(&index, x), [(0, 2)], "the old regions' uses are gone");
+        assert_eq!(index.use_count(k), 2);
+        assert_eq!(index.def_slot(t), Some(slots_before + 1));
+        assert_eq!(index.def_slot(r), Some(slots_before));
     }
 
     #[test]

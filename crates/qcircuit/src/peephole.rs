@@ -109,6 +109,10 @@ impl RewritePattern for CancelGates {
         "qcircuit-cancel-gates"
     }
 
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        matches!(kind, OpKind::Gate { .. })
+    }
+
     fn benefit(&self) -> usize {
         3
     }
@@ -178,6 +182,10 @@ impl RewritePattern for HConjugation {
         "qcircuit-h-conjugation"
     }
 
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        matches!(kind, OpKind::Gate { gate: GateKind::H, num_controls: 0 })
+    }
+
     fn benefit(&self) -> usize {
         2
     }
@@ -231,6 +239,10 @@ pub struct RelaxedPeephole;
 impl RewritePattern for RelaxedPeephole {
     fn name(&self) -> &'static str {
         "qcircuit-relaxed-peephole"
+    }
+
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        matches!(kind, OpKind::Gate { gate: GateKind::X, num_controls } if *num_controls > 0)
     }
 
     fn benefit(&self) -> usize {
@@ -323,6 +335,10 @@ impl RewritePattern for UnpackPack {
         "unpack-of-pack"
     }
 
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        matches!(kind, OpKind::QbUnpack | OpKind::BitUnpack | OpKind::ArrUnpack)
+    }
+
     fn benefit(&self) -> usize {
         4
     }
@@ -363,6 +379,10 @@ pub struct PackUnpack;
 impl RewritePattern for PackUnpack {
     fn name(&self) -> &'static str {
         "pack-of-unpack"
+    }
+
+    fn matches_root_kind(&self, kind: &OpKind) -> bool {
+        matches!(kind, OpKind::QbPack | OpKind::BitPack | OpKind::ArrPack)
     }
 
     fn benefit(&self) -> usize {
