@@ -94,6 +94,9 @@ pub enum ArtifactError {
         /// Why the circuit rejects it.
         error: CircuitError,
     },
+    /// The decoded module fails IR verification, e.g. an op refers to a
+    /// value outside its function's arena. Carries the verifier's message.
+    InvalidModule(String),
     /// An I/O failure around artifact storage (e.g. the cache directory
     /// cannot be created). Carries the rendered OS error.
     Io(String),
@@ -167,6 +170,9 @@ impl fmt::Display for ArtifactError {
             }
             ArtifactError::InvalidCircuitOp { index, error } => {
                 write!(f, "corrupt artifact: circuit op {index}: {error}")
+            }
+            ArtifactError::InvalidModule(message) => {
+                write!(f, "corrupt artifact: the module fails verification: {message}")
             }
             ArtifactError::Io(message) => {
                 write!(f, "artifact storage i/o error: {message}")

@@ -22,17 +22,24 @@
 //!   content hash that excludes wall-clock pass timings.
 //!
 //! Every decode failure is an [`ArtifactError`] carrying the stable
-//! `E0106` diagnostic code.
+//! `E0106` diagnostic code. That includes a module that decodes but fails
+//! IR verification.
 //!
 //! ```
 //! use asdf_artifact::Artifact;
 //! use asdf_ir::{FuncBuilder, FuncType, Module, OpKind, Type, Visibility};
 //!
-//! let builder = FuncBuilder::new(
+//! let mut builder = FuncBuilder::new(
 //!     "k",
 //!     FuncType::new(vec![], vec![Type::BitBundle(1)], false),
 //!     Visibility::Public,
 //! );
+//! let mut bb = builder.block();
+//! let q = bb.push(OpKind::QAlloc, vec![], vec![Type::Qubit]);
+//! let measured = bb.push(OpKind::Measure, q, vec![Type::Qubit, Type::I1]);
+//! bb.push(OpKind::QFree, vec![measured[0]], vec![]);
+//! let bits = bb.push(OpKind::BitPack, vec![measured[1]], vec![Type::BitBundle(1)]);
+//! bb.push(OpKind::Return, bits, vec![]);
 //! let mut module = Module::default();
 //! module.add_func(builder.finish());
 //! let artifact = Artifact {

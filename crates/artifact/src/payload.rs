@@ -50,13 +50,18 @@ pub fn encode_module(e: &mut Encoder, module: &Module) {
     }
 }
 
-/// Decodes a module.
+/// Decodes a module and verifies it, so malformed IR (a value outside
+/// its function's arena, a wrong operand count) is an
+/// [`ArtifactError::InvalidModule`] here rather than a panic in whatever
+/// reads the module next.
 pub fn decode_module(d: &mut Decoder<'_>) -> Result<Module, ArtifactError> {
     let count = d.count(1, "module functions")?;
     let mut module = Module::default();
     for _ in 0..count {
         module.add_func(decode_func(d)?);
     }
+    asdf_ir::verify::verify_module(&module)
+        .map_err(|e| ArtifactError::InvalidModule(e.to_string()))?;
     Ok(module)
 }
 

@@ -6,12 +6,14 @@
 //! exercises every section and a representative spread of payload
 //! encodings (regions, bases, phased literals, routed circuits).
 
+use asdf_artifact::payload::{decode_module, encode_module};
+use asdf_artifact::wire::{Decoder, Encoder};
 use asdf_artifact::{inspect, Artifact, ArtifactError, FORMAT_VERSION, MAGIC, SCHEMA_VERSION};
 use asdf_ast::Diagnostic;
 use asdf_basis::{Basis, BasisElem, BasisLiteral, BasisVector, BitString, Phase, PrimitiveBasis};
 use asdf_ir::{
-    Block, Func, FuncType, GateKind, Module, Op, OpKind, PassStat, PassStatistics, Region, SrcSpan,
-    Type, Visibility,
+    Block, Func, FuncBuilder, FuncType, GateKind, Module, Op, OpKind, PassStat, PassStatistics,
+    Region, SrcSpan, Type, Value, ValueList, Visibility,
 };
 use asdf_qcircuit::Circuit;
 use asdf_target::RoutingInfo;
@@ -22,12 +24,8 @@ fn sample_artifact() -> Artifact {
     let mut module = Module::default();
 
     // A function with a basis translation, a phased literal, a call with
-    // a predicate, and a nested lambda region.
-    let ty = FuncType::new(vec![Type::QBundle(2)], vec![Type::BitBundle(2)], false);
-    let mut func = Func::from_parts("main", ty, Visibility::Public, Block::default(), Vec::new());
-    let q = func.new_value(Type::QBundle(2));
-    let b = func.new_value(Type::BitBundle(2));
-    let f = func.new_value(Type::F64);
+    // a predicate, and a nested lambda region. It is well-formed IR: the
+    // module decoder verifies what it decodes.
     let lit = BasisLiteral::new(
         PrimitiveBasis::Pm,
         vec![
@@ -41,37 +39,51 @@ fn sample_artifact() -> Artifact {
     .expect("well-formed literal");
     let basis =
         Basis::new(vec![BasisElem::built_in(PrimitiveBasis::Std, 1), BasisElem::Literal(lit)]);
+    let ty = FuncType::new(
+        vec![Type::QBundle(3), Type::QBundle(5)],
+        vec![Type::BitBundle(3), Type::QBundle(5)],
+        false,
+    );
+    let mut func = Func::from_parts("main", ty, Visibility::Public, Block::default(), Vec::new());
+    let q = func.new_value(Type::QBundle(3));
+    let p = func.new_value(Type::QBundle(5));
+    let f = func.new_value(Type::F64);
+    let q1 = func.new_value(Type::QBundle(3));
+    let lambda_ty = FuncType::new(vec![], vec![], true);
+    let lambda = func.new_value(Type::Func(Box::new(lambda_ty.clone())));
+    let p1 = func.new_value(Type::QBundle(5));
+    let b = func.new_value(Type::BitBundle(3));
     let lambda_body = Block { args: vec![], ops: vec![Op::new(OpKind::Return, vec![], vec![])] };
     func.body = Block {
-        args: vec![q],
+        args: vec![q, p],
         ops: vec![
             Op::new(OpKind::ConstF64 { value: 0.25 }, vec![], vec![f]),
             Op::new(
                 OpKind::QbTrans {
-                    basis_in: Basis::built_in(PrimitiveBasis::Std, 2),
+                    basis_in: Basis::built_in(PrimitiveBasis::Std, 3),
                     basis_out: basis.clone(),
                 },
                 vec![q],
-                vec![q],
+                vec![q1],
             ),
             Op::with_regions(
-                OpKind::Lambda { func_ty: FuncType::new(vec![], vec![], true) },
+                OpKind::Lambda { func_ty: lambda_ty },
                 vec![],
-                vec![],
+                vec![lambda],
                 vec![Region::single(lambda_body)],
             ),
             Op::new(
                 OpKind::Call { callee: "helper".into(), adj: true, pred: Some(basis) },
-                vec![q],
-                vec![q],
+                vec![p],
+                vec![p1],
             ),
             Op::new(
-                OpKind::QbMeas { basis: Basis::built_in(PrimitiveBasis::Std, 2) },
-                vec![q],
+                OpKind::QbMeas { basis: Basis::built_in(PrimitiveBasis::Std, 3) },
+                vec![q1],
                 vec![b],
             ),
             {
-                let mut op = Op::new(OpKind::Return, vec![b], vec![]);
+                let mut op = Op::new(OpKind::Return, vec![b, p1], vec![]);
                 op.span = SrcSpan { start: 10, end: 20 };
                 op
             },
@@ -89,6 +101,7 @@ fn sample_artifact() -> Artifact {
     let hq = helper.new_value(Type::QBundle(2));
     helper.body = Block { args: vec![hq], ops: vec![Op::new(OpKind::Return, vec![hq], vec![])] };
     module.add_func(helper);
+    asdf_ir::verify::verify_module(&module).expect("the sample module is well-formed");
 
     let mut circuit = Circuit::new(2);
     circuit.gate(GateKind::H, &[], &[0]);
@@ -333,4 +346,96 @@ fn reseal(bytes: &mut [u8]) {
     let body_len = bytes.len() - 8;
     let checksum = asdf_artifact::fnv1a(&bytes[..body_len]);
     bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// `qalloc; h; measure; qfree; bitpack; return`, with a lambda whose body
+/// returns its one captured `f64`.
+fn measure_module() -> Module {
+    let ty = FuncType::new(vec![], vec![Type::BitBundle(1)], false);
+    let mut b = FuncBuilder::new("m", ty, Visibility::Public);
+    let mut bb = b.block();
+    let c = bb.push(OpKind::ConstF64 { value: 0.5 }, vec![], vec![Type::F64]);
+    let lambda_ty = FuncType::new(vec![], vec![Type::F64], false);
+    let body = bb.subblock(vec![Type::F64], |sb| {
+        let captured = sb.args()[0];
+        sb.push(OpKind::Return, vec![captured], vec![]);
+    });
+    bb.push_with_regions(
+        OpKind::Lambda { func_ty: lambda_ty.clone() },
+        c,
+        vec![Type::Func(Box::new(lambda_ty))],
+        vec![Region::single(body)],
+    );
+    let q = bb.push(OpKind::QAlloc, vec![], vec![Type::Qubit]);
+    let h = bb.push(OpKind::Gate { gate: GateKind::H, num_controls: 0 }, q, vec![Type::Qubit]);
+    let measured = bb.push(OpKind::Measure, h, vec![Type::Qubit, Type::I1]);
+    bb.push(OpKind::QFree, vec![measured[0]], vec![]);
+    let bits = bb.push(OpKind::BitPack, vec![measured[1]], vec![Type::BitBundle(1)]);
+    bb.push(OpKind::Return, bits, vec![]);
+    let mut module = Module::default();
+    module.add_func(b.finish());
+    module
+}
+
+#[test]
+fn malformed_ir_fails_verification_and_decoding_without_a_panic() {
+    let far = Value::from_index(1000);
+    // Op positions in `measure_module`'s body.
+    const LAMBDA: usize = 1;
+    const H: usize = 3;
+    const MEASURE: usize = 4;
+    type Patch = fn(&mut Func, Value);
+    let patches: [(&str, Patch); 7] = [
+        ("an operand", |f, far| f.body.ops[MEASURE].operands[0] = far),
+        ("a result", |f, far| f.body.ops[H].results[0] = far),
+        ("a result and its use", |f, far| {
+            f.body.ops[H].results[0] = far;
+            f.body.ops[MEASURE].operands[0] = far;
+        }),
+        ("a block argument", |f, far| f.body.args.push(far)),
+        ("a nested block argument", |f, far| {
+            f.body.ops[LAMBDA].regions[0].blocks[0].args[0] = far;
+        }),
+        ("a lambda region's block count", |f, _| {
+            f.body.ops[LAMBDA].regions[0].blocks.push(Block::default());
+        }),
+        ("a result count", |f, _| {
+            let qubit = f.body.ops[MEASURE].results[0];
+            f.body.ops[MEASURE].results = ValueList::from(vec![qubit]);
+        }),
+    ];
+    let mut well_formed = measure_module();
+    asdf_ir::verify::verify_module(&well_formed).expect("the unpatched module is well-formed");
+    for (what, patch) in patches {
+        let mut module = well_formed.clone();
+        patch(module.func_mut("m").unwrap(), far);
+        let verified = asdf_ir::verify::verify_module(&module);
+        assert!(verified.is_err(), "patching {what} must fail verification");
+
+        let mut e = Encoder::new();
+        encode_module(&mut e, &module);
+        let bytes = e.into_bytes();
+        let err = decode_module(&mut Decoder::new(&bytes)).expect_err(what);
+        assert!(matches!(err, ArtifactError::InvalidModule(_)), "{what}: {err}");
+        assert_eq!(err.code(), "E0106");
+
+        let artifact = Artifact { module, ..minimal_artifact() };
+        let err = Artifact::decode(&artifact.encode()).expect_err(what);
+        assert!(matches!(err, ArtifactError::InvalidModule(_)), "{what}: {err}");
+    }
+    // The same bytes unpatched decode fine.
+    let artifact = Artifact { module: std::mem::take(&mut well_formed), ..minimal_artifact() };
+    Artifact::decode(&artifact.encode()).expect("a well-formed module decodes");
+}
+
+fn minimal_artifact() -> Artifact {
+    Artifact {
+        entry: "m".into(),
+        module: Module::default(),
+        circuit: None,
+        routing: None,
+        stats: PassStatistics::new(),
+        lints: vec![],
+        key: vec![],
+    }
 }

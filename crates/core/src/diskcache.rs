@@ -251,6 +251,25 @@ mod tests {
     }
 
     #[test]
+    fn entries_holding_malformed_ir_are_quarantined() {
+        // A well-sealed entry whose module fails verification: a function
+        // with no terminator.
+        let cache = DiskCache::open(scratch_dir("malformed"), 8).unwrap();
+        let mut artifact = toy_artifact(vec![3]);
+        let ty = asdf_ir::FuncType::new(vec![], vec![], false);
+        artifact
+            .module
+            .add_func(asdf_ir::FuncBuilder::new("k", ty, asdf_ir::Visibility::Public).finish());
+        cache.store(9, &artifact).unwrap();
+        match cache.load(9, &[3]) {
+            DiskLookup::Quarantined(err) => assert_eq!(err.code(), "E0106"),
+            _ => panic!("expected quarantine"),
+        }
+        assert!(!cache.entry_path(9).exists(), "the entry must be moved aside");
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
     fn capacity_bound_evicts_oldest() {
         let cache = DiskCache::open(scratch_dir("evict"), 2).unwrap();
         let artifact = toy_artifact(vec![]);

@@ -172,6 +172,12 @@ impl<'a> Ctx<'a> {
         let me = u32::try_from(self.s.open.len()).expect("fewer than 2^32 blocks");
         self.s.open.push(true);
         for &arg in &block.args {
+            if arg.index() >= self.func.num_values() {
+                return Err(format!(
+                    "at {}: block argument {arg} is out of the value arena",
+                    self.location(path, 0)
+                ));
+            }
             self.s.define(arg, me);
         }
         for i in lent.clone() {
@@ -211,6 +217,15 @@ impl<'a> Ctx<'a> {
                         format!("uses undefined value {operand}"),
                     ));
                 }
+            }
+
+            if let Some(result) = op.results.iter().find(|r| r.index() >= self.func.num_values()) {
+                return Err(self.op_err(
+                    path,
+                    idx,
+                    op,
+                    format!("defines out-of-arena value {result}"),
+                ));
             }
 
             self.check_op(op, expected_results).map_err(|e| self.op_err(path, idx, op, e))?;
@@ -485,8 +500,18 @@ impl<'a> Ctx<'a> {
                 self.check_signature(ft, &op.operands[1..], &op.results)
             }
             OpKind::Lambda { func_ty } => {
-                expect(op.regions.len() == 1, "lambda has one region")?;
-                let block = op.regions[0].only_block();
+                let [region] = op.regions.as_slice() else {
+                    return Err("lambda has one region".to_string());
+                };
+                let [block] = region.blocks.as_slice() else {
+                    return Err("lambda region has one block".to_string());
+                };
+                // The body's arguments are typed here, before the body
+                // itself is verified.
+                expect(
+                    block.args.iter().all(|a| a.index() < self.func.num_values()),
+                    "lambda block argument out of the value arena",
+                )?;
                 expect(
                     block.args.len() == op.operands.len() + func_ty.inputs.len(),
                     "lambda block args must be captures ++ params",
