@@ -1048,8 +1048,8 @@ pub struct GreedyRewriteDriver {
 }
 
 /// The index, worklist and requeue buffers of [`GreedyRewriteDriver`],
-/// kept between functions and runs so a run allocates per firing, not per
-/// op.
+/// kept between functions and runs: a pipeline makes many runs over small
+/// functions, and each would otherwise allocate them afresh.
 #[derive(Default)]
 struct DriverScratch {
     index: FuncIndex,
