@@ -15,10 +15,11 @@
 //!   the pattern returns `true`; reads always observe the pre-firing IR.
 //!   Def and use lookups are answered by the driver's incrementally
 //!   maintained def/use index, the one place those facts come from.
-//! - [`GreedyRewriteDriver`]: the worklist driver. Seeds every op, pops in
-//!   program order, applies the best-[`benefit`](RewritePattern::benefit)
-//!   matching pattern, folds classical dead-code elimination into the same
-//!   worklist, and requeues only the reported neighborhood. Supports a
+//! - [`GreedyRewriteDriver`]: the worklist driver. Seeds every op some
+//!   pattern can root at, pops in program order, applies the
+//!   best-[`benefit`](RewritePattern::benefit) matching pattern, folds
+//!   classical dead-code elimination into the same worklist, and requeues
+//!   only the reported neighborhood. Supports a
 //!   [`Fuel`] cutoff (`ASDF_REWRITE_FUEL`) for bisecting miscompiles and an
 //!   optional firing trace (`ASDF_REWRITE_TRACE=1`).
 
@@ -184,6 +185,10 @@ pub struct RewriteStats {
     /// Live ops popped from the worklist: the driver's work, which the
     /// directed requeue keeps within a small constant of ops + firings.
     pub visits: usize,
+    /// Live ops the requeue walks reached, counted once per walk: the
+    /// requeue's work, kept within a small constant of ops + firings by
+    /// walking on only through single-operand, single-result ops.
+    pub walked: usize,
     /// `pattern @ func:block:op` lines, when tracing is enabled.
     pub trace: Vec<String>,
 }
@@ -204,26 +209,34 @@ pub struct RewriteStats {
 ///
 /// # Lookaround contract
 ///
-/// After a firing, the driver requeues only the ops at most three def-use
-/// hops from a value whose def or users changed, walking in two
-/// directions: forward (the value's users, then their results' users, …)
-/// and backward (the value's def, then the defs of that op's operands, …).
-/// A pattern rooted at an op may therefore read:
+/// After a firing, the driver requeues the ops around each value whose def
+/// or users changed, walking in two directions: forward (the value's
+/// users, then their results' users, …) and backward (the value's def,
+/// then the defs of that op's operands, …). The first hop is always taken;
+/// the walk goes on past an op only when that op has exactly one operand
+/// and one result, and stops after three hops. So a wide `qbpack` or
+/// `qbunpack` ends the walk instead of fanning it out to every wire. A
+/// pattern rooted at an op may therefore read:
 ///
 /// - ops on a def-chain from the root (the def of an operand, the def of
-///   one of that op's operands, …) or on a use-chain from it (a user of a
-///   result, a user of one of that op's results, …), at most three hops
-///   away;
+///   that op's operand, …) or on a use-chain from it (a user of a result,
+///   a user of that op's result, …), at most three hops away, where every
+///   op the chain passes through has exactly one operand and one result
+///   (the first hop's op may have any arity: a gate reads the def of each
+///   of its operands, however wide);
 /// - the use lists ([`Rewriter::use_count`], [`Rewriter::single_user`]) of
-///   the values on those chains.
+///   the values joining consecutive ops of such a chain.
 ///
 /// A pattern that reads anything else, such as another user of an
-/// operand's def, may miss an opportunity that a change elsewhere created,
-/// and the driver's result is then no longer a fixpoint. Every stock
-/// pattern reads only such chains and use lists, and all but
-/// `indirect-to-direct-call` (which follows a `func_adj`/`func_pred`
-/// wrapper chain to its `func_const`, however long) stay within three
-/// hops.
+/// operand's def or a chain through a two-qubit gate, may miss an
+/// opportunity that a change elsewhere created, and the driver's result is
+/// then no longer a fixpoint. Every stock pattern reads only such chains
+/// and use lists: `qcircuit-h-conjugation` passes through the `X` or `Z`
+/// between its two `H`s, `qcircuit-relaxed-peephole` through the `H` and
+/// `X` on each side of its target, and `indirect-to-direct-call` through
+/// `func_adj`/`func_pred` wrappers. All but `indirect-to-direct-call`
+/// (which follows its wrapper chain to the `func_const`, however long)
+/// stay within three hops.
 ///
 /// # Root kinds
 ///
@@ -310,16 +323,17 @@ pub trait RewritePattern {
 
     /// Whether an op of kind `kind` can be this pattern's root. The driver
     /// offers a popped op only to the patterns that accept its kind, and
-    /// asks before it builds a [`Rewriter`], so a pattern rooted at one or
-    /// two kinds costs almost nothing on every other op.
+    /// never queues an op that no pattern accepts unless dead-code
+    /// elimination may erase it (a pure classical op), so a pattern rooted
+    /// at one or two kinds costs almost nothing on every other op.
     ///
     /// The predicate must be implied by the pattern's own first check:
     /// whenever it returns `false` for an op's kind,
     /// [`match_and_rewrite`](RewritePattern::match_and_rewrite) on that op
     /// must return `false` too. Declaring roots then never changes which
     /// pattern fires. Debug builds check this on every op the predicate
-    /// rejects. The default accepts every kind, so a pattern that declares
-    /// no roots is tried on every op.
+    /// rejects, when the op is indexed. The default accepts every kind, so
+    /// a pattern that declares no roots is tried on every op.
     fn matches_root_kind(&self, kind: &OpKind) -> bool {
         let _ = kind;
         true
@@ -467,19 +481,20 @@ impl<'a> Rewriter<'a> {
     }
 
     /// The op defining `v` in the root block, as `(op index, result
-    /// position)`, read in O(1) from the driver's def index. `None` when
-    /// `v` is a block argument, is defined in another block (an enclosing
-    /// block or a nested region), or is defined at or after the root.
-    /// Under SSA a def precedes its uses, so the same lookup serves
-    /// multi-hop lookbacks (the def of an operand of an earlier op).
+    /// position)`, read in O(1) from the driver's def index, however many
+    /// results the def has. `None` when `v` is a block argument, is defined
+    /// in another block (an enclosing block or a nested region), or is
+    /// defined at or after the root. Under SSA a def precedes its uses, so
+    /// the same lookup serves multi-hop lookbacks (the def of an operand of
+    /// an earlier op).
     pub fn find_def(&self, v: Value) -> Option<(usize, usize)> {
         self.assert_clean();
-        let def = &self.index.slots[self.index.def_slot(v)?];
+        let (slot, result) = self.index.def(v)?;
+        let def = &self.index.slots[slot];
         let root_block = self.index.slots[self.root].block;
         if !def.live || def.block != root_block || def.pos >= self.root_idx {
             return None;
         }
-        let result = self.block().ops[def.pos].results.iter().position(|r| *r == v)?;
         Some((def.pos, result))
     }
 
@@ -608,6 +623,9 @@ struct UseNode {
 struct ValueData {
     /// The defining slot, or [`NIL`] (a block argument or undefined).
     def: u32,
+    /// The value's position among its def's results; meaningless when
+    /// `def` is [`NIL`].
+    result: u32,
     /// The first and last node of the use list, or [`NIL`].
     head: u32,
     tail: u32,
@@ -616,7 +634,7 @@ struct ValueData {
 }
 
 impl ValueData {
-    const UNUSED: ValueData = ValueData { def: NIL, head: NIL, tail: NIL, count: 0 };
+    const UNUSED: ValueData = ValueData { def: NIL, result: 0, head: NIL, tail: NIL, count: 0 };
 }
 
 /// An incrementally maintained def/use/position index over one function,
@@ -687,8 +705,9 @@ impl FuncIndex {
             self.uses.push(UseNode { value, slot: link_id(slot), prev: NIL, next: NIL });
             self.link(node);
         }
-        for &r in &op.results {
-            self.values[r.index()].def = link_id(slot);
+        for (result, &r) in op.results.iter().enumerate() {
+            let value = &mut self.values[r.index()];
+            (value.def, value.result) = (link_id(slot), link_id(result));
         }
         for (ri, region) in op.regions.iter().enumerate() {
             for (bi, nested) in region.blocks.iter().enumerate() {
@@ -804,8 +823,13 @@ impl FuncIndex {
     }
 
     fn def_slot(&self, v: Value) -> Option<SlotId> {
-        let def = self.values.get(v.index())?.def;
-        (def != NIL).then_some(def as usize)
+        self.def(v).map(|(slot, _)| slot)
+    }
+
+    /// The slot defining `v` and `v`'s position among its results.
+    fn def(&self, v: Value) -> Option<(SlotId, usize)> {
+        let ValueData { def, result, .. } = *self.values.get(v.index())?;
+        (def != NIL).then_some((def as usize, result as usize))
     }
 
     /// The slots using `v`, one per use (an op using `v` twice appears
@@ -884,10 +908,20 @@ impl FuncIndex {
 
 #[cfg(test)]
 impl FuncIndex {
+    /// Runs [`FuncIndex::assert_consistent`] after a driver edit on
+    /// functions of at most 4,096 slots. The check rebuilds the index, so
+    /// on the wide requeue test (some 12k ops, 4k firings) it would cost
+    /// O(ops) per firing; every other unit test stays under the limit.
+    fn check_after_edit(&self, func: &Func) {
+        if self.slots.len() <= 4096 {
+            self.assert_consistent(func);
+        }
+    }
+
     /// Checks the maintained index against one freshly built from the
     /// function's live ops: per value, the same multiset of uses (using
-    /// op and operand position), the same use count and the same def. Also
-    /// checks that every use list is well linked.
+    /// op and operand position), the same use count and the same def and
+    /// result position. Also checks that every use list is well linked.
     fn assert_consistent(&self, func: &Func) {
         let mut live = func.clone();
         let mut kept = self.blocks[0].slots.iter().map(|&s| self.slots[s].live);
@@ -913,7 +947,8 @@ impl FuncIndex {
                 uses
             };
             assert_eq!(uses(self, &|s| s), uses(&fresh, &|s| to_kept[s]), "uses of {v}");
-            assert_eq!(self.def_slot(v), fresh.def_slot(v).map(|s| to_kept[s]), "def of {v}");
+            let fresh_def = fresh.def(v).map(|(s, result)| (to_kept[s], result));
+            assert_eq!(self.def(v), fresh_def, "def of {v}");
         }
     }
 
@@ -1029,14 +1064,15 @@ fn apply_mutations(
 
 /// The worklist-driven greedy pattern engine.
 ///
-/// Seeds every op of every function, pops in program order, applies the
-/// best-benefit matching pattern, and requeues only the def-use
-/// neighborhood the [`Rewriter`] reported — so optimization cost scales
-/// with the number of firings, not firings × function size. A popped op
-/// is offered only to the patterns whose
+/// Seeds every op of every function that a pattern can root at, pops in
+/// program order, applies the best-benefit matching pattern, and requeues
+/// only the def-use neighborhood the [`Rewriter`] reported — so
+/// optimization cost scales with the number of firings, not firings ×
+/// function size. A popped op is offered only to the patterns whose
 /// [`matches_root_kind`](RewritePattern::matches_root_kind) accepts its
-/// kind. Classical dead-code elimination runs on the same worklist: a
-/// popped pure op whose results are all unused is erased.
+/// kind, and an op no pattern accepts is never queued. Classical dead-code
+/// elimination runs on the same worklist: every pure classical op is
+/// queued too, and a popped one whose results are all unused is erased.
 #[derive(Default)]
 pub struct GreedyRewriteDriver {
     patterns: PatternSet,
@@ -1054,8 +1090,59 @@ pub struct GreedyRewriteDriver {
 struct DriverScratch {
     index: FuncIndex,
     worklist: Vec<SlotId>,
-    in_list: Vec<bool>,
+    /// Per slot, whether the worklist holds it or may take it.
+    queue: Vec<Queue>,
     neighborhood: NeighborhoodScratch,
+}
+
+/// A slot's worklist state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Queue {
+    /// Not on the worklist; a requeue pushes it.
+    Idle,
+    /// On the worklist.
+    Queued,
+    /// Never queued: no pattern can root at the op, and dead-code
+    /// elimination cannot erase it.
+    Never,
+}
+
+/// Pushes `slot` onto the worklist unless it is already there or never
+/// queued.
+fn enqueue(queue: &mut [Queue], worklist: &mut Vec<SlotId>, slot: SlotId) {
+    if queue[slot] == Queue::Idle {
+        queue[slot] = Queue::Queued;
+        worklist.push(slot);
+    }
+}
+
+/// Gives every slot indexed since the last call its worklist state: idle
+/// when a pattern accepts the op's kind or the op is pure classical (so
+/// dead-code elimination may erase it), never queued otherwise. Debug
+/// builds check here that every pattern rejecting the op's kind also
+/// fails to match it (see [`RewritePattern::matches_root_kind`]).
+fn classify_new_slots(
+    patterns: &PatternSet,
+    func: &mut Func,
+    index: &FuncIndex,
+    queue: &mut Vec<Queue>,
+) {
+    for slot in queue.len()..index.slots.len() {
+        let kind = &index.op(func, slot).kind;
+        let rootable =
+            kind.is_pure_classical() || patterns.iter().any(|p| p.matches_root_kind(kind));
+        queue.push(if rootable { Queue::Idle } else { Queue::Never });
+        #[cfg(debug_assertions)]
+        for pattern in patterns.iter() {
+            if !pattern.matches_root_kind(&index.op(func, slot).kind) {
+                debug_assert!(
+                    !pattern.match_and_rewrite(&mut Rewriter::new(func, index, slot)),
+                    "pattern '{}' matched an op its root predicate rejects",
+                    pattern.name()
+                );
+            }
+        }
+    }
 }
 
 impl GreedyRewriteDriver {
@@ -1102,17 +1189,19 @@ impl GreedyRewriteDriver {
 
     fn run_func(&mut self, func: &mut Func, func_name: &str) -> usize {
         let GreedyRewriteDriver { patterns, config, stats, scratch } = self;
-        let DriverScratch { index, worklist, in_list, neighborhood } = scratch;
+        let DriverScratch { index, worklist, queue, neighborhood } = scratch;
         index.rebuild(func);
+        queue.clear();
+        classify_new_slots(patterns, func, index, queue);
         // Seed in reverse so LIFO pops visit ops in program order.
         worklist.clear();
-        worklist.extend((0..index.slots.len()).rev());
-        in_list.clear();
-        in_list.resize(index.slots.len(), true);
+        for slot in (0..index.slots.len()).rev() {
+            enqueue(queue, worklist, slot);
+        }
         let mut fires = 0usize;
 
         while let Some(slot) = worklist.pop() {
-            in_list[slot] = false;
+            queue[slot] = Queue::Idle;
             if !index.slots[slot].live {
                 continue;
             }
@@ -1123,11 +1212,6 @@ impl GreedyRewriteDriver {
             if !config.fuel.is_exhausted() {
                 for pattern in patterns.iter() {
                     if !pattern.matches_root_kind(&index.op(func, slot).kind) {
-                        debug_assert!(
-                            !pattern.match_and_rewrite(&mut Rewriter::new(func, index, slot)),
-                            "pattern '{}' matched an op its root predicate rejects",
-                            pattern.name()
-                        );
                         continue;
                     }
                     let mut rw = Rewriter::new(func, index, slot);
@@ -1156,7 +1240,7 @@ impl GreedyRewriteDriver {
                         let bid = index.slots[slot].block;
                         let change = apply_mutations(func, bid, log, index);
                         #[cfg(test)]
-                        index.assert_consistent(func);
+                        index.check_after_edit(func);
                         *stats.fired.entry(pattern.name()).or_default() += 1;
                         stats.fires += 1;
                         fires += 1;
@@ -1166,21 +1250,16 @@ impl GreedyRewriteDriver {
                              (cyclic pattern set?)",
                             config.max_fires
                         );
-                        if in_list.len() < index.slots.len() {
-                            in_list.resize(index.slots.len(), false);
-                        }
+                        classify_new_slots(patterns, func, index, queue);
                         for &s in &change.created {
-                            if !in_list[s] {
-                                in_list[s] = true;
-                                worklist.push(s);
-                            }
+                            enqueue(queue, worklist, s);
                         }
-                        enqueue_neighborhood(
+                        stats.walked += enqueue_neighborhood(
                             func,
                             index,
                             &change.touched,
                             worklist,
-                            in_list,
+                            queue,
                             neighborhood,
                         );
                         fired = true;
@@ -1209,9 +1288,16 @@ impl GreedyRewriteDriver {
                 let change =
                     apply_mutations(func, block, vec![Mutation::Erase { idx: pos }], index);
                 #[cfg(test)]
-                index.assert_consistent(func);
+                index.check_after_edit(func);
                 stats.dce_erased += 1;
-                enqueue_neighborhood(func, index, &change.touched, worklist, in_list, neighborhood);
+                stats.walked += enqueue_neighborhood(
+                    func,
+                    index,
+                    &change.touched,
+                    worklist,
+                    queue,
+                    neighborhood,
+                );
             }
         }
         // The entry block (block 0) is the one block holding dead entries.
@@ -1247,32 +1333,33 @@ enum Direction {
 }
 
 /// Requeues every op within [`NEIGHBORHOOD_RADIUS`] hops of a touched
-/// value along a use-chain (forward) or a def-chain (backward): exactly
-/// the ops whose pattern lookaround can observe the change.
+/// value along a use-chain (forward) or a def-chain (backward) that passes
+/// only through ops with one operand and one result: exactly the ops whose
+/// pattern lookaround can observe the change. Returns the number of live
+/// ops the two walks reached.
 fn enqueue_neighborhood(
     func: &Func,
     index: &FuncIndex,
     touched: &[Value],
     worklist: &mut Vec<SlotId>,
-    in_list: &mut Vec<bool>,
+    queue: &mut [Queue],
     scratch: &mut NeighborhoodScratch,
-) {
+) -> usize {
     if scratch.slot_mark.len() < index.slots.len() {
         scratch.slot_mark.resize(index.slots.len(), 0);
     }
     if scratch.value_mark.len() < index.values.len() {
         scratch.value_mark.resize(index.values.len(), 0);
     }
-    if in_list.len() < index.slots.len() {
-        in_list.resize(index.slots.len(), false);
-    }
-    for direction in [Direction::Forward, Direction::Backward] {
-        scratch.walk(func, index, touched, direction, worklist, in_list);
-    }
+    [Direction::Forward, Direction::Backward]
+        .into_iter()
+        .map(|direction| scratch.walk(func, index, touched, direction, worklist, queue))
+        .sum()
 }
 
 impl NeighborhoodScratch {
-    /// One breadth-first walk from `touched` in `direction`.
+    /// One breadth-first walk from `touched` in `direction`; returns the
+    /// number of live ops it reached.
     fn walk(
         &mut self,
         func: &Func,
@@ -1280,8 +1367,8 @@ impl NeighborhoodScratch {
         touched: &[Value],
         direction: Direction,
         worklist: &mut Vec<SlotId>,
-        in_list: &mut [bool],
-    ) {
+        queue: &mut [Queue],
+    ) -> usize {
         self.epoch += 1;
         self.frontier.clear();
         for &v in touched {
@@ -1289,6 +1376,7 @@ impl NeighborhoodScratch {
                 self.frontier.push(v);
             }
         }
+        let mut reached = 0;
         for depth in 0..NEIGHBORHOOD_RADIUS {
             self.next.clear();
             let onward = depth + 1 < NEIGHBORHOOD_RADIUS;
@@ -1297,12 +1385,14 @@ impl NeighborhoodScratch {
                 match direction {
                     Direction::Forward => {
                         for s in index.users(v) {
-                            self.reach(func, index, s, direction, onward, worklist, in_list);
+                            reached +=
+                                self.reach(func, index, s, direction, onward, worklist, queue);
                         }
                     }
                     Direction::Backward => {
                         if let Some(s) = index.def_slot(v) {
-                            self.reach(func, index, s, direction, onward, worklist, in_list);
+                            reached +=
+                                self.reach(func, index, s, direction, onward, worklist, queue);
                         }
                     }
                 }
@@ -1312,11 +1402,13 @@ impl NeighborhoodScratch {
             }
             std::mem::swap(&mut self.frontier, &mut self.next);
         }
+        reached
     }
 
     /// Requeues the op in slot `s` once per walk and, when the walk goes
-    /// `onward`, queues its results (forward) or operands (backward) for
-    /// the next hop.
+    /// `onward` and the op has exactly one operand and one result, queues
+    /// that result (forward) or operand (backward) for the next hop.
+    /// Returns 1 when it reached a live op not yet reached by this walk.
     #[allow(clippy::too_many_arguments)]
     fn reach(
         &mut self,
@@ -1326,28 +1418,26 @@ impl NeighborhoodScratch {
         direction: Direction,
         onward: bool,
         worklist: &mut Vec<SlotId>,
-        in_list: &mut [bool],
-    ) {
+        queue: &mut [Queue],
+    ) -> usize {
         if !index.slots[s].live || self.slot_mark[s] == self.epoch {
-            return;
+            return 0;
         }
         self.slot_mark[s] = self.epoch;
-        if !in_list[s] {
-            in_list[s] = true;
-            worklist.push(s);
-        }
+        enqueue(queue, worklist, s);
         if onward {
             let op = index.op(func, s);
-            let values = match direction {
-                Direction::Forward => &op.results,
-                Direction::Backward => &op.operands,
-            };
-            for &w in values {
+            if let ([operand], [result]) = (&op.operands[..], &op.results[..]) {
+                let w = match direction {
+                    Direction::Forward => *result,
+                    Direction::Backward => *operand,
+                };
                 if self.mark(w) {
                     self.next.push(w);
                 }
             }
         }
+        1
     }
 
     /// Marks `v` as seen by this walk; returns whether it was unseen.
@@ -1486,12 +1576,9 @@ mod tests {
 
     #[test]
     fn def_lookup_edge_cases() {
-        let mut b = FuncBuilder::new(
-            "d",
-            FuncType::new(vec![Type::I1, Type::F64, Type::Qubit, Type::Qubit], vec![], false),
-            Visibility::Public,
-        );
-        let (cond, x, q0, q1) = (b.args()[0], b.args()[1], b.args()[2], b.args()[3]);
+        let inputs = vec![Type::I1, Type::F64, Type::Qubit, Type::Qubit, Type::QBundle(5)];
+        let mut b = FuncBuilder::new("d", FuncType::new(inputs, vec![], false), Visibility::Public);
+        let [cond, x, q0, q1, bundle] = b.args()[..] else { unreachable!("five arguments") };
         let mut bb = b.block();
         let a = bb.push(OpKind::ConstF64 { value: 1.0 }, vec![], vec![Type::F64])[0];
         let s = bb.push(OpKind::FAdd, vec![a, x], vec![Type::F64])[0];
@@ -1500,6 +1587,7 @@ mod tests {
             vec![q0, q1],
             vec![Type::Qubit, Type::Qubit],
         );
+        let wide = bb.push(OpKind::QbUnpack, vec![bundle], vec![Type::Qubit; 5]);
         let then_block = bb.subblock(vec![], |sb| {
             let t = sb.push(OpKind::FAdd, vec![a, s], vec![Type::F64]);
             sb.push(OpKind::Yield, vec![t[0]], vec![]);
@@ -1517,13 +1605,19 @@ mod tests {
             ],
         )[0];
         let late = bb.push(OpKind::FAdd, vec![r, s], vec![Type::F64])[0];
-        bb.push(OpKind::Return, vec![late, cx[0], cx[1]], vec![]);
+        let mut returned = vec![late, cx[0], cx[1]];
+        returned.extend(wide.iter().copied());
+        bb.push(OpKind::Return, returned, vec![]);
         let mut func = b.finish();
 
-        // Rooted at `late` (entry block, op 4).
-        with_rewriter(&mut func, &vec![], 4, |rw| {
+        // Rooted at `late` (entry block, op 5).
+        with_rewriter(&mut func, &vec![], 5, |rw| {
             assert_eq!(rw.find_def(x), None, "block argument");
             assert_eq!(rw.find_def(cx[1]), Some((2, 1)), "second result of the cx");
+            // A def with more results than an op keeps inline.
+            for (position, &qubit) in wide.iter().enumerate() {
+                assert_eq!(rw.find_def(qubit), Some((3, position)), "result {position} of 5");
+            }
             assert_eq!(rw.find_def(late), None, "defined by the root itself");
             // Second hop: the def of an operand of an earlier op.
             let (s_idx, _) = rw.find_def(s).expect("s is defined before the root");
@@ -1533,7 +1627,7 @@ mod tests {
         });
         // Rooted inside the scf.if's then-region: defs in the enclosing
         // block are not in the root's block.
-        with_rewriter(&mut func, &vec![(3, 0, 0)], 0, |rw| {
+        with_rewriter(&mut func, &vec![(4, 0, 0)], 0, |rw| {
             assert_eq!(rw.find_def(a), None);
             assert_eq!(rw.find_def(s), None);
         });
@@ -2036,25 +2130,55 @@ mod tests {
         module
     }
 
+    /// `wires` wires out of a `qbunpack`, an `H H` pair on each, a
+    /// `qbpack` whose bundle a second `qbunpack` splits again, one `X` per
+    /// wire after it, and a final `qbpack`: each pair's cancellation
+    /// touches a wire one hop from the wide pack.
+    fn repacked_bundle_module(wires: usize) -> Module {
+        let ty = FuncType::rev_qbundle(wires);
+        let mut b = FuncBuilder::new("bundle", ty, Visibility::Public);
+        let arg = b.args()[0];
+        let mut bb = b.block();
+        let mut heads = bb.push(OpKind::QbUnpack, vec![arg], vec![Type::Qubit; wires]);
+        let gate = |gate| OpKind::Gate { gate, num_controls: 0 };
+        for _ in 0..2 {
+            for head in &mut heads {
+                *head = bb.push(gate(GateKind::H), vec![*head], vec![Type::Qubit])[0];
+            }
+        }
+        let packed = bb.push(OpKind::QbPack, heads, vec![Type::QBundle(wires)]);
+        let mut heads = bb.push(OpKind::QbUnpack, packed, vec![Type::Qubit; wires]);
+        for head in &mut heads {
+            *head = bb.push(gate(GateKind::X), vec![*head], vec![Type::Qubit])[0];
+        }
+        let packed = bb.push(OpKind::QbPack, heads, vec![Type::QBundle(wires)]);
+        bb.push(OpKind::Return, packed, vec![]);
+        let mut module = Module::new();
+        module.add_func(b.finish());
+        module
+    }
+
     #[test]
     fn requeue_work_stays_linear_on_a_wide_bundle() {
-        let wires = 256;
-        let mut module = bundle_module(wires);
-        let ops = 4 * wires + 3;
-        let mut driver = GreedyRewriteDriver::new();
-        driver.add_pattern(Box::new(CancelSelfInverse));
-        assert_eq!(driver.run(&mut module), 2 * wires, "both pairs cancel on every wire");
-        crate::verify::verify_module(&module).unwrap();
-        assert_eq!(module.func("bundle").unwrap().body.ops.len(), 3, "unpack, pack, return");
-        // A walk that hops from one wire through the unpack or the pack to
-        // every other wire would requeue O(wires) ops per firing.
-        let work = ops + driver.stats.fires;
-        assert!(
-            driver.stats.visits <= 2 * work,
-            "{} visits for {ops} ops and {} firings",
-            driver.stats.visits,
-            driver.stats.fires
-        );
+        // (module, ops, firings, ops left): both pairs cancel on each of 256
+        // wires; the `H H` pair cancels on each of 4,096 wires.
+        let cases = [
+            (bundle_module(256), 4 * 256 + 3, 2 * 256, 3),
+            (repacked_bundle_module(4096), 3 * 4096 + 5, 4096, 4096 + 5),
+        ];
+        for (mut module, ops, fires, left) in cases {
+            let mut driver = GreedyRewriteDriver::new();
+            driver.add_pattern(Box::new(CancelSelfInverse));
+            assert_eq!(driver.run(&mut module), fires);
+            crate::verify::verify_module(&module).unwrap();
+            assert_eq!(module.func("bundle").unwrap().body.ops.len(), left);
+            // A walk that hops from one wire through an unpack or a pack to
+            // every other wire would reach O(wires) ops per firing.
+            let work = ops + fires;
+            let RewriteStats { visits, walked, .. } = driver.stats;
+            assert!(visits <= 2 * work, "{visits} visits for {ops} ops and {fires} firings");
+            assert!(walked <= 8 * work, "{walked} ops walked for {ops} ops and {fires} firings");
+        }
     }
 
     #[test]
