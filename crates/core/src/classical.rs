@@ -140,7 +140,7 @@ pub fn xor_func(name: &str, tc: &TClassical) -> Result<Func, CoreError> {
 
     // Wire map: embedding line -> position in our tracker. Inputs first,
     // then outputs, then freshly allocated ancillas.
-    let mut values = qubits.clone();
+    let mut values = qubits.to_vec();
     let mut line_to_pos: Vec<usize> = Vec::with_capacity(embedding.circuit.lines);
     line_to_pos.extend(0..width);
     let ancilla_count = embedding.ancilla_lines.len();
@@ -183,7 +183,7 @@ pub fn sign_func(name: &str, tc: &TClassical) -> Result<Func, CoreError> {
     let mut bb = b.block();
     let qubits = bb.push(OpKind::QbUnpack, vec![arg], vec![Type::Qubit; width]);
 
-    let mut values = qubits.clone();
+    let mut values = qubits.to_vec();
     let mut line_to_pos: Vec<usize> = Vec::with_capacity(embedding.circuit.lines);
     line_to_pos.extend(0..width);
     // The output line becomes a |−⟩ ancilla: qalloc; X; H.

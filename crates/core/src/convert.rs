@@ -97,7 +97,7 @@ fn convert_op(
             let bundle = get(map, op.operands[0])?;
             let n = basis.dim();
             let qubits = bb.push(OpKind::QbUnpack, vec![bundle], vec![Type::Qubit; n]);
-            let rotated = emit_measurement_rotation(bb, qubits, basis)?;
+            let rotated = emit_measurement_rotation(bb, qubits.into_vec(), basis)?;
             let mut bits = Vec::with_capacity(n);
             for q in rotated {
                 let mr = bb.push(OpKind::Measure, vec![q], vec![Type::Qubit, Type::I1]);
@@ -126,7 +126,7 @@ fn convert_op(
                     ))
                 })
             };
-            let out = emit_translation(bb, qubits, basis_in, basis_out, &resolve)?;
+            let out = emit_translation(bb, qubits.into_vec(), basis_in, basis_out, &resolve)?;
             let packed = bb.push(OpKind::QbPack, out, vec![Type::QBundle(n)]);
             map.insert(op.results[0], packed[0]);
             Ok(())

@@ -2,6 +2,7 @@
 //! qubit position while pushing QCircuit `gate` ops.
 
 use asdf_ir::func::BlockBuilder;
+use asdf_ir::value::ValueList;
 use asdf_ir::{GateKind, OpKind, Type, Value};
 
 /// Emits gates over a positional register of SSA qubit values.
@@ -13,16 +14,16 @@ pub(crate) struct GateCtx<'a, 'b> {
 }
 
 impl GateCtx<'_, '_> {
-    /// Emits one gate, threading the per-position values.
+    /// Emits one gate, threading the per-position values. A gate on at
+    /// most three qubits allocates nothing beyond its place in the block.
     pub fn gate(&mut self, gate: GateKind, controls: &[usize], targets: &[usize]) {
-        let mut operands: Vec<Value> = Vec::with_capacity(controls.len() + targets.len());
-        operands.extend(controls.iter().map(|&p| self.values[p]));
-        operands.extend(targets.iter().map(|&p| self.values[p]));
-        let result_tys = vec![Type::Qubit; operands.len()];
+        let positions = || controls.iter().chain(targets);
+        let operands: ValueList = positions().map(|&p| self.values[p]).collect();
+        let result_tys = std::iter::repeat_n(Type::Qubit, operands.len());
         let results =
             self.bb.push(OpKind::Gate { gate, num_controls: controls.len() }, operands, result_tys);
-        for (i, &p) in controls.iter().chain(targets.iter()).enumerate() {
-            self.values[p] = results[i];
+        for (&p, &result) in positions().zip(&results) {
+            self.values[p] = result;
         }
     }
 

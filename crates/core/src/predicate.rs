@@ -79,7 +79,8 @@ pub fn predicate_func(func: &Func, pred: &Basis, new_name: &str) -> Result<Func,
         .map
         .get(&terminator.operands[0])
         .ok_or_else(|| CoreError::Ir("predication lost track of the result bundle".to_string()))?;
-    let mut payload_out = bb.push(OpKind::QbUnpack, vec![final_bundle], vec![Type::Qubit; n]);
+    let mut payload_out =
+        bb.push(OpKind::QbUnpack, vec![final_bundle], vec![Type::Qubit; n]).into_vec();
     if !perm.iter().enumerate().all(|(i, &p)| i == p) {
         let mut values = state.pred_qubits.clone();
         values.extend(payload_out.iter().copied());

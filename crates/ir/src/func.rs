@@ -257,13 +257,15 @@ impl<'a> BlockBuilder<'a> {
         &self.value_types[v.index()]
     }
 
-    /// Appends a region-free op, returning its freshly allocated results.
+    /// Appends a region-free op, returning its freshly allocated results,
+    /// one per result type. An op of at most three operands and results
+    /// allocates nothing beyond its place in the block.
     pub fn push(
         &mut self,
         kind: OpKind,
         operands: impl Into<ValueList>,
-        result_tys: Vec<Type>,
-    ) -> Vec<Value> {
+        result_tys: impl IntoIterator<Item = Type>,
+    ) -> ValueList {
         self.push_with_regions(kind, operands, result_tys, Vec::new())
     }
 
@@ -272,15 +274,13 @@ impl<'a> BlockBuilder<'a> {
         &mut self,
         kind: OpKind,
         operands: impl Into<ValueList>,
-        result_tys: Vec<Type>,
+        result_tys: impl IntoIterator<Item = Type>,
         regions: Vec<Region>,
-    ) -> Vec<Value> {
+    ) -> ValueList {
         let results: ValueList = result_tys.into_iter().map(|t| self.new_value(t)).collect();
-        let returned = results.to_vec();
-        self.block
-            .ops
-            .push(Op::with_regions(kind, operands, results, regions).with_span(self.span));
-        returned
+        let op = Op::with_regions(kind, operands, results.clone(), regions);
+        self.block.ops.push(op.with_span(self.span));
+        results
     }
 
     /// Appends a pre-built op verbatim, stamping the builder's current span

@@ -103,6 +103,14 @@ impl ValueList {
         }
     }
 
+    /// The values as a `Vec`, reusing a spilled list's heap array.
+    pub fn into_vec(self) -> Vec<Value> {
+        match self.0 {
+            Repr::Inline { len, values } => values[..usize::from(len)].to_vec(),
+            Repr::Heap(vec) => vec,
+        }
+    }
+
     /// The values as a mutable slice.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [Value] {
@@ -166,8 +174,14 @@ impl From<Vec<Value>> for ValueList {
     }
 }
 
+/// Spills to one heap array of the right size when the iterator reports
+/// more values than fit inline.
 impl FromIterator<Value> for ValueList {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        if iter.size_hint().0 > INLINE {
+            return ValueList(Repr::Heap(iter.collect()));
+        }
         let mut list = ValueList::new();
         for v in iter {
             list.push(v);
@@ -275,6 +289,7 @@ mod tests {
             assert_eq!(list.as_slice(), values(n));
             assert_eq!(is_inline(&list), n <= INLINE, "{n} values");
             assert_eq!(ValueList::from(values(n).as_slice()), list);
+            assert_eq!(list.into_vec(), values(n));
         }
     }
 
