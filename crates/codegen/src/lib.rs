@@ -28,3 +28,31 @@ pub use backend::{
     QirUnrestrictedBackend,
 };
 pub use qir::count_callable_intrinsics;
+
+/// Appends `n` in decimal, as `write!(out, "{n}")` does, without going
+/// through the formatter: the emitters print a qubit index per operand.
+fn push_decimal(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn decimals_match_the_formatter() {
+        for n in [0, 7, 10, 99, 100, 4096, 65_535, 1 << 40, usize::MAX] {
+            let mut out = String::from("q[");
+            super::push_decimal(&mut out, n);
+            assert_eq!(out, format!("q[{n}"));
+        }
+    }
+}

@@ -5,6 +5,7 @@
 //! accesses." The register conversion lives in `asdf-qcircuit::reg2mem`;
 //! this module renders the resulting [`Circuit`].
 
+use crate::push_decimal;
 use asdf_ir::GateKind;
 use asdf_qcircuit::{Circuit, CircuitOp};
 use std::collections::HashMap;
@@ -30,10 +31,16 @@ pub fn circuit_to_qasm(circuit: &Circuit) -> String {
                 emit_gate(&mut out, &mut angles, gate, controls, targets);
             }
             CircuitOp::Measure { qubit, bit } => {
-                let _ = writeln!(out, "c[{bit}] = measure q[{qubit}];");
+                out.push_str("c[");
+                push_decimal(&mut out, bit);
+                out.push_str("] = measure q[");
+                push_decimal(&mut out, qubit);
+                out.push_str("];\n");
             }
             CircuitOp::Reset { qubit } => {
-                let _ = writeln!(out, "reset q[{qubit}];");
+                out.push_str("reset q[");
+                push_decimal(&mut out, qubit);
+                out.push_str("];\n");
             }
         }
     }
@@ -58,7 +65,9 @@ fn emit_gate(
         (GateKind::P(_), 1) => "cp",
         (GateKind::Swap, 1) => "cswap",
         (_, n) => {
-            let _ = write!(out, "ctrl({n}) @ ");
+            out.push_str("ctrl(");
+            push_decimal(out, n);
+            out.push_str(") @ ");
             base_name(gate)
         }
     };
@@ -67,8 +76,11 @@ fn emit_gate(
         out.push_str(angles.entry(theta.to_bits()).or_insert_with(|| format!("({theta:.12})")));
     }
     let mut sep = " ";
-    for q in controls.iter().chain(targets) {
-        let _ = write!(out, "{sep}q[{q}]");
+    for &q in controls.iter().chain(targets) {
+        out.push_str(sep);
+        out.push_str("q[");
+        push_decimal(out, q);
+        out.push(']');
         sep = ", ";
     }
     out.push_str(";\n");

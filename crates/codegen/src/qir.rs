@@ -9,6 +9,7 @@
 //! straight-line sequence of gates embedded in LLVM IR" with `inttoptr`
 //! qubit indices standing in for `qalloc`s.
 
+use crate::push_decimal;
 use asdf_ir::{Func, GateKind, IrError, Module, OpKind, Value};
 use asdf_qcircuit::reg2mem::lower_to_circuit;
 use asdf_qcircuit::{Circuit, CircuitOp};
@@ -58,7 +59,11 @@ fn circuit_to_base_qir(circuit: &Circuit, entry: &str) -> String {
         match op {
             CircuitOp::Gate { gate, controls, targets } => {
                 let (name, suffix) = gate_intrinsic(gate, controls.len());
-                let _ = write!(out, "  call void @__quantum__qis__{name}__{suffix}(");
+                out.push_str("  call void @__quantum__qis__");
+                out.push_str(name);
+                out.push_str("__");
+                out.push_str(suffix);
+                out.push('(');
                 let mut sep = "";
                 if let Some(theta) = gate.param() {
                     out.push_str(
@@ -68,31 +73,31 @@ fn circuit_to_base_qir(circuit: &Circuit, entry: &str) -> String {
                     );
                     sep = ", ";
                 }
-                for q in controls.iter().chain(targets) {
-                    let _ = write!(out, "{sep}%Qubit* inttoptr (i64 {q} to %Qubit*)");
+                for &q in controls.iter().chain(targets) {
+                    out.push_str(sep);
+                    push_pointer(&mut out, "Qubit", q);
                     sep = ", ";
                 }
                 out.push_str(")\n");
             }
             CircuitOp::Measure { qubit, bit } => {
-                let _ = writeln!(
-                    out,
-                    "  call void @__quantum__qis__mz__body(%Qubit* inttoptr (i64 {qubit} to %Qubit*), %Result* inttoptr (i64 {bit} to %Result*))"
-                );
+                out.push_str("  call void @__quantum__qis__mz__body(");
+                push_pointer(&mut out, "Qubit", qubit);
+                out.push_str(", ");
+                push_pointer(&mut out, "Result", bit);
+                out.push_str(")\n");
             }
             CircuitOp::Reset { qubit } => {
-                let _ = writeln!(
-                    out,
-                    "  call void @__quantum__qis__reset__body(%Qubit* inttoptr (i64 {qubit} to %Qubit*))"
-                );
+                out.push_str("  call void @__quantum__qis__reset__body(");
+                push_pointer(&mut out, "Qubit", qubit);
+                out.push_str(")\n");
             }
         }
     }
     for bit in 0..circuit.num_bits() {
-        let _ = writeln!(
-            out,
-            "  call void @__quantum__rt__result_record_output(%Result* inttoptr (i64 {bit} to %Result*), i8* null)"
-        );
+        out.push_str("  call void @__quantum__rt__result_record_output(");
+        push_pointer(&mut out, "Result", bit);
+        out.push_str(", i8* null)\n");
     }
     out.push_str("  ret void\n}\n\n");
     let _ = writeln!(
@@ -102,6 +107,18 @@ fn circuit_to_base_qir(circuit: &Circuit, entry: &str) -> String {
         circuit.num_bits()
     );
     out
+}
+
+/// Appends the Base Profile operand for qubit or result `index`:
+/// `%<ty>* inttoptr (i64 <index> to %<ty>*)`.
+fn push_pointer(out: &mut String, ty: &str, index: usize) {
+    out.push('%');
+    out.push_str(ty);
+    out.push_str("* inttoptr (i64 ");
+    push_decimal(out, index);
+    out.push_str(" to %");
+    out.push_str(ty);
+    out.push_str("*)");
 }
 
 fn gate_intrinsic(gate: GateKind, num_controls: usize) -> (&'static str, &'static str) {

@@ -9,7 +9,7 @@
 //! that defines their callee.
 
 use crate::error::CoreError;
-use asdf_ir::block::BlockPath;
+use asdf_ir::block::{Block, BlockPath};
 use asdf_ir::clone::clone_ops_into;
 use asdf_ir::rewrite::{PatternSet, RewritePattern, Rewriter};
 use asdf_ir::{Func, FuncBuilder, Module, Op, OpKind, Value, Visibility};
@@ -31,41 +31,94 @@ pub fn qwerty_patterns() -> PatternSet {
 /// covers everything Qwerty lowering produces (constants, `func_const`s,
 /// other lambdas, `func_adj`/`func_pred` wrappers).
 ///
+/// Functions are visited in module order, and each function's lambdas in
+/// block preorder, then op order. A lambda nested in another moves into
+/// the lifted function, which is appended to the module and lifted in its
+/// turn.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::Unsupported`] if a capture is not rematerializable.
 pub fn lift_lambdas(module: &mut Module) -> Result<usize, CoreError> {
     let mut lifted = 0usize;
-    loop {
-        let Some((func_name, path, op_idx)) = find_lambda(module) else {
-            return Ok(lifted);
-        };
-        lift_one(module, &func_name, &path, op_idx)?;
-        lifted += 1;
+    let mut func_idx = 0;
+    while func_idx < module.len() {
+        let func = &module.funcs()[func_idx];
+        let mut sites = Vec::new();
+        lambda_sites(&func.body, &mut Vec::new(), &mut sites);
+        if !sites.is_empty() {
+            // Lifting a lambda replaces it in place with a `func_const` of
+            // the same results, so every def outside lambda regions keeps
+            // its place, and no capture is defined inside another lambda.
+            let defs = DefSites::new(func);
+            for (path, op_idx) in &sites {
+                lift_one(module, func_idx, &defs, path, *op_idx)?;
+                lifted += 1;
+            }
+        }
+        func_idx += 1;
     }
+    Ok(lifted)
 }
 
-fn find_lambda(module: &Module) -> Option<(String, BlockPath, usize)> {
-    for func in module.funcs() {
-        for path in func.block_paths() {
-            for (i, op) in func.block_at(&path).ops.iter().enumerate() {
-                if matches!(op.kind, OpKind::Lambda { .. }) {
-                    return Some((func.name.clone(), path, i));
-                }
+/// Appends the `lambda` ops of `block` (at `path`) and of the blocks nested
+/// under its other ops, in block preorder and then op order, not looking
+/// inside lambda regions.
+fn lambda_sites(block: &Block, path: &mut BlockPath, out: &mut Vec<(BlockPath, usize)>) {
+    let is_lambda = |op: &Op| matches!(op.kind, OpKind::Lambda { .. });
+    for (i, op) in block.ops.iter().enumerate() {
+        if is_lambda(op) {
+            out.push((path.clone(), i));
+        }
+    }
+    for (i, op) in block.ops.iter().enumerate().filter(|(_, op)| !is_lambda(op)) {
+        for (ri, region) in op.regions.iter().enumerate() {
+            for (bi, nested) in region.blocks.iter().enumerate() {
+                path.push((i, ri, bi));
+                lambda_sites(nested, path, out);
+                path.pop();
             }
         }
     }
-    None
+}
+
+/// Where every op-defined value of a function is defined, indexed once:
+/// per value, the defining op's block (a position in `paths`) and index.
+struct DefSites {
+    paths: Vec<BlockPath>,
+    sites: Vec<Option<(usize, usize)>>,
+}
+
+impl DefSites {
+    fn new(func: &Func) -> DefSites {
+        let paths = func.block_paths();
+        let mut sites = vec![None; func.num_values()];
+        for (block_no, path) in paths.iter().enumerate() {
+            for (i, op) in func.block_at(path).ops.iter().enumerate() {
+                for r in &op.results {
+                    sites[r.index()] = Some((block_no, i));
+                }
+            }
+        }
+        DefSites { paths, sites }
+    }
+
+    /// The op of `func` defining `v`, or `None` for a block argument.
+    fn def<'f>(&self, func: &'f Func, v: Value) -> Option<&'f Op> {
+        let (block_no, i) = (*self.sites.get(v.index())?)?;
+        Some(&func.block_at(&self.paths[block_no]).ops[i])
+    }
 }
 
 fn lift_one(
     module: &mut Module,
-    func_name: &str,
+    func_idx: usize,
+    defs: &DefSites,
     path: &BlockPath,
     op_idx: usize,
 ) -> Result<(), CoreError> {
     let name = module.fresh_name("lambda");
-    let src = module.expect_func(func_name)?.clone();
+    let src = &module.funcs()[func_idx];
     let op = &src.block_at(path).ops[op_idx];
     let OpKind::Lambda { func_ty } = &op.kind else {
         return Err(CoreError::Ir("lift target is not a lambda".into()));
@@ -84,44 +137,30 @@ fn lift_one(
     }
 
     // Rematerialize captures: clone the pure defining slices.
-    let defs = whole_func_defs(&src);
     let mut remat_ops: Vec<Op> = Vec::new();
     for (capture, block_arg) in op.operands.iter().zip(&block.args[..num_captures]) {
-        let v = rematerialize(&src, &defs, *capture, &mut lifted, &mut map, &mut remat_ops)?;
+        let v = rematerialize(src, defs, *capture, &mut lifted, &mut map, &mut remat_ops)?;
         map.insert(*block_arg, v);
     }
 
     // Clone the body.
-    let body_ops = clone_ops_into(&src, &block.ops, &mut lifted, &mut map);
+    let body_ops = clone_ops_into(src, &block.ops, &mut lifted, &mut map);
     lifted.body.ops = remat_ops;
     lifted.body.ops.extend(body_ops);
+    let results = op.results.clone();
     module.add_func(lifted);
 
     // Replace the lambda with a func_const.
-    let func = module.func_mut(func_name).expect("source func exists");
-    let results = func.block_at(path).ops[op_idx].results.clone();
+    let func = &mut module.funcs_mut()[func_idx];
     func.block_at_mut(path).ops[op_idx] =
         Op::new(OpKind::FuncConst { symbol: name }, vec![], results);
     Ok(())
 }
 
-/// value -> (path, op index) for every op-defined value in the function.
-fn whole_func_defs(func: &Func) -> HashMap<Value, (BlockPath, usize)> {
-    let mut defs = HashMap::new();
-    for path in func.block_paths() {
-        for (i, op) in func.block_at(&path).ops.iter().enumerate() {
-            for r in &op.results {
-                defs.insert(*r, (path.clone(), i));
-            }
-        }
-    }
-    defs
-}
-
 /// Clones the pure-classical backward slice of `v` into `dest`.
 fn rematerialize(
     src: &Func,
-    defs: &HashMap<Value, (BlockPath, usize)>,
+    defs: &DefSites,
     v: Value,
     dest: &mut Func,
     map: &mut HashMap<Value, Value>,
@@ -130,12 +169,11 @@ fn rematerialize(
     if let Some(mapped) = map.get(&v) {
         return Ok(*mapped);
     }
-    let Some((path, op_idx)) = defs.get(&v) else {
+    let Some(op) = defs.def(src, v) else {
         return Err(CoreError::Unsupported(format!(
             "lambda capture {v} is a block argument and cannot be rematerialized"
         )));
     };
-    let op = src.block_at(path).ops[*op_idx].clone();
     if !op.kind.is_pure_classical() {
         return Err(CoreError::Unsupported(format!(
             "lambda capture {v} is defined by non-pure op {}",
@@ -145,7 +183,7 @@ fn rematerialize(
     for operand in &op.operands {
         rematerialize(src, defs, *operand, dest, map, out_ops)?;
     }
-    let cloned = clone_ops_into(src, std::slice::from_ref(&op), dest, map);
+    let cloned = clone_ops_into(src, std::slice::from_ref(op), dest, map);
     out_ops.extend(cloned);
     Ok(map[&v])
 }
