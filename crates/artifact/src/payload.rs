@@ -619,11 +619,21 @@ pub fn encode_circuit(e: &mut Encoder, circuit: &Circuit) {
     }
 }
 
-/// Decodes a lowered circuit, checking every op as
-/// [`Circuit::try_push`] does: qubits in range, none repeated within a
-/// gate, and the gate's target count.
+/// The widest circuit [`decode_circuit`] accepts: 2^20 qubits, 16 times
+/// the widest program the compile benches build. Circuit analyses size
+/// per-qubit tables by the declared width, so an unchecked width from a
+/// crafted file could ask for terabytes.
+pub const MAX_CIRCUIT_QUBITS: usize = 1 << 20;
+
+/// Decodes a lowered circuit, checking its width against
+/// [`MAX_CIRCUIT_QUBITS`] and every op as [`Circuit::try_push`] does:
+/// qubits in range, none repeated within a gate, and the gate's target
+/// count.
 pub fn decode_circuit(d: &mut Decoder<'_>) -> Result<Circuit, ArtifactError> {
     let num_qubits = d.usize("circuit qubits")?;
+    if num_qubits > MAX_CIRCUIT_QUBITS {
+        return Err(ArtifactError::Invalid { context: "circuit width above MAX_CIRCUIT_QUBITS" });
+    }
     let op_count = d.count(1, "circuit ops")?;
     let mut circuit = Circuit::new(num_qubits);
     // One buffer for each gate's controls, then its targets.
@@ -869,6 +879,19 @@ mod tests {
         );
         assert_eq!(err.code(), "E0106");
         assert!(err.to_string().contains("circuit op 0: target arity for"), "{err}");
+    }
+
+    #[test]
+    fn widths_above_the_bound_are_rejected() {
+        let err = decode_patched(0, 1 << 40).unwrap_err();
+        assert_eq!(
+            err,
+            ArtifactError::Invalid { context: "circuit width above MAX_CIRCUIT_QUBITS" }
+        );
+        assert_eq!(err.code(), "E0106");
+        let widest =
+            decode_patched(0, MAX_CIRCUIT_QUBITS as u64).expect("the bound itself decodes");
+        assert_eq!(widest.num_qubits, MAX_CIRCUIT_QUBITS);
     }
 
     #[test]
