@@ -1,14 +1,16 @@
-//! How compile time grows with program width: bv, simon and
-//! `'p'[N] | std[N].measure` compiled cold through `Session::compile`
-//! (default options: inline, peephole, verify, Selinger) at N = 1k, 4k and
-//! 16k qubits.
+//! How compile time grows with program width: bv, dj, grover (one
+//! iteration), simon and `'p'[N] | std[N].measure` compiled cold through
+//! `Session::compile` (default options: inline, peephole, verify,
+//! Selinger) at N = 1k, 4k and 16k qubits, and bv, simon and `'p'[N]` also
+//! at 64k.
 //!
 //! For each family and width the bench prints the fastest run's whole
 //! compile time and its per-pass times from `PassStatistics`, then a
-//! least-squares growth exponent per family (the slope of log time over
-//! log N): 1 is linear, 2 quadratic. It fits the whole compile and the
-//! `qcircuit-peephole` pass, the stage that grew quadratically in wide
-//! programs. It gates nothing yet: bv's peephole is still superlinear.
+//! least-squares growth exponent per family over its widths (the slope of
+//! log time over log N): 1 is linear, 2 quadratic. It fits the whole
+//! compile and the `qcircuit-peephole` pass, the stage that grew
+//! quadratically in wide programs. It gates nothing: its times move with
+//! the machine.
 //!
 //! Each full run appends a trajectory point to `BENCH_compile.json` at the
 //! repo root. `--smoke` (or env `COMPILE_SCALING_SMOKE=1`) runs N = 1k and
@@ -35,6 +37,13 @@ const PASSES: [&str; 5] = [
 
 const PEEPHOLE: &str = "qcircuit-peephole";
 
+/// The families, each with whether a full run also compiles it at 64k.
+/// dj and grover stop at 16k: dj lowers to bv's shape, and most of
+/// grover's compile time at 16k is spent outside the pipeline passes,
+/// where it still grows faster than N (ROADMAP item 1).
+const FAMILIES: [(&str, bool); 5] =
+    [("bv", true), ("dj", false), ("grover", false), ("simon", true), ("p", true)];
+
 /// A deterministic secret of `n` bits with its first bit set (simon needs
 /// a nonzero secret).
 fn secret(n: usize) -> Vec<bool> {
@@ -53,6 +62,8 @@ fn secret(n: usize) -> Vec<bool> {
 fn program(family: &str, n: usize) -> (String, CompileRequest) {
     let bench = match family {
         "bv" => Benchmark::Bv { secret: secret(n) },
+        "dj" => Benchmark::Dj { n },
+        "grover" => Benchmark::Grover { n, iterations: 1 },
         "simon" => Benchmark::Simon { secret: secret(n) },
         _ => {
             let request = CompileRequest::kernel("kernel").with_dim("N", n as i64);
@@ -113,7 +124,7 @@ fn json_list(values: &[f64]) -> String {
 
 fn main() {
     let smoke = smoke_mode("COMPILE_SCALING_SMOKE");
-    let (sizes, runs): (&[usize], usize) =
+    let (common, runs): (&[usize], usize) =
         if smoke { (&[1024, 4096], 1) } else { (&[1024, 4096, 16384], 3) };
     println!(
         "compile_scaling: cold Session::compile, fastest of {runs} run(s) per point{}",
@@ -125,9 +136,13 @@ fn main() {
 
     let mut families = Vec::new();
     let mut exponents = Vec::new();
-    for family in ["bv", "simon", "p"] {
+    for (family, wider) in FAMILIES {
+        let mut sizes = common.to_vec();
+        if wider && !smoke {
+            sizes.push(65536);
+        }
         let (mut compile, mut peephole) = (Vec::new(), Vec::new());
-        for &n in sizes {
+        for &n in &sizes {
             let (source, request) = program(family, n);
             let (elapsed, compiled) = fastest_compile(&source, &request, runs);
             let passes: String = PASSES
@@ -138,26 +153,29 @@ fn main() {
             compile.push(ms(elapsed));
             peephole.push(pass_ms(&compiled.stats, PEEPHOLE));
         }
-        let exponent = growth_exponent(sizes, &compile);
-        let peephole_exponent = growth_exponent(sizes, &peephole);
-        exponents.push((family, exponent, peephole_exponent));
+        let exponent = growth_exponent(&sizes, &compile);
+        let peephole_exponent = growth_exponent(&sizes, &peephole);
+        let sizes_json: Vec<String> = sizes.iter().map(usize::to_string).collect();
         families.push(format!(
-            "{{\"family\": \"{family}\", \"compile_ms\": {}, \"peephole_ms\": {}, \
-             \"exponent\": {exponent:.2}, \"peephole_exponent\": {peephole_exponent:.2}}}",
+            "{{\"family\": \"{family}\", \"sizes\": [{}], \"compile_ms\": {}, \
+             \"peephole_ms\": {}, \"exponent\": {exponent:.2}, \
+             \"peephole_exponent\": {peephole_exponent:.2}}}",
+            sizes_json.join(", "),
             json_list(&compile),
             json_list(&peephole)
         ));
+        exponents.push((family, sizes, exponent, peephole_exponent));
     }
-    println!("growth exponents (least squares over N = {sizes:?}):");
-    for (family, exponent, peephole_exponent) in &exponents {
-        println!("  {family:<6} compile {exponent:.2}  {PEEPHOLE} {peephole_exponent:.2}");
+    println!("growth exponents (least squares over each family's N):");
+    for (family, sizes, exponent, peephole_exponent) in &exponents {
+        println!(
+            "  {family:<6} compile {exponent:.2}  {PEEPHOLE} {peephole_exponent:.2}  (N = {sizes:?})"
+        );
     }
 
-    let sizes_json: Vec<String> = sizes.iter().map(usize::to_string).collect();
     let point = format!(
-        "{{\"bench\": \"compile_scaling\", \"mode\": \"{}\", \"sizes\": [{}], \"families\": [{}]}}",
+        "{{\"bench\": \"compile_scaling\", \"mode\": \"{}\", \"families\": [{}]}}",
         if smoke { "smoke" } else { "full" },
-        sizes_json.join(", "),
         families.join(", ")
     );
     record_trajectory_point("BENCH_compile.json", &point, smoke);
