@@ -9,11 +9,16 @@
 //! GOLDEN_REGEN=1 cargo test -p asdf-conformance
 //! ```
 
+use asdf_ast::canon::canonicalize;
+use asdf_ast::expand::instantiate;
+use asdf_ast::parse::parse_program;
+use asdf_ast::typecheck::typecheck_kernel;
 use asdf_baselines::Benchmark;
 use asdf_conformance::{check_golden, corpus, difftest_corpus, example_corpus, TRACE_SEED};
+use asdf_core::lower::lower_kernel;
 use asdf_core::{compiled_to_artifact, CompileOptions, CompileRequest, Session};
 use asdf_difftest::gen::{gen_case, GenOptions};
-use asdf_ir::GateKind;
+use asdf_ir::{GateKind, Module, OpKind};
 use asdf_qcircuit::{Circuit, CircuitOp};
 use asdf_sim::trace::{record_trace, replay_divergence, state_digest, Trace};
 use asdf_sim::Simulator;
@@ -87,6 +92,70 @@ fn wide_output_hashes_match_goldens() {
         );
     }
     check_golden("wide_hashes.txt", &listing);
+}
+
+/// Region-bearing output, pinned by hash: per corpus entry, the printed
+/// pre-pipeline module (where `lambda` and `scf.if` regions still exist;
+/// the default pipeline inlines the lifted lambdas away), then the
+/// artifact content hash and the FNV-1a of the `qir-unrestricted` text
+/// under the No-Opt options, which keep the lifted functions and their
+/// callables. The module is built as perfbench's traced replica builds
+/// it: parse, instantiate, typecheck, canonicalize, lower.
+#[test]
+fn region_output_hashes_match_goldens() {
+    let (mut lambdas, mut ifs) = (0, 0);
+    let mut listing = String::new();
+    for entry in corpus() {
+        let dims = &entry.options.dims;
+        let program = parse_program(&entry.source).expect("corpus entry parses");
+        let instance = instantiate(&program, &entry.kernel, &entry.captures, dims)
+            .expect("corpus entry instantiates");
+        let mut kernel =
+            typecheck_kernel(&program, &entry.kernel, &instance).expect("corpus entry typechecks");
+        canonicalize(&mut kernel);
+        let mut module = Module::new();
+        lower_kernel(&kernel, &mut module).expect("corpus entry lowers");
+        for func in module.funcs() {
+            for path in func.block_paths() {
+                for op in &func.block_at(&path).ops {
+                    match op.kind {
+                        OpKind::Lambda { .. } => lambdas += 1,
+                        OpKind::ScfIf => ifs += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        let _ = write!(
+            listing,
+            "{} module {:016x}",
+            entry.name,
+            asdf_artifact::fnv1a(module.to_string().as_bytes())
+        );
+
+        let session = Session::new(&entry.source).expect("corpus entry parses");
+        let options = CompileOptions { dims: dims.clone(), ..CompileOptions::no_opt() };
+        let request = CompileRequest::kernel(&entry.kernel)
+            .with_captures(&entry.captures)
+            .with_options(options);
+        match session.compile(&request) {
+            Ok(compiled) => {
+                let text =
+                    session.emit(&compiled, "qir-unrestricted").expect("No-Opt output emits");
+                let _ = writeln!(
+                    listing,
+                    " noopt-artifact {:016x} qir-unrestricted {:016x}",
+                    compiled_to_artifact(&compiled, Vec::new()).content_hash(),
+                    asdf_artifact::fnv1a(text.as_bytes()),
+                );
+            }
+            Err(e) => {
+                let _ = writeln!(listing, " noopt-error {}", e.to_string().replace('\n', " "));
+            }
+        }
+    }
+    assert!(lambdas > 0 && ifs > 0, "the corpus lowers to both region kinds");
+    check_golden("region_hashes.txt", &listing);
 }
 
 /// Every static-circuit corpus entry's seeded execution trace, replayed
