@@ -188,8 +188,16 @@ fn convert_op(
                 }
                 regions.push(asdf_ir::block::Region::single(block));
             }
-            let result_tys: Vec<Type> =
-                op.results.iter().map(|r| src.value_type(*r).clone()).collect();
+            // A yielded function value arrives as the callable that
+            // `callable_create` (or a modifier) now yields.
+            let result_tys: Vec<Type> = op
+                .results
+                .iter()
+                .map(|r| match src.value_type(*r) {
+                    Type::Func(_) => Type::Callable,
+                    ty => ty.clone(),
+                })
+                .collect();
             let results = bb.push_with_regions(OpKind::ScfIf, operands, result_tys, regions);
             for (old, new) in op.results.iter().zip(results) {
                 map.insert(*old, new);

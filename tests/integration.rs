@@ -78,19 +78,26 @@ fn teleportation_through_dynamic_interpreter() {
             bob | (pm.flip if m_pm else id) | (std.flip if m_std else id)
         }
     ";
-    let compiled = Compiler::compile(source, "teleport", &[], &CompileOptions::default()).unwrap();
-    assert!(compiled.circuit.is_none(), "conditionals prevent a static circuit");
-
     let theta: f64 = 0.7;
     let a0 = Complex::new(theta.cos(), 0.0);
     let a1 = Complex::new(theta.sin(), 0.0);
-    for seed in 0..24 {
-        let run =
-            run_dynamic(&compiled.module, "teleport", &[ArgValue::Qubit(a0, a1)], seed).unwrap();
-        let out = run.returned_qubits[0];
-        let mut state = run.state;
-        state.apply(GateKind::Ry(-2.0 * theta), &[], &[out]);
-        assert!(state.prob_one(out) < 1e-9, "seed {seed}");
+    // Under No-Opt the corrections stay lifted functions: each `scf.if`
+    // yields a callable.
+    let mut configs = CompileOptions::matrix();
+    configs.push(("default".to_string(), CompileOptions::default()));
+    configs.push(("no-opt".to_string(), CompileOptions::no_opt()));
+    for (name, options) in configs {
+        let compiled = Compiler::compile(source, "teleport", &[], &options)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(compiled.circuit.is_none(), "{name}: conditionals prevent a static circuit");
+        for seed in 0..24 {
+            let run = run_dynamic(&compiled.module, "teleport", &[ArgValue::Qubit(a0, a1)], seed)
+                .unwrap();
+            let out = run.returned_qubits[0];
+            let mut state = run.state;
+            state.apply(GateKind::Ry(-2.0 * theta), &[], &[out]);
+            assert!(state.prob_one(out) < 1e-9, "{name}, seed {seed}");
+        }
     }
 }
 
