@@ -195,18 +195,20 @@ impl Circuit {
     }
 
     /// Checks `record` against the circuit's width; a gate's qubits must
-    /// already be in the arena.
+    /// already be in the arena. The error names the first qubit, in
+    /// operand order, that is out of range or repeats an earlier one.
     fn check(&self, record: &Record) -> Result<(), CircuitError> {
         let qubits = self.record_qubits(record);
-        for (i, &qubit) in qubits.iter().enumerate() {
-            if qubit >= self.num_qubits {
-                return Err(CircuitError::QubitOutOfRange { qubit });
-            }
-            if qubits[..i].contains(&qubit) {
-                return Err(CircuitError::DuplicateQubit { qubit });
-            }
+        // Every qubit before the first out-of-range one is in range, so a
+        // repeat among them fails first.
+        let in_range = qubits.iter().position(|&q| q >= self.num_qubits).unwrap_or(qubits.len());
+        if let Some(qubit) = first_repeat(&qubits[..in_range]) {
+            return Err(CircuitError::DuplicateQubit { qubit });
         }
-        Ok(())
+        match qubits.get(in_range) {
+            Some(&qubit) => Err(CircuitError::QubitOutOfRange { qubit }),
+            None => Ok(()),
+        }
     }
 
     /// Appends `op` after checking it: every qubit in range, no qubit
@@ -472,9 +474,32 @@ impl fmt::Display for Circuit {
     }
 }
 
+/// Gates of at most this many qubits are checked for repeats pairwise,
+/// which allocates nothing.
+const PAIRWISE_MAX: usize = 16;
+
+/// The first qubit that repeats an earlier one. Wider gates mark a bitset
+/// over their qubits' span, in time linear in the gate's width plus a 64th
+/// of that span; grover's oracle is one gate on all N + 1 wires.
+fn first_repeat(qubits: &[usize]) -> Option<usize> {
+    if qubits.len() <= PAIRWISE_MAX {
+        return (1..qubits.len()).find(|&i| qubits[..i].contains(&qubits[i])).map(|i| qubits[i]);
+    }
+    let lo = *qubits.iter().min()?;
+    let hi = *qubits.iter().max()?;
+    let mut seen = vec![0u64; (hi - lo) / 64 + 1];
+    qubits.iter().copied().find(|&q| {
+        let (word, bit) = ((q - lo) / 64, 1u64 << ((q - lo) % 64));
+        let repeated = seen[word] & bit != 0;
+        seen[word] |= bit;
+        repeated
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn metrics() {
@@ -514,6 +539,48 @@ mod tests {
         let mut c = Circuit::new(1);
         c.gate(GateKind::P(std::f64::consts::FRAC_PI_2), &[], &[0]);
         assert_eq!(c.t_count(), 0, "P(pi/2) is Clifford (S)");
+    }
+
+    /// The pairwise scan `Circuit::check` made before, O(k²) for a k-qubit
+    /// gate: the reference for its error order.
+    fn check_reference(num_qubits: usize, qubits: &[usize]) -> Result<(), CircuitError> {
+        for (i, &qubit) in qubits.iter().enumerate() {
+            if qubit >= num_qubits {
+                return Err(CircuitError::QubitOutOfRange { qubit });
+            }
+            if qubits[..i].contains(&qubit) {
+                return Err(CircuitError::DuplicateQubit { qubit });
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        /// On gates below and above the pairwise limit, with qubits past
+        /// the width and repeats anywhere, `try_push` fails as the
+        /// reference scan does.
+        #[test]
+        fn check_reports_the_reference_scans_error(
+            (width, mut qubits, copies) in (1usize..=40).prop_flat_map(|width| (
+                Just(width),
+                proptest::sample::subsequence((0..width + 4).collect(), 1..=width + 4)
+                    .prop_shuffle(),
+                proptest::collection::vec((0usize..64, 0usize..64), 0..3),
+            ))
+        ) {
+            let len = qubits.len();
+            for (to, from) in copies {
+                qubits[to % len] = qubits[from % len];
+            }
+            let (target, controls) = qubits.split_last().expect("at least one qubit");
+            let gate = CircuitOp::Gate { gate: GateKind::X, controls, targets: &[*target] };
+            prop_assert_eq!(
+                Circuit::new(width).try_push(gate),
+                check_reference(width, &qubits),
+                "{:?} on {} qubits", qubits, width
+            );
+        }
     }
 
     #[test]
