@@ -38,13 +38,6 @@ pub fn render_expr(e: &Expr) -> String {
     out
 }
 
-/// Renders a `classical` body expression.
-pub fn render_cexpr(e: &CExpr) -> String {
-    let mut out = String::new();
-    cexpr(&mut out, e, 0);
-    out
-}
-
 fn render_qpu(out: &mut String, f: &QpuFunc) {
     out.push_str("qpu ");
     out.push_str(&f.name);

@@ -70,15 +70,6 @@ impl BitString {
         self.bits[i]
     }
 
-    /// Sets the bit at position `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn set_bit(&mut self, i: usize, value: bool) {
-        self.bits[i] = value;
-    }
-
     /// Iterates over bits, leftmost first.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         self.bits.iter().copied()

@@ -23,11 +23,6 @@ impl Block {
     pub fn terminator(&self) -> Option<&Op> {
         self.ops.last().filter(|op| op.is_terminator())
     }
-
-    /// Mutable terminator access.
-    pub fn terminator_mut(&mut self) -> Option<&mut Op> {
-        self.ops.last_mut().filter(|op| op.is_terminator())
-    }
 }
 
 /// A region: a list of blocks owned by an op. Always a single block in this

@@ -7,7 +7,7 @@
 use crate::block::Region;
 use crate::gate::GateKind;
 use crate::span::SrcSpan;
-use crate::value::{Value, ValueList};
+use crate::value::ValueList;
 use asdf_basis::{Basis, Eigenstate, PrimitiveBasis};
 
 /// The structured payload of an op: which operation it is, plus its
@@ -326,40 +326,11 @@ impl Op {
     pub fn is_terminator(&self) -> bool {
         self.kind.is_terminator()
     }
-
-    /// Iterates over every value the op (transitively) uses, including uses
-    /// inside nested regions but excluding values defined within them.
-    pub fn transitive_uses(&self) -> Vec<Value> {
-        let mut uses = self.operands.to_vec();
-        let mut defined: std::collections::HashSet<Value> = std::collections::HashSet::new();
-        fn walk(
-            region: &Region,
-            uses: &mut Vec<Value>,
-            defined: &mut std::collections::HashSet<Value>,
-        ) {
-            for block in &region.blocks {
-                defined.extend(block.args.iter().copied());
-                for op in &block.ops {
-                    uses.extend(op.operands.iter().copied());
-                    defined.extend(op.results.iter().copied());
-                    for nested in &op.regions {
-                        walk(nested, uses, defined);
-                    }
-                }
-            }
-        }
-        for region in &self.regions {
-            walk(region, &mut uses, &mut defined);
-        }
-        uses.retain(|v| !defined.contains(v));
-        uses
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::Block;
 
     #[test]
     fn terminators() {
@@ -386,28 +357,5 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn op_size_is_unchanged_by_inline_lists() {
         assert_eq!(std::mem::size_of::<Op>(), 144);
-    }
-
-    #[test]
-    fn transitive_uses_skip_region_locals() {
-        // An scf.if whose region uses one outer value and one region-local
-        // value.
-        let outer = Value::from_index(0);
-        let cond = Value::from_index(1);
-        let local = Value::from_index(2);
-        let inner_op = Op::new(OpKind::FAdd, vec![outer, local], vec![Value::from_index(3)]);
-        let yield_op = Op::new(OpKind::Yield, vec![Value::from_index(3)], vec![]);
-        let block = Block { args: vec![local], ops: vec![inner_op, yield_op] };
-        let if_op = Op::with_regions(
-            OpKind::ScfIf,
-            vec![cond],
-            vec![Value::from_index(4)],
-            vec![Region { blocks: vec![block] }],
-        );
-        let uses = if_op.transitive_uses();
-        assert!(uses.contains(&cond));
-        assert!(uses.contains(&outer));
-        assert!(!uses.contains(&local));
-        assert!(!uses.contains(&Value::from_index(3)));
     }
 }

@@ -150,11 +150,6 @@ impl PassStatistics {
         self.passes.iter().filter(|p| p.name == name).map(|p| p.duration).sum()
     }
 
-    /// Total changes reported by passes with the given name.
-    pub fn changes_of(&self, name: &str) -> usize {
-        self.passes.iter().filter(|p| p.name == name).map(|p| p.changes).sum()
-    }
-
     /// Folds another run's records into this one, summing duration,
     /// changes, and detail counters by pass name (order of first
     /// appearance). Used by sweep harnesses (the differential tester, the
@@ -514,7 +509,6 @@ mod tests {
             reported,
             [("first".to_string(), 3), ("second".to_string(), 0), ("third".to_string(), 7)]
         );
-        assert_eq!(stats.changes_of("third"), 7);
         assert_eq!(stats.len(), 3);
     }
 

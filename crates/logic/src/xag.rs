@@ -303,14 +303,6 @@ impl Xag {
         matches!(self.nodes[node], Node::Xor(_))
     }
 
-    /// Whether a node is a primary input; returns its index.
-    pub fn as_input(&self, node: usize) -> Option<usize> {
-        match self.nodes[node] {
-            Node::Input(k) => Some(k as usize),
-            _ => None,
-        }
-    }
-
     /// The *parity support* of a signal: the set of input/AND nodes whose
     /// XOR (plus a constant) equals the signal. This is what lets XOR
     /// chains compile to in-place CNOTs with no ancillas (§8.3).
