@@ -156,7 +156,7 @@ pub fn analyze<A: Analysis>(func: &Func, analysis: &mut A) -> FactMap<A::Fact> {
 /// results (the forward merge), or the reverse (the backward split).
 fn merge_yields<F: Fact>(op: &Op, facts: &mut FactMap<F>, direction: Direction) {
     for region in &op.regions {
-        let Some(term) = region.blocks.last().and_then(Block::terminator) else {
+        let Some(term) = region.terminator() else {
             continue;
         };
         if !matches!(term.kind, OpKind::Yield) {
@@ -181,7 +181,7 @@ fn walk_forward<A: Analysis>(
         if let OpKind::Lambda { .. } = op.kind {
             // The region's leading args are the captures; the rest are the
             // lambda's own parameters.
-            if let Some(body) = op.regions.first().and_then(|r| r.blocks.first()) {
+            if let Some(body) = op.regions.first() {
                 for (&capture, &arg) in op.operands.iter().zip(&body.args) {
                     facts.join_from(arg, capture);
                 }
@@ -191,10 +191,8 @@ fn walk_forward<A: Analysis>(
                 }
             }
         }
-        for region in &op.regions {
-            for nested in &region.blocks {
-                walk_forward(func, nested, analysis, facts);
-            }
+        for nested in &op.regions {
+            walk_forward(func, nested, analysis, facts);
         }
         if matches!(op.kind, OpKind::ScfIf) {
             merge_yields(op, facts, Direction::Forward);
@@ -213,15 +211,13 @@ fn walk_backward<A: Analysis>(
         if matches!(op.kind, OpKind::ScfIf) {
             merge_yields(op, facts, Direction::Backward);
         }
-        for region in &op.regions {
-            for nested in region.blocks.iter().rev() {
-                walk_backward(func, nested, analysis, facts);
-            }
+        for nested in &op.regions {
+            walk_backward(func, nested, analysis, facts);
         }
         if let OpKind::Lambda { .. } = op.kind {
             // Mirror the forward capture threading: facts on the region's
             // capture args flow back to the captured operands.
-            if let Some(body) = op.regions.first().and_then(|r| r.blocks.first()) {
+            if let Some(body) = op.regions.first() {
                 for (&capture, &arg) in op.operands.iter().zip(&body.args) {
                     facts.join_from(capture, arg);
                 }
@@ -237,7 +233,7 @@ mod tests {
     use crate::liveness::{Liveness, LivenessAnalysis};
     use crate::measure::{MeasFact, MeasureAnalysis};
     use crate::state::{QState, StateAnalysis, StateFact};
-    use asdf_ir::{FuncBuilder, FuncType, GateKind, Region, Type, Visibility};
+    use asdf_ir::{FuncBuilder, FuncType, GateKind, Type, Visibility};
 
     /// An "empty" function body (terminator only) analyzes without facts
     /// or panics, in both directions.
@@ -265,12 +261,7 @@ mod tests {
         let else_block = bb.subblock(vec![], |sb| {
             sb.push(OpKind::Yield, vec![], vec![]);
         });
-        bb.push_with_regions(
-            OpKind::ScfIf,
-            vec![cond],
-            vec![],
-            vec![Region::single(then_block), Region::single(else_block)],
-        );
+        bb.push_with_regions(OpKind::ScfIf, vec![cond], vec![], vec![then_block, else_block]);
         bb.push(OpKind::Return, vec![], vec![]);
         let func = b.finish();
         let facts = analyze(&func, &mut LivenessAnalysis);
@@ -306,7 +297,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::Qubit],
-            vec![Region::single(then_block), Region::single(else_block)],
+            vec![then_block, else_block],
         );
         bb.push(OpKind::QFree, vec![merged[0]], vec![]);
         bb.push(OpKind::Return, vec![], vec![]);
@@ -349,7 +340,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::Qubit],
-            vec![Region::single(then_block), Region::single(else_block)],
+            vec![then_block, else_block],
         );
         bb.push(OpKind::QFree, vec![merged[0]], vec![]);
         bb.push(OpKind::Return, vec![], vec![]);
@@ -385,7 +376,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::Qubit],
-            vec![Region::single(then_block), Region::single(else_block)],
+            vec![then_block, else_block],
         );
         bb.push(OpKind::QFree, vec![merged[0]], vec![]);
         bb.push(OpKind::Return, vec![cond], vec![]);
@@ -420,7 +411,7 @@ mod tests {
             OpKind::Lambda { func_ty: lam_ty },
             vec![m[1]],
             vec![Type::Func(Box::new(FuncType::new(vec![], vec![Type::I1], false)))],
-            vec![Region::single(body)],
+            vec![body],
         );
         bb.push(OpKind::Return, vec![m[1]], vec![]);
         let func = b.finish();

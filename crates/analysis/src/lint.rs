@@ -359,7 +359,6 @@ mod tests {
     /// flagged (no false positives from one-sided facts).
     #[test]
     fn maybe_measured_merge_is_not_flagged() {
-        use asdf_ir::Region;
         let mut b = FuncBuilder::new(
             "k",
             FuncType::new(vec![Type::I1, Type::Qubit], vec![Type::QBundle(1)], false),
@@ -380,7 +379,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::Qubit],
-            vec![Region::single(then_block), Region::single(else_block)],
+            vec![then_block, else_block],
         );
         // Gate on the merged wire: measured on one path only, so no W0001.
         let g = bb.push(
@@ -402,7 +401,6 @@ mod tests {
     /// flagged, with the nested block's coordinates.
     #[test]
     fn lints_descend_into_regions() {
-        use asdf_ir::Region;
         let mut b = FuncBuilder::new(
             "k",
             FuncType::new(vec![Type::I1, Type::Qubit], vec![Type::Qubit], false),
@@ -426,7 +424,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::Qubit],
-            vec![Region::single(then_block), Region::single(else_block)],
+            vec![then_block, else_block],
         );
         bb.push(OpKind::Return, vec![out[0]], vec![]);
         let func = b.finish();

@@ -127,10 +127,14 @@ struct EncodedSections {
 }
 
 impl Artifact {
-    fn encode_sections(&self) -> EncodedSections {
+    fn encode_module(&self) -> Vec<u8> {
         let mut module = Encoder::new();
         payload::encode_module(&mut module, &self.module);
-        let module = module.into_bytes();
+        module.into_bytes()
+    }
+
+    /// The sections, with `module` as the module section's bytes.
+    fn encode_sections(&self, module: Vec<u8>) -> EncodedSections {
         let circuit = self.circuit.as_ref().map(|c| {
             let mut e = Encoder::new();
             payload::encode_circuit(&mut e, c);
@@ -168,12 +172,18 @@ impl Artifact {
     /// wall-clock timings and are deliberately excluded, so the hash is
     /// stable across runs of the same compile.
     pub fn content_hash(&self) -> u64 {
-        self.encode_sections().content_hash
+        self.encode_sections(self.encode_module()).content_hash
     }
 
     /// Serializes the artifact into the container format.
     pub fn encode(&self) -> Vec<u8> {
-        let sections = self.encode_sections();
+        self.encode_around(self.encode_module())
+    }
+
+    /// Serializes the artifact with `module` as the module section's
+    /// bytes, so codec tests can wrap bytes that no [`Module`] encodes to.
+    pub(crate) fn encode_around(&self, module: Vec<u8>) -> Vec<u8> {
+        let sections = self.encode_sections(module);
         let mut meta = Encoder::new();
         meta.u64(sections.content_hash);
         meta.raw(&sections.meta_tail);

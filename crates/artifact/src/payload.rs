@@ -15,7 +15,7 @@ use asdf_basis::{
     Basis, BasisElem, BasisLiteral, BasisVector, BitString, Eigenstate, Phase, PrimitiveBasis,
 };
 use asdf_ir::{
-    Block, Func, FuncType, GateKind, Module, Op, OpKind, Region, SrcSpan, Type, Value, Visibility,
+    Block, Func, FuncType, GateKind, Module, Op, OpKind, SrcSpan, Type, Value, Visibility,
 };
 use asdf_qcircuit::{Circuit, CircuitOp};
 use asdf_target::RoutingInfo;
@@ -126,20 +126,22 @@ fn decode_block(d: &mut Decoder<'_>) -> Result<Block, ArtifactError> {
     Ok(Block { args, ops })
 }
 
-fn encode_region(e: &mut Encoder, region: &Region) {
-    e.usize(region.blocks.len());
-    for block in &region.blocks {
-        encode_block(e, block);
-    }
+/// A region is one block. The payload still writes a block count before
+/// it, always 1, which keeps the encoding (and every content hash) as it
+/// was when regions held a list of blocks.
+fn encode_region(e: &mut Encoder, block: &Block) {
+    e.usize(1);
+    encode_block(e, block);
 }
 
-fn decode_region(d: &mut Decoder<'_>) -> Result<Region, ArtifactError> {
-    let count = d.count(1, "region blocks")?;
-    let mut blocks = Vec::with_capacity(count);
-    for _ in 0..count {
-        blocks.push(decode_block(d)?);
+/// Decodes a region, rejecting any block count but 1.
+fn decode_region(d: &mut Decoder<'_>) -> Result<Block, ArtifactError> {
+    if d.usize("region blocks")? != 1 {
+        return Err(ArtifactError::Invalid {
+            context: "region block count (a region is one block)",
+        });
     }
-    Ok(Region { blocks })
+    decode_block(d)
 }
 
 fn encode_value(e: &mut Encoder, v: Value) {
@@ -817,7 +819,101 @@ pub fn decode_lints(d: &mut Decoder<'_>) -> Result<Vec<Diagnostic>, ArtifactErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Artifact;
+    use asdf_ir::{FuncBuilder, PassStatistics};
     use asdf_qcircuit::CircuitError;
+
+    /// `f(cond: i1) -> f64`: op 1 is a lambda returning its captured
+    /// constant, op 2 an `scf.if` yielding one of two constants.
+    fn region_module() -> Module {
+        let ty = FuncType::new(vec![Type::I1], vec![Type::F64], false);
+        let mut b = FuncBuilder::new("f", ty, Visibility::Public);
+        let cond = b.args()[0];
+        let mut bb = b.block();
+        let c = bb.push(OpKind::ConstF64 { value: 0.5 }, vec![], vec![Type::F64]);
+        let lambda_ty = FuncType::new(vec![], vec![Type::F64], false);
+        let body = bb.subblock(vec![Type::F64], |sb| {
+            let captured = sb.args()[0];
+            sb.push(OpKind::Return, vec![captured], vec![]);
+        });
+        bb.push_with_regions(
+            OpKind::Lambda { func_ty: lambda_ty.clone() },
+            c,
+            vec![Type::func(lambda_ty)],
+            vec![body],
+        );
+        let branches = [1.0, 2.0].map(|value| {
+            bb.subblock(vec![], |sb| {
+                let v = sb.push(OpKind::ConstF64 { value }, vec![], vec![Type::F64]);
+                sb.push(OpKind::Yield, v, vec![]);
+            })
+        });
+        let r = bb.push_with_regions(OpKind::ScfIf, vec![cond], vec![Type::F64], branches.into());
+        bb.push(OpKind::Return, r, vec![]);
+        let mut module = Module::default();
+        module.add_func(b.finish());
+        module
+    }
+
+    /// `module` encoded with region `region` of op `op` written as a block
+    /// count of `blocks` followed by that many copies of its block.
+    fn encode_with_block_count(
+        module: &Module,
+        op: usize,
+        region: usize,
+        blocks: usize,
+    ) -> Vec<u8> {
+        let block = &module.funcs()[0].body.ops[op].regions[region];
+        let mut e = Encoder::new();
+        encode_region(&mut e, block);
+        let region_bytes = e.into_bytes();
+        let mut e = Encoder::new();
+        encode_module(&mut e, module);
+        let bytes = e.into_bytes();
+        let mut at = (0..bytes.len()).filter(|&i| bytes[i..].starts_with(&region_bytes));
+        let start = at.next().expect("the region is encoded");
+        assert_eq!(at.next(), None, "the region's bytes are unique");
+        let mut e = Encoder::new();
+        e.raw(&bytes[..start]);
+        e.usize(blocks);
+        for _ in 0..blocks {
+            encode_block(&mut e, block);
+        }
+        e.raw(&bytes[start + region_bytes.len()..]);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn regions_of_other_than_one_block_are_rejected() {
+        let module = region_module();
+        let artifact = Artifact {
+            entry: "f".into(),
+            module: Module::default(),
+            circuit: None,
+            routing: None,
+            stats: PassStatistics::new(),
+            lints: vec![],
+            key: vec![],
+        };
+        let mut e = Encoder::new();
+        encode_module(&mut e, &module);
+        let clean = e.into_bytes();
+        decode_module(&mut Decoder::new(&clean)).expect("one block per region decodes");
+        let expected =
+            ArtifactError::Invalid { context: "region block count (a region is one block)" };
+        // The lambda's region, then the `scf.if`'s then and else regions.
+        for (op, region) in [(1, 0), (2, 0), (2, 1)] {
+            assert_eq!(encode_with_block_count(&module, op, region, 1), clean);
+            for blocks in [0, 2] {
+                let bytes = encode_with_block_count(&module, op, region, blocks);
+                let err = decode_module(&mut Decoder::new(&bytes)).unwrap_err();
+                assert_eq!(err, expected, "op {op}, region {region}, {blocks} blocks");
+                assert_eq!(err.code(), "E0106");
+                let err = Artifact::decode(&artifact.encode_around(bytes)).unwrap_err();
+                assert_eq!(err, expected, "op {op}, region {region}, {blocks} blocks");
+            }
+        }
+    }
 
     /// `CX(0 -> 1); measure q0 -> c0; reset q1` on two qubits, encoded. Byte
     /// offsets: the CX's gate tag at 17, its control at 26 and its target

@@ -426,9 +426,8 @@ fn emit_op(e: &mut Emitter<'_>, func: &Func, op: &asdf_ir::Op) -> Result<(), IrE
             let merge_label = e.label("merge");
             let _ = writeln!(e.out, "  br i1 {cond}, label %{then_label}, label %{else_label}");
             let mut yields: Vec<(String, Vec<String>)> = Vec::new();
-            for (region, label) in op.regions.iter().zip([&then_label, &else_label]) {
+            for (block, label) in op.regions.iter().zip([&then_label, &else_label]) {
                 let _ = writeln!(e.out, "{label}:");
-                let block = region.only_block();
                 emit_ops(e, func, &block.ops[..block.ops.len() - 1])?;
                 let terminator = block.ops.last().expect("region has terminator");
                 let vals: Vec<String> = terminator.operands.iter().map(|v| e.name(*v)).collect();

@@ -72,12 +72,10 @@ fn lambda_sites(block: &Block, path: &mut BlockPath, out: &mut Vec<(BlockPath, u
         }
     }
     for (i, op) in block.ops.iter().enumerate().filter(|(_, op)| !is_lambda(op)) {
-        for (ri, region) in op.regions.iter().enumerate() {
-            for (bi, nested) in region.blocks.iter().enumerate() {
-                path.push((i, ri, bi));
-                lambda_sites(nested, path, out);
-                path.pop();
-            }
+        for (ri, nested) in op.regions.iter().enumerate() {
+            path.push((i, ri));
+            lambda_sites(nested, path, out);
+            path.pop();
         }
     }
 }
@@ -129,7 +127,7 @@ fn lift_one(
     let mut lifted = builder.finish();
 
     // Map lambda-block params (after captures) to the new func's args.
-    let block = op.regions[0].only_block();
+    let block = &op.regions[0];
     let num_captures = op.operands.len();
     let mut map: HashMap<Value, Value> = HashMap::new();
     for (param, arg) in block.args[num_captures..].iter().zip(new_args) {
@@ -317,22 +315,21 @@ impl RewritePattern for IfPushdown {
         let mut new_regions = Vec::with_capacity(if_op.regions.len());
         for region in &if_op.regions {
             let mut region = region.clone();
-            let blk = region.only_block_mut();
-            let terminator = blk.ops.pop().expect("region has a terminator");
+            let terminator = region.ops.pop().expect("region has a terminator");
             debug_assert!(matches!(terminator.kind, OpKind::Yield));
             let yielded_func = terminator.operands[yield_pos];
             let inner_results: Vec<Value> =
                 result_tys.iter().map(|t| rw.new_value(t.clone())).collect();
             let mut call_operands = vec![yielded_func];
             call_operands.extend(args.iter().copied());
-            blk.ops.push(Op::new(OpKind::CallIndirect, call_operands, inner_results.clone()));
+            region.ops.push(Op::new(OpKind::CallIndirect, call_operands, inner_results.clone()));
             // Yield the original values minus the consumed func, plus the
             // call results. (Qwerty lowering yields exactly one value, so
             // this is just the call results.)
             let mut new_yield: Vec<Value> = terminator.operands.to_vec();
             new_yield.remove(yield_pos);
             new_yield.extend(inner_results);
-            blk.ops.push(Op::new(OpKind::Yield, new_yield, vec![]));
+            region.ops.push(Op::new(OpKind::Yield, new_yield, vec![]));
             new_regions.push(region);
         }
 
@@ -386,16 +383,15 @@ impl RewritePattern for AdjPredIfPushdown {
         let mut new_regions = Vec::with_capacity(if_op.regions.len());
         for region in &if_op.regions {
             let mut region = region.clone();
-            let blk = region.only_block_mut();
-            let mut terminator = blk.ops.pop().expect("region has a terminator");
+            let mut terminator = region.ops.pop().expect("region has a terminator");
             let inner = rw.new_value(result_ty.clone());
-            blk.ops.push(Op::new(
+            region.ops.push(Op::new(
                 wrapper_kind.clone(),
                 vec![terminator.operands[yield_pos]],
                 vec![inner],
             ));
             terminator.operands[yield_pos] = inner;
-            blk.ops.push(terminator);
+            region.ops.push(terminator);
             new_regions.push(region);
         }
 

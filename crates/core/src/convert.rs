@@ -175,8 +175,7 @@ fn convert_op(
             let operands: Vec<Value> =
                 op.operands.iter().map(|v| get(map, *v)).collect::<Result<_, _>>()?;
             let mut regions = Vec::with_capacity(op.regions.len());
-            for region in &op.regions {
-                let src_block = region.only_block();
+            for src_block in &op.regions {
                 let mut err = None;
                 let block = bb.subblock(vec![], |inner| {
                     if let Err(e) = convert_ops(src, &src_block.ops, inner, map) {
@@ -186,7 +185,7 @@ fn convert_op(
                 if let Some(e) = err {
                     return Err(e);
                 }
-                regions.push(asdf_ir::block::Region::single(block));
+                regions.push(block);
             }
             // A yielded function value arrives as the callable that
             // `callable_create` (or a modifier) now yields.

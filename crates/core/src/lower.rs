@@ -17,7 +17,6 @@ use crate::error::CoreError;
 use asdf_ast::tast::{TExpr, TExprKind, TKernel, TStmt};
 use asdf_ast::types::{Type as AstType, ValueKind};
 use asdf_basis::{Basis, BasisElem, BasisLiteral, Phase};
-use asdf_ir::block::Region;
 use asdf_ir::func::BlockBuilder;
 use asdf_ir::{FuncBuilder, FuncType, Module, OpKind, Type, Value, Visibility};
 use std::collections::HashMap;
@@ -428,7 +427,7 @@ impl LowerCtx {
                     OpKind::ScfIf,
                     vec![bit[0]],
                     vec![result_ty],
-                    vec![Region::single(then_block), Region::single(else_block)],
+                    vec![then_block, else_block],
                 )[0])
             }
             other => {
@@ -583,7 +582,7 @@ impl LowerCtx {
             OpKind::Lambda { func_ty: func_ty.clone() },
             captures,
             vec![Type::func(func_ty)],
-            vec![Region::single(block)],
+            vec![block],
         )[0]
     }
 }

@@ -1,4 +1,4 @@
-//! Blocks and regions.
+//! Blocks, and paths to nested blocks.
 
 use crate::op::Op;
 use crate::value::Value;
@@ -8,7 +8,10 @@ use crate::value::Value;
 ///
 /// ASDF's pipeline aims for single-block functions ("aggressive inlining
 /// aiming to linearize the computation", §1), with structured control flow
-/// expressed by `scf.if` regions rather than CFG edges.
+/// expressed by `scf.if` regions rather than CFG edges. A region is a
+/// single block, as in the paper's "single basic block making up the
+/// callee function body" (§5.4), so an op's regions are its
+/// [`Op::regions`] blocks.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Block {
     /// Block arguments (function parameters for entry blocks; captures and
@@ -25,42 +28,6 @@ impl Block {
     }
 }
 
-/// A region: a list of blocks owned by an op. Always a single block in this
-/// pipeline, matching the paper's "single basic block making up the callee
-/// function body" (§5.4).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Region {
-    /// The blocks of the region.
-    pub blocks: Vec<Block>,
-}
-
-impl Region {
-    /// A region holding one block.
-    pub fn single(block: Block) -> Self {
-        Region { blocks: vec![block] }
-    }
-
-    /// The sole block of a single-block region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region does not have exactly one block.
-    pub fn only_block(&self) -> &Block {
-        assert_eq!(self.blocks.len(), 1, "expected a single-block region");
-        &self.blocks[0]
-    }
-
-    /// Mutable access to the sole block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region does not have exactly one block.
-    pub fn only_block_mut(&mut self) -> &mut Block {
-        assert_eq!(self.blocks.len(), 1, "expected a single-block region");
-        &mut self.blocks[0]
-    }
-}
-
 /// A path from a function's entry block down to a (possibly nested) block:
-/// each step is (op index in current block, region index, block index).
-pub type BlockPath = Vec<(usize, usize, usize)>;
+/// each step is (op index in the current block, region index).
+pub type BlockPath = Vec<(usize, usize)>;

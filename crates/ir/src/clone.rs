@@ -4,7 +4,7 @@
 //! specialization (§6.2) all rebuild op lists with fresh SSA values; this
 //! module is their shared engine.
 
-use crate::block::{Block, Region};
+use crate::block::Block;
 use crate::func::Func;
 use crate::op::Op;
 use crate::value::Value;
@@ -50,13 +50,7 @@ fn clone_op(src: &Func, op: &Op, dest: &mut Func, map: &mut HashMap<Value, Value
             fresh
         })
         .collect();
-    let regions = op
-        .regions
-        .iter()
-        .map(|region| Region {
-            blocks: region.blocks.iter().map(|block| clone_block(src, block, dest, map)).collect(),
-        })
-        .collect();
+    let regions = op.regions.iter().map(|block| clone_block(src, block, dest, map)).collect();
     Op { kind: op.kind.clone(), operands, results, regions, span: op.span }
 }
 

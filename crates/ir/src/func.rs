@@ -1,6 +1,6 @@
 //! Functions and the builder API.
 
-use crate::block::{Block, BlockPath, Region};
+use crate::block::{Block, BlockPath};
 use crate::op::{Op, OpKind};
 use crate::span::SrcSpan;
 use crate::types::{FuncType, Type};
@@ -88,13 +88,11 @@ impl Func {
         let mut paths = vec![Vec::new()];
         fn walk(block: &Block, prefix: &BlockPath, out: &mut Vec<BlockPath>) {
             for (op_idx, op) in block.ops.iter().enumerate() {
-                for (region_idx, region) in op.regions.iter().enumerate() {
-                    for (block_idx, nested) in region.blocks.iter().enumerate() {
-                        let mut path = prefix.clone();
-                        path.push((op_idx, region_idx, block_idx));
-                        out.push(path.clone());
-                        walk(nested, &path, out);
-                    }
+                for (region_idx, nested) in op.regions.iter().enumerate() {
+                    let mut path = prefix.clone();
+                    path.push((op_idx, region_idx));
+                    out.push(path.clone());
+                    walk(nested, &path, out);
                 }
             }
         }
@@ -109,8 +107,8 @@ impl Func {
     /// Panics if the path is stale (indices out of range).
     pub fn block_at(&self, path: &BlockPath) -> &Block {
         let mut block = &self.body;
-        for &(op_idx, region_idx, block_idx) in path {
-            block = &block.ops[op_idx].regions[region_idx].blocks[block_idx];
+        for &(op_idx, region_idx) in path {
+            block = &block.ops[op_idx].regions[region_idx];
         }
         block
     }
@@ -122,8 +120,8 @@ impl Func {
     /// Panics if the path is stale.
     pub fn block_at_mut(&mut self, path: &BlockPath) -> &mut Block {
         let mut block = &mut self.body;
-        for &(op_idx, region_idx, block_idx) in path {
-            block = &mut block.ops[op_idx].regions[region_idx].blocks[block_idx];
+        for &(op_idx, region_idx) in path {
+            block = &mut block.ops[op_idx].regions[region_idx];
         }
         block
     }
@@ -138,10 +136,8 @@ impl Func {
                         *operand = to;
                     }
                 }
-                for region in &mut op.regions {
-                    for nested in &mut region.blocks {
-                        walk(nested, from, to);
-                    }
+                for nested in &mut op.regions {
+                    walk(nested, from, to);
                 }
             }
         }
@@ -269,13 +265,13 @@ impl<'a> BlockBuilder<'a> {
         self.push_with_regions(kind, operands, result_tys, Vec::new())
     }
 
-    /// Appends an op with regions, returning its results.
+    /// Appends an op with regions, one block each, returning its results.
     pub fn push_with_regions(
         &mut self,
         kind: OpKind,
         operands: impl Into<ValueList>,
         result_tys: impl IntoIterator<Item = Type>,
-        regions: Vec<Region>,
+        regions: Vec<Block>,
     ) -> ValueList {
         let results: ValueList = result_tys.into_iter().map(|t| self.new_value(t)).collect();
         let op = Op::with_regions(kind, operands, results.clone(), regions);
@@ -290,7 +286,7 @@ impl<'a> BlockBuilder<'a> {
         self.block.ops.push(op.with_span(span));
     }
 
-    /// Builds a nested single-block region body (for `lambda` / `scf.if`).
+    /// Builds a nested region's block (for `lambda` / `scf.if`).
     /// The closure receives a builder for the new block whose arguments have
     /// the given types; the closure must push a terminator.
     pub fn subblock(&mut self, arg_tys: Vec<Type>, f: impl FnOnce(&mut BlockBuilder<'_>)) -> Block {
@@ -353,15 +349,15 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::F64],
-            vec![Region::single(then_block), Region::single(else_block)],
+            vec![then_block, else_block],
         );
         bb.push(OpKind::Return, vec![result[0]], vec![]);
         let mut func = b.finish();
         let fresh = func.new_value(Type::F64);
         func.replace_all_uses(x, fresh);
         let regions = &func.body.ops[0].regions;
-        assert_eq!(regions[0].blocks[0].ops[0].operands, [fresh, fresh]);
-        assert_eq!(regions[1].blocks[0].ops[0].operands, [fresh]);
+        assert_eq!(regions[0].ops[0].operands, [fresh, fresh]);
+        assert_eq!(regions[1].ops[0].operands, [fresh]);
     }
 
     #[test]
@@ -379,12 +375,7 @@ mod tests {
         let e = bb.subblock(vec![], |sb| {
             sb.push(OpKind::Yield, vec![], vec![]);
         });
-        bb.push_with_regions(
-            OpKind::ScfIf,
-            vec![cond],
-            vec![],
-            vec![Region::single(t), Region::single(e)],
-        );
+        bb.push_with_regions(OpKind::ScfIf, vec![cond], vec![], vec![t, e]);
         bb.push(OpKind::Return, vec![], vec![]);
         let func = b.finish();
         let paths = func.block_paths();

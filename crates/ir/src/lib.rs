@@ -9,8 +9,8 @@
 //! - [`Type`]s and structured op payloads ([`OpKind`]) for all five dialects,
 //!   statically registered in one enum for exhaustive matching;
 //! - [`Op`]s with operands and results (short [`ValueList`]s stored inside
-//!   the op) and nested single-block [`Region`]s (used by `lambda` and
-//!   `scf.if`);
+//!   the op) and nested regions, each a single [`Block`] (used by
+//!   `lambda` and `scf.if`);
 //! - [`Func`]tions with a per-function SSA value arena and a single entry
 //!   block (control flow is structured, as in the paper's pipeline);
 //! - a [`Module`] of functions;
@@ -51,7 +51,7 @@ pub mod types;
 pub mod value;
 pub mod verify;
 
-pub use block::{Block, Region};
+pub use block::Block;
 pub use error::IrError;
 pub use func::{Func, FuncBuilder, Visibility};
 pub use gate::GateKind;

@@ -4,7 +4,7 @@
 //! ops follow §6 ("QCircuit IR Operations"); `arith` and `scf` ops are the
 //! MLIR built-ins the paper's examples use (Figs. 4, 5, C13).
 
-use crate::block::Region;
+use crate::block::Block;
 use crate::gate::GateKind;
 use crate::span::SrcSpan;
 use crate::value::ValueList;
@@ -271,8 +271,9 @@ pub struct Op {
     pub operands: ValueList,
     /// SSA results.
     pub results: ValueList,
-    /// Nested regions (`lambda` has one; `scf.if` has two).
-    pub regions: Vec<Region>,
+    /// Nested regions, one block each (`lambda` has one; `scf.if` has
+    /// two: then and else).
+    pub regions: Vec<Block>,
     /// Frontend source range this op was lowered from
     /// ([`SrcSpan::UNKNOWN`] for synthesized ops).
     pub span: SrcSpan,
@@ -299,12 +300,12 @@ impl Op {
         Op::with_regions(kind, operands, results, Vec::new())
     }
 
-    /// An op with nested regions.
+    /// An op with nested regions, one block each.
     pub fn with_regions(
         kind: OpKind,
         operands: impl Into<ValueList>,
         results: impl Into<ValueList>,
-        regions: Vec<Region>,
+        regions: Vec<Block>,
     ) -> Self {
         Op {
             kind,

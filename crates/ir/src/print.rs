@@ -69,16 +69,15 @@ fn write_block(f: &mut fmt::Formatter<'_>, block: &Block, depth: usize) -> fmt::
         writeln!(f, "{}", op_line(op))?;
         for (i, region) in op.regions.iter().enumerate() {
             indent(f, depth)?;
-            let label = match (op.kind.clone(), i) {
+            let label = match (&op.kind, i) {
                 (OpKind::ScfIf, 0) => "then".to_string(),
                 (OpKind::ScfIf, 1) => "else".to_string(),
                 _ => format!("region {i}"),
             };
-            let block0 = &region.blocks[0];
             let mut header = String::new();
-            if !block0.args.is_empty() {
+            if !region.args.is_empty() {
                 header.push('(');
-                for (j, a) in block0.args.iter().enumerate() {
+                for (j, a) in region.args.iter().enumerate() {
                     if j > 0 {
                         header.push_str(", ");
                     }
@@ -87,9 +86,7 @@ fn write_block(f: &mut fmt::Formatter<'_>, block: &Block, depth: usize) -> fmt::
                 header.push(')');
             }
             writeln!(f, "{label}{header} {{")?;
-            for b in &region.blocks {
-                write_block(f, b, depth + 1)?;
-            }
+            write_block(f, region, depth + 1)?;
             indent(f, depth)?;
             writeln!(f, "}}")?;
         }

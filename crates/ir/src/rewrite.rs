@@ -592,15 +592,14 @@ struct SlotData {
     /// nodes `first_use..first_use + operands.len()`, so operand `k` is
     /// node `first_use + k`.
     first_use: u32,
-    /// Nested blocks of this (region-bearing) op: `((region, block), id)`.
-    children: Vec<((usize, usize), BlockId)>,
+    /// The blocks of this op's regions, by region index.
+    children: Vec<BlockId>,
 }
 
 #[derive(Debug)]
 struct BlockData {
-    /// `(owning op slot, region index, block index)`; `None` for the entry
-    /// block.
-    parent: Option<(SlotId, usize, usize)>,
+    /// `(owning op slot, region index)`; `None` for the entry block.
+    parent: Option<(SlotId, usize)>,
     /// Slot ids parallel to the block's ops, dead entries included.
     slots: Vec<SlotId>,
 }
@@ -686,7 +685,7 @@ impl FuncIndex {
         }
     }
 
-    fn index_block(&mut self, block: &Block, parent: Option<(SlotId, usize, usize)>) -> BlockId {
+    fn index_block(&mut self, block: &Block, parent: Option<(SlotId, usize)>) -> BlockId {
         let bid = self.blocks.len();
         self.blocks.push(BlockData { parent, slots: Vec::with_capacity(block.ops.len()) });
         for (pos, op) in block.ops.iter().enumerate() {
@@ -709,11 +708,9 @@ impl FuncIndex {
             let value = &mut self.values[r.index()];
             (value.def, value.result) = (link_id(slot), link_id(result));
         }
-        for (ri, region) in op.regions.iter().enumerate() {
-            for (bi, nested) in region.blocks.iter().enumerate() {
-                let child = self.index_block(nested, Some((slot, ri, bi)));
-                self.slots[slot].children.push(((ri, bi), child));
-            }
+        for (ri, nested) in op.regions.iter().enumerate() {
+            let child = self.index_block(nested, Some((slot, ri)));
+            self.slots[slot].children.push(child);
         }
         slot
     }
@@ -730,8 +727,8 @@ impl FuncIndex {
             }
         }
         let children = std::mem::take(&mut self.slots[slot].children);
-        for ((ri, bi), child) in children {
-            self.unindex_block(&op.regions[ri].blocks[bi], child);
+        for (nested, child) in op.regions.iter().zip(children) {
+            self.unindex_block(nested, child);
         }
     }
 
@@ -809,7 +806,7 @@ impl FuncIndex {
             if !self.slots[slot].live {
                 continue;
             }
-            for &(_, child) in &self.slots[slot].children {
+            for &child in &self.slots[slot].children {
                 if let Some(number) = self.block_number(child, target, next) {
                     return Some(number);
                 }
@@ -848,9 +845,9 @@ impl FuncIndex {
     fn block<'f>(&self, func: &'f Func, bid: BlockId) -> &'f Block {
         match self.blocks[bid].parent {
             None => &func.body,
-            Some((slot, ri, bi)) => {
+            Some((slot, ri)) => {
                 let owner = &self.slots[slot];
-                &self.block(func, owner.block).ops[owner.pos].regions[ri].blocks[bi]
+                &self.block(func, owner.block).ops[owner.pos].regions[ri]
             }
         }
     }
@@ -859,9 +856,9 @@ impl FuncIndex {
     fn block_mut<'f>(&self, func: &'f mut Func, bid: BlockId) -> &'f mut Block {
         match self.blocks[bid].parent {
             None => &mut func.body,
-            Some((slot, ri, bi)) => {
+            Some((slot, ri)) => {
                 let owner = &self.slots[slot];
-                &mut self.block_mut(func, owner.block).ops[owner.pos].regions[ri].blocks[bi]
+                &mut self.block_mut(func, owner.block).ops[owner.pos].regions[ri]
             }
         }
     }
@@ -960,10 +957,10 @@ impl FuncIndex {
         for (&k, &f) in live.zip(&fresh.blocks[new].slots) {
             to_kept[f] = k;
             assert_eq!(self.slots[k].children.len(), fresh.slots[f].children.len());
-            for (&(at, k_child), &(_, f_child)) in
-                self.slots[k].children.iter().zip(&fresh.slots[f].children)
+            for (ri, (&k_child, &f_child)) in
+                self.slots[k].children.iter().zip(&fresh.slots[f].children).enumerate()
             {
-                assert_eq!(self.blocks[k_child].parent, Some((k, at.0, at.1)));
+                assert_eq!(self.blocks[k_child].parent, Some((k, ri)));
                 self.pair_blocks(fresh, k_child, f_child, to_kept);
             }
         }
@@ -1562,14 +1559,9 @@ mod tests {
     /// The index's id for the block at `path`.
     fn block_id_at(index: &FuncIndex, path: &BlockPath) -> BlockId {
         let mut current: BlockId = 0;
-        for &(op_idx, ri, bi) in path {
+        for &(op_idx, ri) in path {
             let slot = index.blocks[current].slots[op_idx];
-            current = index.slots[slot]
-                .children
-                .iter()
-                .find(|((r, b), _)| *r == ri && *b == bi)
-                .expect("indexed child block")
-                .1;
+            current = index.slots[slot].children[ri];
         }
         current
     }
@@ -1599,10 +1591,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::F64],
-            vec![
-                crate::block::Region::single(then_block),
-                crate::block::Region::single(else_block),
-            ],
+            vec![then_block, else_block],
         )[0];
         let late = bb.push(OpKind::FAdd, vec![r, s], vec![Type::F64])[0];
         let mut returned = vec![late, cx[0], cx[1]];
@@ -1627,7 +1616,7 @@ mod tests {
         });
         // Rooted inside the scf.if's then-region: defs in the enclosing
         // block are not in the root's block.
-        with_rewriter(&mut func, &vec![(4, 0, 0)], 0, |rw| {
+        with_rewriter(&mut func, &vec![(4, 0)], 0, |rw| {
             assert_eq!(rw.find_def(a), None);
             assert_eq!(rw.find_def(s), None);
         });
@@ -1656,10 +1645,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::F64],
-            vec![
-                crate::block::Region::single(then_block),
-                crate::block::Region::single(else_block),
-            ],
+            vec![then_block, else_block],
         )[0];
         let late = bb.push(OpKind::FAdd, vec![r, x], vec![Type::F64])[0];
         bb.push(OpKind::Return, vec![late], vec![]);
@@ -1677,7 +1663,7 @@ mod tests {
         });
         // Rooted inside the then-region: `n`'s yield is now in the root's
         // block, and `twice`'s user in the enclosing block is not.
-        with_rewriter(&mut func, &vec![(4, 0, 0)], 0, |rw| {
+        with_rewriter(&mut func, &vec![(4, 0)], 0, |rw| {
             assert_eq!(rw.single_user(n), Some(0));
             assert_eq!(rw.single_user(twice), None);
         });
@@ -1706,10 +1692,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::F64],
-            vec![
-                crate::block::Region::single(then_block),
-                crate::block::Region::single(else_block),
-            ],
+            vec![then_block, else_block],
         );
         bb.push(OpKind::Return, vec![result[0]], vec![]);
         let mut module = Module::new();
@@ -1720,7 +1703,7 @@ mod tests {
         assert_eq!(driver.run(&mut module), 1, "the nested fadd folds");
         crate::verify::verify_module(&module).unwrap();
         let func = module.func("g").unwrap();
-        let then = &func.body.ops[0].regions[0].blocks[0];
+        let then = &func.body.ops[0].regions[0];
         assert_eq!(then.ops.len(), 2, "folded const + yield:\n{func}");
     }
 
@@ -1789,7 +1772,7 @@ mod tests {
             if matches!(op.kind, OpKind::FAdd) {
                 if let Some((if_idx, _)) = rw.find_def(op.operands[1]) {
                     let if_op = &rw.block().ops[if_idx];
-                    self.0.set(Some(if_op.regions[0].blocks[0].ops.len()));
+                    self.0.set(Some(if_op.regions[0].ops.len()));
                 }
             }
             false
@@ -1818,10 +1801,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::F64],
-            vec![
-                crate::block::Region::single(then_block),
-                crate::block::Region::single(else_block),
-            ],
+            vec![then_block, else_block],
         )[0];
         let sum = bb.push(OpKind::FAdd, vec![acc, r], vec![Type::F64]);
         bb.push(OpKind::Return, sum, vec![]);
@@ -1845,7 +1825,7 @@ mod tests {
         let func = module.func("e").unwrap();
         assert_fmul_chain(&func.body.ops, x, top, 3);
         assert!(matches!(func.body.ops[top].kind, OpKind::ScfIf));
-        assert_fmul_chain(&func.body.ops[top].regions[0].blocks[0].ops, x, nested, 1);
+        assert_fmul_chain(&func.body.ops[top].regions[0].ops, x, nested, 1);
 
         // Trace positions count live ops only: the k-th firing sits after
         // the k fmuls the earlier firings left.
@@ -2039,7 +2019,7 @@ mod tests {
                         Op::new(OpKind::Yield, vec![s], vec![]),
                     ],
                 };
-                regions.push(crate::block::Region::single(block));
+                regions.push(block);
             }
             rw.replace_root(Op::with_regions(OpKind::ScfIf, vec![cond], vec![result], regions));
             true
@@ -2317,10 +2297,7 @@ mod tests {
             OpKind::ScfIf,
             vec![cond],
             vec![Type::F64],
-            vec![
-                crate::block::Region::single(then_block),
-                crate::block::Region::single(else_block),
-            ],
+            vec![then_block, else_block],
         )[0];
         let out = bb.push(OpKind::FMul, vec![r, x], vec![Type::F64])[0];
         bb.push(OpKind::Return, vec![out], vec![]);
@@ -2332,12 +2309,12 @@ mod tests {
         let (mut func, [x, y, ..]) = if_func();
         let mut index = FuncIndex::build(&func);
         let (then_bid, else_bid) =
-            (block_id_at(&index, &vec![(1, 0, 0)]), block_id_at(&index, &vec![(1, 1, 0)]));
+            (block_id_at(&index, &vec![(1, 0)]), block_id_at(&index, &vec![(1, 1)]));
         assert_eq!(users_at(&index, x), [(then_bid, 0), (then_bid, 0), (else_bid, 0), (0, 2)]);
-        apply(&mut func, &mut index, &vec![(1, 0, 0)], vec![Mutation::Rauw { from: x, to: y }]);
+        apply(&mut func, &mut index, &vec![(1, 0)], vec![Mutation::Rauw { from: x, to: y }]);
         let regions = &func.body.ops[1].regions;
-        assert_eq!(regions[0].blocks[0].ops[0].operands, [y, y]);
-        assert_eq!(regions[1].blocks[0].ops[0].operands, [y]);
+        assert_eq!(regions[0].ops[0].operands, [y, y]);
+        assert_eq!(regions[1].ops[0].operands, [y]);
         assert_eq!(func.body.ops[2].operands[1], y);
         assert_eq!(users_at(&index, y), [(then_bid, 0), (then_bid, 0), (else_bid, 0), (0, 2)]);
     }
@@ -2348,8 +2325,7 @@ mod tests {
         let mut index = FuncIndex::build(&func);
         let cond = func.body.args[0];
         let (t, e) = (func.new_value(Type::F64), func.new_value(Type::F64));
-        let region =
-            |ops: Vec<Op>| crate::block::Region::single(crate::block::Block { args: vec![], ops });
+        let region = |ops: Vec<Op>| crate::block::Block { args: vec![], ops };
         let replacement = Op::with_regions(
             OpKind::ScfIf,
             vec![cond],

@@ -11,7 +11,7 @@
 //! (values are arena indices below [`Func::num_values`]), sized once per
 //! function and shared by all of its blocks.
 
-use crate::block::{Block, BlockPath, Region};
+use crate::block::{Block, BlockPath};
 use crate::error::IrError;
 use crate::func::Func;
 use crate::module::Module;
@@ -352,20 +352,18 @@ impl<'a> Ctx<'a> {
             OpKind::Lambda { func_ty } => &func_ty.results,
             _ => &[],
         };
-        for (region_idx, region) in op.regions.iter().enumerate() {
-            for (block_idx, nested) in region.blocks.iter().enumerate() {
-                // Nested violations already carry their own
-                // `func:block:op` coordinates; propagate unchanged.
-                let mut nested_path = path.clone();
-                nested_path.push((idx, region_idx, block_idx));
-                self.verify_block(nested, nested_results, lent.clone(), &nested_path)?;
-                // The branch consumed its loans; restore the lender's view.
-                for i in lent.clone() {
-                    let (v, uses, last_use) = self.s.lent[i];
-                    self.s.def_block[v.index()] = me;
-                    self.s.uses[v.index()] = uses;
-                    self.s.last_use[v.index()] = last_use;
-                }
+        for (region_idx, nested) in op.regions.iter().enumerate() {
+            // Nested violations already carry their own `func:block:op`
+            // coordinates; propagate unchanged.
+            let mut nested_path = path.clone();
+            nested_path.push((idx, region_idx));
+            self.verify_block(nested, nested_results, lent.clone(), &nested_path)?;
+            // The branch consumed its loans; restore the lender's view.
+            for i in lent.clone() {
+                let (v, uses, last_use) = self.s.lent[i];
+                self.s.def_block[v.index()] = me;
+                self.s.uses[v.index()] = uses;
+                self.s.last_use[v.index()] = last_use;
             }
         }
         self.s.lent.truncate(base);
@@ -500,11 +498,8 @@ impl<'a> Ctx<'a> {
                 self.check_signature(ft, &op.operands[1..], &op.results)
             }
             OpKind::Lambda { func_ty } => {
-                let [region] = op.regions.as_slice() else {
+                let [block] = op.regions.as_slice() else {
                     return Err("lambda has one region".to_string());
-                };
-                let [block] = region.blocks.as_slice() else {
-                    return Err("lambda region has one block".to_string());
                 };
                 // The body's arguments are typed here, before the body
                 // itself is verified.
@@ -651,13 +646,11 @@ impl<'a> Ctx<'a> {
 
 /// Calls `f` on every operand of every op in `regions`, transitively
 /// through nested regions.
-fn for_each_nested_operand(regions: &[Region], f: &mut impl FnMut(Value)) {
-    for region in regions {
-        for block in &region.blocks {
-            for op in &block.ops {
-                op.operands.iter().for_each(|v| f(*v));
-                for_each_nested_operand(&op.regions, f);
-            }
+fn for_each_nested_operand(regions: &[Block], f: &mut impl FnMut(Value)) {
+    for block in regions {
+        for op in &block.ops {
+            op.operands.iter().for_each(|v| f(*v));
+            for_each_nested_operand(&op.regions, f);
         }
     }
 }
@@ -855,12 +848,7 @@ mod tests {
         let e = bb.subblock(vec![], |sb| {
             sb.push(OpKind::Yield, vec![], vec![]);
         });
-        bb.push_with_regions(
-            OpKind::ScfIf,
-            vec![cond],
-            vec![],
-            vec![crate::block::Region::single(t), crate::block::Region::single(e)],
-        );
+        bb.push_with_regions(OpKind::ScfIf, vec![cond], vec![], vec![t, e]);
         bb.push(OpKind::Return, vec![], vec![]);
         let err = verify(b.finish()).unwrap_err();
         let msg = err.to_string();

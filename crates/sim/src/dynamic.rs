@@ -308,8 +308,7 @@ impl Interp<'_> {
                 let Some(Data::Bit(cond)) = env.get(&op.operands[0]) else {
                     return Err("scf.if condition is not a bit".to_string());
                 };
-                let region = if *cond { &op.regions[0] } else { &op.regions[1] };
-                let block = region.only_block();
+                let block = if *cond { &op.regions[0] } else { &op.regions[1] };
                 let yielded = self.exec_block(func, &block.ops, env)?;
                 for (r, value) in op.results.iter().zip(yielded) {
                     env.insert(*r, value);
@@ -459,10 +458,7 @@ mod tests {
             OpKind::ScfIf,
             vec![m[1]],
             vec![Type::Qubit],
-            vec![
-                asdf_ir::block::Region::single(then_block),
-                asdf_ir::block::Region::single(else_block),
-            ],
+            vec![then_block, else_block],
         )[0];
         let m2 = bb.push(OpKind::Measure, vec![fixed], vec![Type::Qubit, Type::I1]);
         bb.push_op(asdf_ir::Op::new(OpKind::QFreeZ, vec![m2[0]], vec![]));
