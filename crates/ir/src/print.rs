@@ -69,7 +69,7 @@ fn write_block(f: &mut fmt::Formatter<'_>, block: &Block, depth: usize) -> fmt::
         writeln!(f, "{}", op_line(op))?;
         for (i, region) in op.regions.iter().enumerate() {
             indent(f, depth)?;
-            let label = match (&op.kind, i) {
+            let label = match (op.kind.clone(), i) {
                 (OpKind::ScfIf, 0) => "then".to_string(),
                 (OpKind::ScfIf, 1) => "else".to_string(),
                 _ => format!("region {i}"),

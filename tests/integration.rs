@@ -81,12 +81,10 @@ fn teleportation_through_dynamic_interpreter() {
     let theta: f64 = 0.7;
     let a0 = Complex::new(theta.cos(), 0.0);
     let a1 = Complex::new(theta.sin(), 0.0);
-    // Under No-Opt the corrections stay lifted functions: each `scf.if`
-    // yields a callable.
-    let mut configs = CompileOptions::matrix();
-    configs.push(("default".to_string(), CompileOptions::default()));
-    configs.push(("no-opt".to_string(), CompileOptions::no_opt()));
-    for (name, options) in configs {
+    // The matrix holds the default options (`opt+peep+selinger`) and
+    // No-Opt (`noopt+nopeep+whole`). Under No-Opt the corrections stay
+    // lifted functions, so each `scf.if` yields a callable.
+    for (name, options) in CompileOptions::matrix() {
         let compiled = Compiler::compile(source, "teleport", &[], &options)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(compiled.circuit.is_none(), "{name}: conditionals prevent a static circuit");
