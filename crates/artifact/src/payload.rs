@@ -126,9 +126,9 @@ fn decode_block(d: &mut Decoder<'_>) -> Result<Block, ArtifactError> {
     Ok(Block { args, ops })
 }
 
-/// A region is one block. The payload still writes a block count before
-/// it, always 1, which keeps the encoding (and every content hash) as it
-/// was when regions held a list of blocks.
+/// A region is one block, written after a block count of 1: the count is
+/// part of the payload schema, and dropping it would change every
+/// artifact's bytes and content hash.
 fn encode_region(e: &mut Encoder, block: &Block) {
     e.usize(1);
     encode_block(e, block);
