@@ -187,8 +187,8 @@ fn convert_op(
                 }
                 regions.push(block);
             }
-            // A yielded function value arrives as the callable that
-            // `callable_create` (or a modifier) now yields.
+            // The branches yield a function value as the callable that
+            // `callable_create` and the callable modifiers produce.
             let result_tys: Vec<Type> = op
                 .results
                 .iter()
