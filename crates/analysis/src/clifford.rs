@@ -12,7 +12,7 @@ use std::f64::consts::FRAC_PI_4;
 
 /// Fault-tolerant cost class of a gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateClass {
+pub(crate) enum GateClass {
     /// In the Clifford group (phase angle a multiple of π/2).
     Clifford,
     /// Clifford+T but not Clifford (odd multiple of π/4).
@@ -38,7 +38,7 @@ fn angle_class(theta: f64) -> GateClass {
 ///
 /// Parameterized gates are classified by angle, so `p(pi)` is recognized
 /// as the Clifford Z and `rz(pi/4)` as T-like.
-pub fn classify(gate: GateKind) -> GateClass {
+pub(crate) fn classify(gate: GateKind) -> GateClass {
     match gate {
         GateKind::X
         | GateKind::Y
@@ -72,12 +72,14 @@ pub struct CliffordSummary {
 
 impl CliffordSummary {
     /// Total gate applications counted.
-    pub fn total(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> usize {
         self.clifford + self.t_like + self.rotations
     }
 
     /// Whether every counted gate is Clifford and uncontrolled.
-    pub fn is_clifford_only(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_clifford_only(&self) -> bool {
         self.t_like == 0 && self.rotations == 0 && self.controlled == 0
     }
 
@@ -95,7 +97,7 @@ impl CliffordSummary {
 
 /// Summarizes every gate application in `func`, including ops nested in
 /// `scf.if` and `lambda` regions.
-pub fn summarize_func(func: &Func) -> CliffordSummary {
+pub(crate) fn summarize_func(func: &Func) -> CliffordSummary {
     let mut summary = CliffordSummary::default();
     for path in func.block_paths() {
         for op in &func.block_at(&path).ops {

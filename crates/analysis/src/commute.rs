@@ -2,16 +2,18 @@
 //!
 //! In dataflow IR, two gates are wire-adjacent when one consumes the
 //! other's results; whether they can be reordered (or cancelled) is a
-//! purely local question over the shared wires. The facts here back the
-//! pedantic W0005 lint (adjacent cancelling pairs the peephole would
-//! remove) and are conservative: [`Commutation::Unknown`] is always a
-//! legal answer.
+//! purely local question over the shared wires. The cancellation fact
+//! backs the pedantic W0005 lint (adjacent cancelling pairs the peephole
+//! would remove). The commutation facts are conservative
+//! (`Commutation::Unknown` is always a legal answer), and only unit tests
+//! use them.
 
 use asdf_ir::{Op, OpKind};
 
 /// Whether two wire-adjacent ops may be reordered.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Commutation {
+pub(crate) enum Commutation {
     /// The ops touch disjoint wires, so order is irrelevant.
     Disjoint,
     /// The ops provably commute on their shared wires.
@@ -22,7 +24,8 @@ pub enum Commutation {
 
 /// Pairs `(i, j)` where operand `j` of `second` consumes result `i` of
 /// `first` — the shared wires.
-pub fn shared_wires(first: &Op, second: &Op) -> Vec<(usize, usize)> {
+#[cfg(test)]
+pub(crate) fn shared_wires(first: &Op, second: &Op) -> Vec<(usize, usize)> {
     let mut shared = Vec::new();
     for (i, r) in first.results.iter().enumerate() {
         if let Some(j) = second.operands.iter().position(|o| o == r) {
@@ -34,7 +37,8 @@ pub fn shared_wires(first: &Op, second: &Op) -> Vec<(usize, usize)> {
 
 /// The commutation fact for two gate ops where `second` may consume
 /// results of `first`.
-pub fn commutation(first: &Op, second: &Op) -> Commutation {
+#[cfg(test)]
+pub(crate) fn commutation(first: &Op, second: &Op) -> Commutation {
     let (OpKind::Gate { gate: g1, .. }, OpKind::Gate { gate: g2, .. }) =
         (&first.kind, &second.kind)
     else {
@@ -57,7 +61,7 @@ pub fn commutation(first: &Op, second: &Op) -> Commutation {
 /// Whether `second` undoes `first`: same control structure, `second`
 /// consumes all of `first`'s results in order, and the gates compose to
 /// the identity.
-pub fn is_cancelling_pair(first: &Op, second: &Op) -> bool {
+pub(crate) fn is_cancelling_pair(first: &Op, second: &Op) -> bool {
     let (OpKind::Gate { gate: g1, num_controls: c1 }, OpKind::Gate { gate: g2, num_controls: c2 }) =
         (&first.kind, &second.kind)
     else {

@@ -52,22 +52,22 @@ pub struct FactMap<F: Fact> {
 
 impl<F: Fact> FactMap<F> {
     /// A map for a function with `num_values` SSA values, all at bottom.
-    pub fn new(num_values: usize) -> Self {
+    pub(crate) fn new(num_values: usize) -> Self {
         FactMap { facts: vec![F::bottom(); num_values], changed: false }
     }
 
     /// The current fact for `v`.
-    pub fn get(&self, v: Value) -> &F {
+    pub(crate) fn get(&self, v: Value) -> &F {
         &self.facts[v.index()]
     }
 
     /// Joins `fact` into the fact for `v`.
-    pub fn join(&mut self, v: Value, fact: &F) {
+    pub(crate) fn join(&mut self, v: Value, fact: &F) {
         self.changed |= self.facts[v.index()].join(fact);
     }
 
     /// Joins the fact currently held by `src` into the fact for `dst`.
-    pub fn join_from(&mut self, dst: Value, src: Value) {
+    pub(crate) fn join_from(&mut self, dst: Value, src: Value) {
         let fact = self.facts[src.index()].clone();
         self.join(dst, &fact);
     }
@@ -75,7 +75,7 @@ impl<F: Fact> FactMap<F> {
     /// Overwrites the fact for `v`. Sound only when the transfer computing
     /// `fact` is deterministic per pass (each SSA value has one defining
     /// op, so within a pass a value is set at most once).
-    pub fn set(&mut self, v: Value, fact: F) {
+    pub(crate) fn set(&mut self, v: Value, fact: F) {
         if self.facts[v.index()] != fact {
             self.facts[v.index()] = fact;
             self.changed = true;
@@ -95,7 +95,7 @@ impl<F: Fact> FactMap<F> {
 /// Analyses may carry mutable state (e.g. a fresh-index counter); any
 /// per-pass state must be reset in [`prepare`](Analysis::prepare) so every
 /// fixpoint pass is deterministic — that, plus SSA (one defining op per
-/// value), is what makes [`FactMap::set`] safe and the iteration terminate.
+/// value), is what makes `FactMap::set` safe and the iteration terminate.
 pub trait Analysis {
     /// The lattice this analysis computes over.
     type Fact: Fact;

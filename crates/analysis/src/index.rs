@@ -12,7 +12,7 @@ use asdf_ir::{Func, Op, OpKind, Value};
 
 /// Which qubit indices a value carries.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IndexFact {
+pub(crate) enum IndexFact {
     /// No information yet (classical values stay here).
     Bottom,
     /// The value carries exactly these indices, in order.
@@ -50,13 +50,13 @@ impl Fact for IndexFact {
 /// `qalloc`s in program order), so the fixpoint engine's repeated passes
 /// reproduce identical numbering.
 #[derive(Debug, Default)]
-pub struct QubitIndexAnalysis {
+pub(crate) struct QubitIndexAnalysis {
     next: usize,
 }
 
 impl QubitIndexAnalysis {
     /// An analysis minting indices from zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         QubitIndexAnalysis::default()
     }
 

@@ -21,8 +21,9 @@ use asdf_ir::print::op_line;
 use asdf_ir::{Func, Module, Op, OpKind};
 
 /// A lint's registry entry.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LintInfo {
+pub(crate) struct LintInfo {
     /// Stable diagnostic code (`W0xxx` namespace).
     pub code: &'static str,
     /// Short kebab-case name.
@@ -34,7 +35,8 @@ pub struct LintInfo {
 }
 
 /// All registered lints, in code order.
-pub const LINTS: &[LintInfo] = &[
+#[cfg(test)]
+pub(crate) const LINTS: &[LintInfo] = &[
     LintInfo {
         code: "W0001",
         name: "gate-after-measure",
@@ -95,7 +97,7 @@ fn finish(
 }
 
 /// Lints one function, appending findings to `out`.
-pub fn lint_func(func: &Func, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
+pub(crate) fn lint_func(func: &Func, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
     let measured = analyze(func, &mut MeasureAnalysis);
     let states = analyze(func, &mut StateAnalysis);
     let liveness = analyze(func, &mut LivenessAnalysis);

@@ -10,7 +10,7 @@ use asdf_qcircuit::CircuitError;
 use std::fmt;
 
 /// The stable diagnostic code shared by every artifact decode failure.
-pub const ARTIFACT_ERROR_CODE: &str = "E0106";
+pub(crate) const ARTIFACT_ERROR_CODE: &str = "E0106";
 
 /// A structured artifact decode (or validation) failure.
 #[derive(Debug, Clone, PartialEq)]

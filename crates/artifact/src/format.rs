@@ -37,17 +37,17 @@ pub const FORMAT_VERSION: u32 = 1;
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// Section id: entry symbol, content hash, and cache-key bytes.
-pub const SECTION_META: u32 = 1;
+pub(crate) const SECTION_META: u32 = 1;
 /// Section id: the optimized IR module.
-pub const SECTION_MODULE: u32 = 2;
+pub(crate) const SECTION_MODULE: u32 = 2;
 /// Section id: the lowered circuit (absent for dynamic-only kernels).
-pub const SECTION_CIRCUIT: u32 = 3;
+pub(crate) const SECTION_CIRCUIT: u32 = 3;
 /// Section id: routing telemetry (absent for untargeted compiles).
-pub const SECTION_ROUTING: u32 = 4;
+pub(crate) const SECTION_ROUTING: u32 = 4;
 /// Section id: per-pass pipeline statistics.
-pub const SECTION_STATS: u32 = 5;
+pub(crate) const SECTION_STATS: u32 = 5;
 /// Section id: lint diagnostics.
-pub const SECTION_LINTS: u32 = 6;
+pub(crate) const SECTION_LINTS: u32 = 6;
 
 /// Human-readable name for a section id.
 pub fn section_name(id: u32) -> &'static str {
@@ -62,25 +62,35 @@ pub fn section_name(id: u32) -> &'static str {
     }
 }
 
-/// A decoded (or to-be-encoded) compile artifact: every field of an
-/// `asdf_core::Compiled` result, plus the cache-key bytes.
+/// The compile artifact: the one value a compile produces (paper §7's
+/// QCircuit module plus its straight-line circuit, with the telemetry
+/// around them). `asdf_core` re-exports it as `Compiled`: its session
+/// fills every field, `key` included, on a cold compile, then caches,
+/// returns and persists that value, and a disk-cache hit decodes it back
+/// unchanged.
 #[derive(Debug, Clone)]
 pub struct Artifact {
     /// The entry kernel's symbol name.
     pub entry: String,
-    /// The optimized IR module.
+    /// The QCircuit-dialect module (input to QASM/QIR codegen).
     pub module: Module,
-    /// The lowered circuit, when the kernel lowers statically.
+    /// The straight-line circuit, when inlining fully linearized the entry
+    /// kernel (None when callables or control flow remain). For a compile
+    /// with a hardware target, this is the *routed* circuit.
     pub circuit: Option<Circuit>,
-    /// Routing telemetry, when a hardware target was requested.
+    /// Routing layouts and cost metrics, when a hardware target was
+    /// requested and a circuit existed to route.
     pub routing: Option<RoutingInfo>,
-    /// Per-pass pipeline statistics.
+    /// Per-pass wall-clock timing and change statistics from the pipeline
+    /// run (in execution order).
     pub stats: PassStatistics,
-    /// Lint diagnostics attached to the artifact.
+    /// Lint diagnostics from the post-pipeline analyses (empty unless the
+    /// compile asked for lints). Each carries a stable `W0xxx` code and,
+    /// where the IR kept spans, a caret label into the source.
     pub lints: Vec<Diagnostic>,
-    /// Canonical cache-key bytes (opaque here; written by the cache
-    /// layer so a disk lookup can verify the key byte-for-byte instead
-    /// of trusting the 64-bit filename hash alone).
+    /// Canonical cache-key bytes of the compile request (opaque here), so
+    /// a disk lookup can verify the key byte-for-byte instead of trusting
+    /// the 64-bit filename hash alone. The content hash excludes them.
     pub key: Vec<u8>,
 }
 

@@ -17,7 +17,7 @@
 //!   structured errors instead of panics.
 //! - [`payload`]: canonical encodings for IR modules, circuits, routing
 //!   info, pass statistics, and diagnostics.
-//! - [`mod@format`]: the container — [`Artifact`] with [`Artifact::encode`],
+//! - `format`: the container — [`Artifact`] with [`Artifact::encode`],
 //!   [`Artifact::decode`], the [`inspect`] header reader, and the
 //!   content hash that excludes wall-clock pass timings.
 //!
@@ -57,15 +57,14 @@
 //! assert_eq!(back.encode(), bytes, "re-serialization is byte-identical");
 //! ```
 
-pub mod error;
-pub mod format;
+pub(crate) mod error;
+pub(crate) mod format;
 pub mod payload;
 pub mod wire;
 
-pub use error::{ArtifactError, ARTIFACT_ERROR_CODE};
+pub use error::ArtifactError;
 pub use format::{
     inspect, section_name, Artifact, ArtifactInfo, SectionInfo, FORMAT_VERSION, MAGIC,
-    SCHEMA_VERSION, SECTION_CIRCUIT, SECTION_LINTS, SECTION_META, SECTION_MODULE, SECTION_ROUTING,
-    SECTION_STATS,
+    SCHEMA_VERSION,
 };
-pub use wire::{fnv1a, Decoder, Encoder, Fnv};
+pub use wire::{fnv1a, Encoder, Fnv};

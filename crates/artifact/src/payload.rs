@@ -25,7 +25,7 @@ use std::time::Duration;
 /// decoding. Diagnostics carry `&'static str` codes in memory, so a
 /// decoded code must resolve against this table; an unknown code is a
 /// structured [`ArtifactError::UnknownDiagnosticCode`].
-pub const KNOWN_DIAGNOSTIC_CODES: &[&str] = &[
+pub(crate) const KNOWN_DIAGNOSTIC_CODES: &[&str] = &[
     "E0001", "E0002", "E0003", "E0004", "E0005", "E0006", "E0101", "E0102", "E0103", "E0104",
     "E0105", "E0106", "W0001", "W0002", "W0003", "W0004", "W0005",
 ];
@@ -625,13 +625,13 @@ pub fn encode_circuit(e: &mut Encoder, circuit: &Circuit) {
 /// the widest program the compile benches build. Circuit analyses size
 /// per-qubit tables by the declared width, so an unchecked width from a
 /// crafted file could ask for terabytes.
-pub const MAX_CIRCUIT_QUBITS: usize = 1 << 20;
+pub(crate) const MAX_CIRCUIT_QUBITS: usize = 1 << 20;
 
 /// Decodes a lowered circuit, checking its width against
 /// [`MAX_CIRCUIT_QUBITS`] and every op as [`Circuit::try_push`] does:
 /// qubits in range, none repeated within a gate, and the gate's target
 /// count.
-pub fn decode_circuit(d: &mut Decoder<'_>) -> Result<Circuit, ArtifactError> {
+pub(crate) fn decode_circuit(d: &mut Decoder<'_>) -> Result<Circuit, ArtifactError> {
     let num_qubits = d.usize("circuit qubits")?;
     if num_qubits > MAX_CIRCUIT_QUBITS {
         return Err(ArtifactError::Invalid { context: "circuit width above MAX_CIRCUIT_QUBITS" });
@@ -671,7 +671,7 @@ pub fn decode_circuit(d: &mut Decoder<'_>) -> Result<Circuit, ArtifactError> {
 }
 
 /// Encodes routing telemetry.
-pub fn encode_routing(e: &mut Encoder, info: &RoutingInfo) {
+pub(crate) fn encode_routing(e: &mut Encoder, info: &RoutingInfo) {
     e.str(&info.target);
     e.usize(info.initial_layout.len());
     for q in &info.initial_layout {
@@ -690,7 +690,7 @@ pub fn encode_routing(e: &mut Encoder, info: &RoutingInfo) {
 }
 
 /// Decodes routing telemetry.
-pub fn decode_routing(d: &mut Decoder<'_>) -> Result<RoutingInfo, ArtifactError> {
+pub(crate) fn decode_routing(d: &mut Decoder<'_>) -> Result<RoutingInfo, ArtifactError> {
     let target = d.str("routing target")?;
     let initial_count = d.count(8, "initial layout")?;
     let mut initial_layout = Vec::with_capacity(initial_count);
@@ -756,7 +756,7 @@ pub fn decode_stats(d: &mut Decoder<'_>) -> Result<asdf_ir::PassStatistics, Arti
 }
 
 /// Encodes lint/compile diagnostics.
-pub fn encode_lints(e: &mut Encoder, lints: &[Diagnostic]) {
+pub(crate) fn encode_lints(e: &mut Encoder, lints: &[Diagnostic]) {
     e.usize(lints.len());
     for diag in lints {
         e.str(diag.code);
@@ -781,7 +781,7 @@ pub fn encode_lints(e: &mut Encoder, lints: &[Diagnostic]) {
 
 /// Decodes diagnostics, interning codes against
 /// [`KNOWN_DIAGNOSTIC_CODES`].
-pub fn decode_lints(d: &mut Decoder<'_>) -> Result<Vec<Diagnostic>, ArtifactError> {
+pub(crate) fn decode_lints(d: &mut Decoder<'_>) -> Result<Vec<Diagnostic>, ArtifactError> {
     let count = d.count(1, "diagnostics")?;
     let mut lints = Vec::with_capacity(count);
     for _ in 0..count {

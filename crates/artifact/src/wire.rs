@@ -37,14 +37,16 @@ impl Fnv {
     }
 
     /// Feeds one byte.
+    #[cfg(test)]
     #[inline]
-    pub fn write_u8(&mut self, v: u8) {
+    pub(crate) fn write_u8(&mut self, v: u8) {
         self.write(&[v]);
     }
 
     /// Feeds a u64 as its little-endian bytes.
+    #[cfg(test)]
     #[inline]
-    pub fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
@@ -55,8 +57,9 @@ impl Fnv {
     }
 
     /// Feeds a usize widened to u64, so hashes agree across pointer widths.
+    #[cfg(test)]
     #[inline]
-    pub fn write_usize(&mut self, v: usize) {
+    pub(crate) fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
@@ -97,54 +100,55 @@ impl Encoder {
     }
 
     /// Writes one raw byte.
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a little-endian u32.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian u64.
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a little-endian i64.
-    pub fn i64(&mut self, v: i64) {
+    #[cfg(test)]
+    pub(crate) fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes an f64 as its IEEE-754 bit pattern (bitwise round trip,
     /// NaN payloads included).
-    pub fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
     /// Writes a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
+    pub(crate) fn bool(&mut self, v: bool) {
         self.u8(u8::from(v));
     }
 
     /// Writes a usize as a u64.
-    pub fn usize(&mut self, v: usize) {
+    pub(crate) fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// Writes a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
+    pub(crate) fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
 
     /// Writes raw bytes with no length prefix.
-    pub fn raw(&mut self, bytes: &[u8]) {
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Writes length-prefixed raw bytes.
-    pub fn bytes_prefixed(&mut self, bytes: &[u8]) {
+    pub(crate) fn bytes_prefixed(&mut self, bytes: &[u8]) {
         self.usize(bytes.len());
         self.buf.extend_from_slice(bytes);
     }
@@ -163,17 +167,21 @@ impl<'a> Decoder<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
     /// Whether the cursor has consumed every byte.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
     /// Takes `n` raw bytes.
-    pub fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], ArtifactError> {
+    pub(crate) fn take(
+        &mut self,
+        n: usize,
+        context: &'static str,
+    ) -> Result<&'a [u8], ArtifactError> {
         if self.remaining() < n {
             return Err(ArtifactError::Truncated {
                 context,
@@ -187,35 +195,36 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads one byte.
-    pub fn u8(&mut self, context: &'static str) -> Result<u8, ArtifactError> {
+    pub(crate) fn u8(&mut self, context: &'static str) -> Result<u8, ArtifactError> {
         Ok(self.take(1, context)?[0])
     }
 
     /// Reads a little-endian u32.
-    pub fn u32(&mut self, context: &'static str) -> Result<u32, ArtifactError> {
+    pub(crate) fn u32(&mut self, context: &'static str) -> Result<u32, ArtifactError> {
         let bytes = self.take(4, context)?;
         Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
     }
 
     /// Reads a little-endian u64.
-    pub fn u64(&mut self, context: &'static str) -> Result<u64, ArtifactError> {
+    pub(crate) fn u64(&mut self, context: &'static str) -> Result<u64, ArtifactError> {
         let bytes = self.take(8, context)?;
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
     /// Reads a little-endian i64.
-    pub fn i64(&mut self, context: &'static str) -> Result<i64, ArtifactError> {
+    #[cfg(test)]
+    pub(crate) fn i64(&mut self, context: &'static str) -> Result<i64, ArtifactError> {
         let bytes = self.take(8, context)?;
         Ok(i64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
     /// Reads an f64 from its bit pattern.
-    pub fn f64(&mut self, context: &'static str) -> Result<f64, ArtifactError> {
+    pub(crate) fn f64(&mut self, context: &'static str) -> Result<f64, ArtifactError> {
         Ok(f64::from_bits(self.u64(context)?))
     }
 
     /// Reads a bool, rejecting anything but 0 or 1.
-    pub fn bool(&mut self, context: &'static str) -> Result<bool, ArtifactError> {
+    pub(crate) fn bool(&mut self, context: &'static str) -> Result<bool, ArtifactError> {
         match self.u8(context)? {
             0 => Ok(false),
             1 => Ok(true),
@@ -224,7 +233,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a usize encoded as a u64, rejecting values that do not fit.
-    pub fn usize(&mut self, context: &'static str) -> Result<usize, ArtifactError> {
+    pub(crate) fn usize(&mut self, context: &'static str) -> Result<usize, ArtifactError> {
         let v = self.u64(context)?;
         usize::try_from(v).map_err(|_| ArtifactError::BadTag { context, tag: v })
     }
@@ -232,7 +241,7 @@ impl<'a> Decoder<'a> {
     /// Reads an element count and validates it against the bytes that
     /// could possibly back it (`min_element_size` bytes each), so a
     /// corrupt count cannot drive a pathological allocation.
-    pub fn count(
+    pub(crate) fn count(
         &mut self,
         min_element_size: usize,
         context: &'static str,
@@ -250,20 +259,23 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self, context: &'static str) -> Result<String, ArtifactError> {
+    pub(crate) fn str(&mut self, context: &'static str) -> Result<String, ArtifactError> {
         let len = self.usize(context)?;
         let bytes = self.take(len, context)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ArtifactError::BadUtf8 { context })
     }
 
     /// Reads length-prefixed raw bytes.
-    pub fn bytes_prefixed(&mut self, context: &'static str) -> Result<Vec<u8>, ArtifactError> {
+    pub(crate) fn bytes_prefixed(
+        &mut self,
+        context: &'static str,
+    ) -> Result<Vec<u8>, ArtifactError> {
         let len = self.usize(context)?;
         Ok(self.take(len, context)?.to_vec())
     }
 
     /// Fails unless every byte has been consumed.
-    pub fn finish(&self, context: &'static str) -> Result<(), ArtifactError> {
+    pub(crate) fn finish(&self, context: &'static str) -> Result<(), ArtifactError> {
         if self.is_empty() {
             Ok(())
         } else {

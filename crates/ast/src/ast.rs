@@ -26,7 +26,7 @@ impl Program {
     }
 
     /// Finds a `classical` item by name.
-    pub fn classical(&self, name: &str) -> Option<&ClassicalFunc> {
+    pub(crate) fn classical(&self, name: &str) -> Option<&ClassicalFunc> {
         self.items.iter().find_map(|item| match item {
             Item::Classical(f) if f.name == name => Some(f),
             _ => None,
@@ -153,7 +153,7 @@ impl PartialEq for Expr {
 
 impl Expr {
     /// An expression with a known source span.
-    pub fn new(kind: ExprKind, span: Span) -> Expr {
+    pub(crate) fn new(kind: ExprKind, span: Span) -> Expr {
         Expr { kind, span }
     }
 }

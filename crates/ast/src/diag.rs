@@ -35,13 +35,13 @@ impl Span {
     }
 
     /// A zero-width span at `offset` (e.g. end of input).
-    pub fn at(offset: usize) -> Span {
+    pub(crate) fn at(offset: usize) -> Span {
         Span { start: offset, end: offset }
     }
 
     /// The smallest span covering both `self` and `other`.
     #[must_use]
-    pub fn to(self, other: Span) -> Span {
+    pub(crate) fn to(self, other: Span) -> Span {
         Span { start: self.start.min(other.start), end: self.end.max(other.end) }
     }
 

@@ -31,7 +31,7 @@ impl DimExpr {
     /// # Errors
     ///
     /// Returns [`FrontendError::Dimension`] on unbound variables.
-    pub fn eval(&self, bindings: &HashMap<String, i64>) -> Result<i64, FrontendError> {
+    pub(crate) fn eval(&self, bindings: &HashMap<String, i64>) -> Result<i64, FrontendError> {
         Ok(match self {
             DimExpr::Const(v) => *v,
             DimExpr::Var(name) => *bindings.get(name).ok_or_else(|| {
@@ -57,7 +57,8 @@ impl DimExpr {
     }
 
     /// The set of variables mentioned.
-    pub fn vars(&self, out: &mut Vec<String>) {
+    #[cfg(test)]
+    pub(crate) fn vars(&self, out: &mut Vec<String>) {
         match self {
             DimExpr::Const(_) => {}
             DimExpr::Var(name) => {
@@ -113,7 +114,10 @@ impl AngleExpr {
     ///
     /// Returns [`FrontendError::Dimension`] on unbound variables or
     /// division by zero.
-    pub fn eval_radians(&self, bindings: &HashMap<String, i64>) -> Result<f64, FrontendError> {
+    pub(crate) fn eval_radians(
+        &self,
+        bindings: &HashMap<String, i64>,
+    ) -> Result<f64, FrontendError> {
         Ok(self.eval_degrees(bindings)?.to_radians())
     }
 

@@ -66,12 +66,12 @@ impl FrontendError {
     }
 
     /// A dimension error with no span.
-    pub fn dim_err(message: impl Into<String>) -> FrontendError {
+    pub(crate) fn dim_err(message: impl Into<String>) -> FrontendError {
         FrontendError::Dimension { message: message.into(), span: None }
     }
 
     /// A span-equivalence error with no span.
-    pub fn span_equiv(message: impl Into<String>) -> FrontendError {
+    pub(crate) fn span_equiv(message: impl Into<String>) -> FrontendError {
         FrontendError::SpanEquiv { message: message.into(), span: None }
     }
 
@@ -128,7 +128,7 @@ impl FrontendError {
     }
 
     /// The primary message, without the category prefix.
-    pub fn message(&self) -> String {
+    pub(crate) fn message(&self) -> String {
         match self {
             FrontendError::Lex { message, .. }
             | FrontendError::Parse { message, .. }

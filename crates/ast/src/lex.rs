@@ -5,7 +5,7 @@ use crate::error::FrontendError;
 
 /// A token with its source span.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token kind and payload.
     pub kind: TokenKind,
     /// Byte range of the token in the source.
@@ -14,7 +14,7 @@ pub struct Token {
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword.
     Ident(String),
     /// Integer literal.
@@ -52,7 +52,7 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// A short display name for diagnostics.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::Ident(s) => format!("identifier `{s}`"),
             TokenKind::Int(v) => format!("integer {v}"),
@@ -101,7 +101,7 @@ impl TokenKind {
 ///
 /// Returns [`FrontendError::Lex`] on unknown characters or malformed
 /// literals.
-pub fn lex(src: &str) -> Result<Vec<Token>, FrontendError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, FrontendError> {
     let bytes = src.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;

@@ -30,18 +30,16 @@ pub mod ast;
 pub mod canon;
 pub mod diag;
 pub mod dims;
-pub mod error;
+pub(crate) mod error;
 pub mod expand;
-pub mod lex;
+pub(crate) mod lex;
 pub mod parse;
 pub mod pretty;
 pub mod tast;
 pub mod typecheck;
 pub mod types;
 
-pub use ast::{ClassicalFunc, Item, Program, QpuFunc};
-pub use diag::{line_col, Diagnostic, Label, LineCol, Severity, Span};
+pub use diag::{Diagnostic, Span};
 pub use error::FrontendError;
 pub use expand::CaptureValue;
-pub use tast::{TClassical, TExpr, TExprKind, TKernel};
-pub use types::{Type, ValueKind};
+pub use tast::TClassical;

@@ -47,7 +47,8 @@ pub fn parse_program(src: &str) -> Result<Program, FrontendError> {
 /// # Errors
 ///
 /// Same conditions as [`parse_program`].
-pub fn parse_expr(src: &str) -> Result<Expr, FrontendError> {
+#[cfg(test)]
+pub(crate) fn parse_expr(src: &str) -> Result<Expr, FrontendError> {
     let tokens = lex(src)?;
     let mut parser = Parser { tokens, pos: 0, prev_end: 0 };
     let expr = parser.expr()?;
@@ -118,6 +119,7 @@ impl Parser {
         }
     }
 
+    #[cfg(test)]
     fn expect_eof(&self) -> Result<(), FrontendError> {
         if self.at_eof() {
             Ok(())

@@ -32,7 +32,8 @@ pub fn render_program(program: &Program) -> String {
 }
 
 /// Renders a single `qpu` expression (matching [`crate::parse::parse_expr`]).
-pub fn render_expr(e: &Expr) -> String {
+#[cfg(test)]
+pub(crate) fn render_expr(e: &Expr) -> String {
     let mut out = String::new();
     expr(&mut out, e, Level::Pipe);
     out

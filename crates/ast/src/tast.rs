@@ -66,13 +66,13 @@ impl PartialEq for TExpr {
 
 impl TExpr {
     /// A typed expression with an unknown span.
-    pub fn new(kind: TExprKind, ty: Type) -> TExpr {
+    pub(crate) fn new(kind: TExprKind, ty: Type) -> TExpr {
         TExpr { kind, ty, span: Span::default() }
     }
 
     /// The same expression with a source span attached.
     #[must_use]
-    pub fn with_span(mut self, span: Span) -> TExpr {
+    pub(crate) fn with_span(mut self, span: Span) -> TExpr {
         self.span = span;
         self
     }

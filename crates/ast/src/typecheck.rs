@@ -820,7 +820,7 @@ fn flip_translation(basis: &Basis) -> Result<(Basis, Basis), FrontendError> {
 }
 
 /// Width-checks a classical body expression, returning its bit width.
-pub fn check_cexpr(
+pub(crate) fn check_cexpr(
     e: &CExpr,
     widths: &HashMap<String, usize>,
     dims: &HashMap<String, i64>,

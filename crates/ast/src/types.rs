@@ -21,7 +21,7 @@ impl ValueKind {
     }
 
     /// Whether values of this kind are linear (must be used exactly once).
-    pub fn is_linear(self) -> bool {
+    pub(crate) fn is_linear(self) -> bool {
         matches!(self, ValueKind::Qubit(n) if n > 0)
     }
 
@@ -32,7 +32,7 @@ impl ValueKind {
     ///
     /// Returns a message when tensoring a nonempty qubit register with a
     /// nonempty bit register.
-    pub fn tensor(self, other: ValueKind) -> Result<ValueKind, String> {
+    pub(crate) fn tensor(self, other: ValueKind) -> Result<ValueKind, String> {
         match (self, other) {
             (ValueKind::Qubit(a), ValueKind::Qubit(b)) => Ok(ValueKind::Qubit(a + b)),
             (ValueKind::Bit(a), ValueKind::Bit(b)) => Ok(ValueKind::Bit(a + b)),
@@ -73,7 +73,7 @@ pub enum Type {
 
 impl Type {
     /// The canonical reversible function type on `n` qubits.
-    pub fn rev_func(n: usize) -> Type {
+    pub(crate) fn rev_func(n: usize) -> Type {
         Type::Func { input: ValueKind::Qubit(n), output: ValueKind::Qubit(n), rev: true }
     }
 }

@@ -17,13 +17,13 @@
 //!   qubits for XOR operations"), and renaming-based IQFT swaps instead of
 //!   SWAP gates (§8.3's period-finding deviation).
 //!
-//! [`transpiler`] is the shared `-O3` stand-in applied uniformly to every
+//! `transpiler` is the shared `-O3` stand-in applied uniformly to every
 //! compiler's output, and [`qsharp_callables`] models the classic Q# QDK's
 //! QIR-callable emission for Table 1.
 
-pub mod benchmarks;
+pub(crate) mod benchmarks;
 pub mod qsharp_callables;
-pub mod transpiler;
+pub(crate) mod transpiler;
 
 pub use benchmarks::{build_circuit, BaselineStyle, Benchmark};
 pub use transpiler::optimize;

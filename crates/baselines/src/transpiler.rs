@@ -13,11 +13,11 @@ use asdf_qcircuit::{Circuit, CircuitOp};
 /// The fixpoint bound: every pass strictly shrinks the circuit or changes
 /// nothing, so convergence arrives long before this many iterations on any
 /// real input. Hitting the bound means a pass pair is oscillating — a bug.
-pub const MAX_OPTIMIZE_PASSES: usize = 64;
+pub(crate) const MAX_OPTIMIZE_PASSES: usize = 64;
 
 /// What [`optimize_report`] observed on the way to its result.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OptimizeReport {
+pub(crate) struct OptimizeReport {
     /// The optimized circuit.
     pub circuit: Circuit,
     /// Rewrite passes run (including the final no-change pass).
@@ -43,7 +43,7 @@ pub fn optimize(circuit: &Circuit) -> Circuit {
 /// Like [`optimize`], but reports the pass count and whether the
 /// [`MAX_OPTIMIZE_PASSES`] fixpoint bound was respected instead of
 /// silently returning a possibly-unconverged circuit.
-pub fn optimize_report(circuit: &Circuit) -> OptimizeReport {
+pub(crate) fn optimize_report(circuit: &Circuit) -> OptimizeReport {
     let mut current = circuit.clone();
     for pass in 0..MAX_OPTIMIZE_PASSES {
         let next = one_pass(&current);

@@ -55,7 +55,8 @@ impl BasisElem {
 
     /// Whether any vector of the element carries a phase (always false for
     /// built-ins).
-    pub fn has_phases(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_phases(&self) -> bool {
         match self {
             BasisElem::BuiltIn { .. } => false,
             BasisElem::Literal(lit) => lit.has_phases(),
@@ -64,7 +65,7 @@ impl BasisElem {
 
     /// The normalized element used by span checking: literal phases removed
     /// and vectors sorted lexicographically (§4.1).
-    pub fn normalized(&self) -> BasisElem {
+    pub(crate) fn normalized(&self) -> BasisElem {
         match self {
             BasisElem::BuiltIn { .. } => self.clone(),
             BasisElem::Literal(lit) => BasisElem::Literal(lit.normalized()),
@@ -73,7 +74,7 @@ impl BasisElem {
 
     /// Whether two normalized elements are identical (the `l = r` test on
     /// line 7 of Algorithm B1).
-    pub fn identical(&self, other: &BasisElem) -> bool {
+    pub(crate) fn identical(&self, other: &BasisElem) -> bool {
         match (self, other) {
             (
                 BasisElem::BuiltIn { prim: p1, dim: d1 },
@@ -143,12 +144,6 @@ pub struct Basis {
 }
 
 impl Basis {
-    /// An empty basis (zero qubits). Used as the identity for
-    /// tensor-product accumulation.
-    pub fn empty() -> Self {
-        Basis { elems: Vec::new() }
-    }
-
     /// A basis from its canon-form elements.
     pub fn new(elems: Vec<BasisElem>) -> Self {
         Basis { elems }
@@ -174,11 +169,6 @@ impl Basis {
         self.elems.iter().map(BasisElem::dim).sum()
     }
 
-    /// Whether the basis has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
-    }
-
     /// Whether every element fully spans (so the basis spans the whole
     /// `2^dim` space).
     pub fn fully_spans(&self) -> bool {
@@ -186,7 +176,8 @@ impl Basis {
     }
 
     /// Whether any literal vector carries a phase.
-    pub fn has_phases(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_phases(&self) -> bool {
         self.elems.iter().any(BasisElem::has_phases)
     }
 
@@ -213,7 +204,8 @@ impl Basis {
 
     /// The total number of basis vectors (product over elements), saturating
     /// at `u128::MAX`. Diagnostic only.
-    pub fn vector_count(&self) -> u128 {
+    #[cfg(test)]
+    pub(crate) fn vector_count(&self) -> u128 {
         self.elems.iter().fold(1u128, |acc, e| {
             let n = match e {
                 BasisElem::BuiltIn { dim, .. } => {

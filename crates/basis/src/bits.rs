@@ -25,13 +25,8 @@ pub struct BitString {
 
 impl BitString {
     /// Creates an all-zero bit string of length `len`.
-    pub fn zeros(len: usize) -> Self {
+    pub(crate) fn zeros(len: usize) -> Self {
         BitString { bits: vec![false; len] }
-    }
-
-    /// Creates an all-one bit string of length `len`.
-    pub fn ones(len: usize) -> Self {
-        BitString { bits: vec![true; len] }
     }
 
     /// Creates a bit string from the low `len` bits of `value`, most
@@ -75,23 +70,18 @@ impl BitString {
         self.bits.iter().copied()
     }
 
-    /// The bits as a slice.
-    pub fn as_slice(&self) -> &[bool] {
-        &self.bits
-    }
-
     /// Splits into the first `n` bits and the remaining bits.
     ///
     /// # Panics
     ///
     /// Panics if `n > self.len()`.
-    pub fn split_at(&self, n: usize) -> (BitString, BitString) {
+    pub(crate) fn split_at(&self, n: usize) -> (BitString, BitString) {
         let (pre, suf) = self.bits.split_at(n);
         (BitString { bits: pre.to_vec() }, BitString { bits: suf.to_vec() })
     }
 
     /// Concatenates two bit strings.
-    pub fn concat(&self, other: &BitString) -> BitString {
+    pub(crate) fn concat(&self, other: &BitString) -> BitString {
         let mut bits = self.bits.clone();
         bits.extend_from_slice(&other.bits);
         BitString { bits }
@@ -109,7 +99,8 @@ impl BitString {
     }
 
     /// The number of set bits.
-    pub fn count_ones(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_ones(&self) -> usize {
         self.bits.iter().filter(|&&b| b).count()
     }
 
@@ -118,7 +109,8 @@ impl BitString {
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn xor(&self, other: &BitString) -> BitString {
+    #[cfg(test)]
+    pub(crate) fn xor(&self, other: &BitString) -> BitString {
         assert_eq!(self.len(), other.len(), "xor requires equal lengths");
         BitString { bits: self.bits.iter().zip(&other.bits).map(|(a, b)| a ^ b).collect() }
     }

@@ -26,14 +26,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod basis;
-pub mod bits;
-pub mod error;
-pub mod literal;
-pub mod parse;
-pub mod prim;
+pub(crate) mod basis;
+pub(crate) mod bits;
+pub(crate) mod error;
+pub(crate) mod literal;
+pub(crate) mod parse;
+pub(crate) mod prim;
 pub mod span;
-pub mod vector;
+pub(crate) mod vector;
 
 pub use basis::{Basis, BasisElem};
 pub use bits::BitString;

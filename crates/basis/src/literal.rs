@@ -49,15 +49,6 @@ impl BasisLiteral {
         Ok(BasisLiteral { prim, vectors })
     }
 
-    /// A single-vector literal.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BasisLiteral::new`].
-    pub fn singleton(prim: PrimitiveBasis, vector: BasisVector) -> Result<Self, BasisError> {
-        BasisLiteral::new(prim, vec![vector])
-    }
-
     /// The literal materializing `prim[dim]` as `2^dim` explicit vectors in
     /// lexicographic order (used by alignment, Algorithm E7 lines 9/18/27).
     ///
@@ -66,7 +57,7 @@ impl BasisLiteral {
     /// Returns [`BasisError::TooLarge`] if `2^dim` exceeds the materialization
     /// limit (65536 vectors), and [`BasisError::MalformedLiteral`] for
     /// `fourier`, which is inseparable and cannot be written as a literal.
-    pub fn full(prim: PrimitiveBasis, dim: usize) -> Result<Self, BasisError> {
+    pub(crate) fn full(prim: PrimitiveBasis, dim: usize) -> Result<Self, BasisError> {
         const LIMIT: usize = 1 << 16;
         if prim == PrimitiveBasis::Fourier {
             return Err(BasisError::malformed("fourier[N] cannot be written as a literal"));
@@ -115,7 +106,8 @@ impl BasisLiteral {
     }
 
     /// Whether any vector carries a phase.
-    pub fn has_phases(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_phases(&self) -> bool {
         self.vectors.iter().any(|v| v.phase.is_some())
     }
 
@@ -303,7 +295,7 @@ impl BasisLiteral {
     /// Returns [`BasisError::CannotFactor`] if `m` is not divisible by `2^n`,
     /// fewer than `2^n` distinct prefixes appear, or any suffix appears fewer
     /// than `2^n` times (lines 1–8 of Algorithm B3).
-    pub fn factor_fully_spanning(&self, n: usize) -> Result<BasisLiteral, BasisError> {
+    pub(crate) fn factor_fully_spanning(&self, n: usize) -> Result<BasisLiteral, BasisError> {
         // Line 1: if m is not divisible by 2^n, fail (Corollary B.4).
         if n >= usize::BITS as usize || !self.len().is_multiple_of(1usize << n) {
             return Err(BasisError::CannotFactor(format!(
@@ -330,7 +322,7 @@ impl BasisLiteral {
     /// Returns [`BasisError::CannotFactor`] if the primitive bases differ
     /// (line 1), `m` is not divisible by `m'` (line 3), or the prefix set
     /// does not equal `small`'s vectors (lines 6–8).
-    pub fn factor_literal(&self, small: &BasisLiteral) -> Result<BasisLiteral, BasisError> {
+    pub(crate) fn factor_literal(&self, small: &BasisLiteral) -> Result<BasisLiteral, BasisError> {
         if self.prim != small.prim {
             return Err(BasisError::CannotFactor(format!(
                 "primitive bases differ: {} vs {}",

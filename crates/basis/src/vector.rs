@@ -22,10 +22,11 @@ pub enum Phase {
 
 impl Phase {
     /// The phase π, i.e. the `-bv` shorthand.
-    pub const PI: Phase = Phase::Const(std::f64::consts::PI);
+    pub(crate) const PI: Phase = Phase::Const(std::f64::consts::PI);
 
     /// Returns the constant angle, if this phase is a constant.
-    pub fn as_const(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn as_const(&self) -> Option<f64> {
         match self {
             Phase::Const(theta) => Some(*theta),
             Phase::Operand(_) => None,
@@ -74,12 +75,12 @@ impl BasisVector {
     }
 
     /// The number of qubits this vector spans.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.eigenbits.len()
     }
 
     /// This vector with any phase removed (used by normalization, §4.1).
-    pub fn without_phase(&self) -> BasisVector {
+    pub(crate) fn without_phase(&self) -> BasisVector {
         BasisVector::new(self.eigenbits.clone())
     }
 
@@ -89,7 +90,7 @@ impl BasisVector {
     ///
     /// Panics if `prim` is [`PrimitiveBasis::Fourier`], which has no literal
     /// character syntax.
-    pub fn display_in(&self, prim: PrimitiveBasis) -> String {
+    pub(crate) fn display_in(&self, prim: PrimitiveBasis) -> String {
         let (plus, minus) = prim.chars().expect("fourier basis vectors have no literal syntax");
         let mut s = String::with_capacity(self.dim() + 4);
         s.push('\'');

@@ -17,7 +17,7 @@
 
 use asdf_artifact::Artifact;
 use asdf_bench::{bv_request, median_time, record_trajectory_point, smoke_mode, BV_SRC};
-use asdf_core::{compiled_to_artifact, Session};
+use asdf_core::Session;
 use criterion::black_box;
 use std::time::Duration;
 
@@ -36,8 +36,7 @@ fn main() {
 
     // Compile once; all codec measurements work over this artifact.
     let session = Session::new(BV_SRC).unwrap();
-    let compiled = session.compile(&request).unwrap();
-    let artifact = compiled_to_artifact(&compiled, vec![0xbe, 0xc4]);
+    let artifact = session.compile(&request).unwrap();
     let bytes = artifact.encode();
     let size = bytes.len();
 

@@ -1,7 +1,7 @@
 //! Compile-throughput bench for the session API: cold one-shot
 //! compilation vs warm-cache `Session::compile`, plus the
-//! frontend-sharing win across the 12-entry options matrix (the difftest
-//! sweep shape).
+//! frontend-sharing win across the options matrix (the difftest sweep
+//! shape).
 //!
 //! Three measurements on the Fig. 1 Bernstein–Vazirani program:
 //!
@@ -9,8 +9,9 @@
 //!   pipeline every time; equivalent to `Compiler::compile`);
 //! - **warm** — one session, the same request repeatedly: after the
 //!   first compile every request is an artifact-cache hit;
-//! - **matrix** — one session compiling all 12 configurations (11
-//!   frontend hits) vs 12 cold compiles.
+//! - **matrix** — one session compiling every configuration of
+//!   `CompileOptions::matrix()` (all but the first are frontend hits) vs
+//!   one cold compile each.
 //!
 //! Each full run appends a trajectory point to `BENCH_compile.json` at
 //! the repo root. `--smoke` (or env `COMPILE_THROUGHPUT_SMOKE=1`) shrinks
@@ -69,7 +70,7 @@ fn main() {
         "acceptance: warm-cache compile must be >= 10x the cold path, got {warm_speedup:.1}x"
     );
 
-    // Matrix: the difftest shape — all 12 configurations, one session.
+    // Matrix: the difftest shape — every configuration, one session.
     let matrix = CompileOptions::matrix();
     let matrix_shared = median_time(samples, || {
         let session = Session::new(BV_SRC).unwrap();
@@ -86,7 +87,8 @@ fn main() {
     });
     let matrix_speedup = matrix_cold.as_secs_f64() / matrix_shared.as_secs_f64();
     println!(
-        "12-config matrix    shared-frontend {matrix_shared:>10.3?} vs cold {matrix_cold:>10.3?}   speedup {matrix_speedup:.2}x"
+        "{}-config matrix    shared-frontend {matrix_shared:>10.3?} vs cold {matrix_cold:>10.3?}   speedup {matrix_speedup:.2}x",
+        matrix.len()
     );
 
     let point = format!(

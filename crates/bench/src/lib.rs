@@ -5,7 +5,7 @@
 //! benchmarks in all four languages for different oracle input sizes;
 //! (2) optimize the resulting code with the Qiskit transpiler set to -O3;
 //! and (3) feed the resulting optimized assembly into the Resource
-//! Estimator". Here step (2) is the shared [`asdf_baselines::transpiler`]
+//! Estimator". Here step (2) is the shared `asdf_baselines::transpiler`
 //! applied uniformly, and step (3) is [`asdf_resource::estimate`] with the
 //! paper's [[338, 1, 13]] / 5.2 µs parameters.
 
@@ -137,7 +137,7 @@ pub fn asdf_circuit(benchmark: &Benchmark) -> Circuit {
 }
 
 /// The optimized circuit a given compiler produces for a benchmark.
-pub fn circuit_for(which: Which, benchmark: &Benchmark) -> Circuit {
+pub(crate) fn circuit_for(which: Which, benchmark: &Benchmark) -> Circuit {
     let raw = match which {
         Which::Asdf => asdf_circuit(benchmark),
         Which::Qiskit => build_circuit(benchmark, BaselineStyle::Qiskit),
@@ -162,7 +162,7 @@ pub struct FigPoint {
 
 /// The figure benchmarks: BV, Grover, Simon, Period (Deutsch–Jozsa is
 /// omitted as in the paper: "virtually identical to Bernstein–Vazirani").
-pub fn figure_benchmarks(n: usize) -> Vec<(&'static str, Benchmark)> {
+pub(crate) fn figure_benchmarks(n: usize) -> Vec<(&'static str, Benchmark)> {
     Benchmark::paper_suite(n).into_iter().filter(|(name, _)| *name != "dj").collect()
 }
 
@@ -282,12 +282,12 @@ pub fn bv_request(secret: &str) -> CompileRequest {
 
 /// The path of the trajectory file `file` (e.g. `BENCH_sim.json`) at the
 /// repository root.
-pub fn trajectory_path(file: &str) -> PathBuf {
+pub(crate) fn trajectory_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(file)
 }
 
 /// Records one bench trajectory point (a one-line JSON object). A full run
-/// appends it to the JSON array in [`trajectory_path`]`(file)`; a smoke
+/// appends it to the JSON array in `trajectory_path(file)`; a smoke
 /// run only prints it, so smoke runs leave the committed files untouched.
 pub fn record_trajectory_point(file: &str, point: &str, smoke: bool) {
     if smoke {

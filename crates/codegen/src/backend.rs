@@ -123,7 +123,7 @@ impl fmt::Debug for BackendRegistry {
 
 impl BackendRegistry {
     /// An empty registry.
-    pub fn new() -> BackendRegistry {
+    pub(crate) fn new() -> BackendRegistry {
         BackendRegistry::default()
     }
 
@@ -147,7 +147,7 @@ impl BackendRegistry {
     }
 
     /// Looks up a backend by name.
-    pub fn get(&self, name: &str) -> Option<&dyn Backend> {
+    pub(crate) fn get(&self, name: &str) -> Option<&dyn Backend> {
         self.backends.iter().find(|b| b.name() == name).map(|b| b.as_ref())
     }
 
@@ -251,7 +251,7 @@ impl BackendRegistry {
 
 /// OpenQASM 3 text from the straight-line circuit (§7).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct QasmBackend;
+pub(crate) struct QasmBackend;
 
 impl Backend for QasmBackend {
     fn name(&self) -> &'static str {
@@ -273,7 +273,7 @@ impl Backend for QasmBackend {
 /// QIR Base Profile: a straight-line gate sequence with `inttoptr` qubit
 /// indices and no dynamic allocation (§7).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct QirBaseBackend;
+pub(crate) struct QirBaseBackend;
 
 impl Backend for QirBaseBackend {
     fn name(&self) -> &'static str {
@@ -295,7 +295,7 @@ impl Backend for QirBaseBackend {
 /// QIR Unrestricted Profile: dynamic qubit allocation, callables via
 /// `__quantum__rt__callable_*` intrinsics, structured control flow (§7).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct QirUnrestrictedBackend;
+pub(crate) struct QirUnrestrictedBackend;
 
 impl Backend for QirUnrestrictedBackend {
     fn name(&self) -> &'static str {

@@ -23,10 +23,7 @@ pub mod backend;
 pub(crate) mod qasm;
 pub(crate) mod qir;
 
-pub use backend::{
-    Backend, BackendError, BackendRegistry, EmitInput, QasmBackend, QirBaseBackend,
-    QirUnrestrictedBackend,
-};
+pub use backend::{Backend, BackendError, BackendRegistry, EmitInput};
 pub use qir::count_callable_intrinsics;
 
 /// Appends `n` in decimal, as `write!(out, "{n}")` does, without going

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Renders a circuit as an OpenQASM 3 program.
-pub fn circuit_to_qasm(circuit: &Circuit) -> String {
+pub(crate) fn circuit_to_qasm(circuit: &Circuit) -> String {
     let mut out = String::new();
     out.push_str("OPENQASM 3.0;\n");
     out.push_str("include \"stdgates.inc\";\n\n");

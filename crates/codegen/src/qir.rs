@@ -5,7 +5,7 @@
 //! (`__quantum__rt__qubit_allocate`), callables (`callable_create` /
 //! `callable_invoke`, with a static specialization table per function —
 //! "Asdf is the first MLIR-based compiler to generate QIR callables"), and
-//! branches for `scf.if`. The Base Profile "effectively amount[s] to a
+//! branches for `scf.if`. The Base Profile "effectively amount\[s\] to a
 //! straight-line sequence of gates embedded in LLVM IR" with `inttoptr`
 //! qubit indices standing in for `qalloc`s.
 
@@ -41,7 +41,7 @@ pub fn count_callable_intrinsics(qir: &str) -> (usize, usize) {
 /// # Errors
 ///
 /// Returns [`IrError::Unsupported`] when the function is not straight-line.
-pub fn module_to_qir_base(module: &Module, entry: &str) -> Result<String, IrError> {
+pub(crate) fn module_to_qir_base(module: &Module, entry: &str) -> Result<String, IrError> {
     let func = module.expect_func(entry)?;
     let circuit = lower_to_circuit(func)?;
     Ok(circuit_to_base_qir(&circuit, entry))
@@ -151,7 +151,7 @@ fn gate_intrinsic(gate: GateKind, num_controls: usize) -> (&'static str, &'stati
 ///
 /// Returns [`IrError::Unsupported`] for constructs outside the emitter
 /// (none are produced by the compiler pipeline).
-pub fn module_to_qir_unrestricted(module: &Module) -> Result<String, IrError> {
+pub(crate) fn module_to_qir_unrestricted(module: &Module) -> Result<String, IrError> {
     let mut out = String::new();
     out.push_str("; QIR: Unrestricted Profile\n");
     out.push_str("%Qubit = type opaque\n%Result = type opaque\n%Array = type opaque\n%Callable = type opaque\n%Tuple = type opaque\n\n");

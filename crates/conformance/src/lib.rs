@@ -29,16 +29,16 @@
 //! ```
 
 use asdf_ast::expand::CaptureValue;
-use asdf_core::{compiled_to_artifact, CompileOptions, CompileRequest, Compiled, Session};
+use asdf_core::{CompileOptions, CompileRequest, Compiled, Session};
 use asdf_difftest::gen::{gen_case, GenOptions};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The fixed sweep seed the difftest half of the corpus draws from.
-pub const DIFFTEST_SWEEP_SEED: u64 = 0xA5DF;
+pub(crate) const DIFFTEST_SWEEP_SEED: u64 = 0xA5DF;
 
 /// Number of fixed-seed difftest cases in the corpus.
-pub const DIFFTEST_CASE_COUNT: usize = 10;
+pub(crate) const DIFFTEST_CASE_COUNT: usize = 10;
 
 /// The RNG seed every golden trace is recorded under.
 pub const TRACE_SEED: u64 = 2025;
@@ -81,7 +81,7 @@ impl CorpusEntry {
     /// (pass timings excluded).
     pub fn content_hash(&self) -> u64 {
         let (_, compiled) = self.compile();
-        compiled_to_artifact(&compiled, Vec::new()).content_hash()
+        compiled.content_hash()
     }
 }
 

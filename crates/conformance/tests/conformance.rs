@@ -16,7 +16,7 @@ use asdf_ast::typecheck::typecheck_kernel;
 use asdf_baselines::Benchmark;
 use asdf_conformance::{check_golden, corpus, difftest_corpus, example_corpus, TRACE_SEED};
 use asdf_core::lower::lower_kernel;
-use asdf_core::{compiled_to_artifact, CompileOptions, CompileRequest, Session};
+use asdf_core::{CompileOptions, CompileRequest, Session};
 use asdf_difftest::gen::{gen_case, GenOptions};
 use asdf_ir::{GateKind, Module, OpKind};
 use asdf_qcircuit::{Circuit, CircuitOp};
@@ -86,7 +86,7 @@ fn wide_output_hashes_match_goldens() {
         let _ = writeln!(
             listing,
             "{name} artifact {:016x} qasm {:016x} qir-base {:016x}",
-            compiled_to_artifact(&compiled, Vec::new()).content_hash(),
+            compiled.content_hash(),
             emitted("qasm"),
             emitted("qir-base"),
         );
@@ -145,7 +145,7 @@ fn region_output_hashes_match_goldens() {
                 let _ = writeln!(
                     listing,
                     " noopt-artifact {:016x} qir-unrestricted {:016x}",
-                    compiled_to_artifact(&compiled, Vec::new()).content_hash(),
+                    compiled.content_hash(),
                     asdf_artifact::fnv1a(text.as_bytes()),
                 );
             }
@@ -269,8 +269,7 @@ fn sabotaged_circuits_are_caught_by_replay() {
 #[test]
 fn generated_artifacts_round_trip_byte_identically() {
     for entry in difftest_corpus() {
-        let (_, compiled) = entry.compile();
-        let artifact = compiled_to_artifact(&compiled, vec![0xc0, 0x4f]);
+        let (_, artifact) = entry.compile();
         let bytes = artifact.encode();
         let decoded = asdf_artifact::Artifact::decode(&bytes)
             .unwrap_or_else(|e| panic!("{} failed to decode: {e}", entry.name));
@@ -290,8 +289,7 @@ fn round_trip_generated(sweep_seed: u64, index: usize) {
     for (name, value) in &rendered.dims {
         request = request.with_dim(name, *value);
     }
-    let Ok(compiled) = session.compile(&request) else { return };
-    let artifact = compiled_to_artifact(&compiled, vec![sweep_seed as u8, index as u8]);
+    let Ok(artifact) = session.compile(&request) else { return };
     let bytes = artifact.encode();
     let decoded = asdf_artifact::Artifact::decode(&bytes)
         .unwrap_or_else(|e| panic!("seed {sweep_seed} case {index} failed to decode: {e}"));
@@ -350,7 +348,7 @@ fn corpus_sweep_with_disk_cache_is_hit_stable() {
                     );
                     assert_eq!(stats.disk_hits, 1, "{}: second pass hits the disk", entry.name);
                 }
-                compiled_to_artifact(&compiled, Vec::new()).content_hash()
+                compiled.content_hash()
             })
             .collect()
     };

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 ///
 /// Returns [`CoreError::Unsupported`] for irreversible ops (measurement,
 /// discard) or shapes outside the reversible contract.
-pub fn adjoint_func(func: &Func, new_name: &str) -> Result<Func, CoreError> {
+pub(crate) fn adjoint_func(func: &Func, new_name: &str) -> Result<Func, CoreError> {
     let n = asdf_ir::verify::rev_qbundle_dim(&func.ty).ok_or_else(|| {
         CoreError::Unsupported(format!(
             "@{} is not qbundle[N] -rev-> qbundle[N]; cannot adjoint",

@@ -16,7 +16,7 @@ use asdf_ir::{Func, FuncBuilder, Module, Op, OpKind, Value, Visibility};
 use std::collections::HashMap;
 
 /// The Qwerty-level canonicalization patterns as a [`PatternSet`].
-pub fn qwerty_patterns() -> PatternSet {
+pub(crate) fn qwerty_patterns() -> PatternSet {
     let mut set = PatternSet::new();
     set.add(Box::new(FoldDoubleAdj));
     set.add(Box::new(IndirectToDirect));
@@ -39,7 +39,7 @@ pub fn qwerty_patterns() -> PatternSet {
 /// # Errors
 ///
 /// Returns [`CoreError::Unsupported`] if a capture is not rematerializable.
-pub fn lift_lambdas(module: &mut Module) -> Result<usize, CoreError> {
+pub(crate) fn lift_lambdas(module: &mut Module) -> Result<usize, CoreError> {
     let mut lifted = 0usize;
     let mut func_idx = 0;
     while func_idx < module.len() {
@@ -187,7 +187,7 @@ fn rematerialize(
 }
 
 /// `func_adj(func_adj(x))` → `x`.
-pub struct FoldDoubleAdj;
+pub(crate) struct FoldDoubleAdj;
 
 impl RewritePattern for FoldDoubleAdj {
     fn name(&self) -> &'static str {
@@ -225,7 +225,7 @@ impl RewritePattern for FoldDoubleAdj {
 
 /// `call_indirect` through `func_adj`/`func_pred` wrappers of a
 /// `func_const @f` → `call [adj] [pred(b)] @f` (§5.4's worked example).
-pub struct IndirectToDirect;
+pub(crate) struct IndirectToDirect;
 
 impl RewritePattern for IndirectToDirect {
     fn name(&self) -> &'static str {
@@ -280,7 +280,7 @@ impl RewritePattern for IndirectToDirect {
 /// Appendix C: `call_indirect` whose callee is defined by an `scf.if`
 /// yielding function values is pushed into both forks. The `scf.if` moves
 /// down to the call's position so every argument still dominates it.
-pub struct IfPushdown;
+pub(crate) struct IfPushdown;
 
 impl RewritePattern for IfPushdown {
     fn name(&self) -> &'static str {
@@ -351,7 +351,7 @@ impl RewritePattern for IfPushdown {
 
 /// Appendix C (variant): `func_adj`/`func_pred` of an `scf.if` result is
 /// pushed into both forks.
-pub struct AdjPredIfPushdown;
+pub(crate) struct AdjPredIfPushdown;
 
 impl RewritePattern for AdjPredIfPushdown {
     fn name(&self) -> &'static str {

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 ///
 /// Returns [`CoreError::Frontend`] on malformed bodies (the type checker
 /// prevents these).
-pub fn build_xag(tc: &TClassical) -> Result<Xag, CoreError> {
+pub(crate) fn build_xag(tc: &TClassical) -> Result<Xag, CoreError> {
     let mut xag = Xag::new(tc.n_in);
     let mut env: HashMap<&str, Vec<Signal>> = HashMap::new();
     let mut offset = 0usize;
@@ -129,7 +129,7 @@ fn widths_match(a: &[Signal], b: &[Signal]) -> Result<(), CoreError> {
 /// # Errors
 ///
 /// Propagates network construction/embedding failures.
-pub fn xor_func(name: &str, tc: &TClassical) -> Result<Func, CoreError> {
+pub(crate) fn xor_func(name: &str, tc: &TClassical) -> Result<Func, CoreError> {
     let xag = build_xag(tc)?;
     let embedding = embed::embed_xor(&xag, EmbedStyle::InPlaceXor).map_err(CoreError::Synthesis)?;
     let width = tc.n_in + tc.n_out;
@@ -169,7 +169,7 @@ pub fn xor_func(name: &str, tc: &TClassical) -> Result<Func, CoreError> {
 /// # Errors
 ///
 /// Returns [`CoreError::Unsupported`] unless `n_out == 1`.
-pub fn sign_func(name: &str, tc: &TClassical) -> Result<Func, CoreError> {
+pub(crate) fn sign_func(name: &str, tc: &TClassical) -> Result<Func, CoreError> {
     if tc.n_out != 1 {
         return Err(CoreError::Unsupported(
             ".sign requires a single-output classical function".to_string(),

@@ -32,13 +32,12 @@ use crate::passes::{
     SpecializePass, CANONICALIZE_INLINE,
 };
 use crate::session::{CompileRequest, Session};
+use crate::Compiled;
 use asdf_ast::expand::CaptureValue;
-use asdf_ir::pass::{Fixpoint, PassManager, PassStatistics};
+use asdf_ir::pass::{Fixpoint, PassManager};
 use asdf_ir::rewrite::{Fuel, RewriteConfig};
-use asdf_ir::Module;
 use asdf_qcircuit::decompose::DecomposeStyle;
 use asdf_qcircuit::peephole::peephole_pass_with;
-use asdf_qcircuit::Circuit;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -167,8 +166,9 @@ impl CompileOptions {
     }
 
     /// Enables or disables verify-after-each-pass.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_verify(mut self, verify: bool) -> Self {
+    pub(crate) fn with_verify(mut self, verify: bool) -> Self {
         self.verify = verify;
         self
     }
@@ -189,8 +189,9 @@ impl CompileOptions {
 
     /// Routes the final circuit onto the named hardware target (`None`
     /// keeps the all-to-all circuit).
+    #[cfg(test)]
     #[must_use]
-    pub fn with_target(mut self, target: Option<&str>) -> Self {
+    pub(crate) fn with_target(mut self, target: Option<&str>) -> Self {
         self.target = target.map(str::to_string);
         self
     }
@@ -211,19 +212,16 @@ impl CompileOptions {
         if self.inline {
             // §5.4: canonicalize (indirect→direct calls) and inline to a
             // fixpoint — inlining exposes new canonicalization opportunities
-            // and vice versa. The round bound mirrors the bounded loop this
-            // replaces; hitting it leaves residual indirection, not an
-            // error.
-            pm.add_pass(
-                Fixpoint::new(
-                    CANONICALIZE_INLINE,
-                    vec![
-                        Box::new(qwerty_canonicalize_pass_with(rewrite_config.clone())),
-                        Box::new(InlinePass::default()),
-                    ],
-                )
-                .with_max_rounds(64),
-            );
+            // and vice versa. `Fixpoint`'s 64-round bound mirrors the
+            // bounded loop this replaces; hitting it leaves residual
+            // indirection, not an error.
+            pm.add_pass(Fixpoint::new(
+                CANONICALIZE_INLINE,
+                vec![
+                    Box::new(qwerty_canonicalize_pass_with(rewrite_config.clone())),
+                    Box::new(InlinePass::default()),
+                ],
+            ));
             pm.add_pass(DeadFuncElimPass);
         } else {
             // §6.2: direct `call adj/pred` ops still need their
@@ -236,31 +234,6 @@ impl CompileOptions {
         }
         pm
     }
-}
-
-/// The result of compilation. Every field round-trips through the
-/// artifact format ([`crate::session::compiled_to_artifact`]), so an
-/// artifact revived from the disk cache is the compile it stores.
-#[derive(Debug, Clone)]
-pub struct Compiled {
-    /// The QCircuit-dialect module (input to QASM/QIR codegen).
-    pub module: Module,
-    /// The entry kernel's symbol name.
-    pub entry: String,
-    /// The straight-line circuit, when inlining fully linearized the entry
-    /// kernel (None when callables or control flow remain). With
-    /// [`CompileOptions::target`] set, this is the *routed* circuit.
-    pub circuit: Option<Circuit>,
-    /// Routing layouts and cost metrics, when [`CompileOptions::target`]
-    /// was set and a circuit existed to route.
-    pub routing: Option<asdf_target::RoutingInfo>,
-    /// Per-pass wall-clock timing and change statistics from the pipeline
-    /// run (in execution order).
-    pub stats: PassStatistics,
-    /// Lint diagnostics from the post-pipeline analyses (empty unless
-    /// [`CompileOptions::lints`] was set). Each carries a stable `W0xxx`
-    /// code and, where the IR kept spans, a caret label into the source.
-    pub lints: Vec<asdf_ast::diag::Diagnostic>,
 }
 
 /// The one-shot compiler: a thin wrapper over a throwaway [`Session`].
@@ -276,7 +249,7 @@ pub struct Compiled {
 /// ```
 ///
 /// Anything that compiles the same source more than once (difftest's
-/// 12-config matrix, benches, a service) should hold a [`Session`]
+/// options matrix, benches, a service) should hold a [`Session`]
 /// instead and let the caches share the frontend.
 #[derive(Debug, Default)]
 pub struct Compiler;

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 ///
 /// Returns [`CoreError::Unsupported`] for leftover `lambda` ops (lambda
 /// lifting must run first) and synthesis failures.
-pub fn convert_module(module: &mut Module) -> Result<(), CoreError> {
+pub(crate) fn convert_module(module: &mut Module) -> Result<(), CoreError> {
     for name in module.func_names() {
         let func = module.expect_func(&name)?.clone();
         let converted = convert_func(&func)?;

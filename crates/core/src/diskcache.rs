@@ -21,27 +21,27 @@
 //! - **Bounded size**: after each write, if the entry count exceeds the
 //!   capacity the oldest entries (by modification time) are evicted.
 
-use asdf_artifact::{Artifact, ArtifactError};
+use asdf_artifact::Artifact;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
 /// File extension for live cache entries.
-pub const ENTRY_EXTENSION: &str = "asdfart";
+pub(crate) const ENTRY_EXTENSION: &str = "asdfart";
 /// Suffix appended to entries that failed to decode.
-pub const QUARANTINE_SUFFIX: &str = "quarantined";
+pub(crate) const QUARANTINE_SUFFIX: &str = "quarantined";
 /// Default bound on live entries in one cache directory.
 pub const DEFAULT_DISK_CAPACITY: usize = 1024;
 
 /// The outcome of a disk probe.
-pub enum DiskLookup {
+pub(crate) enum DiskLookup {
     /// The entry decoded and its stored key matched byte-for-byte.
     Hit(Box<Artifact>),
     /// No entry, an unreadable entry, or a key mismatch (hash collision).
     Miss,
     /// The entry existed but was corrupt; it has been quarantined.
-    Quarantined(ArtifactError),
+    Quarantined,
 }
 
 /// A persistent artifact store rooted at one directory.
@@ -69,11 +69,6 @@ impl DiskCache {
         &self.dir
     }
 
-    /// The live-entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn entry_path(&self, hash: u64) -> PathBuf {
         self.dir.join(format!("{hash:016x}.{ENTRY_EXTENSION}"))
     }
@@ -81,7 +76,7 @@ impl DiskCache {
     /// Probes the cache for `hash`, verifying the canonical `key` bytes
     /// stored in the entry. Never fails a compile: every I/O problem is
     /// a [`DiskLookup::Miss`].
-    pub fn load(&self, hash: u64, key: &[u8]) -> DiskLookup {
+    pub(crate) fn load(&self, hash: u64, key: &[u8]) -> DiskLookup {
         let path = self.entry_path(hash);
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
@@ -92,9 +87,9 @@ impl DiskCache {
             // A different key under the same 64-bit hash: a collision,
             // not corruption. Keep the entry; report a miss.
             Ok(_) => DiskLookup::Miss,
-            Err(error) => {
+            Err(_) => {
                 self.quarantine(&path);
-                DiskLookup::Quarantined(error)
+                DiskLookup::Quarantined
             }
         }
     }
@@ -112,7 +107,7 @@ impl DiskCache {
     /// then enforces the capacity bound. Returns the number of entries
     /// evicted, or `None` when the write failed (the compile proceeds;
     /// the entry is simply not persisted).
-    pub fn store(&self, hash: u64, artifact: &Artifact) -> Option<u64> {
+    pub(crate) fn store(&self, hash: u64, artifact: &Artifact) -> Option<u64> {
         let bytes = artifact.encode();
         let final_path = self.entry_path(hash);
         let tmp_path = self.dir.join(format!("{hash:016x}.tmp.{}", std::process::id()));
@@ -220,6 +215,19 @@ mod tests {
         let _ = fs::remove_dir_all(cache.dir());
     }
 
+    /// The decode error of the one quarantined entry in `cache`'s
+    /// directory: the evidence the quarantine keeps.
+    fn quarantined_error_code(cache: &DiskCache) -> &'static str {
+        let quarantined: Vec<_> = fs::read_dir(cache.dir())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().to_string_lossy().ends_with(QUARANTINE_SUFFIX))
+            .collect();
+        assert_eq!(quarantined.len(), 1);
+        let bytes = fs::read(quarantined[0].path()).unwrap();
+        Artifact::decode(&bytes).expect_err("a quarantined entry does not decode").code()
+    }
+
     #[test]
     fn corrupt_entries_are_quarantined() {
         let cache = DiskCache::open(scratch_dir("quarantine"), 8).unwrap();
@@ -232,17 +240,9 @@ mod tests {
         bytes[mid] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
 
-        match cache.load(5, &[7]) {
-            DiskLookup::Quarantined(err) => assert_eq!(err.code(), "E0106"),
-            _ => panic!("expected quarantine"),
-        }
+        assert!(matches!(cache.load(5, &[7]), DiskLookup::Quarantined), "expected quarantine");
         assert!(!path.exists(), "corrupt entry must be moved aside");
-        let quarantined: Vec<_> = fs::read_dir(cache.dir())
-            .unwrap()
-            .flatten()
-            .filter(|e| e.path().to_string_lossy().ends_with(QUARANTINE_SUFFIX))
-            .collect();
-        assert_eq!(quarantined.len(), 1);
+        assert_eq!(quarantined_error_code(&cache), "E0106");
         // The slot reads as a miss now and can be rebuilt.
         assert!(matches!(cache.load(5, &[7]), DiskLookup::Miss));
         cache.store(5, &artifact).unwrap();
@@ -261,11 +261,9 @@ mod tests {
             .module
             .add_func(asdf_ir::FuncBuilder::new("k", ty, asdf_ir::Visibility::Public).finish());
         cache.store(9, &artifact).unwrap();
-        match cache.load(9, &[3]) {
-            DiskLookup::Quarantined(err) => assert_eq!(err.code(), "E0106"),
-            _ => panic!("expected quarantine"),
-        }
+        assert!(matches!(cache.load(9, &[3]), DiskLookup::Quarantined), "expected quarantine");
         assert!(!cache.entry_path(9).exists(), "the entry must be moved aside");
+        assert_eq!(quarantined_error_code(&cache), "E0106");
         let _ = fs::remove_dir_all(cache.dir());
     }
 

@@ -53,7 +53,7 @@ impl CoreError {
     /// errors carry labeled source spans; core errors render as bare
     /// messages. Render against the source with
     /// [`Diagnostic::render`].
-    pub fn to_diagnostic(&self) -> Diagnostic {
+    pub(crate) fn to_diagnostic(&self) -> Diagnostic {
         match self {
             CoreError::Frontend(e) => e.to_diagnostic(),
             CoreError::Ir(m) => Diagnostic::error(self.code(), format!("ir error: {m}")),

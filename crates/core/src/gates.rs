@@ -16,7 +16,7 @@ pub(crate) struct GateCtx<'a, 'b> {
 impl GateCtx<'_, '_> {
     /// Emits one gate, threading the per-position values. A gate on at
     /// most three qubits allocates nothing beyond its place in the block.
-    pub fn gate(&mut self, gate: GateKind, controls: &[usize], targets: &[usize]) {
+    pub(crate) fn gate(&mut self, gate: GateKind, controls: &[usize], targets: &[usize]) {
         let positions = || controls.iter().chain(targets);
         let operands: ValueList = positions().map(|&p| self.values[p]).collect();
         let result_tys = std::iter::repeat_n(Type::Qubit, operands.len());
@@ -30,7 +30,7 @@ impl GateCtx<'_, '_> {
     /// Runs `body` inside an X-conjugation making the `(position, bit)`
     /// pattern a plain positive-control set. A position required to be
     /// both 0 and 1 is unsatisfiable: the body is skipped entirely.
-    pub fn under_controls(
+    pub(crate) fn under_controls(
         &mut self,
         mut pattern: Vec<(usize, bool)>,
         body: impl FnOnce(&mut Self, &[usize]),

@@ -92,7 +92,7 @@ fn src_span(span: asdf_ast::diag::Span) -> asdf_ir::SrcSpan {
 }
 
 /// Maps an AST value kind to an IR type.
-pub fn map_kind(kind: ValueKind) -> Type {
+pub(crate) fn map_kind(kind: ValueKind) -> Type {
     match kind {
         ValueKind::Qubit(n) => Type::QBundle(n),
         ValueKind::Bit(n) => Type::BitBundle(n),
@@ -100,7 +100,7 @@ pub fn map_kind(kind: ValueKind) -> Type {
 }
 
 /// Maps an AST function type to an IR function type.
-pub fn map_func_type(ty: AstType) -> FuncType {
+pub(crate) fn map_func_type(ty: AstType) -> FuncType {
     let AstType::Func { input, output, rev } = ty else {
         panic!("map_func_type requires a function type, got {ty}");
     };

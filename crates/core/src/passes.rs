@@ -1,7 +1,7 @@
 //! The Fig. 2 pipeline phases as named [`Pass`]es.
 //!
 //! Each Qwerty-IR transformation of §5.4–§6.1 is wrapped as a pass so the
-//! driver in [`crate::compiler`] can declare its pipeline instead of
+//! driver in `crate::compiler` can declare its pipeline instead of
 //! hardcoding call sequences, and so per-phase wall-clock timing and change
 //! counts come out of [`asdf_ir::pass::PassStatistics`] for free.
 
@@ -17,24 +17,24 @@ use asdf_ir::rewrite::{GreedyRewriteDriver, RewriteConfig};
 use asdf_ir::{Func, IrError, Module};
 
 /// Pass name: lambda lifting (§5.4 step 1).
-pub const LIFT_LAMBDAS: &str = "lift-lambdas";
+pub(crate) const LIFT_LAMBDAS: &str = "lift-lambdas";
 /// Pass name: the Qwerty-dialect canonicalization patterns (§5.4 step 2).
-pub const QWERTY_CANONICALIZE: &str = "qwerty-canonicalize";
+pub(crate) const QWERTY_CANONICALIZE: &str = "qwerty-canonicalize";
 /// Pass name: direct-call inlining with on-demand specialization (§5.4).
-pub const INLINE: &str = "inline";
+pub(crate) const INLINE: &str = "inline";
 /// Pass name: the canonicalize+inline fixpoint of the Opt configuration.
 pub const CANONICALIZE_INLINE: &str = "canonicalize-inline";
 /// Pass name: dropping fully inlined private functions.
-pub const DEAD_FUNC_ELIM: &str = "remove-dead-private-funcs";
+pub(crate) const DEAD_FUNC_ELIM: &str = "remove-dead-private-funcs";
 /// Pass name: adjoint/predicated specialization generation (§6.2).
-pub const SPECIALIZE: &str = "generate-specializations";
+pub(crate) const SPECIALIZE: &str = "generate-specializations";
 /// Pass name: Qwerty IR → QCircuit IR dialect conversion (§6.1).
-pub const CONVERT: &str = "convert-to-qcircuit";
+pub(crate) const CONVERT: &str = "convert-to-qcircuit";
 
 /// Lambda lifting: every `lambda` op becomes a private func plus
 /// `func_const`. Reports the number of lambdas lifted.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LiftLambdasPass;
+pub(crate) struct LiftLambdasPass;
 
 impl Pass for LiftLambdasPass {
     fn name(&self) -> &str {
@@ -51,7 +51,7 @@ impl Pass for LiftLambdasPass {
 /// configuration (fuel, trace), with per-pattern firing counts in the
 /// statistics detail. Passes built from clones of one config share its
 /// [`asdf_ir::rewrite::Fuel`] budget across a compilation.
-pub fn qwerty_canonicalize_pass_with(config: RewriteConfig) -> CanonicalizePass {
+pub(crate) fn qwerty_canonicalize_pass_with(config: RewriteConfig) -> CanonicalizePass {
     CanonicalizePass::new(
         QWERTY_CANONICALIZE,
         GreedyRewriteDriver::with_config(qwerty_patterns(), config),
@@ -61,7 +61,7 @@ pub fn qwerty_canonicalize_pass_with(config: RewriteConfig) -> CanonicalizePass 
 /// Direct-call inlining; builds adjoint/predicated callee bodies on demand
 /// through [`Specializer`]. Reports calls inlined.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct InlinePass {
+pub(crate) struct InlinePass {
     inliner: Inliner,
 }
 
@@ -80,7 +80,7 @@ impl Pass for InlinePass {
 /// Removes private functions with no remaining references. Reports
 /// functions removed.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DeadFuncElimPass;
+pub(crate) struct DeadFuncElimPass;
 
 impl Pass for DeadFuncElimPass {
     fn name(&self) -> &str {
@@ -96,7 +96,7 @@ impl Pass for DeadFuncElimPass {
 /// ops (the No-Opt configuration's replacement for inlining). Reports
 /// specializations generated.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SpecializePass;
+pub(crate) struct SpecializePass;
 
 impl Pass for SpecializePass {
     fn name(&self) -> &str {
@@ -113,7 +113,7 @@ impl Pass for SpecializePass {
 /// Dialect conversion from Qwerty ops to QCircuit ops. Every function is
 /// rebuilt, so the change count is the module's function count.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ConvertPass;
+pub(crate) struct ConvertPass;
 
 impl Pass for ConvertPass {
     fn name(&self) -> &str {
@@ -129,7 +129,7 @@ impl Pass for ConvertPass {
 /// The inliner hook: builds adjoint/predicated callee bodies on demand
 /// using the §5.2/§5.3 routines.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Specializer;
+pub(crate) struct Specializer;
 
 impl InlineSpecializer for Specializer {
     fn specialize(

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 ///
 /// Returns [`CoreError::Unsupported`] for irreversible or non-predicatable
 /// ops.
-pub fn predicate_func(func: &Func, pred: &Basis, new_name: &str) -> Result<Func, CoreError> {
+pub(crate) fn predicate_func(func: &Func, pred: &Basis, new_name: &str) -> Result<Func, CoreError> {
     let n = asdf_ir::verify::rev_qbundle_dim(&func.ty).ok_or_else(|| {
         CoreError::Unsupported(format!(
             "@{} is not qbundle[N] -rev-> qbundle[N]; cannot predicate",
@@ -403,7 +403,7 @@ impl PredState<'_> {
 /// The §5.3 intraprocedural dataflow analysis: maps each qubit/qbundle
 /// value to the qubit indices it carries, returning the output permutation
 /// (`result[i]` = original index now at position `i`). Implemented by the
-/// lattice framework's [`asdf_analysis::QubitIndexAnalysis`], which (unlike
+/// lattice framework's `asdf_analysis::QubitIndexAnalysis`, which (unlike
 /// the single-block analysis it replaced) also sees through `scf.if`
 /// regions.
 fn renaming_permutation(func: &Func, n: usize) -> Result<Vec<usize>, CoreError> {

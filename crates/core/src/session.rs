@@ -48,9 +48,9 @@
 //!   failing leader removes its entry before filling the cell with the
 //!   error: the error reaches every waiter but is never cached, so the
 //!   next request simply runs the pipeline again. Eviction skips unfilled
-//!   cells. Both levels coalesce independently: twelve configurations of
-//!   one kernel racing through a cold session run the frontend exactly
-//!   once.
+//!   cells. Both levels coalesce independently: the fourteen
+//!   configurations of [`CompileOptions::matrix`] racing through a cold
+//!   session on one kernel run the frontend exactly once.
 //!
 //! The **warm hit path allocates nothing**: the request is hashed and
 //! compared against stored keys in place (no owned key and no sorted-dims
@@ -82,11 +82,12 @@
 //! [`Session::emit`] is the one entry point for QASM, QIR, and the
 //! simulator backend.
 
-use crate::compiler::{CompileOptions, Compiled};
+use crate::compiler::CompileOptions;
 use crate::diskcache::{DiskCache, DiskLookup, DEFAULT_DISK_CAPACITY};
 use crate::error::CoreError;
 use crate::lower::lower_kernel;
-use asdf_artifact::{fnv1a, Artifact, Fnv};
+use crate::Compiled;
+use asdf_artifact::{fnv1a, Fnv};
 use asdf_ast::ast::Program;
 use asdf_ast::canon::canonicalize as ast_canonicalize;
 use asdf_ast::expand::{instantiate, CaptureValue};
@@ -519,11 +520,6 @@ impl CacheStats {
         }
     }
 
-    /// Total requests coalesced onto in-flight work at either level.
-    pub fn coalesced(&self) -> u64 {
-        self.frontend_coalesced + self.artifact_coalesced
-    }
-
     /// Merges another session's counters into this one (the difftest
     /// driver aggregates per-case sessions this way).
     pub fn merge(&mut self, other: &CacheStats) {
@@ -718,7 +714,6 @@ pub struct SessionBuilder {
     artifact_capacity: usize,
     backends: BackendRegistry,
     disk_cache: Option<PathBuf>,
-    disk_capacity: usize,
 }
 
 impl std::fmt::Debug for SessionBuilder {
@@ -742,7 +737,6 @@ impl SessionBuilder {
             artifact_capacity: DEFAULT_ARTIFACT_CAPACITY,
             backends,
             disk_cache: None,
-            disk_capacity: DEFAULT_DISK_CAPACITY,
         }
     }
 
@@ -774,19 +768,11 @@ impl SessionBuilder {
     /// after a process restart or from another process sharing the
     /// directory. Corrupt entries are quarantined, I/O failures degrade
     /// to cache misses, and the [`CacheStats`] `disk_*` counters report
-    /// the traffic.
+    /// the traffic. The directory keeps at most [`DEFAULT_DISK_CAPACITY`]
+    /// entries; the oldest are evicted beyond it.
     #[must_use]
     pub fn disk_cache(mut self, dir: impl Into<PathBuf>) -> SessionBuilder {
         self.disk_cache = Some(dir.into());
-        self
-    }
-
-    /// Bound on live entries in the disk cache directory (default
-    /// [`DEFAULT_DISK_CAPACITY`]); the oldest entries are evicted beyond
-    /// it.
-    #[must_use]
-    pub fn disk_cache_capacity(mut self, entries: usize) -> SessionBuilder {
-        self.disk_capacity = entries;
         self
     }
 
@@ -801,7 +787,7 @@ impl SessionBuilder {
         let source_hash = fnv1a(self.source.as_bytes());
         let disk = match self.disk_cache {
             None => None,
-            Some(dir) => Some(DiskCache::open(&dir, self.disk_capacity).map_err(|e| {
+            Some(dir) => Some(DiskCache::open(&dir, DEFAULT_DISK_CAPACITY).map_err(|e| {
                 CoreError::Artifact(asdf_artifact::ArtifactError::Io(format!(
                     "cannot open disk cache at {}: {e}",
                     dir.display()
@@ -823,7 +809,7 @@ impl SessionBuilder {
 
 /// A long-lived, concurrent compilation context over one source program.
 ///
-/// See the [module documentation](self) for the full API tour and the
+/// See the `session` module documentation for the full API tour and the
 /// concurrency model (sharded caches, atomic stats, request coalescing).
 /// The session is `Sync` and immutable after construction: wrap it in an
 /// `Arc` and compile from as many threads as you like. Extra backends
@@ -918,14 +904,15 @@ impl Session {
             // The disk sits between the in-memory cache and the pipeline,
             // on the leader's path: concurrent identical requests coalesce
             // onto one disk read exactly as they do onto one pipeline run.
-            if let Some(revived) = self.load_from_disk(hash, &key) {
+            let key_bytes = key.to_bytes();
+            if let Some(revived) = self.load_from_disk(hash, &key_bytes) {
                 return Ok(revived);
             }
             ran_pipeline = true;
             self.stats.artifact_misses.fetch_add(1, Relaxed);
             let started = Instant::now();
-            let artifact = self.compile_cold(request)?;
-            Ok((artifact, started.elapsed()))
+            let artifact = self.compile_cold(request, key_bytes)?;
+            Ok((Arc::new(artifact), started.elapsed()))
         });
         match served {
             Served::Hit => self.stats.artifact_hits.fetch_add(1, Relaxed),
@@ -939,7 +926,7 @@ impl Session {
         if ran_pipeline {
             // Persist after the cell is filled, so waiters never wait on
             // the write and a write failure costs nothing but persistence.
-            self.store_to_disk(hash, &key, &artifact);
+            self.store_to_disk(hash, &artifact);
         }
         Ok(artifact)
     }
@@ -978,15 +965,15 @@ impl Session {
     /// Revives a disk-cached artifact, when a disk cache is configured
     /// and holds one for this key. A revived artifact runs neither the
     /// frontend nor the pipeline.
-    fn load_from_disk(&self, hash: u64, key: &CacheKey<'_>) -> Option<CachedArtifact> {
+    fn load_from_disk(&self, hash: u64, key: &[u8]) -> Option<CachedArtifact> {
         let disk = self.disk.as_ref()?;
         let started = Instant::now();
-        match disk.load(hash, &key.to_bytes()) {
+        match disk.load(hash, key) {
             DiskLookup::Hit(stored) => {
                 self.stats.disk_hits.fetch_add(1, Relaxed);
-                Some((Arc::new(revive(*stored)), started.elapsed()))
+                Some((Arc::new(*stored), started.elapsed()))
             }
-            DiskLookup::Quarantined(_) => {
+            DiskLookup::Quarantined => {
                 self.stats.disk_quarantined.fetch_add(1, Relaxed);
                 self.stats.disk_misses.fetch_add(1, Relaxed);
                 None
@@ -1000,17 +987,18 @@ impl Session {
 
     /// Persists a freshly compiled artifact under its key, when a disk
     /// cache is configured.
-    fn store_to_disk(&self, hash: u64, key: &CacheKey<'_>, artifact: &Compiled) {
+    fn store_to_disk(&self, hash: u64, artifact: &Compiled) {
         let Some(disk) = &self.disk else { return };
-        if let Some(evicted) = disk.store(hash, &compiled_to_artifact(artifact, key.to_bytes())) {
+        if let Some(evicted) = disk.store(hash, artifact) {
             self.stats.disk_writes.fetch_add(1, Relaxed);
             self.stats.disk_evictions.fetch_add(evicted, Relaxed);
         }
     }
 
     /// The pipeline + reg2mem half of a cold compile, over a (possibly
-    /// coalesced) shared frontend.
-    fn compile_cold(&self, request: &CompileRequest) -> Result<Arc<Compiled>, CoreError> {
+    /// coalesced) shared frontend. `key` is the request's canonical
+    /// cache-key bytes, which the artifact carries to the disk cache.
+    fn compile_cold(&self, request: &CompileRequest, key: Vec<u8>) -> Result<Compiled, CoreError> {
         let frontend = self.frontend_for(request)?;
         let mut module = frontend.module.clone();
         let stats = request.options.pipeline().run(&mut module)?;
@@ -1046,14 +1034,7 @@ impl Session {
             }
             None => (circuit, None),
         };
-        Ok(Arc::new(Compiled {
-            module,
-            entry: request.kernel.clone(),
-            circuit,
-            routing,
-            stats,
-            lints,
-        }))
+        Ok(Compiled { entry: request.kernel.clone(), module, circuit, routing, stats, lints, key })
     }
 
     /// The shared frontend for a request: cache hit, coalesced wait, or a
@@ -1106,35 +1087,6 @@ impl Session {
         lower_kernel(&kernel, &mut module)?;
 
         Ok(Frontend { module, cost: started.elapsed() })
-    }
-}
-
-/// Converts a compiled result into its serializable artifact form; every
-/// field of [`Compiled`] round-trips. `key` holds the canonical cache-key
-/// bytes the disk cache verifies on load; pass an empty vec when only the
-/// content hash matters.
-pub fn compiled_to_artifact(compiled: &Compiled, key: Vec<u8>) -> Artifact {
-    Artifact {
-        entry: compiled.entry.clone(),
-        module: compiled.module.clone(),
-        circuit: compiled.circuit.clone(),
-        routing: compiled.routing.clone(),
-        stats: compiled.stats.clone(),
-        lints: compiled.lints.clone(),
-        key,
-    }
-}
-
-/// The inverse of [`compiled_to_artifact`]: a disk-cached artifact as a
-/// [`Compiled`] (the key bytes are dropped).
-fn revive(stored: Artifact) -> Compiled {
-    Compiled {
-        module: stored.module,
-        entry: stored.entry,
-        circuit: stored.circuit,
-        routing: stored.routing,
-        stats: stored.stats,
-        lints: stored.lints,
     }
 }
 
@@ -1510,6 +1462,11 @@ mod tests {
         assert_eq!(revived.entry, cold.entry);
         assert_eq!(revived.circuit, cold.circuit);
         assert_eq!(revived.module.funcs(), cold.module.funcs());
+        // The revived artifact is the one the first session compiled and
+        // persisted: same content, same cache key.
+        assert_eq!(revived.content_hash(), cold.content_hash());
+        assert!(!cold.key.is_empty(), "a cold compile fills the cache key");
+        assert_eq!(revived.key, cold.key);
         assert_eq!(second.cache_stats().disk_writes, 0, "a disk hit is not re-persisted");
 
         // Different options miss on disk (the stored key differs) and

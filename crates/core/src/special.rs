@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// A specialization request: `(function, adjoint?, predicate)`.
-pub type SpecKey = (String, bool, Option<String>);
+pub(crate) type SpecKey = (String, bool, Option<String>);
 
 /// Generates every needed specialization and rewrites `call adj/pred` ops
 /// into plain calls of the generated functions. Returns the number of
@@ -28,7 +28,7 @@ pub type SpecKey = (String, bool, Option<String>);
 /// # Errors
 ///
 /// Propagates adjoint/predication failures.
-pub fn generate_specializations(module: &mut Module) -> Result<usize, CoreError> {
+pub(crate) fn generate_specializations(module: &mut Module) -> Result<usize, CoreError> {
     let mut generated: HashMap<SpecKey, String> = HashMap::new();
     let mut count = 0usize;
     // Operational closure of Algorithm D5: iterate until no specialized

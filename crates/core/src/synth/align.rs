@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 /// An aligned pair of standardized basis elements covering the same
 /// qubits.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AlignedPair {
+pub(crate) struct AlignedPair {
     /// First qubit position covered.
     pub offset: usize,
     /// Left element (std primitive basis, phase-free).
@@ -28,14 +28,14 @@ pub struct AlignedPair {
 
 impl AlignedPair {
     /// Number of qubits covered.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.elem_in.dim()
     }
 
     /// Whether this pair is a *predicate*: identical, non-fully-spanning
     /// literals on both sides (in program order). Predicates contribute
     /// controls to every other stage (§6.3).
-    pub fn is_predicate(&self) -> bool {
+    pub(crate) fn is_predicate(&self) -> bool {
         if self.elem_in.fully_spans() {
             return false;
         }
@@ -51,7 +51,7 @@ impl AlignedPair {
 
     /// Whether the pair requires no permutation (identical or both
     /// fully-spanning built-ins).
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         match (&self.elem_in, &self.elem_out) {
             (BasisElem::BuiltIn { .. }, BasisElem::BuiltIn { .. }) => true,
             (BasisElem::Literal(a), BasisElem::Literal(b)) => a
@@ -83,7 +83,7 @@ fn standardize_elem(e: &BasisElem) -> BasisElem {
 ///
 /// Returns [`CoreError::Synthesis`] when materialization limits are hit
 /// (enormous merged literals).
-pub fn align(b_in: &Basis, b_out: &Basis) -> Result<Vec<AlignedPair>, CoreError> {
+pub(crate) fn align(b_in: &Basis, b_out: &Basis) -> Result<Vec<AlignedPair>, CoreError> {
     let mut pairs: Vec<AlignedPair> = Vec::new();
     let mut ldeque: VecDeque<BasisElem> = b_in.elements().iter().map(standardize_elem).collect();
     let mut rdeque: VecDeque<BasisElem> = b_out.elements().iter().map(standardize_elem).collect();

@@ -16,10 +16,6 @@
 //! transformation-based synthesis of `asdf-logic` for the permutation core
 //! and multi-controlled phase gates for vector phases (Fig. 8).
 
-pub mod align;
-pub mod standardize;
-pub mod translate;
-
-pub use align::{align, AlignedPair};
-pub use standardize::{standardizations, StdEntry, StdKind};
-pub use translate::emit_translation;
+pub(crate) mod align;
+pub(crate) mod standardize;
+pub(crate) mod translate;

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 /// Whether a (de)standardization must be predicated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StdKind {
+pub(crate) enum StdKind {
     /// Present on both sides; the pair conjugates the inner circuit and
     /// needs no controls.
     Unconditional,
@@ -24,7 +24,7 @@ pub enum StdKind {
 
 /// One required (de)standardization.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StdEntry {
+pub(crate) struct StdEntry {
     /// The primitive basis to translate from (standardization) or to
     /// (destandardization).
     pub prim: PrimitiveBasis,
@@ -64,7 +64,7 @@ impl E6Elem {
 ///
 /// Panics if the bases have different total dimension (the type checker
 /// guarantees equality).
-pub fn standardizations(b_in: &Basis, b_out: &Basis) -> (Vec<StdEntry>, Vec<StdEntry>) {
+pub(crate) fn standardizations(b_in: &Basis, b_out: &Basis) -> (Vec<StdEntry>, Vec<StdEntry>) {
     assert_eq!(b_in.dim(), b_out.dim(), "span checking guarantees equal dims");
     let mut lstd: Vec<StdEntry> = Vec::new();
     let mut rstd: Vec<StdEntry> = Vec::new();

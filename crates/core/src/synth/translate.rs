@@ -31,7 +31,7 @@ use std::f64::consts::PI;
 ///
 /// Returns [`CoreError::Synthesis`] when alignment or permutation
 /// construction fails (which well-typed translations do not trigger).
-pub fn emit_translation(
+pub(crate) fn emit_translation(
     bb: &mut BlockBuilder<'_>,
     qubits: Vec<Value>,
     b_in: &Basis,
@@ -263,7 +263,7 @@ impl GateCtx<'_, '_> {
 /// Convenience for lowering `qbmeas` (§6.1): measuring in basis `b` is the
 /// translation `b >> std[n]` followed by standard-basis measurement, which
 /// is valid whenever `b` fully spans.
-pub fn emit_measurement_rotation(
+pub(crate) fn emit_measurement_rotation(
     bb: &mut BlockBuilder<'_>,
     qubits: Vec<Value>,
     basis: &Basis,

@@ -58,7 +58,7 @@ impl fmt::Display for BisectFinding {
 /// `pred(total)`, and monotonicity (the standard bisection caveat: a
 /// non-monotone predicate still terminates, but may not name the true
 /// first firing).
-pub fn first_bad(total: u64, mut pred: impl FnMut(u64) -> bool) -> u64 {
+pub(crate) fn first_bad(total: u64, mut pred: impl FnMut(u64) -> bool) -> u64 {
     let (mut lo, mut hi) = (0u64, total);
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;

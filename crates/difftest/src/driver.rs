@@ -1,6 +1,6 @@
 //! The differential driver: compiles each generated case under the full
 //! [`CompileOptions::matrix`] and cross-checks every pair of
-//! configurations with the [`crate::oracle`] equivalence oracles.
+//! configurations with the `crate::oracle` equivalence oracles.
 
 use crate::gen::{gen_case, GenCase, GenOptions};
 use crate::oracle::{compare, extract, Comparison, OracleOptions, Semantics};
@@ -17,7 +17,7 @@ use threadpool::ThreadPool;
 /// A circuit mutation injected after compilation of one named
 /// configuration — the hook tests use to prove the harness *catches*
 /// miscompilations (e.g. a peephole rule with a flipped sign).
-pub type Sabotage = Box<dyn Fn(&mut Circuit)>;
+pub(crate) type Sabotage = Box<dyn Fn(&mut Circuit)>;
 
 /// Sweep parameters.
 #[derive(Debug, Clone)]
@@ -190,7 +190,7 @@ pub enum CaseOutcome {
 /// Per-config accounting entry: compile success, circuit produced, pass
 /// stats, lint warning count (always 0 unless the harness lints), and the
 /// router's report when the config targets hardware.
-pub type ConfigAccounting =
+pub(crate) type ConfigAccounting =
     (bool, bool, Option<PassStatistics>, usize, Option<asdf_target::RoutingInfo>);
 
 /// Per-case, per-config bookkeeping returned alongside the outcome.
@@ -454,7 +454,7 @@ impl Harness {
 
     /// Whether `case` still fails (mismatch or compile divergence) — the
     /// shrinker's predicate.
-    pub fn fails(&self, case: &GenCase) -> bool {
+    pub(crate) fn fails(&self, case: &GenCase) -> bool {
         matches!(self.check_case(case).0, CaseOutcome::Mismatch { .. })
     }
 

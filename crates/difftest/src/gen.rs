@@ -583,7 +583,7 @@ pub struct RenderedCase {
 impl GenCase {
     /// Classical indices actually referenced by the current stages (the
     /// shrinker may have dropped some).
-    pub fn used_classical(&self) -> Vec<usize> {
+    pub(crate) fn used_classical(&self) -> Vec<usize> {
         let mut used = Vec::new();
         fn walk(stage: &Stage, used: &mut Vec<usize>) {
             match &stage.kind {

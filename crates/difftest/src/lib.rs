@@ -13,11 +13,11 @@
 //! 2. [`driver`] — compiles each program under the full
 //!    [`asdf_core::CompileOptions::matrix`] (Opt/No-Opt × peephole ×
 //!    decomposition styles) and cross-checks all configuration pairs;
-//! 3. [`oracle`] — exact unitary-column comparison for measurement-free
+//! 3. `oracle` — exact unitary-column comparison for measurement-free
 //!    programs (ancilla-subspace aware), exact or sampled distribution
 //!    comparison for measuring programs, dynamic interpretation for
 //!    configurations that keep callables;
-//! 4. [`shrink`]/[`report`] — greedy minimization of failing cases into
+//! 4. `shrink`/`report` — greedy minimization of failing cases into
 //!    self-contained reproducers.
 //!
 //! Run a sweep from the command line:
@@ -26,16 +26,15 @@
 //! cargo run --release -p asdf-difftest --bin difftest -- --seed 42 --cases 500
 //! ```
 
-pub mod bisect;
+pub(crate) mod bisect;
 pub mod driver;
 pub mod gen;
-pub mod oracle;
-pub mod report;
-pub mod shrink;
+pub(crate) mod oracle;
+pub(crate) mod report;
+pub(crate) mod shrink;
 
 pub use bisect::{fuel_bisect, BisectFinding};
-pub use driver::{CaseOutcome, ConfigReport, Harness, SweepOptions, SweepReport};
+pub use driver::{CaseOutcome, Harness, SweepOptions};
 pub use gen::{gen_case, GenCase, GenOptions, RenderedCase};
 pub use oracle::{compare, extract, Comparison, OracleOptions, Semantics};
 pub use report::Mismatch;
-pub use shrink::minimize;

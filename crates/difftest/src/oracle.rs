@@ -8,7 +8,7 @@
 //!   kernels, the single |0...0> column for literal-prep kernels), with
 //!   ancillas required back in |0> ([`asdf_sim::StateVector::marginal_on`]);
 //! - **static circuit, measuring** — the *exact* outcome distribution when
-//!   every measurement is terminal ([`asdf_sim::measurement_distribution`]),
+//!   every measurement is terminal (`asdf_sim::measurement_distribution`),
 //!   falling back to seeded sampling otherwise;
 //! - **no static circuit** (the No-Opt pipelines keep callables) — the
 //!   dynamic interpreter executes the module per basis input (or per shot
@@ -140,7 +140,7 @@ pub fn compare(a: &Semantics, b: &Semantics, eps: f64) -> Comparison {
 }
 
 /// Total-variation distance between two normalized distributions.
-pub fn total_variation(a: &[(String, f64)], b: &[(String, f64)]) -> f64 {
+pub(crate) fn total_variation(a: &[(String, f64)], b: &[(String, f64)]) -> f64 {
     let mut keys: BTreeMap<&str, (f64, f64)> = BTreeMap::new();
     for (k, p) in a {
         keys.entry(k).or_insert((0.0, 0.0)).0 += p;

@@ -38,7 +38,7 @@ pub struct Mismatch {
 
 impl Mismatch {
     /// Builds a report from the failing case and optional minimization.
-    pub fn new(
+    pub(crate) fn new(
         case: &GenCase,
         config_a: String,
         config_b: String,

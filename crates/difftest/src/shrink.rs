@@ -12,7 +12,7 @@ use asdf_basis::{Eigenstate, PrimitiveBasis};
 
 /// Minimizes `case` under `fails` (which must be true for `case` itself),
 /// evaluating the predicate at most `budget` times.
-pub fn minimize(case: &GenCase, fails: impl Fn(&GenCase) -> bool, budget: usize) -> GenCase {
+pub(crate) fn minimize(case: &GenCase, fails: impl Fn(&GenCase) -> bool, budget: usize) -> GenCase {
     let mut best = case.clone();
     let mut evals = 0usize;
     let try_candidate = |best: &mut GenCase, candidate: GenCase, evals: &mut usize| -> bool {

@@ -128,7 +128,7 @@ impl Func {
 
     /// Replaces every use of `from` with `to` across the whole function,
     /// including nested regions.
-    pub fn replace_all_uses(&mut self, from: Value, to: Value) {
+    pub(crate) fn replace_all_uses(&mut self, from: Value, to: Value) {
         fn walk(block: &mut Block, from: Value, to: Value) {
             for op in &mut block.ops {
                 for operand in &mut op.operands {
@@ -230,7 +230,7 @@ impl<'a> BlockBuilder<'a> {
     }
 
     /// Sets the source span stamped onto subsequently pushed ops. Lowering
-    /// calls this at each expression boundary; [`SrcSpan::UNKNOWN`] turns
+    /// calls this at each expression boundary; `SrcSpan::UNKNOWN` turns
     /// stamping off again.
     pub fn set_span(&mut self, span: SrcSpan) {
         self.span = span;

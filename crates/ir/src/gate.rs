@@ -55,7 +55,7 @@ impl GateKind {
 
     /// Whether the gate is Hermitian (self-adjoint), so two adjacent copies
     /// cancel (§6.5's "cancelling out adjacent Hermitian gates").
-    pub fn is_hermitian(self) -> bool {
+    pub(crate) fn is_hermitian(self) -> bool {
         matches!(self, GateKind::X | GateKind::Y | GateKind::Z | GateKind::H | GateKind::Swap)
     }
 

@@ -38,9 +38,11 @@ pub trait InlineSpecializer {
 
 /// A specializer that rejects every `adj`/`pred` call. Usable when the
 /// input is known to contain only forward calls.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoSpecializer;
+pub(crate) struct NoSpecializer;
 
+#[cfg(test)]
 impl InlineSpecializer for NoSpecializer {
     fn specialize(
         &self,

@@ -37,17 +37,17 @@
 
 pub mod block;
 pub mod clone;
-pub mod error;
+pub(crate) mod error;
 pub mod func;
-pub mod gate;
+pub(crate) mod gate;
 pub mod inline;
-pub mod module;
-pub mod op;
+pub(crate) mod module;
+pub(crate) mod op;
 pub mod pass;
 pub mod print;
 pub mod rewrite;
-pub mod span;
-pub mod types;
+pub(crate) mod span;
+pub(crate) mod types;
 pub mod value;
 pub mod verify;
 
@@ -57,12 +57,7 @@ pub use func::{Func, FuncBuilder, Visibility};
 pub use gate::GateKind;
 pub use module::Module;
 pub use op::{Op, OpKind};
-pub use pass::{
-    Fixpoint, Pass, PassError, PassManager, PassOutcome, PassResult, PassStat, PassStatistics,
-};
-pub use rewrite::{
-    Fuel, GreedyRewriteDriver, PatternSet, RewriteConfig, RewritePattern, RewriteStats, Rewriter,
-};
+pub use pass::{PassStat, PassStatistics};
 pub use span::SrcSpan;
 pub use types::{FuncType, Type};
 pub use value::{Value, ValueList};

@@ -81,7 +81,7 @@ impl Module {
 
     /// Removes a function by name, returning it if present. Used to drop
     /// fully inlined private functions.
-    pub fn remove_func(&mut self, name: &str) -> Option<Func> {
+    pub(crate) fn remove_func(&mut self, name: &str) -> Option<Func> {
         let idx = self.by_name.remove(name)?;
         let func = self.funcs.remove(idx);
         // Reindex everything after the removal point.

@@ -180,7 +180,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Whether this kind terminates a block.
-    pub fn is_terminator(&self) -> bool {
+    pub(crate) fn is_terminator(&self) -> bool {
         matches!(self, OpKind::Return | OpKind::Yield)
     }
 
@@ -275,7 +275,7 @@ pub struct Op {
     /// two: then and else).
     pub regions: Vec<Block>,
     /// Frontend source range this op was lowered from
-    /// ([`SrcSpan::UNKNOWN`] for synthesized ops).
+    /// (`SrcSpan::UNKNOWN` for synthesized ops).
     pub span: SrcSpan,
 }
 
@@ -318,7 +318,7 @@ impl Op {
 
     /// The same op with a source span attached.
     #[must_use]
-    pub fn with_span(mut self, span: SrcSpan) -> Self {
+    pub(crate) fn with_span(mut self, span: SrcSpan) -> Self {
         self.span = span;
         self
     }

@@ -13,9 +13,7 @@
 //! - [`Fixpoint`]: a pass combinator that repeats a sub-pipeline until a
 //!   full round reports no changes (the canonicalize+inline loop of §5.4);
 //! - [`CanonicalizePass`]: adapts a [`GreedyRewriteDriver`] (and its
-//!   per-pattern firing statistics) to the [`Pass`] interface;
-//! - [`VerifyPass`] and [`pass_fn`]: small building blocks for explicit
-//!   verification points and closure-backed passes.
+//!   per-pattern firing statistics) to the [`Pass`] interface.
 
 use crate::module::Module;
 use crate::rewrite::GreedyRewriteDriver;
@@ -63,7 +61,8 @@ pub struct PassOutcome {
 
 impl PassOutcome {
     /// An outcome reporting no changes.
-    pub fn unchanged() -> Self {
+    #[cfg(test)]
+    pub(crate) fn unchanged() -> Self {
         PassOutcome::default()
     }
 
@@ -74,7 +73,7 @@ impl PassOutcome {
 
     /// Attaches fine-grained counters.
     #[must_use]
-    pub fn with_detail(mut self, detail: Vec<(String, usize)>) -> Self {
+    pub(crate) fn with_detail(mut self, detail: Vec<(String, usize)>) -> Self {
         self.detail = detail;
         self
     }
@@ -125,7 +124,8 @@ impl PassStatistics {
     }
 
     /// Number of executed passes.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.passes.len()
     }
 
@@ -174,7 +174,7 @@ impl PassStatistics {
     }
 
     /// Per-pattern rewrite firing counts aggregated across every pass's
-    /// detail (entries keyed with [`PATTERN_DETAIL_PREFIX`], prefix
+    /// detail (entries keyed with `PATTERN_DETAIL_PREFIX`, prefix
     /// stripped), sorted by name — the per-pattern view sweep summaries
     /// print.
     pub fn pattern_firings(&self) -> Vec<(String, usize)> {
@@ -195,7 +195,7 @@ impl PassStatistics {
     }
 
     /// Total wall-clock the rewrite engine reported across every pass
-    /// (from [`REWRITE_WALL_US_DETAIL_KEY`] detail entries) — survives
+    /// (from `REWRITE_WALL_US_DETAIL_KEY` detail entries) — survives
     /// [`Fixpoint`] aggregation and [`PassStatistics::merge`].
     pub fn rewrite_wall_clock(&self) -> Duration {
         let micros: usize = self
@@ -326,8 +326,9 @@ impl Fixpoint {
 
     /// Overrides the round bound (the fixpoint stops quietly when it is
     /// reached, mirroring the bounded loop it replaces).
+    #[cfg(test)]
     #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
+    pub(crate) fn with_max_rounds(mut self, max_rounds: usize) -> Self {
         self.max_rounds = max_rounds.max(1);
         self
     }
@@ -374,17 +375,17 @@ impl Pass for Fixpoint {
 /// Detail-key prefix under which [`CanonicalizePass`] reports per-pattern
 /// firing counts (e.g. `pattern:fold-double-adj`), so sweep harnesses can
 /// aggregate pattern statistics without knowing pattern names up front.
-pub const PATTERN_DETAIL_PREFIX: &str = "pattern:";
+pub(crate) const PATTERN_DETAIL_PREFIX: &str = "pattern:";
 /// Detail key for ops removed by the rewrite engine's integrated DCE.
-pub const DCE_DETAIL_KEY: &str = "dce-erased";
+pub(crate) const DCE_DETAIL_KEY: &str = "dce-erased";
 /// Detail key carrying the rewrite engine's wall-clock in microseconds —
 /// recorded in the detail so it survives [`Fixpoint`] aggregation, where
 /// per-inner-pass durations are otherwise folded into one [`PassStat`].
-pub const REWRITE_WALL_US_DETAIL_KEY: &str = "rewrite-wall-us";
+pub(crate) const REWRITE_WALL_US_DETAIL_KEY: &str = "rewrite-wall-us";
 
 /// Adapts a [`GreedyRewriteDriver`] (worklist pattern engine + integrated
 /// DCE) to the [`Pass`] interface, forwarding its per-pattern firing
-/// counts (prefixed with [`PATTERN_DETAIL_PREFIX`]), DCE count, and
+/// counts (prefixed with `PATTERN_DETAIL_PREFIX`), DCE count, and
 /// rewrite wall-clock.
 pub struct CanonicalizePass {
     name: String,
@@ -423,9 +424,11 @@ impl Pass for CanonicalizePass {
 
 /// An explicit verification point for pipelines that do not verify after
 /// every pass.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, Default)]
-pub struct VerifyPass;
+pub(crate) struct VerifyPass;
 
+#[cfg(test)]
 impl Pass for VerifyPass {
     fn name(&self) -> &str {
         "verify"
@@ -439,19 +442,22 @@ impl Pass for VerifyPass {
 
 /// A pass backed by a closure — the lightest way to lift an existing
 /// `fn(&mut Module) -> …` transformation into a pipeline.
-pub struct FnPass<F> {
+#[cfg(test)]
+pub(crate) struct FnPass<F> {
     name: String,
     f: F,
 }
 
 /// Builds a [`FnPass`] named `name` around `f`.
-pub fn pass_fn<F>(name: impl Into<String>, f: F) -> FnPass<F>
+#[cfg(test)]
+pub(crate) fn pass_fn<F>(name: impl Into<String>, f: F) -> FnPass<F>
 where
     F: FnMut(&mut Module) -> PassResult,
 {
     FnPass { name: name.into(), f }
 }
 
+#[cfg(test)]
 impl<F> Pass for FnPass<F>
 where
     F: FnMut(&mut Module) -> PassResult,

@@ -40,7 +40,7 @@ use std::sync::Arc;
 const FUEL_UNLIMITED: u64 = u64::MAX;
 
 /// A shared budget of pattern firings, for bisecting miscompiles: with
-/// `ASDF_REWRITE_FUEL=N` (or [`Fuel::limited`]), the N+1-th firing and all
+/// `ASDF_REWRITE_FUEL=N` (or `Fuel::limited`), the N+1-th firing and all
 /// later ones are suppressed across every driver sharing the cell, while
 /// dead-code elimination keeps running. Clones share the same budget.
 #[derive(Debug, Clone)]
@@ -48,12 +48,12 @@ pub struct Fuel(Arc<AtomicU64>);
 
 impl Fuel {
     /// No cutoff: every firing is allowed.
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         Fuel(Arc::new(AtomicU64::new(FUEL_UNLIMITED)))
     }
 
     /// Allows exactly `n` pattern firings.
-    pub fn limited(n: u64) -> Self {
+    pub(crate) fn limited(n: u64) -> Self {
         Fuel(Arc::new(AtomicU64::new(n.min(FUEL_UNLIMITED - 1))))
     }
 
@@ -66,12 +66,13 @@ impl Fuel {
     }
 
     /// Whether the budget is spent.
-    pub fn is_exhausted(&self) -> bool {
+    pub(crate) fn is_exhausted(&self) -> bool {
         self.0.load(Ordering::Relaxed) == 0
     }
 
     /// Remaining firings, or `None` when unlimited.
-    pub fn remaining(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn remaining(&self) -> Option<u64> {
         match self.0.load(Ordering::Relaxed) {
             FUEL_UNLIMITED => None,
             n => Some(n),
@@ -79,7 +80,7 @@ impl Fuel {
     }
 
     /// Consumes one firing; returns whether it was allowed.
-    pub fn consume(&self) -> bool {
+    pub(crate) fn consume(&self) -> bool {
         let mut current = self.0.load(Ordering::Relaxed);
         loop {
             if current == FUEL_UNLIMITED {
@@ -132,14 +133,13 @@ impl Default for RewriteConfig {
 }
 
 impl RewriteConfig {
-    /// The default configuration with `ASDF_REWRITE_FUEL` (a firing
-    /// budget) and `ASDF_REWRITE_TRACE=1` (firing trace) applied from the
-    /// environment.
+    /// The default configuration with `ASDF_REWRITE_TRACE=1` (firing
+    /// trace) applied from the environment. The fuel stays unlimited:
+    /// `ASDF_REWRITE_FUEL` reaches a compile through
+    /// [`RewriteConfig::env_fuel_limit`], which sets the default
+    /// `CompileOptions::rewrite_fuel`.
     pub fn from_env() -> Self {
         let mut config = RewriteConfig::default();
-        if let Some(limit) = RewriteConfig::env_fuel_limit() {
-            config.fuel = Fuel::limited(limit);
-        }
         if std::env::var("ASDF_REWRITE_TRACE").is_ok_and(|v| v == "1") {
             config.trace = true;
         }
@@ -159,15 +159,17 @@ impl RewriteConfig {
     }
 
     /// Enables or disables the firing trace.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_trace(mut self, trace: bool) -> Self {
+    pub(crate) fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
         self
     }
 
     /// Overrides the firing bound.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_max_fires(mut self, max_fires: usize) -> Self {
+    pub(crate) fn with_max_fires(mut self, max_fires: usize) -> Self {
         self.max_fires = max_fires.max(1);
         self
     }
@@ -253,8 +255,8 @@ pub struct RewriteStats {
 /// when the run ends. A nested block is compacted at the end of each
 /// firing instead, so an op's regions never hold a dead entry and a
 /// pattern may copy a region-bearing op whole. During a run,
-/// [`Rewriter::block`] and [`Rewriter::func`] may therefore show dead
-/// entries in the entry block. A pattern reaches other ops only through
+/// [`Rewriter::block`] may therefore show dead entries in the entry
+/// block. A pattern reaches other ops only through
 /// [`Rewriter::op`], [`Rewriter::find_def`] and [`Rewriter::single_user`],
 /// which never return one, and never by scanning the block or offsetting a
 /// position. Every stock pattern reads this way.
@@ -470,7 +472,8 @@ impl<'a> Rewriter<'a> {
 
     /// The function being rewritten. Its entry block may hold dead
     /// entries; see [`RewritePattern`].
-    pub fn func(&self) -> &Func {
+    #[cfg(test)]
+    pub(crate) fn func(&self) -> &Func {
         self.assert_clean();
         self.func
     }

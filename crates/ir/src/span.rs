@@ -23,7 +23,7 @@ pub struct SrcSpan {
 
 impl SrcSpan {
     /// The unknown (all-zero) span.
-    pub const UNKNOWN: SrcSpan = SrcSpan { start: 0, end: 0 };
+    pub(crate) const UNKNOWN: SrcSpan = SrcSpan { start: 0, end: 0 };
 
     /// A span covering `[start, end)`.
     pub fn new(start: u32, end: u32) -> Self {

@@ -72,7 +72,7 @@ enum Repr {
 impl ValueList {
     /// An empty list.
     #[inline]
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         ValueList(Repr::Inline { len: 0, values: [Value(0); INLINE] })
     }
 
@@ -113,7 +113,7 @@ impl ValueList {
 
     /// The values as a mutable slice.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [Value] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [Value] {
         match &mut self.0 {
             Repr::Inline { len, values } => &mut values[..usize::from(*len)],
             Repr::Heap(vec) => vec,

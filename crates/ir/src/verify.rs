@@ -673,7 +673,7 @@ pub fn rev_qbundle_dim(ft: &FuncType) -> Option<usize> {
 ///
 /// Returns a message when `adj`/`pred` are applied to an incompatible
 /// signature.
-pub fn effective_call_type(
+pub(crate) fn effective_call_type(
     base: &FuncType,
     adj: bool,
     pred: Option<&asdf_basis::Basis>,

@@ -14,7 +14,7 @@
 
 use crate::gate::{McxGate, RevCircuit};
 use crate::xag::Xag;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Which embedding discipline to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,8 @@ impl Embedding {
     /// # Panics
     ///
     /// Panics if `x.len()` does not match the number of input lines.
-    pub fn compute(&self, x: &[bool]) -> Vec<bool> {
+    #[cfg(test)]
+    pub(crate) fn compute(&self, x: &[bool]) -> Vec<bool> {
         assert_eq!(x.len(), self.input_lines.len(), "input width mismatch");
         let mut bits = vec![false; self.circuit.lines];
         for (line, &v) in self.input_lines.iter().zip(x) {
@@ -211,7 +212,9 @@ fn schedule_in_place(
     for &k in scratch_ops {
         is_scratch[k] = true;
     }
-    let mut pending: Vec<usize> = (0..supports.len()).filter(|&k| !is_scratch[k]).collect();
+    // A deque: the scan runs front to back and usually schedules the
+    // first operand, so dropping it must not shift the rest.
+    let mut pending: VecDeque<usize> = (0..supports.len()).filter(|&k| !is_scratch[k]).collect();
     let mut readers = vec![0u32; wires];
     for &k in &pending {
         for &w in &supports[k].0 {
@@ -236,7 +239,7 @@ fn schedule_in_place(
             first_schedulable.get_or_insert((at, k, support[0]));
         }
         let Some((at, op_idx, pivot)) = free.or(first_schedulable) else {
-            return Err(pending);
+            return Err(pending.into());
         };
         pending.remove(at);
         for &w in &supports[op_idx].0 {

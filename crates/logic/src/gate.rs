@@ -19,22 +19,22 @@ pub struct McxGate {
 
 impl McxGate {
     /// An uncontrolled NOT.
-    pub fn not(target: usize) -> Self {
+    pub(crate) fn not(target: usize) -> Self {
         McxGate { controls: Vec::new(), target }
     }
 
     /// A CNOT with a positive control.
-    pub fn cnot(control: usize, target: usize) -> Self {
+    pub(crate) fn cnot(control: usize, target: usize) -> Self {
         McxGate { controls: vec![(control, true)], target }
     }
 
     /// A positively-controlled MCX.
-    pub fn mcx(controls: impl IntoIterator<Item = usize>, target: usize) -> Self {
+    pub(crate) fn mcx(controls: impl IntoIterator<Item = usize>, target: usize) -> Self {
         McxGate { controls: controls.into_iter().map(|c| (c, true)).collect(), target }
     }
 
     /// Whether the gate would fire for classical input `bits`.
-    pub fn fires(&self, bits: &[bool]) -> bool {
+    pub(crate) fn fires(&self, bits: &[bool]) -> bool {
         self.controls.iter().all(|&(line, pos)| bits[line] == pos)
     }
 
@@ -43,7 +43,7 @@ impl McxGate {
     /// # Panics
     ///
     /// Panics if any referenced line is out of range.
-    pub fn apply(&self, bits: &mut [bool]) {
+    pub(crate) fn apply(&self, bits: &mut [bool]) {
         if self.fires(bits) {
             bits[self.target] = !bits[self.target];
         }
@@ -130,7 +130,8 @@ impl RevCircuit {
 
     /// Total control count across gates (the cost metric transformation-
     /// based synthesis minimizes greedily).
-    pub fn control_cost(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn control_cost(&self) -> usize {
         self.gates.iter().map(|g| g.controls.len()).sum()
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Three pieces:
 //!
-//! - [`xag`]: XOR-AND-inverter graphs with the classical optimizations the
+//! - `xag`: XOR-AND-inverter graphs with the classical optimizations the
 //!   paper gets from mockturtle (constant folding, structural hashing,
 //!   operator flattening, dead-node elimination).
 //! - [`embed`]: circuit construction for classically defined functions —
@@ -19,12 +19,12 @@
 //!   translation (§6.3, Fig. 9).
 
 pub mod embed;
-pub mod gate;
-pub mod perm;
+pub(crate) mod gate;
+pub(crate) mod perm;
 pub mod synth;
-pub mod xag;
+pub(crate) mod xag;
 
-pub use embed::{EmbedStyle, Embedding};
+pub use embed::EmbedStyle;
 pub use gate::{McxGate, RevCircuit};
 pub use perm::Permutation;
 pub use xag::{Signal, Xag};

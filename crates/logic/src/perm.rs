@@ -19,7 +19,8 @@ impl Permutation {
     /// # Panics
     ///
     /// Panics if `n > 24` (tables are dense).
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         assert!(n <= 24, "permutation tables are dense; {n} bits is too many");
         Permutation { n, table: (0..(1usize << n)).collect() }
     }
@@ -86,7 +87,7 @@ impl Permutation {
     }
 
     /// Number of bits.
-    pub fn num_bits(&self) -> usize {
+    pub(crate) fn num_bits(&self) -> usize {
         self.n
     }
 
@@ -95,12 +96,13 @@ impl Permutation {
     /// # Panics
     ///
     /// Panics if `x >= 2^n`.
-    pub fn apply(&self, x: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn apply(&self, x: usize) -> usize {
         self.table[x]
     }
 
     /// The image table.
-    pub fn table(&self) -> &[usize] {
+    pub(crate) fn table(&self) -> &[usize] {
         &self.table
     }
 
@@ -110,7 +112,8 @@ impl Permutation {
     }
 
     /// The inverse permutation.
-    pub fn inverse(&self) -> Permutation {
+    #[cfg(test)]
+    pub(crate) fn inverse(&self) -> Permutation {
         let mut table = vec![0usize; self.table.len()];
         for (x, &y) in self.table.iter().enumerate() {
             table[y] = x;
@@ -132,7 +135,8 @@ impl Permutation {
     /// undoing renaming-based swaps during predication (§5.3): "the
     /// permutation effected by the unpredicated block is decomposed into a
     /// series of swaps".
-    pub fn to_swaps(&self) -> Vec<(usize, usize)> {
+    #[cfg(test)]
+    pub(crate) fn to_swaps(&self) -> Vec<(usize, usize)> {
         let mut swaps = Vec::new();
         let mut current: Vec<usize> = self.table.clone();
         for x in 0..current.len() {

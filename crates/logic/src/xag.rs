@@ -26,12 +26,12 @@ impl Signal {
     }
 
     /// The node this signal reads.
-    pub fn node(self) -> usize {
+    pub(crate) fn node(self) -> usize {
         self.node as usize
     }
 
     /// Whether the signal complements the node output.
-    pub fn is_inverted(self) -> bool {
+    pub(crate) fn is_inverted(self) -> bool {
         self.inverted
     }
 }
@@ -114,12 +114,12 @@ impl Xag {
     }
 
     /// The declared outputs.
-    pub fn outputs(&self) -> &[Signal] {
+    pub(crate) fn outputs(&self) -> &[Signal] {
         &self.outputs
     }
 
     /// Whether a signal is one of the two constants; returns its value.
-    pub fn as_const(&self, s: Signal) -> Option<bool> {
+    pub(crate) fn as_const(&self, s: Signal) -> Option<bool> {
         matches!(self.nodes[s.node()], Node::ConstFalse).then_some(s.inverted)
     }
 
@@ -258,7 +258,7 @@ impl Xag {
     }
 
     /// All nodes reachable from the outputs, in topological order.
-    pub fn live_nodes(&self) -> Vec<usize> {
+    pub(crate) fn live_nodes(&self) -> Vec<usize> {
         let live = self.live_set();
         (0..self.nodes.len()).filter(|&i| live[i]).collect()
     }
@@ -286,7 +286,7 @@ impl Xag {
     /// # Panics
     ///
     /// Panics if the node is an input or constant.
-    pub fn node_operands(&self, node: usize) -> &[Signal] {
+    pub(crate) fn node_operands(&self, node: usize) -> &[Signal] {
         match &self.nodes[node] {
             Node::And(ops) | Node::Xor(ops) => ops,
             other => panic!("node {node} ({other:?}) has no operands"),
@@ -294,19 +294,19 @@ impl Xag {
     }
 
     /// Whether a node is an AND node.
-    pub fn is_and(&self, node: usize) -> bool {
+    pub(crate) fn is_and(&self, node: usize) -> bool {
         matches!(self.nodes[node], Node::And(_))
     }
 
     /// Whether a node is an XOR node.
-    pub fn is_xor(&self, node: usize) -> bool {
+    pub(crate) fn is_xor(&self, node: usize) -> bool {
         matches!(self.nodes[node], Node::Xor(_))
     }
 
     /// The *parity support* of a signal: the set of input/AND nodes whose
     /// XOR (plus a constant) equals the signal. This is what lets XOR
     /// chains compile to in-place CNOTs with no ancillas (§8.3).
-    pub fn parity_support(&self, signal: Signal) -> (Vec<usize>, bool) {
+    pub(crate) fn parity_support(&self, signal: Signal) -> (Vec<usize>, bool) {
         let mut support: Vec<usize> = Vec::new();
         let mut parity = signal.inverted;
         let mut stack = vec![signal.node()];

@@ -125,7 +125,7 @@ impl Record {
 /// A straight-line, register-addressed quantum circuit.
 ///
 /// Ops are kept as one record per op plus one shared qubit arena (see the
-/// [module docs](self)); the arena holds exactly the gates' qubits in op
+/// module docs); the arena holds exactly the gates' qubits in op
 /// order, so two circuits with the same ops compare equal.
 ///
 /// # Example

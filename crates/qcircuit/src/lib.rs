@@ -17,7 +17,7 @@
 //! [`decompose`] rewrites multi-controlled gates for a fault-tolerant
 //! gate set.
 
-pub mod circuit;
+pub(crate) mod circuit;
 pub mod decompose;
 pub mod peephole;
 pub mod reg2mem;

@@ -2,16 +2,16 @@
 //!
 //! Implemented as [`RewritePattern`]s for the canonicalization driver:
 //!
-//! - [`CancelGates`]: cancels adjacent Hermitian (self-adjoint) or mutually
+//! - `CancelGates`: cancels adjacent Hermitian (self-adjoint) or mutually
 //!   inverse gates, and merges adjacent diagonal phase gates (renormalizing
 //!   to named Clifford/T gates) — "cancelling out adjacent Hermitian
 //!   gates";
-//! - [`HConjugation`]: rewrites `H·X·H` to `Z` (and `H·Z·H` to `X`);
-//! - [`RelaxedPeephole`]: the relaxed peephole optimization of Liu, Bello,
+//! - `HConjugation`: rewrites `H·X·H` to `Z` (and `H·Z·H` to `X`);
+//! - `RelaxedPeephole`: the relaxed peephole optimization of Liu, Bello,
 //!   and Zhou shown in Fig. 10 — a multi-controlled X targeting a fresh
 //!   `|−⟩` ancilla becomes a multi-controlled Z without the ancilla, which
 //!   "is especially useful for simplifying instances of f.sign";
-//! - [`UnpackPack`] / [`PackUnpack`]: removes `unpack(pack(...))` and
+//! - `UnpackPack` / `PackUnpack`: removes `unpack(pack(...))` and
 //!   `pack(unpack(...))` pairs for qbundles, bitbundles, and arrays (§6.1).
 
 use asdf_ir::pass::CanonicalizePass;
@@ -102,7 +102,7 @@ fn merge_gates(first: GateKind, second: GateKind) -> Option<Option<GateKind>> {
 }
 
 /// Cancels or merges a gate with the gate defining all of its operands.
-pub struct CancelGates;
+pub(crate) struct CancelGates;
 
 impl RewritePattern for CancelGates {
     fn name(&self) -> &'static str {
@@ -175,7 +175,7 @@ impl RewritePattern for CancelGates {
 }
 
 /// `H · g · H` → conjugated gate (X↔Z) on a single uncontrolled qubit.
-pub struct HConjugation;
+pub(crate) struct HConjugation;
 
 impl RewritePattern for HConjugation {
     fn name(&self) -> &'static str {
@@ -234,7 +234,7 @@ impl RewritePattern for HConjugation {
 /// Fig. 10: a multi-controlled X whose target is a fresh `|−⟩` ancilla
 /// (`qalloc; x; h` before, `h; x; qfreez` after) becomes a multi-controlled
 /// Z on the controls alone.
-pub struct RelaxedPeephole;
+pub(crate) struct RelaxedPeephole;
 
 impl RewritePattern for RelaxedPeephole {
     fn name(&self) -> &'static str {
@@ -328,7 +328,7 @@ impl RewritePattern for RelaxedPeephole {
 }
 
 /// `unpack(pack(xs))` → `xs` (for qbundles, bitbundles, arrays).
-pub struct UnpackPack;
+pub(crate) struct UnpackPack;
 
 impl RewritePattern for UnpackPack {
     fn name(&self) -> &'static str {
@@ -374,7 +374,7 @@ impl RewritePattern for UnpackPack {
 }
 
 /// `pack(unpack(x))` in order → `x`.
-pub struct PackUnpack;
+pub(crate) struct PackUnpack;
 
 impl RewritePattern for PackUnpack {
     fn name(&self) -> &'static str {

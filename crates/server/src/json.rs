@@ -26,12 +26,12 @@ pub enum Value {
 
 impl Value {
     /// An integer number (exact for |n| ≤ 2^53).
-    pub fn int(n: i64) -> Value {
+    pub(crate) fn int(n: i64) -> Value {
         Value::Number(n as f64)
     }
 
     /// A string value.
-    pub fn str(s: &str) -> Value {
+    pub(crate) fn str(s: &str) -> Value {
         Value::String(s.to_string())
     }
 
@@ -52,7 +52,7 @@ impl Value {
     }
 
     /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -79,7 +79,7 @@ impl Value {
     }
 
     /// The object fields, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+    pub(crate) fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Object(fields) => Some(fields),
             _ => None,

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_SESSION_CAPACITY: usize = 8;
 
 /// The per-target counter key for untargeted (all-to-all) compiles.
-pub const ALL_TO_ALL: &str = "all-to-all";
+pub(crate) const ALL_TO_ALL: &str = "all-to-all";
 
 /// A multi-tenant compile server: a bounded registry of shared sessions
 /// keyed by source text, plus the line-protocol dispatcher.
@@ -113,7 +113,7 @@ impl CompileServer {
     /// first requests for one source build it once; construction is a
     /// parse only (compilation happens lazily per request), so the
     /// critical section stays short.
-    pub fn session(&self, source: &str) -> Result<Arc<Session>, CoreError> {
+    pub(crate) fn session(&self, source: &str) -> Result<Arc<Session>, CoreError> {
         let mut registry = self.registry.lock().expect("registry lock");
         registry.tick += 1;
         let tick = registry.tick;
@@ -123,7 +123,7 @@ impl CompileServer {
         }
         let mut builder = Session::builder(source);
         if let Some(disk) = &self.disk {
-            builder = builder.disk_cache(disk.dir()).disk_cache_capacity(disk.capacity());
+            builder = builder.disk_cache(disk.dir());
         }
         let session = Arc::new(builder.build()?);
         if registry.sessions.len() >= registry.capacity {
@@ -330,7 +330,7 @@ impl CompileServer {
     }
 
     /// Serves one TCP connection.
-    pub fn serve_connection(&self, stream: TcpStream) -> std::io::Result<()> {
+    pub(crate) fn serve_connection(&self, stream: TcpStream) -> std::io::Result<()> {
         let reader = BufReader::new(stream.try_clone()?);
         self.serve(reader, stream)
     }

@@ -27,7 +27,7 @@ const FALLBACK_SHOTS: usize = 4096;
 const FALLBACK_SEED: u64 = 0x51D_BACC;
 
 /// The state-vector simulation backend (registry name `sim`). Its worker
-/// pool is sized from the state (see [`crate::run::PARALLEL_STATE_MIN`]);
+/// pool is sized from the state (see `crate::run::PARALLEL_STATE_MIN`);
 /// results are identical for every worker count.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimBackend;

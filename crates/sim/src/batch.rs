@@ -21,7 +21,7 @@ use crate::state::{checked_amplitude_count, StateVector};
 use threadpool::ThreadPool;
 
 /// Columns simulated together in one structure-of-arrays block.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Pair-update count below which the extraction stays on one thread.
 const PARALLEL_THRESHOLD: u128 = 1 << 22;

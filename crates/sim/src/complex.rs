@@ -6,7 +6,7 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 /// A complex number with `f64` parts.
 ///
 /// The layout is `#[repr(C)]` — `re` then `im`, no padding — so the
-/// [`crate::simd`] kernels can reinterpret a `[Complex]` slice as the
+/// `crate::simd` kernels can reinterpret a `[Complex]` slice as the
 /// interleaved `[re, im, re, im, ...]` `f64` lanes they vectorize over.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
@@ -19,11 +19,11 @@ pub struct Complex {
 
 impl Complex {
     /// Zero.
-    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
+    pub(crate) const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// One.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+    pub(crate) const ONE: Complex = Complex { re: 1.0, im: 0.0 };
     /// The imaginary unit.
-    pub const I: Complex = Complex { re: 0.0, im: 1.0 };
+    pub(crate) const I: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// A complex number from parts.
     pub fn new(re: f64, im: f64) -> Self {
@@ -36,17 +36,17 @@ impl Complex {
     }
 
     /// Complex conjugate.
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Complex { re: self.re, im: -self.im }
     }
 
     /// Squared magnitude.
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
     /// Magnitude.
-    pub fn abs(self) -> f64 {
+    pub(crate) fn abs(self) -> f64 {
         self.norm_sqr().sqrt()
     }
 

@@ -30,18 +30,19 @@ use std::f64::consts::FRAC_PI_4;
 use threadpool::ThreadPool;
 
 /// A 2×2 complex matrix, row-major.
-pub type Matrix2 = [[Complex; 2]; 2];
+pub(crate) type Matrix2 = [[Complex; 2]; 2];
 
 /// A 4×4 complex matrix, row-major, over the local basis of a fused
 /// two-qubit kernel (bit 0 of the local index ↔ the lower wire mask,
 /// bit 1 ↔ the higher wire mask).
-pub type Matrix4 = [[Complex; 4]; 4];
+pub(crate) type Matrix4 = [[Complex; 4]; 4];
 
 /// The exact 2×2 identity.
-pub const IDENTITY_2Q: Matrix2 = [[Complex::ONE, Complex::ZERO], [Complex::ZERO, Complex::ONE]];
+pub(crate) const IDENTITY_2Q: Matrix2 =
+    [[Complex::ONE, Complex::ZERO], [Complex::ZERO, Complex::ONE]];
 
 /// The exact 4×4 identity.
-pub const IDENTITY_4Q: Matrix4 = {
+pub(crate) const IDENTITY_4Q: Matrix4 = {
     let (o, z) = (Complex::ONE, Complex::ZERO);
     [[o, z, z, z], [z, o, z, z], [z, z, o, z], [z, z, z, o]]
 };
@@ -104,7 +105,6 @@ pub struct KernelProgram {
     num_qubits: usize,
     num_bits: usize,
     ops: Vec<KernelOp>,
-    source_ops: usize,
 }
 
 impl KernelProgram {
@@ -176,21 +176,16 @@ impl KernelProgram {
             flush(&mut ops, &mut pending, wire, mask(wire));
         }
 
-        KernelProgram {
-            num_qubits: n,
-            num_bits: circuit.num_bits(),
-            ops,
-            source_ops: circuit.ops().len(),
-        }
+        KernelProgram { num_qubits: n, num_bits: circuit.num_bits(), ops }
     }
 
     /// Number of qubits the program acts on.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.num_qubits
     }
 
     /// Number of classical bits the program writes.
-    pub fn num_bits(&self) -> usize {
+    pub(crate) fn num_bits(&self) -> usize {
         self.num_bits
     }
 
@@ -199,13 +194,8 @@ impl KernelProgram {
         &self.ops
     }
 
-    /// Number of source-circuit ops the program was compiled from.
-    pub fn source_ops(&self) -> usize {
-        self.source_ops
-    }
-
     /// Whether the program is measurement- and reset-free.
-    pub fn is_unitary(&self) -> bool {
+    pub(crate) fn is_unitary(&self) -> bool {
         self.ops.iter().all(|op| {
             matches!(
                 op,
@@ -220,7 +210,7 @@ impl KernelProgram {
     ///
     /// Panics if the state size does not match, or if the program contains
     /// measurements or resets (those need a seeded executor — see
-    /// [`crate::run::Simulator::run_program`]).
+    /// `crate::run::Simulator::run_program`).
     pub fn apply_state(&self, state: &mut StateVector) {
         assert!(self.is_unitary(), "apply_state on a measuring program; use Simulator");
         self.apply_gates_pooled(state, &ThreadPool::new(1));
@@ -230,7 +220,7 @@ impl KernelProgram {
     /// resets, with each gate's pair enumeration split across `pool`.
     /// Callers must have established that the skipped ops do not affect
     /// the amplitudes they read — e.g. the terminal-measurement analysis of
-    /// [`crate::run::measurement_distribution`]. Pairs partition
+    /// `crate::run::measurement_distribution`. Pairs partition
     /// disjointly, so workers never synchronize, and the per-element
     /// arithmetic is identical on every path: the result is
     /// **bit-identical** for every worker count.
@@ -576,7 +566,7 @@ fn op_cost(op: &KernelOp) -> f64 {
 }
 
 /// `a * b` (apply `b` first, then `a`).
-pub fn matmul(a: &Matrix2, b: &Matrix2) -> Matrix2 {
+pub(crate) fn matmul(a: &Matrix2, b: &Matrix2) -> Matrix2 {
     [
         [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
         [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
@@ -950,7 +940,7 @@ pub(crate) fn apply_swap_pooled(
 /// # Panics
 ///
 /// Panics on [`GateKind::Swap`], which has no 2×2 matrix.
-pub fn matrix_1q(gate: GateKind) -> Matrix2 {
+pub(crate) fn matrix_1q(gate: GateKind) -> Matrix2 {
     let zero = Complex::ZERO;
     let one = Complex::ONE;
     let i = Complex::I;
@@ -1020,7 +1010,6 @@ mod tests {
         // Wire 0's H-T-H run fuses to one matrix; wire 1's T is another.
         assert_eq!(unitary_count(&p), 2);
         assert!(p.is_unitary());
-        assert_eq!(p.source_ops(), 4);
     }
 
     #[test]

@@ -11,21 +11,21 @@
 //! eigenbit order.
 //!
 //! The hot path is kernel-based: circuits are compiled once into fused,
-//! mask-resolved [`KernelProgram`]s ([`kernel`]), applied with stride-based
+//! mask-resolved [`KernelProgram`]s (`kernel`), applied with stride-based
 //! pair enumeration instead of a scan-and-branch over all `2^n` amplitudes,
 //! and unitary extraction applies the program to every basis column at once
-//! ([`batch`]), optionally across a scoped thread pool.
+//! (`batch`), optionally across a scoped thread pool.
 //!
 //! [`Circuit`]: asdf_qcircuit::Circuit
 
-pub mod backend;
-pub mod batch;
-pub mod complex;
-pub mod dynamic;
-pub mod kernel;
+pub(crate) mod backend;
+pub(crate) mod batch;
+pub(crate) mod complex;
+pub(crate) mod dynamic;
+pub(crate) mod kernel;
 pub mod run;
-pub mod simd;
-pub mod state;
+pub(crate) mod simd;
+pub(crate) mod state;
 pub mod trace;
 
 pub use backend::SimBackend;
@@ -34,10 +34,7 @@ pub use complex::Complex;
 pub use dynamic::{run_dynamic, ArgValue, DynamicRun};
 pub use kernel::{KernelOp, KernelProgram};
 pub use run::{
-    circuits_equivalent, circuits_equivalent_on_zero_ancillas,
-    circuits_equivalent_up_to_output_permutation, columns_equivalent, measurement_distribution,
-    measurement_distribution_threads, sample, sample_per_shot, unitary_of, RunResult, Simulator,
-    PARALLEL_STATE_MIN,
+    circuits_equivalent_up_to_output_permutation, columns_equivalent,
+    measurement_distribution_threads, sample, sample_per_shot, unitary_of, Simulator,
 };
 pub use state::{checked_amplitude_count, StateVector, MAX_QUBITS};
-pub use trace::{record_trace, replay_divergence, state_digest, Divergence, Trace, TraceEvent};

@@ -1,8 +1,8 @@
 //! Circuit execution: single shots, sampling, and unitary extraction.
 //!
 //! Execution compiles circuits to fused, stride-based [`KernelProgram`]s
-//! (see [`crate::kernel`]); unitary extraction applies the program to all
-//! basis columns at once (see [`crate::batch`]) instead of re-simulating
+//! (see `crate::kernel`); unitary extraction applies the program to all
+//! basis columns at once (see `crate::batch`) instead of re-simulating
 //! per column.
 
 use crate::batch::batched_columns;
@@ -19,7 +19,7 @@ use threadpool::ThreadPool;
 /// per-gate work cannot amortize a thread spawn. On a 2-core x86-64 VM,
 /// on `sim_kernels`' 200-gate random circuits, two workers lose to one up
 /// to 17 qubits, break even at 18 and win from 19.
-pub const PARALLEL_STATE_MIN: usize = 1 << 19;
+pub(crate) const PARALLEL_STATE_MIN: usize = 1 << 19;
 
 /// The worker pool for a single-state run: `threads == 0` picks the
 /// machine's parallelism for states of at least [`PARALLEL_STATE_MIN`]
@@ -43,7 +43,7 @@ pub struct RunResult {
 
 impl RunResult {
     /// The measured bits as a `'0'`/`'1'` string.
-    pub fn bit_string(&self) -> String {
+    pub(crate) fn bit_string(&self) -> String {
         self.bits.iter().map(|&b| if b { '1' } else { '0' }).collect()
     }
 }
@@ -57,7 +57,7 @@ pub struct Simulator {
 
 impl Simulator {
     /// A simulator with a fixed seed and automatic threading (gate kernels
-    /// parallelize once the state reaches [`PARALLEL_STATE_MIN`]
+    /// parallelize once the state reaches `PARALLEL_STATE_MIN`
     /// amplitudes).
     pub fn new(seed: u64) -> Self {
         Simulator::with_threads(seed, 0)
@@ -79,7 +79,7 @@ impl Simulator {
 
     /// Runs one shot of a precompiled program from |0...0>. Compiling once
     /// and running many shots amortizes the gate-fusion prepass.
-    pub fn run_program(&mut self, program: &KernelProgram) -> RunResult {
+    pub(crate) fn run_program(&mut self, program: &KernelProgram) -> RunResult {
         let mut state = StateVector::zero(program.num_qubits());
         let pool = pool_for_state(self.threads, state.amplitudes().len());
         let mut bits = vec![false; program.num_bits()];
@@ -167,11 +167,11 @@ pub fn sample_per_shot(circuit: &Circuit, shots: usize, seed: u64) -> HashMap<St
 /// Returns `None` when the terminal-measurement condition fails (the
 /// distribution then depends on per-shot branching) — callers fall back to
 /// [`sample_per_shot`].
-pub fn measurement_distribution(circuit: &Circuit) -> Option<Vec<(String, f64)>> {
+pub(crate) fn measurement_distribution(circuit: &Circuit) -> Option<Vec<(String, f64)>> {
     measurement_distribution_threads(circuit, 0)
 }
 
-/// [`measurement_distribution`] with an explicit worker count for the
+/// `measurement_distribution` with an explicit worker count for the
 /// gate kernels (`0` = automatic, size-gated). The distribution is
 /// bit-identical for every setting.
 pub fn measurement_distribution_threads(
@@ -252,7 +252,8 @@ pub fn circuits_equivalent(a: &Circuit, b: &Circuit, eps: f64) -> bool {
 /// input whose qubits at and beyond `data_qubits` are |0> — the contract
 /// for ancilla-using decompositions, which are only defined on the
 /// zero-ancilla subspace (the ancillas must also return to |0>).
-pub fn circuits_equivalent_on_zero_ancillas(
+#[cfg(test)]
+pub(crate) fn circuits_equivalent_on_zero_ancillas(
     a: &Circuit,
     b: &Circuit,
     data_qubits: usize,
@@ -324,8 +325,7 @@ pub fn circuits_equivalent_up_to_output_permutation(
 
 /// Whether two column sets (unitaries as lists of output states, indexed
 /// by input basis state) agree up to one *shared* global phase. This is
-/// the underlying oracle of [`circuits_equivalent`] and
-/// [`circuits_equivalent_on_zero_ancillas`], exposed so differential
+/// the underlying oracle of [`circuits_equivalent`], exposed so differential
 /// harnesses can compare columns extracted by other means (e.g. dynamic
 /// interpretation of a module that never becomes a static circuit).
 pub fn columns_equivalent(ua: &[StateVector], ub: &[StateVector], eps: f64) -> bool {

@@ -46,21 +46,21 @@ use threadpool::ThreadPool;
 /// one vector instruction where available and to four scalar ones where
 /// not — the scalar fallback needs no separate code path.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct F64x4([f64; 4]);
+pub(crate) struct F64x4([f64; 4]);
 
 impl F64x4 {
     /// Lane count.
-    pub const LANES: usize = 4;
+    pub(crate) const LANES: usize = 4;
 
     /// A vector with every lane set to `x`.
     #[inline]
-    pub fn splat(x: f64) -> Self {
+    pub(crate) fn splat(x: f64) -> Self {
         F64x4([x; 4])
     }
 
     /// A vector from four lanes.
     #[inline]
-    pub fn new(lanes: [f64; 4]) -> Self {
+    pub(crate) fn new(lanes: [f64; 4]) -> Self {
         F64x4(lanes)
     }
 
@@ -70,7 +70,7 @@ impl F64x4 {
     ///
     /// Panics if `xs` has fewer than four elements.
     #[inline]
-    pub fn load(xs: &[f64]) -> Self {
+    pub(crate) fn load(xs: &[f64]) -> Self {
         F64x4([xs[0], xs[1], xs[2], xs[3]])
     }
 
@@ -80,13 +80,14 @@ impl F64x4 {
     ///
     /// Panics if `out` has fewer than four elements.
     #[inline]
-    pub fn store(self, out: &mut [f64]) {
+    pub(crate) fn store(self, out: &mut [f64]) {
         out[..4].copy_from_slice(&self.0);
     }
 
     /// The lanes as an array.
+    #[cfg(test)]
     #[inline]
-    pub fn to_array(self) -> [f64; 4] {
+    pub(crate) fn to_array(self) -> [f64; 4] {
         self.0
     }
 
@@ -96,7 +97,7 @@ impl F64x4 {
     /// value's real and imaginary lanes — the shuffle complex
     /// multiplication needs.
     #[inline]
-    pub fn swap_pairs(self) -> Self {
+    pub(crate) fn swap_pairs(self) -> Self {
         let [a, b, c, d] = self.0;
         F64x4([b, a, d, c])
     }
@@ -106,21 +107,21 @@ impl F64x4 {
     /// With two interleaved complex values per vector, this exchanges the
     /// two values — the shuffle of the interleaved anti-diagonal kernel.
     #[inline]
-    pub fn swap_halves(self) -> Self {
+    pub(crate) fn swap_halves(self) -> Self {
         let [a, b, c, d] = self.0;
         F64x4([c, d, a, b])
     }
 
     /// Broadcasts the low lane pair: `[a, b, c, d]` → `[a, b, a, b]`.
     #[inline]
-    pub fn dup_lo(self) -> Self {
+    pub(crate) fn dup_lo(self) -> Self {
         let [a, b, _, _] = self.0;
         F64x4([a, b, a, b])
     }
 
     /// Broadcasts the high lane pair: `[a, b, c, d]` → `[c, d, c, d]`.
     #[inline]
-    pub fn dup_hi(self) -> Self {
+    pub(crate) fn dup_hi(self) -> Self {
         let [_, _, c, d] = self.0;
         F64x4([c, d, c, d])
     }
@@ -130,7 +131,7 @@ impl F64x4 {
     /// The reduction shape is fixed, so sums built on it are reproducible
     /// bit-for-bit.
     #[inline]
-    pub fn reduce_sum(self) -> f64 {
+    pub(crate) fn reduce_sum(self) -> f64 {
         let [a, b, c, d] = self.0;
         (a + b) + (c + d)
     }

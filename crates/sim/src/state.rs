@@ -68,7 +68,7 @@ impl StateVector {
     /// # Panics
     ///
     /// Panics if the length is not a power of two or exceeds 2^26.
-    pub fn from_amplitudes(amps: Vec<Complex>) -> Self {
+    pub(crate) fn from_amplitudes(amps: Vec<Complex>) -> Self {
         assert!(amps.len().is_power_of_two(), "amplitude count {} not a power of two", amps.len());
         let num_qubits = amps.len().trailing_zeros() as usize;
         checked_amplitude_count(num_qubits);
@@ -125,7 +125,7 @@ impl StateVector {
     }
 
     /// Applies a (possibly controlled) gate using the stride-based kernels
-    /// of [`crate::kernel`]: only the `2^(n-1-#controls)` amplitude pairs
+    /// of `crate::kernel`: only the `2^(n-1-#controls)` amplitude pairs
     /// satisfying the control mask are visited.
     ///
     /// # Panics
@@ -212,7 +212,7 @@ impl StateVector {
     /// # Panics
     ///
     /// Panics if the outcome has (near-)zero probability.
-    pub fn collapse(&mut self, qubit: usize, outcome: bool) {
+    pub(crate) fn collapse(&mut self, qubit: usize, outcome: bool) {
         self.collapse_pooled(qubit, outcome, &ThreadPool::new(1));
     }
 
@@ -264,7 +264,8 @@ impl StateVector {
 
     /// Total probability (should be 1 for a normalized state), as a
     /// fixed-shape chunked pairwise sum.
-    pub fn norm(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn norm(&self) -> f64 {
         simd::masked_norm_sqr_sum(&self.amps, 0, false, &ThreadPool::new(1))
     }
 

@@ -26,13 +26,13 @@ use std::fmt;
 /// Amplitudes are quantized to this grid (in units of 1) before
 /// digesting, so a digest tolerates sub-grid floating-point noise while
 /// still pinning the state to ~6 significant decimals.
-pub const AMPLITUDE_GRID: f64 = 1e-6;
+pub(crate) const AMPLITUDE_GRID: f64 = 1e-6;
 
 /// Probabilities are recorded quantized to millionths.
-pub const PROB_GRID: f64 = 1e-6;
+pub(crate) const PROB_GRID: f64 = 1e-6;
 
 /// A quantized FNV-64 digest of a state vector: each amplitude's real
-/// and imaginary parts are rounded to the [`AMPLITUDE_GRID`] and hashed
+/// and imaginary parts are rounded to the `AMPLITUDE_GRID` and hashed
 /// in order.
 pub fn state_digest(state: &StateVector) -> u64 {
     let mut h = Fnv::new();
@@ -199,7 +199,7 @@ pub fn replay_divergence(golden: &Trace, circuit: &Circuit) -> Option<Divergence
 impl Trace {
     /// The first divergence between `self` (expected) and `other`
     /// (actual), or `None` when identical.
-    pub fn diff(&self, other: &Trace) -> Option<Divergence> {
+    pub(crate) fn diff(&self, other: &Trace) -> Option<Divergence> {
         if self.num_qubits != other.num_qubits {
             return Some(Divergence {
                 step: 0,

@@ -12,12 +12,12 @@ use asdf_qcircuit::CircuitOp;
 /// gate, and CX (singly-controlled X). Connectivity is *not* checked
 /// here — that is the coupling graph's job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NativeGateSet;
+pub(crate) struct NativeGateSet;
 
 impl NativeGateSet {
     /// Whether `op` is native, ignoring connectivity. Measurements and
     /// resets are always admitted.
-    pub fn admits(&self, op: &CircuitOp<'_>) -> bool {
+    pub(crate) fn admits(&self, op: &CircuitOp<'_>) -> bool {
         match op {
             CircuitOp::Gate { gate, controls, targets } => match (gate, controls.len()) {
                 (GateKind::Swap, _) => false,
@@ -30,7 +30,7 @@ impl NativeGateSet {
     }
 
     /// Human-readable description for diagnostics.
-    pub fn describe(&self) -> &'static str {
+    pub(crate) fn describe(&self) -> &'static str {
         "{any 1q gate, CX on coupled pairs}"
     }
 }
@@ -39,7 +39,7 @@ impl NativeGateSet {
 /// The ASAP scheduler weighs ops by these to compute a makespan alongside
 /// the unit-latency depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateCosts {
+pub(crate) struct GateCosts {
     /// Any uncontrolled single-qubit gate.
     pub one_qubit: u64,
     /// CX between coupled qubits.
@@ -60,7 +60,7 @@ impl Default for GateCosts {
 
 impl GateCosts {
     /// Cost of one op.
-    pub fn of(&self, op: &CircuitOp<'_>) -> u64 {
+    pub(crate) fn of(&self, op: &CircuitOp<'_>) -> u64 {
         match op {
             CircuitOp::Gate { controls, .. } => {
                 if controls.is_empty() {

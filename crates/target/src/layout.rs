@@ -26,7 +26,7 @@ use asdf_qcircuit::{Circuit, CircuitOp};
 ///
 /// Panics if the circuit is wider than the graph (capacity is checked by
 /// [`Target::route`](crate::Target::route) before getting here).
-pub fn initial_layout(circuit: &Circuit, graph: &CouplingGraph) -> Vec<usize> {
+pub(crate) fn initial_layout(circuit: &Circuit, graph: &CouplingGraph) -> Vec<usize> {
     let n_logical = circuit.num_qubits;
     let n_physical = graph.num_qubits();
     assert!(n_logical <= n_physical, "circuit wider than target");

@@ -6,18 +6,18 @@
 //! accept only two-qubit gates between *coupled* physical qubits,
 //! expressed in a native gate set. This crate closes that gap:
 //!
-//! - [`CouplingGraph`] ([`topology`]) — which physical qubit pairs support
+//! - `CouplingGraph` (`topology`) — which physical qubit pairs support
 //!   a native two-qubit gate, with precomputed all-pairs shortest paths;
-//! - [`Target`] ([`target`]) — a named device description (`linear-N`,
+//! - [`Target`] (`target`) — a named device description (`linear-N`,
 //!   `ring-N`, `grid-RxC`, or an explicit `edges:0-1,1-2,…` list) with a
-//!   [`NativeGateSet`] and per-gate costs;
-//! - [`layout`] — interaction-graph-driven initial placement (trivial
+//!   `NativeGateSet` and per-gate costs;
+//! - `layout` — interaction-graph-driven initial placement (trivial
 //!   identity layout as the fallback);
 //! - [`route`] — basis translation into the native set (reusing the
 //!   `asdf_qcircuit::decompose` machinery) followed by greedy
 //!   distance-decreasing SWAP insertion with a lookahead window over
 //!   pending two-qubit gates;
-//! - [`schedule`] — an ASAP scheduler computing routed depth and a
+//! - `schedule` — an ASAP scheduler computing routed depth and a
 //!   cost-weighted makespan.
 //!
 //! The entry point is [`Target::route`]:
@@ -46,18 +46,16 @@
 //! (`initial_layout`) and ends (`final_layout`), which is exactly what the
 //! permutation-aware equivalence oracle in `asdf-sim` consumes.
 
-pub mod gateset;
-pub mod layout;
+pub(crate) mod gateset;
+pub(crate) mod layout;
 pub mod route;
-pub mod schedule;
-pub mod target;
-pub mod topology;
+pub(crate) mod schedule;
+pub(crate) mod target;
+pub(crate) mod topology;
 
-pub use gateset::{GateCosts, NativeGateSet};
-pub use route::{Routed, RoutingInfo};
-pub use schedule::{asap, Schedule};
-pub use target::{edit_distance, Target, TargetError, BUILTIN_TARGETS, CAPACITY_MARKER};
-pub use topology::CouplingGraph;
+pub use route::RoutingInfo;
+pub(crate) use target::CAPACITY_MARKER;
+pub use target::{edit_distance, Target, TargetError};
 
 /// Whether a rendered compile error is a target *capacity* failure (the
 /// circuit needs more qubits than the device has) rather than a

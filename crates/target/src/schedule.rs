@@ -12,7 +12,7 @@ use asdf_qcircuit::Circuit;
 
 /// The result of ASAP-scheduling a circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Schedule {
+pub(crate) struct Schedule {
     /// Finish time of the last op under [`GateCosts`] weighting.
     pub makespan: u64,
     /// Unit-latency depth: the number of dependency layers.
@@ -20,7 +20,7 @@ pub struct Schedule {
 }
 
 /// Schedules every op of `circuit` as soon as its qubits are available.
-pub fn asap(circuit: &Circuit, costs: &GateCosts) -> Schedule {
+pub(crate) fn asap(circuit: &Circuit, costs: &GateCosts) -> Schedule {
     let mut busy_until = vec![0u64; circuit.num_qubits];
     let mut layer_of = vec![0usize; circuit.num_qubits];
     let mut makespan = 0u64;

@@ -18,11 +18,11 @@ use std::fmt;
 
 /// Example names of the built-in topology families, used for
 /// "did you mean" suggestions and documentation.
-pub const BUILTIN_TARGETS: &[&str] = &["linear-16", "ring-8", "grid-4x4"];
+pub(crate) const BUILTIN_TARGETS: &[&str] = &["linear-16", "ring-8", "grid-4x4"];
 
 /// Substring every capacity-failure message contains; see
 /// [`crate::is_capacity_error`].
-pub const CAPACITY_MARKER: &str = "exceeds target capacity";
+pub(crate) const CAPACITY_MARKER: &str = "exceeds target capacity";
 
 /// Failures in parsing a target name, fitting a circuit onto a device, or
 /// validating a supposedly-routed circuit.
@@ -170,7 +170,7 @@ impl Target {
     /// A near-miss correction for an unrecognized target name: a close
     /// topology-family keyword (keeping the written dimensions) or a close
     /// built-in example.
-    pub fn suggest(name: &str) -> Option<String> {
+    pub(crate) fn suggest(name: &str) -> Option<String> {
         if let Some((word, rest)) = name.split_once('-') {
             for shape in ["linear", "ring", "grid"] {
                 if word != shape && edit_distance(word, shape) <= 2 {
@@ -187,27 +187,20 @@ impl Target {
     }
 
     /// The name this target was parsed from.
-    pub fn name(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The coupling graph.
-    pub fn graph(&self) -> &CouplingGraph {
+    #[cfg(test)]
+    pub(crate) fn graph(&self) -> &CouplingGraph {
         &self.graph
     }
 
-    /// The native gate set.
-    pub fn gates(&self) -> &NativeGateSet {
-        &self.gates
-    }
-
-    /// Per-gate costs used for makespan scheduling.
-    pub fn costs(&self) -> &GateCosts {
-        &self.costs
-    }
-
     /// Number of physical qubits.
-    pub fn num_qubits(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_qubits(&self) -> usize {
         self.graph.num_qubits()
     }
 

@@ -11,7 +11,7 @@ const UNREACHABLE: u32 = u32::MAX;
 
 /// An undirected coupling graph over physical qubits `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CouplingGraph {
+pub(crate) struct CouplingGraph {
     num_qubits: usize,
     adj: Vec<Vec<usize>>,
     /// `dist[a][b]` = shortest-path hop count, [`UNREACHABLE`] if none.
@@ -25,7 +25,7 @@ impl CouplingGraph {
     /// # Errors
     ///
     /// Returns a description of the offending edge.
-    pub fn from_edges(num_qubits: usize, edges: &[(usize, usize)]) -> Result<Self, String> {
+    pub(crate) fn from_edges(num_qubits: usize, edges: &[(usize, usize)]) -> Result<Self, String> {
         let mut adj = vec![Vec::new(); num_qubits];
         for &(a, b) in edges {
             if a == b {
@@ -48,13 +48,13 @@ impl CouplingGraph {
     }
 
     /// A path `0-1-…-(n-1)`.
-    pub fn linear(n: usize) -> Self {
+    pub(crate) fn linear(n: usize) -> Self {
         let edges: Vec<(usize, usize)> = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
         CouplingGraph::from_edges(n, &edges).expect("linear edges are well-formed")
     }
 
     /// A cycle `0-1-…-(n-1)-0` (needs `n >= 3`).
-    pub fn ring(n: usize) -> Self {
+    pub(crate) fn ring(n: usize) -> Self {
         assert!(n >= 3, "a ring needs at least 3 qubits");
         let mut edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         edges.push((n - 1, 0));
@@ -62,7 +62,7 @@ impl CouplingGraph {
     }
 
     /// A `rows × cols` grid in row-major order.
-    pub fn grid(rows: usize, cols: usize) -> Self {
+    pub(crate) fn grid(rows: usize, cols: usize) -> Self {
         let mut edges = Vec::new();
         for r in 0..rows {
             for c in 0..cols {
@@ -79,12 +79,12 @@ impl CouplingGraph {
     }
 
     /// Number of physical qubits.
-    pub fn num_qubits(&self) -> usize {
+    pub(crate) fn num_qubits(&self) -> usize {
         self.num_qubits
     }
 
     /// Undirected edges, each reported once with `a < b`.
-    pub fn edges(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn edges(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for (a, neighbors) in self.adj.iter().enumerate() {
             for &b in neighbors {
@@ -97,17 +97,17 @@ impl CouplingGraph {
     }
 
     /// The neighbors of `q`, ascending.
-    pub fn neighbors(&self, q: usize) -> &[usize] {
+    pub(crate) fn neighbors(&self, q: usize) -> &[usize] {
         &self.adj[q]
     }
 
     /// Whether `a` and `b` admit a native two-qubit gate.
-    pub fn coupled(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn coupled(&self, a: usize, b: usize) -> bool {
         self.distance(a, b) == 1
     }
 
     /// Shortest-path hop count (`usize::MAX` when unreachable).
-    pub fn distance(&self, a: usize, b: usize) -> usize {
+    pub(crate) fn distance(&self, a: usize, b: usize) -> usize {
         match self.dist[a][b] {
             UNREACHABLE => usize::MAX,
             d => d as usize,
@@ -115,7 +115,7 @@ impl CouplingGraph {
     }
 
     /// Whether every qubit can reach every other.
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         self.num_qubits <= 1 || self.dist[0].iter().all(|&d| d != UNREACHABLE)
     }
 
@@ -124,7 +124,7 @@ impl CouplingGraph {
     /// routed width equal to the logical width (which keeps unitary
     /// oracles tractable). Linear, ring, and row-major grid prefixes are
     /// always connected; arbitrary edge lists may not be.
-    pub fn induced_prefix(&self, n: usize) -> Option<CouplingGraph> {
+    pub(crate) fn induced_prefix(&self, n: usize) -> Option<CouplingGraph> {
         if n > self.num_qubits {
             return None;
         }
@@ -136,7 +136,7 @@ impl CouplingGraph {
 
     /// The node of maximum degree (ties to the smallest index) — the
     /// layout pass seeds placement here.
-    pub fn max_degree_node(&self) -> usize {
+    pub(crate) fn max_degree_node(&self) -> usize {
         (0..self.num_qubits).max_by_key(|&q| (self.adj[q].len(), self.num_qubits - q)).unwrap_or(0)
     }
 }
