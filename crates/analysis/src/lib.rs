@@ -30,6 +30,8 @@
 //! programs — including every program in the differential-testing sweep —
 //! produce zero warnings.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub(crate) mod clifford;
 pub(crate) mod commute;
 pub(crate) mod framework;

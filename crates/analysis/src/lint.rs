@@ -7,8 +7,7 @@
 //! provably |1⟩), never on merged "maybe" facts, so a correct program is
 //! never flagged. Diagnostics carry the source span lowering stamped onto
 //! the op (when known) for caret snippets, plus a `func:block:op` note in
-//! the same coordinate format the rewrite-trace / `--fuel-bisect` tooling
-//! prints.
+//! the coordinate format the IR verifier's errors use.
 
 use crate::clifford::{classify, GateClass};
 use crate::commute::is_cancelling_pair;

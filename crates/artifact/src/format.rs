@@ -81,8 +81,10 @@ pub struct Artifact {
     /// Routing layouts and cost metrics, when a hardware target was
     /// requested and a circuit existed to route.
     pub routing: Option<RoutingInfo>,
-    /// Per-pass wall-clock timing and change statistics from the pipeline
-    /// run (in execution order).
+    /// What the compile from source cost, one row per stage in execution
+    /// order: the frontend's, the pipeline's passes (with their change
+    /// counts), then circuit lowering, decompose and routing. Excluded
+    /// from the content hash.
     pub stats: PassStatistics,
     /// Lint diagnostics from the post-pipeline analyses (empty unless the
     /// compile asked for lints). Each carries a stable `W0xxx` code and,

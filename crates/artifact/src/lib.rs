@@ -57,6 +57,8 @@
 //! assert_eq!(back.encode(), bytes, "re-serialization is byte-identical");
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub(crate) mod error;
 pub(crate) mod format;
 pub mod payload;

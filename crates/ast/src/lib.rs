@@ -26,6 +26,8 @@
 //! validation, span checking) → [`canon::canonicalize`] (the §4.2
 //! rewrites) → the typed AST consumed by `asdf-core`.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod ast;
 pub mod canon;
 pub mod diag;

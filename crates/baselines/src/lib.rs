@@ -21,6 +21,8 @@
 //! compiler's output, and [`qsharp_callables`] models the classic Q# QDK's
 //! QIR-callable emission for Table 1.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub(crate) mod benchmarks;
 pub mod qsharp_callables;
 pub(crate) mod transpiler;

@@ -26,6 +26,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub(crate) mod basis;
 pub(crate) mod bits;
 pub(crate) mod error;

@@ -5,8 +5,10 @@
 //! at 64k.
 //!
 //! For each family and width the bench prints the fastest run's whole
-//! compile time and its per-pass times from `PassStatistics`, then a
-//! least-squares growth exponent per family over its widths (the slope of
+//! compile time and the time of every row of its compile record
+//! (`Compiled::stats`: the frontend's four stages, each pipeline pass,
+//! circuit lowering and decompose), then a least-squares growth exponent
+//! per family over its widths (the slope of
 //! log time over log N): 1 is linear, 2 quadratic. It fits the whole
 //! compile and the `qcircuit-peephole` pass, the stage that grew
 //! quadratically in wide programs. It gates nothing: its times move with
@@ -26,21 +28,12 @@ use std::time::{Duration, Instant};
 /// `'p'[N] | std[N].measure`: N independent uniform bits.
 const PLUS_SOURCE: &str = "qpu kernel[N]() -> bit[N] { 'p'[N] | std[N].measure }";
 
-/// The pipeline passes reported per width, in pipeline order.
-const PASSES: [&str; 5] = [
-    "lift-lambdas",
-    "canonicalize-inline",
-    "remove-dead-private-funcs",
-    "convert-to-qcircuit",
-    "qcircuit-peephole",
-];
-
 const PEEPHOLE: &str = "qcircuit-peephole";
 
 /// The families, each with whether a full run also compiles it at 64k.
 /// dj and grover stop at 16k: dj lowers to bv's shape, and most of
-/// grover's compile time at 16k is spent outside the pipeline passes,
-/// where it still grows faster than N (ROADMAP item 1).
+/// grover's compile time at 16k was spent outside the pipeline passes,
+/// where it grew faster than N (ROADMAP item 1).
 const FAMILIES: [(&str, bool); 5] =
     [("bv", true), ("dj", false), ("grover", false), ("simon", true), ("p", true)];
 
@@ -113,7 +106,7 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn pass_ms(stats: &PassStatistics, name: &str) -> f64 {
+fn stage_ms(stats: &PassStatistics, name: &str) -> f64 {
     ms(stats.duration_of(name))
 }
 
@@ -130,10 +123,10 @@ fn main() {
         "compile_scaling: cold Session::compile, fastest of {runs} run(s) per point{}",
         if smoke { " (smoke)" } else { "" }
     );
-    // One column per pass, as wide as its name; times in ms.
-    let header: String = PASSES.iter().map(|p| format!("  {p}")).collect();
-    println!("{:<8} {:>6} {:>11}{header}", "family", "N", "compile ms");
-
+    // One column per row of the first artifact's compile record (every
+    // family compiles with the same options), as wide as its name; times
+    // in ms.
+    let mut columns: Vec<String> = Vec::new();
     let mut families = Vec::new();
     let mut exponents = Vec::new();
     for (family, wider) in FAMILIES {
@@ -145,13 +138,18 @@ fn main() {
         for &n in &sizes {
             let (source, request) = program(family, n);
             let (elapsed, compiled) = fastest_compile(&source, &request, runs);
-            let passes: String = PASSES
+            if columns.is_empty() {
+                columns = compiled.stats.iter().map(|row| row.name.clone()).collect();
+                let header: String = columns.iter().map(|c| format!("  {c}")).collect();
+                println!("{:<8} {:>6} {:>11}{header}", "family", "N", "compile ms");
+            }
+            let stages: String = columns
                 .iter()
-                .map(|p| format!("  {:>w$.2}", pass_ms(&compiled.stats, p), w = p.len()))
+                .map(|c| format!("  {:>w$.2}", stage_ms(&compiled.stats, c), w = c.len()))
                 .collect();
-            println!("{family:<8} {n:>6} {:>11.2}{passes}", ms(elapsed));
+            println!("{family:<8} {n:>6} {:>11.2}{stages}", ms(elapsed));
             compile.push(ms(elapsed));
-            peephole.push(pass_ms(&compiled.stats, PEEPHOLE));
+            peephole.push(stage_ms(&compiled.stats, PEEPHOLE));
         }
         let exponent = growth_exponent(&sizes, &compile);
         let peephole_exponent = growth_exponent(&sizes, &peephole);

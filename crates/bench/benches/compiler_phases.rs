@@ -1,8 +1,9 @@
 //! Compiler-phase and design-choice ablation benches:
 //!
-//! - per-pass wall-clock breakdown of the Fig. 2 pipeline, read directly
-//!   from the [`asdf_core::PassStatistics`] every compile records — no
-//!   re-running of ad-hoc pipeline slices;
+//! - per-stage wall-clock breakdown of a compile (the frontend, each pass
+//!   of the Fig. 2 pipeline, circuit lowering and decompose), read
+//!   directly from the [`asdf_core::PassStatistics`] every compile
+//!   records — no re-running of ad-hoc pipeline slices;
 //! - end-to-end compile times per benchmark (the pipeline of Fig. 2);
 //! - Selinger vs V-chain multi-control decomposition (§6.5's design
 //!   choice, visible in Grover's costs);
@@ -26,10 +27,10 @@ fn compile_with(benchmark: &Benchmark, options: &CompileOptions) -> Compiled {
     Compiler::compile(&src, kernel, &captures, &options).unwrap()
 }
 
-/// Per-pass timing of the full pipeline, from the statistics the compiler
+/// Per-stage timing of a whole compile, from the statistics the compiler
 /// already collected during a single run per benchmark.
 fn bench_pass_phases(_c: &mut Criterion) {
-    println!("\npass-phase breakdown (from PassStatistics, one compile each):");
+    println!("\nstage breakdown (from PassStatistics, one compile each):");
     // Timing noise matters less than the shape; verification is part of the
     // measured pipeline in the default options, exactly as users run it.
     let mut totals: BTreeMap<String, Duration> = BTreeMap::new();
@@ -43,9 +44,9 @@ fn bench_pass_phases(_c: &mut Criterion) {
             }
         }
     }
-    println!("\naggregate time per pass across the suite:");
-    for (pass, duration) in &totals {
-        println!("{pass:<28} {duration:>12.3?}");
+    println!("\naggregate time per stage across the suite:");
+    for (stage, duration) in &totals {
+        println!("{stage:<28} {duration:>12.3?}");
     }
 }
 
@@ -78,7 +79,7 @@ fn bench_inlining(c: &mut Criterion) {
     let stats: PassStatistics = compile_with(&benchmark, &CompileOptions::default()).stats;
     let fixpoint = stats.duration_of(asdf_core::passes::CANONICALIZE_INLINE);
     println!(
-        "inlining: canonicalize-inline fixpoint took {fixpoint:.3?} of {:.3?} total",
+        "inlining: canonicalize-inline fixpoint took {fixpoint:.3?} of {:.3?} total compile",
         stats.total_duration()
     );
 }

@@ -19,6 +19,8 @@
 //! reproduces (an analysis, not an emission path, so it stays a free
 //! function).
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod backend;
 pub(crate) mod qasm;
 pub(crate) mod qir;

@@ -28,6 +28,8 @@
 //! GOLDEN_REGEN=1 cargo test -p asdf-conformance
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 use asdf_ast::expand::CaptureValue;
 use asdf_core::{CompileOptions, CompileRequest, Compiled, Session};
 use asdf_difftest::gen::{gen_case, GenOptions};

@@ -20,8 +20,9 @@
 //!   specialization generation, dialect conversion — the functional
 //!   structure survives as QIR callables (Table 1).
 //!
-//! Each run records per-pass wall-clock timing and change counts in
-//! [`Compiled::stats`]; with [`CompileOptions::verify`] set (the default)
+//! Each compile records the wall-clock of every stage, each pipeline pass
+//! with its change count, in [`Compiled::stats`] (the `session` module
+//! lists the rows); with [`CompileOptions::verify`] set (the default)
 //! the module is verified before the pipeline and after every pass,
 //! replacing the hand-placed `verify_module` calls of the pre-pass-manager
 //! driver.
@@ -206,7 +207,7 @@ impl CompileOptions {
         // compilation, so `rewrite_fuel: Some(N)` means "the first N
         // pattern firings across canonicalize *and* peephole".
         let rewrite_config =
-            RewriteConfig::from_env().with_fuel(Fuel::from_limit(self.rewrite_fuel));
+            RewriteConfig::default().with_fuel(Fuel::from_limit(self.rewrite_fuel));
         let mut pm = PassManager::new().with_verify_after_each(self.verify);
         pm.add_pass(LiftLambdasPass);
         if self.inline {
@@ -333,11 +334,14 @@ mod tests {
         let target = asdf_target::Target::parse("linear-16").unwrap();
         target.validate(circuit).expect("routed circuit uses native gates on coupled pairs");
         assert_eq!(routing.initial_layout.len(), circuit.num_qubits);
-        // An unparseable target fails with the dedicated code.
+        // An unparseable target fails with the dedicated code, before any
+        // frontend work.
+        let session = Session::new(source).unwrap();
         let bad = CompileOptions::default().with_target(Some("liner-16"));
-        let err = Compiler::compile(source, "bell", &[], &bad).unwrap_err();
+        let err = session.compile(&CompileRequest::kernel("bell").with_options(bad)).unwrap_err();
         assert_eq!(err.code(), "E0105");
         assert!(err.to_string().contains("did you mean"), "{err}");
+        assert_eq!(session.cache_stats().frontend_misses, 0, "a bad target runs no frontend");
     }
 
     #[test]
@@ -349,8 +353,15 @@ mod tests {
         ";
         let options = CompileOptions::default();
         let compiled = Compiler::compile(source, "bell", &[], &options).unwrap();
-        let ran: Vec<String> = compiled.stats.iter().map(|p| p.name.clone()).collect();
-        assert_eq!(ran, options.pipeline().pass_names());
+        let ran: Vec<&str> = compiled.stats.iter().map(|p| p.name.as_str()).collect();
+        let pipeline = options.pipeline().pass_names();
+        let expected: Vec<&str> =
+            ["ast.instantiate", "ast.typecheck", "ast.canonicalize", "core.lower"]
+                .into_iter()
+                .chain(pipeline.iter().map(String::as_str))
+                .chain(["qcircuit.lower_to_circuit", "qcircuit.decompose"])
+                .collect();
+        assert_eq!(ran, expected);
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! - `compiler`: the end-to-end driver (Fig. 2), expressed as a
 //!   declarative, instrumented pass pipeline.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub(crate) mod adjoint;
 pub(crate) mod canon;
 pub(crate) mod classical;

@@ -48,7 +48,7 @@ impl Pass for LiftLambdasPass {
 }
 
 /// The Qwerty-dialect canonicalizer as a pass under a rewrite
-/// configuration (fuel, trace), with per-pattern firing counts in the
+/// configuration (its fuel), with per-pattern firing counts in the
 /// statistics detail. Passes built from clones of one config share its
 /// [`asdf_ir::rewrite::Fuel`] budget across a compilation.
 pub(crate) fn qwerty_canonicalize_pass_with(config: RewriteConfig) -> CanonicalizePass {

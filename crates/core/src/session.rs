@@ -25,6 +25,17 @@
 //! with a cache entry, and the one a disk entry verifies byte-for-byte),
 //! and an in-place comparer that matches a request against a stored key.
 //!
+//! # The compile record
+//!
+//! A cold compile times each stage into a row of the artifact's
+//! [`Compiled::stats`] (see [`PassStatistics::time`]): the frontend's
+//! `ast.instantiate`, `ast.typecheck`, `ast.canonicalize` and
+//! `core.lower`, the pipeline's pass rows, then `analysis.lint`,
+//! `qcircuit.lower_to_circuit`, `qcircuit.decompose` and `target.route`
+//! where they ran. The frontend rows are kept with the cached frontend, so
+//! every artifact carries the cost of its whole compile from source,
+//! whether it was led, coalesced, served from memory or revived from disk.
+//!
 //! # Concurrency model
 //!
 //! The session is a multi-tenant server core — quilc runs as a persistent
@@ -95,7 +106,7 @@ use asdf_ast::parse::parse_program;
 use asdf_ast::tast::{TExpr, TExprKind, TKernel, TStmt};
 use asdf_ast::typecheck::typecheck_kernel;
 use asdf_codegen::{BackendRegistry, EmitInput};
-use asdf_ir::Module;
+use asdf_ir::{Module, PassStatistics};
 use asdf_qcircuit::decompose::{decompose, DecomposeStyle};
 use asdf_qcircuit::reg2mem::lower_to_circuit;
 use asdf_sim::SimBackend;
@@ -103,7 +114,6 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Cache keys
@@ -485,14 +495,6 @@ pub struct CacheStats {
     pub artifact_coalesced: u64,
     /// Entries evicted from either cache by the LRU bound.
     pub evictions: u64,
-    /// Wall-clock spent doing frontend work on misses.
-    pub frontend_spent: Duration,
-    /// Wall-clock of frontend work *avoided* by hits and coalesced waits
-    /// (the recorded cost of each entry) — the measured sweep speedup.
-    pub frontend_saved: Duration,
-    /// Wall-clock of whole compilations avoided by artifact hits and
-    /// coalesced waits.
-    pub artifact_saved: Duration,
     /// Disk-cache hits: the artifact was revived from a persisted file
     /// instead of running the pipeline. Always 0 without a disk cache.
     pub disk_hits: u64,
@@ -530,9 +532,6 @@ impl CacheStats {
         self.artifact_misses += other.artifact_misses;
         self.artifact_coalesced += other.artifact_coalesced;
         self.evictions += other.evictions;
-        self.frontend_spent += other.frontend_spent;
-        self.frontend_saved += other.frontend_saved;
-        self.artifact_saved += other.artifact_saved;
         self.disk_hits += other.disk_hits;
         self.disk_misses += other.disk_misses;
         self.disk_writes += other.disk_writes;
@@ -552,9 +551,6 @@ struct SharedStats {
     artifact_hits: AtomicU64,
     artifact_misses: AtomicU64,
     artifact_coalesced: AtomicU64,
-    frontend_spent_ns: AtomicU64,
-    frontend_saved_ns: AtomicU64,
-    artifact_saved_ns: AtomicU64,
     disk_hits: AtomicU64,
     disk_misses: AtomicU64,
     disk_writes: AtomicU64,
@@ -572,19 +568,12 @@ impl SharedStats {
             artifact_misses: self.artifact_misses.load(Relaxed),
             artifact_coalesced: self.artifact_coalesced.load(Relaxed),
             evictions,
-            frontend_spent: Duration::from_nanos(self.frontend_spent_ns.load(Relaxed)),
-            frontend_saved: Duration::from_nanos(self.frontend_saved_ns.load(Relaxed)),
-            artifact_saved: Duration::from_nanos(self.artifact_saved_ns.load(Relaxed)),
             disk_hits: self.disk_hits.load(Relaxed),
             disk_misses: self.disk_misses.load(Relaxed),
             disk_writes: self.disk_writes.load(Relaxed),
             disk_quarantined: self.disk_quarantined.load(Relaxed),
             disk_evictions: self.disk_evictions.load(Relaxed),
         }
-    }
-
-    fn add_duration(counter: &AtomicU64, d: Duration) {
-        counter.fetch_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX), Relaxed);
     }
 }
 
@@ -676,15 +665,13 @@ impl CompileRequest {
 // ---------------------------------------------------------------------
 
 /// The shared frontend artifact: one kernel instance typechecked and
-/// lowered, before any pipeline pass ran.
+/// lowered, before any pipeline pass ran, with the frontend's rows of the
+/// compile record (see the module docs), which every artifact compiled
+/// over it starts with.
 struct Frontend {
     module: Module,
-    cost: Duration,
+    stats: PassStatistics,
 }
-
-/// A cached artifact with the wall-clock its pipeline run cost (the
-/// "time saved" accounting for hits and coalesced waits).
-type CachedArtifact = (Arc<Compiled>, Duration);
 
 /// Default artifact-cache capacity (compiled artifacts are a few KB).
 const DEFAULT_ARTIFACT_CAPACITY: usize = 64;
@@ -820,7 +807,7 @@ pub struct Session {
     program: Program,
     backends: BackendRegistry,
     frontends: CoalescingCache<Arc<Frontend>>,
-    artifacts: CoalescingCache<CachedArtifact>,
+    artifacts: CoalescingCache<Arc<Compiled>>,
     stats: SharedStats,
     disk: Option<DiskCache>,
 }
@@ -910,19 +897,14 @@ impl Session {
             }
             ran_pipeline = true;
             self.stats.artifact_misses.fetch_add(1, Relaxed);
-            let started = Instant::now();
-            let artifact = self.compile_cold(request, key_bytes)?;
-            Ok((Arc::new(artifact), started.elapsed()))
+            Ok(Arc::new(self.compile_cold(request, key_bytes)?))
         });
         match served {
             Served::Hit => self.stats.artifact_hits.fetch_add(1, Relaxed),
             Served::Coalesced => self.stats.artifact_coalesced.fetch_add(1, Relaxed),
             Served::Led => 0,
         };
-        let (artifact, cost) = result?;
-        if served != Served::Led {
-            SharedStats::add_duration(&self.stats.artifact_saved_ns, cost);
-        }
+        let artifact = result?;
         if ran_pipeline {
             // Persist after the cell is filled, so waiters never wait on
             // the write and a write failure costs nothing but persistence.
@@ -964,14 +946,14 @@ impl Session {
 
     /// Revives a disk-cached artifact, when a disk cache is configured
     /// and holds one for this key. A revived artifact runs neither the
-    /// frontend nor the pipeline.
-    fn load_from_disk(&self, hash: u64, key: &[u8]) -> Option<CachedArtifact> {
+    /// frontend nor the pipeline, and carries the `stats` rows of the
+    /// compile that stored it.
+    fn load_from_disk(&self, hash: u64, key: &[u8]) -> Option<Arc<Compiled>> {
         let disk = self.disk.as_ref()?;
-        let started = Instant::now();
         match disk.load(hash, key) {
             DiskLookup::Hit(stored) => {
                 self.stats.disk_hits.fetch_add(1, Relaxed);
-                Some((Arc::new(*stored), started.elapsed()))
+                Some(Arc::new(*stored))
             }
             DiskLookup::Quarantined => {
                 self.stats.disk_quarantined.fetch_add(1, Relaxed);
@@ -995,44 +977,45 @@ impl Session {
         }
     }
 
-    /// The pipeline + reg2mem half of a cold compile, over a (possibly
-    /// coalesced) shared frontend. `key` is the request's canonical
-    /// cache-key bytes, which the artifact carries to the disk cache.
+    /// The cold half of a compile, over a (possibly coalesced) shared
+    /// frontend: the pipeline, lints, reg2mem, decompose and routing, each
+    /// added to the frontend's compile record (see the module docs). `key`
+    /// is the request's canonical cache-key bytes, which the artifact
+    /// carries to the disk cache.
     fn compile_cold(&self, request: &CompileRequest, key: Vec<u8>) -> Result<Compiled, CoreError> {
+        let options = &request.options;
+        // A bad target name fails uniformly, circuit or not, and before
+        // any work is done.
+        let target = options.target.as_deref().map(asdf_target::Target::parse).transpose()?;
         let frontend = self.frontend_for(request)?;
         let mut module = frontend.module.clone();
-        let stats = request.options.pipeline().run(&mut module)?;
+        let mut stats = frontend.stats.clone();
+        stats.passes.extend(options.pipeline().run(&mut module)?.passes);
         // Lints run over the post-pipeline module: spans survive lowering
         // and conversion, so diagnostics still point at the source, while
         // the analyses see the IR the backends will actually consume.
-        let lints = if request.options.lints {
-            asdf_analysis::lint_module(&module, &asdf_analysis::LintOptions::default())
+        let lints = if options.lints {
+            stats.time("analysis.lint", || {
+                asdf_analysis::lint_module(&module, &asdf_analysis::LintOptions::default())
+            })
         } else {
             Vec::new()
         };
         let entry = module.expect_func(&request.kernel).map_err(CoreError::from)?;
-        let circuit = match lower_to_circuit(entry) {
-            Ok(raw) => match request.options.decompose {
-                Some(style) => Some(decompose(&raw, style)),
-                None => Some(raw),
-            },
-            Err(_) => None,
-        };
-        // Hardware routing: parse the target unconditionally (a bad name
-        // must fail uniformly, circuit or not), then route whatever
-        // straight-line circuit exists onto it.
-        let (circuit, routing) = match &request.options.target {
-            Some(name) => {
-                let target = asdf_target::Target::parse(name)?;
-                match circuit {
-                    Some(c) => {
-                        let routed = target.route(&c)?;
-                        (Some(routed.circuit), Some(routed.info))
-                    }
-                    None => (None, None),
-                }
+        let circuit = stats.time("qcircuit.lower_to_circuit", || lower_to_circuit(entry)).ok();
+        let circuit = match (circuit, options.decompose) {
+            (Some(raw), Some(style)) => {
+                Some(stats.time("qcircuit.decompose", || decompose(&raw, style)))
             }
-            None => (circuit, None),
+            (circuit, _) => circuit,
+        };
+        // Hardware routing of whatever straight-line circuit exists.
+        let (circuit, routing) = match (target, circuit) {
+            (Some(target), Some(circuit)) => {
+                let routed = stats.time("target.route", || target.route(&circuit))?;
+                (Some(routed.circuit), Some(routed.info))
+            }
+            (_, circuit) => (circuit, None),
         };
         Ok(Compiled { entry: request.kernel.clone(), module, circuit, routing, stats, lints, key })
     }
@@ -1044,20 +1027,14 @@ impl Session {
         let (result, served) = self.frontends.get_or_run(key.hash(), &key, || {
             self.stats.frontend_misses.fetch_add(1, Relaxed);
             let dims = request.effective_dims();
-            let frontend = self.run_frontend(&request.kernel, &request.captures, &dims)?;
-            SharedStats::add_duration(&self.stats.frontend_spent_ns, frontend.cost);
-            Ok(Arc::new(frontend))
+            Ok(Arc::new(self.run_frontend(&request.kernel, &request.captures, &dims)?))
         });
         match served {
             Served::Hit => self.stats.frontend_hits.fetch_add(1, Relaxed),
             Served::Coalesced => self.stats.frontend_coalesced.fetch_add(1, Relaxed),
             Served::Led => 0,
         };
-        let frontend = result?;
-        if served != Served::Led {
-            SharedStats::add_duration(&self.stats.frontend_saved_ns, frontend.cost);
-        }
-        Ok(frontend)
+        result
     }
 
     /// §4 + §5.1: instantiation, typechecking, canonicalization, and
@@ -1069,24 +1046,35 @@ impl Session {
         captures: &[CaptureValue],
         dims: &HashMap<String, i64>,
     ) -> Result<Frontend, CoreError> {
-        let started = Instant::now();
-        let instance = instantiate(&self.program, kernel_name, captures, dims)?;
-        let mut kernel = typecheck_kernel(&self.program, kernel_name, &instance)?;
-        ast_canonicalize(&mut kernel);
-
+        let mut stats = PassStatistics::new();
+        let kernel = self.typed_kernel(&mut stats, kernel_name, captures, dims)?;
         let mut module = Module::new();
         for referenced in referenced_kernels(&kernel) {
             if module.contains(&referenced) {
                 continue;
             }
-            let sub_instance = instantiate(&self.program, &referenced, &[], dims)?;
-            let mut sub = typecheck_kernel(&self.program, &referenced, &sub_instance)?;
-            ast_canonicalize(&mut sub);
-            lower_kernel(&sub, &mut module)?;
+            let sub = self.typed_kernel(&mut stats, &referenced, &[], dims)?;
+            stats.time("core.lower", || lower_kernel(&sub, &mut module))?;
         }
-        lower_kernel(&kernel, &mut module)?;
+        stats.time("core.lower", || lower_kernel(&kernel, &mut module))?;
+        Ok(Frontend { module, stats })
+    }
 
-        Ok(Frontend { module, cost: started.elapsed() })
+    /// Instantiates, typechecks and canonicalizes one kernel, adding each
+    /// phase's time to its `ast.*` row of `stats`.
+    fn typed_kernel(
+        &self,
+        stats: &mut PassStatistics,
+        name: &str,
+        captures: &[CaptureValue],
+        dims: &HashMap<String, i64>,
+    ) -> Result<TKernel, CoreError> {
+        let instance =
+            stats.time("ast.instantiate", || instantiate(&self.program, name, captures, dims))?;
+        let mut kernel =
+            stats.time("ast.typecheck", || typecheck_kernel(&self.program, name, &instance))?;
+        stats.time("ast.canonicalize", || ast_canonicalize(&mut kernel));
+        Ok(kernel)
     }
 }
 
@@ -1467,6 +1455,7 @@ mod tests {
         assert_eq!(revived.content_hash(), cold.content_hash());
         assert!(!cold.key.is_empty(), "a cold compile fills the cache key");
         assert_eq!(revived.key, cold.key);
+        assert_eq!(revived.stats, cold.stats, "it carries the rows of the compile that stored it");
         assert_eq!(second.cache_stats().disk_writes, 0, "a disk hit is not re-persisted");
 
         // Different options miss on disk (the stored key differs) and

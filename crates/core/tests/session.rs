@@ -34,7 +34,56 @@ fn same_request_twice_returns_the_identical_artifact() {
     let stats = session.cache_stats();
     assert_eq!((stats.artifact_misses, stats.artifact_hits), (1, 1));
     assert_eq!((stats.frontend_misses, stats.frontend_hits), (1, 0));
-    assert!(stats.artifact_saved > std::time::Duration::ZERO, "hits record time saved");
+}
+
+/// The row names of an artifact's compile record, in order.
+fn rows(compiled: &asdf_core::Compiled) -> Vec<&str> {
+    compiled.stats.iter().map(|p| p.name.as_str()).collect()
+}
+
+const FRONTEND_ROWS: [&str; 4] =
+    ["ast.instantiate", "ast.typecheck", "ast.canonicalize", "core.lower"];
+
+/// The frontend's rows, the rows of the pipeline `options` select, then
+/// `tail`.
+fn expected_rows(options: &CompileOptions, tail: &[&str]) -> Vec<String> {
+    let named = |rows: &[&str]| rows.iter().map(|r| r.to_string()).collect::<Vec<_>>();
+    [named(&FRONTEND_ROWS), options.pipeline().pass_names(), named(tail)].concat()
+}
+
+#[test]
+fn a_linted_routed_compile_records_every_stage_in_order() {
+    let session = Session::new(BV_SRC).unwrap();
+    let options = CompileOptions { target: Some("linear-16".into()), ..CompileOptions::default() };
+    let request = bv_request("101").with_options(options.with_lints(true));
+    let compiled = session.compile(&request).unwrap();
+    let tail = ["analysis.lint", "qcircuit.lower_to_circuit", "qcircuit.decompose", "target.route"];
+    assert_eq!(rows(&compiled), expected_rows(&request.options, &tail));
+    // Only the pipeline's passes report changes.
+    let pipeline = request.options.pipeline().pass_names();
+    assert!(compiled.stats.iter().filter(|p| !pipeline.contains(&p.name)).all(|p| p.changes == 0));
+}
+
+#[test]
+fn a_no_opt_compile_has_no_decompose_row() {
+    let session = Session::new(BV_SRC).unwrap();
+    let request = bv_request("101").with_options(CompileOptions::no_opt());
+    let compiled = session.compile(&request).unwrap();
+    assert_eq!(rows(&compiled), expected_rows(&request.options, &["qcircuit.lower_to_circuit"]));
+}
+
+#[test]
+fn requests_differing_only_in_options_share_the_frontend_rows() {
+    let session = Session::new(BV_SRC).unwrap();
+    let opt = session.compile(&bv_request("101")).unwrap();
+    let no_opt =
+        session.compile(&bv_request("101").with_options(CompileOptions::no_opt())).unwrap();
+    let stats = session.cache_stats();
+    assert_eq!((stats.frontend_misses, stats.frontend_hits), (1, 1));
+    // The shared frontend ran once: both artifacts carry its rows,
+    // durations included.
+    assert_eq!(opt.stats.passes[..4], no_opt.stats.passes[..4]);
+    assert_eq!(rows(&no_opt)[..4], FRONTEND_ROWS);
 }
 
 #[test]

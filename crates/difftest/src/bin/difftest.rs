@@ -130,14 +130,11 @@ fn main() -> ExitCode {
     );
     let cache = &report.cache;
     println!(
-        "session frontend cache: {} hits + {} coalesced of {} ({:.1}%), ~{:.3?} of \
-         frontend work avoided (spent {:.3?} on misses)",
+        "session frontend cache: {} hits + {} coalesced of {} ({:.1}%)",
         cache.frontend_hits,
         cache.frontend_coalesced,
         cache.frontend_hits + cache.frontend_coalesced + cache.frontend_misses,
         100.0 * cache.frontend_hit_rate(),
-        cache.frontend_saved,
-        cache.frontend_spent,
     );
     println!(
         "session artifact cache: {} hits + {} coalesced of {}",
@@ -163,25 +160,23 @@ fn main() -> ExitCode {
             config.routing.overhead(),
         );
     }
-    // Rewrite-engine accounting across the whole matrix: per-pattern
-    // firing counts and the total wall-clock spent inside the drivers.
+    // Every artifact's compile record, summed by stage across the whole
+    // matrix, then the rewrite engine's per-pattern firing counts.
     let mut merged = asdf_ir::pass::PassStatistics::new();
     for config in &report.configs {
         merged.merge(&config.stats);
     }
+    println!("compile stages summed over every artifact (a shared frontend counts once per configuration):");
+    print!("{}", merged.render_table());
     let firings = merged.pattern_firings();
-    let rewrite_wall = merged.rewrite_wall_clock();
     let total_firings: usize = firings.iter().map(|(_, c)| c).sum();
-    println!(
-        "rewrite engine: {} pattern firings, {:.3?} total rewrite wall-clock",
-        total_firings, rewrite_wall
-    );
+    println!("rewrite engine: {total_firings} pattern firings, by pattern:");
     for (name, count) in &firings {
         println!("  {name:<32} {count:>8}");
     }
     if show_stats {
         for config in &report.configs {
-            println!("\n--- merged pass statistics: {} ---", config.name);
+            println!("\n--- merged compile stages: {} ---", config.name);
             print!("{}", config.stats.render_table());
         }
     }

@@ -62,8 +62,8 @@ pub struct ConfigReport {
     pub compared: usize,
     /// Pairwise comparisons involving this config that were skipped.
     pub skipped: usize,
-    /// Pipeline statistics merged across every compiled case — the
-    /// [`PassStatistics`] plumbing aggregated per configuration.
+    /// Compile records (every stage's row of each artifact's
+    /// [`PassStatistics`]) merged across every compiled case.
     pub stats: PassStatistics,
     /// Total lint warnings across every compiled case (0 unless the
     /// harness ran with [`Harness::with_lints`]).

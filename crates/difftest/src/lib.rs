@@ -26,6 +26,8 @@
 //! cargo run --release -p asdf-difftest --bin difftest -- --seed 42 --cases 500
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub(crate) mod bisect;
 pub mod driver;
 pub mod gen;

@@ -20,7 +20,7 @@
 //! - a worklist-driven greedy rewrite engine ([`rewrite::GreedyRewriteDriver`])
 //!   running [`rewrite::RewritePattern`]s through a [`rewrite::Rewriter`]
 //!   handle to a fixpoint, with integrated classical dead-code elimination,
-//!   per-pattern benefits, a [`rewrite::Fuel`] cutoff, and firing traces;
+//!   per-pattern benefits and a [`rewrite::Fuel`] cutoff;
 //! - an [`inline::Inliner`] with a specialization hook so the Qwerty-level
 //!   adjoint/predication transforms (implemented in `asdf-core`) can run
 //!   when `call adj`/`call pred` ops are inlined (§5.4);
@@ -34,6 +34,8 @@
 //! Quantum ops have no side effects; qubits flow through operations, making
 //! dependencies explicit (§5). That dataflow style is what lets every
 //! optimization here be simple DAG-to-DAG rewriting.
+
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod block;
 pub mod clone;

@@ -10,6 +10,9 @@
 //!   wall-clock timing and change counts into [`PassStatistics`], with an
 //!   optional verify-after-each-pass mode (replacing hand-placed
 //!   `verify_module` calls between phases);
+//! - [`PassStatistics::time`]: times a stage outside the pipeline (the
+//!   frontend, circuit lowering, routing) into a row of the same record,
+//!   so one [`PassStatistics`] holds the cost of a whole compile;
 //! - [`Fixpoint`]: a pass combinator that repeats a sub-pipeline until a
 //!   full round reports no changes (the canonicalize+inline loop of §5.4);
 //! - [`CanonicalizePass`]: adapts a [`GreedyRewriteDriver`] (and its
@@ -96,13 +99,13 @@ pub trait Pass {
     fn run(&mut self, module: &mut Module) -> PassResult;
 }
 
-/// Timing and change statistics for one executed pass.
-#[derive(Debug, Clone)]
+/// Timing and change statistics for one executed pass or timed stage.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassStat {
-    /// The pass's name.
+    /// The pass's name, or a stage's dotted name (`core.lower`).
     pub name: String,
     /// Wall-clock time spent inside the pass (excluding any
-    /// verify-after-pass overhead).
+    /// verify-after-pass overhead) or stage.
     pub duration: Duration,
     /// Total IR changes the pass reported.
     pub changes: usize,
@@ -110,10 +113,11 @@ pub struct PassStat {
     pub detail: Vec<(String, usize)>,
 }
 
-/// Statistics for a whole pipeline run, in execution order.
-#[derive(Debug, Clone, Default)]
+/// Statistics for a whole pipeline run, or a whole compile, in execution
+/// order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PassStatistics {
-    /// Per-pass records, in the order the passes ran.
+    /// Per-pass (and per-stage) records, in the order they ran.
     pub passes: Vec<PassStat>,
 }
 
@@ -137,6 +141,25 @@ impl PassStatistics {
     /// Iterates over per-pass records in execution order.
     pub fn iter(&self) -> impl Iterator<Item = &PassStat> {
         self.passes.iter()
+    }
+
+    /// Runs `f` and adds its wall-clock to the row named `name`, appending
+    /// that row (with no changes) if it does not exist yet. Repeated calls
+    /// under one name sum, so a stage run once per kernel is one row.
+    pub fn time<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        let duration = start.elapsed();
+        match self.passes.iter_mut().find(|p| p.name == name) {
+            Some(row) => row.duration += duration,
+            None => self.passes.push(PassStat {
+                name: name.to_string(),
+                duration,
+                changes: 0,
+                detail: Vec::new(),
+            }),
+        }
+        out
     }
 
     /// Total wall-clock time across all passes.
@@ -194,32 +217,18 @@ impl PassStatistics {
         out
     }
 
-    /// Total wall-clock the rewrite engine reported across every pass
-    /// (from `REWRITE_WALL_US_DETAIL_KEY` detail entries) — survives
-    /// [`Fixpoint`] aggregation and [`PassStatistics::merge`].
-    pub fn rewrite_wall_clock(&self) -> Duration {
-        let micros: usize = self
-            .passes
-            .iter()
-            .flat_map(|p| &p.detail)
-            .filter(|(k, _)| k == REWRITE_WALL_US_DETAIL_KEY)
-            .map(|(_, us)| *us)
-            .sum();
-        Duration::from_micros(micros as u64)
-    }
-
     /// A `(name, duration, changes)` table rendered as aligned text, one
-    /// row per executed pass — the per-phase breakdown behind the
-    /// compiler-phase benches.
+    /// row per executed pass or timed stage — the per-stage breakdown
+    /// behind the compiler-phase benches and the difftest summary.
     pub fn render_table(&self) -> String {
         let name_width = self
             .passes
             .iter()
             .map(|p| p.name.len())
-            .chain(std::iter::once("pass".len()))
+            .chain(std::iter::once("stage".len()))
             .max()
-            .unwrap_or(4);
-        let mut out = format!("{:<name_width$}  {:>12}  {:>8}\n", "pass", "time", "changes");
+            .unwrap_or(5);
+        let mut out = format!("{:<name_width$}  {:>12}  {:>8}\n", "stage", "time", "changes");
         for stat in &self.passes {
             out.push_str(&format!(
                 "{:<name_width$}  {:>12.3?}  {:>8}\n",
@@ -378,15 +387,10 @@ impl Pass for Fixpoint {
 pub(crate) const PATTERN_DETAIL_PREFIX: &str = "pattern:";
 /// Detail key for ops removed by the rewrite engine's integrated DCE.
 pub(crate) const DCE_DETAIL_KEY: &str = "dce-erased";
-/// Detail key carrying the rewrite engine's wall-clock in microseconds —
-/// recorded in the detail so it survives [`Fixpoint`] aggregation, where
-/// per-inner-pass durations are otherwise folded into one [`PassStat`].
-pub(crate) const REWRITE_WALL_US_DETAIL_KEY: &str = "rewrite-wall-us";
 
 /// Adapts a [`GreedyRewriteDriver`] (worklist pattern engine + integrated
 /// DCE) to the [`Pass`] interface, forwarding its per-pattern firing
-/// counts (prefixed with `PATTERN_DETAIL_PREFIX`), DCE count, and
-/// rewrite wall-clock.
+/// counts (prefixed with `PATTERN_DETAIL_PREFIX`) and DCE count.
 pub struct CanonicalizePass {
     name: String,
     driver: GreedyRewriteDriver,
@@ -405,9 +409,7 @@ impl Pass for CanonicalizePass {
     }
 
     fn run(&mut self, module: &mut Module) -> PassResult {
-        let start = Instant::now();
         let fired = self.driver.run(module);
-        let elapsed = start.elapsed();
         let mut detail: Vec<(String, usize)> = self
             .driver
             .stats
@@ -417,7 +419,6 @@ impl Pass for CanonicalizePass {
             .collect();
         detail.sort();
         detail.push((DCE_DETAIL_KEY.to_string(), self.driver.stats.dce_erased));
-        detail.push((REWRITE_WALL_US_DETAIL_KEY.to_string(), elapsed.as_micros() as usize));
         Ok(PassOutcome::changed(fired).with_detail(detail))
     }
 }
@@ -613,16 +614,28 @@ mod tests {
     }
 
     #[test]
+    fn time_adds_to_the_row_of_its_name() {
+        let mut stats = PassStatistics::new();
+        assert_eq!(stats.time("stage.a", || 7), 7);
+        stats.time("stage.b", || ());
+        let before = stats.duration_of("stage.a");
+        stats.time("stage.a", || std::thread::sleep(Duration::from_micros(50)));
+        let names: Vec<&str> = stats.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["stage.a", "stage.b"], "a repeated name sums into its row");
+        assert!(stats.duration_of("stage.a") >= before + Duration::from_micros(50));
+        assert!(stats.iter().all(|p| p.changes == 0 && p.detail.is_empty()));
+    }
+
+    #[test]
     fn canonicalize_pass_forwards_pattern_stats() {
-        // An empty driver through the adapter: no firings, but the DCE and
-        // wall-clock detail entries are still reported.
+        // An empty driver through the adapter: no firings, but the DCE
+        // detail entry is still reported.
         let driver = GreedyRewriteDriver::new();
         let mut pass = CanonicalizePass::new("empty-canon", driver);
         let mut module = small_module();
         let outcome = pass.run(&mut module).unwrap();
         assert_eq!(outcome.changes, 0, "no patterns registered");
         assert!(outcome.detail.iter().any(|(k, _)| k == DCE_DETAIL_KEY));
-        assert!(outcome.detail.iter().any(|(k, _)| k == REWRITE_WALL_US_DETAIL_KEY));
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!   best-[`benefit`](RewritePattern::benefit) matching pattern, folds
 //!   classical dead-code elimination into the same worklist, and requeues
 //!   only the reported neighborhood. Supports a
-//!   [`Fuel`] cutoff (`ASDF_REWRITE_FUEL`) for bisecting miscompiles and an
-//!   optional firing trace (`ASDF_REWRITE_TRACE=1`).
+//!   [`Fuel`] cutoff (`ASDF_REWRITE_FUEL`) for bisecting miscompiles.
 
 use crate::block::Block;
 use crate::func::Func;
@@ -118,9 +117,6 @@ impl Default for Fuel {
 pub struct RewriteConfig {
     /// The firing budget (see [`Fuel`]).
     pub fuel: Fuel,
-    /// Record (and print to stderr) a `pattern @ func:block:op` line per
-    /// firing.
-    pub trace: bool,
     /// Hard bound on total firings per run; exceeding it panics, which
     /// indicates a non-terminating (cyclic) pattern set.
     pub max_fires: usize,
@@ -128,25 +124,13 @@ pub struct RewriteConfig {
 
 impl Default for RewriteConfig {
     fn default() -> Self {
-        RewriteConfig { fuel: Fuel::unlimited(), trace: false, max_fires: 1_000_000 }
+        RewriteConfig { fuel: Fuel::unlimited(), max_fires: 1_000_000 }
     }
 }
 
 impl RewriteConfig {
-    /// The default configuration with `ASDF_REWRITE_TRACE=1` (firing
-    /// trace) applied from the environment. The fuel stays unlimited:
-    /// `ASDF_REWRITE_FUEL` reaches a compile through
-    /// [`RewriteConfig::env_fuel_limit`], which sets the default
-    /// `CompileOptions::rewrite_fuel`.
-    pub fn from_env() -> Self {
-        let mut config = RewriteConfig::default();
-        if std::env::var("ASDF_REWRITE_TRACE").is_ok_and(|v| v == "1") {
-            config.trace = true;
-        }
-        config
-    }
-
-    /// Parses `ASDF_REWRITE_FUEL`, if set to an integer.
+    /// Parses `ASDF_REWRITE_FUEL`, if set to an integer. It reaches a
+    /// compile as the default `CompileOptions::rewrite_fuel`.
     pub fn env_fuel_limit() -> Option<u64> {
         std::env::var("ASDF_REWRITE_FUEL").ok().and_then(|v| v.parse().ok())
     }
@@ -155,14 +139,6 @@ impl RewriteConfig {
     #[must_use]
     pub fn with_fuel(mut self, fuel: Fuel) -> Self {
         self.fuel = fuel;
-        self
-    }
-
-    /// Enables or disables the firing trace.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -191,8 +167,6 @@ pub struct RewriteStats {
     /// requeue's work, kept within a small constant of ops + firings by
     /// walking on only through single-operand, single-result ops.
     pub walked: usize,
-    /// `pattern @ func:block:op` lines, when tracing is enabled.
-    pub trace: Vec<String>,
 }
 
 // ---------------------------------------------------------------------
@@ -787,37 +761,6 @@ impl FuncIndex {
         }
     }
 
-    /// Where a live slot sits in the function with its dead entries
-    /// dropped: `(preorder block number in Func::block_paths, op index)`.
-    /// O(func); the firing trace is its only user.
-    fn live_location(&self, slot: SlotId) -> (usize, usize) {
-        let SlotData { block, pos, .. } = self.slots[slot];
-        let block_no =
-            self.block_number(0, block, &mut 0).expect("a live slot's block is reachable");
-        let idx = self.blocks[block].slots[..pos].iter().filter(|&&s| self.slots[s].live).count();
-        (block_no, idx)
-    }
-
-    /// Numbers `bid` and the blocks nested under its live ops in preorder,
-    /// starting from `*next`; returns the number of `target` once reached.
-    fn block_number(&self, bid: BlockId, target: BlockId, next: &mut usize) -> Option<usize> {
-        if bid == target {
-            return Some(*next);
-        }
-        *next += 1;
-        for &slot in &self.blocks[bid].slots {
-            if !self.slots[slot].live {
-                continue;
-            }
-            for &child in &self.slots[slot].children {
-                if let Some(number) = self.block_number(child, target, next) {
-                    return Some(number);
-                }
-            }
-        }
-        None
-    }
-
     fn use_count(&self, v: Value) -> usize {
         self.values.get(v.index()).map_or(0, |d| d.count as usize)
     }
@@ -1180,14 +1123,13 @@ impl GreedyRewriteDriver {
         // Patterns are intra-function and signatures never change mid-run,
         // so one pass over the functions reaches the module fixpoint; the
         // per-function worklist reaches the function fixpoint.
-        for name in module.func_names() {
-            let func = module.func_mut(&name).expect("name snapshot is stable");
-            total += self.run_func(func, &name);
+        for func in module.funcs_mut() {
+            total += self.run_func(func);
         }
         total
     }
 
-    fn run_func(&mut self, func: &mut Func, func_name: &str) -> usize {
+    fn run_func(&mut self, func: &mut Func) -> usize {
         let GreedyRewriteDriver { patterns, config, stats, scratch } = self;
         let DriverScratch { index, worklist, queue, neighborhood } = scratch;
         index.rebuild(func);
@@ -1225,18 +1167,6 @@ impl GreedyRewriteDriver {
                             break;
                         }
                         let log = rw.into_log();
-                        if config.trace {
-                            let (block_no, live_idx) = index.live_location(slot);
-                            let line = format!(
-                                "{} @ {}:{}:{}",
-                                pattern.name(),
-                                func_name,
-                                block_no,
-                                live_idx
-                            );
-                            eprintln!("[rewrite] {line}");
-                            stats.trace.push(line);
-                        }
                         let bid = index.slots[slot].block;
                         let change = apply_mutations(func, bid, log, index);
                         #[cfg(test)]
@@ -1811,12 +1741,11 @@ mod tests {
         let mut module = Module::new();
         module.add_func(b.finish());
 
-        let config = RewriteConfig::default().with_trace(true);
         let probe = std::rc::Rc::new(std::cell::Cell::new(None));
         let mut set = PatternSet::new();
         set.add(Box::new(FoldDoubleFNeg));
         set.add(Box::new(RegionProbe(probe.clone())));
-        let mut driver = GreedyRewriteDriver::with_config(set, config);
+        let mut driver = GreedyRewriteDriver::from_patterns(set);
         assert_eq!(driver.run(&mut module), top + nested);
         crate::verify::verify_module(&module).unwrap();
         // Mid-run, after its erasures, the region already held only live
@@ -1829,14 +1758,6 @@ mod tests {
         assert_fmul_chain(&func.body.ops, x, top, 3);
         assert!(matches!(func.body.ops[top].kind, OpKind::ScfIf));
         assert_fmul_chain(&func.body.ops[top].regions[0].ops, x, nested, 1);
-
-        // Trace positions count live ops only: the k-th firing sits after
-        // the k fmuls the earlier firings left.
-        let expected: Vec<String> = (0..top)
-            .map(|k| format!("fold-double-fneg @ e:0:{}", k + 1))
-            .chain((0..nested).map(|k| format!("fold-double-fneg @ e:1:{}", k + 1)))
-            .collect();
-        assert_eq!(driver.stats.trace, expected);
 
         let mut patterns = PatternSet::new();
         patterns.add(Box::new(FoldDoubleFNeg));
@@ -1974,18 +1895,6 @@ mod tests {
         driver.run(&mut module);
         assert_eq!(driver.stats.fired.get("high"), Some(&1));
         assert_eq!(driver.stats.fired.get("low"), None);
-    }
-
-    #[test]
-    fn trace_records_firing_locations() {
-        let mut module = fadd_module();
-        let config = RewriteConfig::default().with_trace(true);
-        let mut set = PatternSet::new();
-        set.add(Box::new(FoldFAdd));
-        let mut driver = GreedyRewriteDriver::with_config(set, config);
-        driver.run(&mut module);
-        assert_eq!(driver.stats.trace.len(), 1);
-        assert_eq!(driver.stats.trace[0], "fold-fadd @ f:0:2");
     }
 
     /// Replaces `fsub` with an `scf.if` whose regions contain freshly

@@ -113,8 +113,8 @@ impl<'a> Ctx<'a> {
         self.func.value_type(v)
     }
 
-    /// The `func:block:op` coordinates of an op, using the same preorder
-    /// block numbering the rewrite trace and `--fuel-bisect` print.
+    /// The `func:block:op` coordinates of an op: its block's preorder
+    /// number in [`Func::block_paths`] and its index in that block.
     fn location(&self, path: &BlockPath, op_idx: usize) -> String {
         let block_no = self
             .func
@@ -810,9 +810,8 @@ mod tests {
 
     #[test]
     fn verify_error_renders_op_and_path() {
-        // Over-use points at the second discard, with the same
-        // `func:block:op` coordinates the rewrite trace / `--fuel-bisect`
-        // print, plus the pretty-printed offending op.
+        // Over-use points at the second discard, with its `func:block:op`
+        // coordinates, plus the pretty-printed offending op.
         let mut b = FuncBuilder::new(
             "k",
             FuncType::new(vec![Type::QBundle(1)], vec![], false),

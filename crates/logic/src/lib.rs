@@ -18,6 +18,8 @@
 //!   Soeken et al. \[50\]) used to lower the *permutation* core of a basis
 //!   translation (§6.3, Fig. 9).
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod embed;
 pub(crate) mod gate;
 pub(crate) mod perm;

@@ -17,6 +17,8 @@
 //! [`decompose`] rewrites multi-controlled gates for a fault-tolerant
 //! gate set.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub(crate) mod circuit;
 pub mod decompose;
 pub mod peephole;

@@ -33,7 +33,7 @@ pub fn peephole_patterns() -> PatternSet {
 }
 
 /// The peephole optimizations as a pipeline [`asdf_ir::pass::Pass`] under
-/// a rewrite configuration (fuel, trace), reporting per-pattern firing
+/// a rewrite configuration (its fuel), reporting per-pattern firing
 /// counts in its statistics detail. Passes built from clones of one
 /// config share its [`asdf_ir::rewrite::Fuel`] budget.
 pub fn peephole_pass_with(config: RewriteConfig) -> CanonicalizePass {

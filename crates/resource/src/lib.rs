@@ -24,6 +24,8 @@
 //! which compiler needs more qubits or time, how costs scale with input
 //! size — is what the Fig. 11/12 reproduction relies on.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 use asdf_qcircuit::Circuit;
 
 /// Surface-code model parameters (defaults match the paper's setup).

@@ -13,6 +13,8 @@
 //! ← {"ok":true,"entry":"k","circuit":{"qubits":1,"bits":1,"ops":2}}
 //! ```
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod json;
 pub mod proto;
 

@@ -18,6 +18,8 @@
 //!
 //! [`Circuit`]: asdf_qcircuit::Circuit
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub(crate) mod backend;
 pub(crate) mod batch;
 pub(crate) mod complex;

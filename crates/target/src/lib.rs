@@ -46,6 +46,8 @@
 //! (`initial_layout`) and ends (`final_layout`), which is exactly what the
 //! permutation-aware equivalence oracle in `asdf-sim` consumes.
 
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+
 pub(crate) mod gateset;
 pub(crate) mod layout;
 pub mod route;

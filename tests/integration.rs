@@ -56,11 +56,18 @@ fn fig1_program_full_pipeline() {
     assert!(est.physical_qubits > 1000);
     assert!(est.runtime_us > 0.0);
 
-    // The pipeline recorded per-pass statistics for the whole declared
-    // pass sequence (names in order, nonzero work overall).
-    assert!(!compiled.stats.is_empty(), "pass statistics must be collected");
-    let ran: Vec<String> = compiled.stats.iter().map(|p| p.name.clone()).collect();
-    assert_eq!(ran, CompileOptions::default().pipeline().pass_names());
+    // The compile recorded one row per stage: the frontend's, the whole
+    // declared pass sequence, then circuit lowering and decompose (names
+    // in order, nonzero work overall).
+    let ran: Vec<&str> = compiled.stats.iter().map(|p| p.name.as_str()).collect();
+    let pipeline = CompileOptions::default().pipeline().pass_names();
+    let expected: Vec<&str> =
+        ["ast.instantiate", "ast.typecheck", "ast.canonicalize", "core.lower"]
+            .into_iter()
+            .chain(pipeline.iter().map(String::as_str))
+            .chain(["qcircuit.lower_to_circuit", "qcircuit.decompose"])
+            .collect();
+    assert_eq!(ran, expected);
     assert!(
         compiled.stats.iter().map(|p| p.changes).sum::<usize>() > 0,
         "the BV pipeline does real work"
