@@ -22,13 +22,6 @@ pub trait Fact: Clone + PartialEq {
 
     /// Joins `other` into `self`, returning whether `self` changed.
     fn join(&mut self, other: &Self) -> bool;
-
-    /// The induced partial order: `self <= other` iff joining `self` into
-    /// `other` changes nothing.
-    fn leq(&self, other: &Self) -> bool {
-        let mut probe = other.clone();
-        !probe.join(self)
-    }
 }
 
 /// Which way facts flow.
@@ -421,14 +414,5 @@ mod tests {
         // treating it as an unseeded function argument).
         assert_eq!(*facts.get(capture_arg), MeasFact::Bottom);
         assert_eq!(*facts.get(m[0]), MeasFact::Measured);
-    }
-
-    /// The leq default is consistent with join.
-    #[test]
-    fn leq_matches_join() {
-        assert!(MeasFact::Bottom.leq(&MeasFact::Live));
-        assert!(MeasFact::Live.leq(&MeasFact::Live));
-        assert!(!MeasFact::Measured.leq(&MeasFact::Live));
-        assert!(MeasFact::Measured.leq(&MeasFact::MaybeMeasured));
     }
 }

@@ -31,6 +31,7 @@
 //! produce zero warnings.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub(crate) mod clifford;
 pub(crate) mod commute;

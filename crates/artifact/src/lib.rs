@@ -58,6 +58,7 @@
 //! ```
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub(crate) mod error;
 pub(crate) mod format;

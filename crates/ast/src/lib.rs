@@ -27,6 +27,7 @@
 //! rewrites) → the typed AST consumed by `asdf-core`.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub mod ast;
 pub mod canon;

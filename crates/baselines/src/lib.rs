@@ -22,6 +22,7 @@
 //! QIR-callable emission for Table 1.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub(crate) mod benchmarks;
 pub mod qsharp_callables;

@@ -5,7 +5,7 @@
 //! its entry symbol, and (when inlining fully linearized the kernel) the
 //! straight-line circuit — into target text. A [`BackendRegistry`] maps
 //! stable names (`qasm`, `qir-base`, `qir-unrestricted`, ...) to backend
-//! instances, so new targets register without touching the compiler core:
+//! instances:
 //!
 //! ```
 //! use asdf_codegen::backend::{BackendRegistry, EmitInput};
@@ -17,10 +17,10 @@
 //! backends; `asdf-sim` contributes a `sim` backend, and
 //! `asdf_core::Session` bundles them all behind `Session::emit`.
 //!
-//! Any registered backend can be *parameterized by a hardware target*
-//! with `name@target` (e.g. `qasm@linear-16`, `sim@ring-8`): the
-//! artifact's circuit is routed onto the named coupling graph (SWAP
-//! insertion, native-gate translation) before the base backend emits it.
+//! Emission is a name lookup and nothing more. Routing onto a hardware
+//! target happens once, at compile time (`CompileOptions::target`), and
+//! the routed circuit is what a backend then receives as
+//! [`EmitInput::circuit`].
 
 use asdf_ir::Module;
 use asdf_qcircuit::Circuit;
@@ -47,8 +47,7 @@ pub enum BackendError {
         requested: String,
         /// The names that are registered, in registration order.
         available: Vec<String>,
-        /// A near-miss correction over the registered names (and, for
-        /// `name@target` forms, the known target families).
+        /// A near-miss correction over the registered names.
         suggestion: Option<String>,
     },
     /// The backend needs a straight-line circuit but the artifact has
@@ -71,7 +70,6 @@ impl fmt::Display for BackendError {
         match self {
             BackendError::UnknownBackend { requested, available, suggestion } => {
                 write!(f, "unknown backend {requested:?}; available: {}", available.join(", "))?;
-                write!(f, " (or any of them targeted, e.g. qasm@linear-16)")?;
                 if let Some(s) = suggestion {
                     write!(f, "; did you mean {s:?}?")?;
                 }
@@ -95,8 +93,6 @@ impl std::error::Error for BackendError {}
 pub trait Backend: Send + Sync {
     /// The stable registry name (e.g. `qasm`).
     fn name(&self) -> &'static str;
-    /// One-line description for tooling.
-    fn description(&self) -> &'static str;
     /// Emits the artifact as target text.
     ///
     /// # Errors
@@ -158,84 +154,20 @@ impl BackendRegistry {
 
     /// Emits `input` through the backend registered under `name`.
     ///
-    /// `name` may be target-parameterized as `base@target` (any
-    /// registered base, any parseable target): the artifact's circuit is
-    /// routed onto the target's coupling graph and the base backend emits
-    /// the routed circuit.
-    ///
     /// # Errors
     ///
     /// Returns [`BackendError::UnknownBackend`] (with a "did you mean"
-    /// suggestion where one is close) for unregistered names,
-    /// [`BackendError::NeedsCircuit`] for a targeted emission of an
-    /// artifact with no straight-line circuit, or whatever the backend or
-    /// router raises.
+    /// suggestion where one is close) for unregistered names, or whatever
+    /// the backend raises.
     pub fn emit(&self, name: &str, input: &EmitInput<'_>) -> Result<String, BackendError> {
-        if let Some(backend) = self.get(name) {
-            return backend.emit(input);
+        match self.get(name) {
+            Some(backend) => backend.emit(input),
+            None => Err(BackendError::UnknownBackend {
+                requested: name.to_string(),
+                available: self.names().iter().map(|n| n.to_string()).collect(),
+                suggestion: self.closest_name(name),
+            }),
         }
-        if let Some((base, target_name)) = name.split_once('@') {
-            return self.emit_routed(name, base, target_name, input);
-        }
-        Err(self.unknown(name))
-    }
-
-    /// The `base@target` route-then-emit path.
-    fn emit_routed(
-        &self,
-        full_name: &str,
-        base: &str,
-        target_name: &str,
-        input: &EmitInput<'_>,
-    ) -> Result<String, BackendError> {
-        let Some(backend) = self.get(base) else {
-            return Err(self.unknown(full_name));
-        };
-        let target = match asdf_target::Target::parse(target_name) {
-            Ok(target) => target,
-            Err(asdf_target::TargetError::Unknown { .. }) => return Err(self.unknown(full_name)),
-            Err(e) => {
-                return Err(BackendError::Emit {
-                    backend: full_name.to_string(),
-                    message: e.to_string(),
-                })
-            }
-        };
-        let circuit = input
-            .circuit
-            .ok_or_else(|| BackendError::NeedsCircuit { backend: full_name.to_string() })?;
-        let routed = target.route(circuit).map_err(|e| BackendError::Emit {
-            backend: full_name.to_string(),
-            message: e.to_string(),
-        })?;
-        backend.emit(&EmitInput { circuit: Some(&routed.circuit), ..*input })
-    }
-
-    /// The structured unknown-name error, with a suggestion computed over
-    /// the registered names and (for `@` forms) the known targets.
-    fn unknown(&self, requested: &str) -> BackendError {
-        BackendError::UnknownBackend {
-            requested: requested.to_string(),
-            available: self.names().iter().map(|n| n.to_string()).collect(),
-            suggestion: self.suggest(requested),
-        }
-    }
-
-    /// A near-miss correction for `requested`: the closest registered
-    /// name, or — for `base@target` — each half corrected independently.
-    fn suggest(&self, requested: &str) -> Option<String> {
-        if let Some((base, target_name)) = requested.split_once('@') {
-            let base = self
-                .closest_name(base)
-                .or_else(|| self.get(base).is_some().then(|| base.to_string()))?;
-            let target = match asdf_target::Target::parse(target_name) {
-                Ok(_) => Some(target_name.to_string()),
-                Err(asdf_target::TargetError::Unknown { suggestion, .. }) => suggestion,
-                Err(_) => None,
-            }?;
-            return Some(format!("{base}@{target}"));
-        }
-        self.closest_name(requested)
     }
 
     /// The registered name closest to `requested` within edit distance 2.
@@ -258,10 +190,6 @@ impl Backend for QasmBackend {
         "qasm"
     }
 
-    fn description(&self) -> &'static str {
-        "OpenQASM 3 from the straight-line circuit (requires full inlining)"
-    }
-
     fn emit(&self, input: &EmitInput<'_>) -> Result<String, BackendError> {
         let circuit = input
             .circuit
@@ -280,10 +208,6 @@ impl Backend for QirBaseBackend {
         "qir-base"
     }
 
-    fn description(&self) -> &'static str {
-        "QIR base profile (static qubit indices, no callables)"
-    }
-
     fn emit(&self, input: &EmitInput<'_>) -> Result<String, BackendError> {
         crate::qir::module_to_qir_base(input.module, input.entry).map_err(|e| BackendError::Emit {
             backend: self.name().to_string(),
@@ -300,10 +224,6 @@ pub(crate) struct QirUnrestrictedBackend;
 impl Backend for QirUnrestrictedBackend {
     fn name(&self) -> &'static str {
         "qir-unrestricted"
-    }
-
-    fn description(&self) -> &'static str {
-        "QIR unrestricted profile (dynamic allocation, callables, control flow)"
     }
 
     fn emit(&self, input: &EmitInput<'_>) -> Result<String, BackendError> {
@@ -348,61 +268,14 @@ mod tests {
         let registry = BackendRegistry::with_codegen_backends();
         let module = Module::new();
         let input = EmitInput { module: &module, entry: "k", circuit: None };
-        match registry.emit("qsam", &input).unwrap_err() {
+        let err = registry.emit("qsam", &input).unwrap_err();
+        assert!(err.to_string().contains("did you mean \"qasm\"?"), "{err}");
+        match err {
             BackendError::UnknownBackend { suggestion, .. } => {
                 assert_eq!(suggestion.as_deref(), Some("qasm"));
             }
             other => panic!("wrong error: {other}"),
         }
-        // Both halves of a targeted name are corrected independently.
-        match registry.emit("qsam@liner-16", &input).unwrap_err() {
-            BackendError::UnknownBackend { suggestion, .. } => {
-                assert_eq!(suggestion.as_deref(), Some("qasm@linear-16"));
-            }
-            other => panic!("wrong error: {other}"),
-        }
-        let rendered = registry.emit("qasm@gird-4x4", &input).unwrap_err().to_string();
-        assert!(rendered.contains("did you mean \"qasm@grid-4x4\"?"), "{rendered}");
-    }
-
-    #[test]
-    fn targeted_emission_routes_before_emitting() {
-        use asdf_ir::GateKind;
-        // CX 0->2 is not coupled on linear-3: the emitted QASM must
-        // contain only nearest-neighbor CX, which means SWAPs appeared.
-        let mut circuit = Circuit::new(3);
-        circuit.gate(GateKind::H, &[], &[0]);
-        circuit.gate(GateKind::X, &[0], &[1]);
-        circuit.gate(GateKind::X, &[1], &[2]);
-        circuit.gate(GateKind::X, &[0], &[2]);
-        let module = Module::new();
-        let input = EmitInput { module: &module, entry: "k", circuit: Some(&circuit) };
-        let registry = BackendRegistry::with_codegen_backends();
-        let plain = registry.emit("qasm", &input).unwrap();
-        let routed = registry.emit("qasm@linear-3", &input).unwrap();
-        assert_ne!(plain, routed);
-        for line in routed.lines().filter(|l| l.trim_start().starts_with("cx")) {
-            let digits: Vec<usize> =
-                line.split(['[', ']']).filter_map(|part| part.parse().ok()).collect();
-            assert_eq!(digits.len(), 2, "unexpected cx line: {line}");
-            assert_eq!(digits[0].abs_diff(digits[1]), 1, "non-neighbor cx: {line}");
-        }
-    }
-
-    #[test]
-    fn targeted_emission_without_circuit_is_a_structured_error() {
-        let registry = BackendRegistry::with_codegen_backends();
-        let module = Module::new();
-        let input = EmitInput { module: &module, entry: "k", circuit: None };
-        let err = registry.emit("qasm@linear-8", &input).unwrap_err();
-        assert!(matches!(err, BackendError::NeedsCircuit { .. }), "{err}");
-        // Over-capacity routing surfaces as an emission failure naming the
-        // targeted backend.
-        let circuit = Circuit::new(5);
-        let input = EmitInput { module: &module, entry: "k", circuit: Some(&circuit) };
-        let err = registry.emit("qasm@linear-2", &input).unwrap_err();
-        assert!(matches!(err, BackendError::Emit { .. }), "{err}");
-        assert!(asdf_target::is_capacity_error(&err.to_string()), "{err}");
     }
 
     #[test]

@@ -12,14 +12,18 @@
 //!   allocation, callables via `__quantum__rt__callable_*` intrinsics,
 //!   structured control flow lowered to branches).
 //!
-//! `asdf-sim` registers a `sim` backend on top of the same trait, and
-//! `asdf_core::Session::emit` is the user-facing entry point bundling
-//! them all. Table 1 counts `callable_create` / `callable_invoke`
-//! occurrences in emitted QIR text, which [`count_callable_intrinsics`]
-//! reproduces (an analysis, not an emission path, so it stays a free
-//! function).
+//! `asdf-sim` implements a `sim` backend on the same trait, and
+//! `asdf_core::Session::emit` is the user-facing entry point over exactly
+//! these four. A backend name is looked up, never parsed: routing onto a
+//! hardware target is a compile option (`CompileOptions::target`), so the
+//! circuit a backend receives is already routed.
+//!
+//! Table 1 counts `callable_create` / `callable_invoke` occurrences in
+//! emitted QIR text, which [`count_callable_intrinsics`] reproduces (an
+//! analysis, not an emission path, so it stays a free function).
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub mod backend;
 pub(crate) mod qasm;

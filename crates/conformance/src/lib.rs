@@ -29,6 +29,7 @@
 //! ```
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 use asdf_ast::expand::CaptureValue;
 use asdf_core::{CompileOptions, CompileRequest, Compiled, Session};

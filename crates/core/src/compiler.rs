@@ -334,6 +334,23 @@ mod tests {
         let target = asdf_target::Target::parse("linear-16").unwrap();
         target.validate(circuit).expect("routed circuit uses native gates on coupled pairs");
         assert_eq!(routing.initial_layout.len(), circuit.num_qubits);
+        // Emission reads the routed circuit. A Toffoli's three pairwise
+        // interactions cannot all sit on a path, so routing adds SWAPs, and
+        // every emitted CX still joins neighbours on the line.
+        let toffoli = "qpu tof() -> bit[3] { '110' | ('11' & std.flip) | std[3].measure }";
+        let session = Session::new(toffoli).unwrap();
+        let request = CompileRequest::kernel("tof").with_options(options.clone());
+        let routed = session.compile(&request).unwrap();
+        assert!(routed.routing.as_ref().expect("routing info").swap_count > 0);
+        let qasm = session.emit(&routed, "qasm").unwrap();
+        let cx_lines: Vec<&str> = qasm.lines().filter(|l| l.starts_with("cx ")).collect();
+        assert!(!cx_lines.is_empty(), "{qasm}");
+        for line in cx_lines {
+            let wires: Vec<usize> =
+                line.split(['[', ']']).filter_map(|part| part.parse().ok()).collect();
+            assert_eq!(wires.len(), 2, "unexpected cx line: {line}");
+            assert_eq!(wires[0].abs_diff(wires[1]), 1, "non-neighbour cx on linear-16: {line}");
+        }
         // An unparseable target fails with the dedicated code, before any
         // frontend work.
         let session = Session::new(source).unwrap();

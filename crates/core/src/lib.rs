@@ -27,6 +27,7 @@
 //!   declarative, instrumented pass pipeline.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub(crate) mod adjoint;
 pub(crate) mod canon;

@@ -39,9 +39,8 @@
 //! # Concurrency model
 //!
 //! The session is a multi-tenant server core — quilc runs as a persistent
-//! server with addressable compilation state, and OpenQL separates a
-//! shared compilation platform from pluggable backend emitters. Three
-//! mechanisms keep it scalable under concurrent load:
+//! server with addressable compilation state. Three mechanisms keep it
+//! scalable under concurrent load:
 //!
 //! - **Sharded caches.** Each cache is split into power-of-two lock
 //!   shards (eight, fewer for tiny capacities) selected by the key's
@@ -68,9 +67,7 @@
 //! vector is built), so a saturated server serves repeat traffic at
 //! memory-lookup speed.
 //!
-//! Backends are fixed at construction time via [`SessionBuilder`] —
-//! a shared `Arc<Session>` is immutable, so register extra backends
-//! *before* sharing:
+//! Compile once, emit by backend name, and hit the cache on a repeat:
 //!
 //! ```
 //! use asdf_core::{CompileRequest, Session};
@@ -89,9 +86,12 @@
 //! # Ok::<(), asdf_core::CoreError>(())
 //! ```
 //!
-//! Emission goes through the [`asdf_codegen::BackendRegistry`]:
-//! [`Session::emit`] is the one entry point for QASM, QIR, and the
-//! simulator backend.
+//! Emission goes through a fixed [`asdf_codegen::BackendRegistry`]:
+//! [`Session::emit`] looks the name up among `qasm`, `qir-base`,
+//! `qir-unrestricted` and `sim`, the one entry point for QASM, QIR and
+//! simulation. Routing is not an emission step: a hardware target is a
+//! compile option ([`CompileOptions::target`]), so the artifact already
+//! holds the routed circuit.
 
 use crate::compiler::CompileOptions;
 use crate::diskcache::{DiskCache, DiskLookup, DEFAULT_DISK_CAPACITY};
@@ -678,13 +678,8 @@ const DEFAULT_ARTIFACT_CAPACITY: usize = 64;
 /// Default frontend-cache capacity (one entry per kernel × captures).
 const DEFAULT_FRONTEND_CAPACITY: usize = 16;
 
-/// Configures and constructs a [`Session`]: cache capacities, the disk
-/// cache, and extra output backends.
-///
-/// Backends must be registered **before** the session is shared — a
-/// session behind an `Arc` is immutable, which is what makes it safely
-/// `Sync`. There is deliberately no `&mut self` registration method on
-/// [`Session`].
+/// Configures and constructs a [`Session`]: cache capacities and the
+/// disk cache.
 ///
 /// ```
 /// let session = asdf_core::Session::builder(
@@ -699,7 +694,6 @@ pub struct SessionBuilder {
     source: String,
     frontend_capacity: usize,
     artifact_capacity: usize,
-    backends: BackendRegistry,
     disk_cache: Option<PathBuf>,
 }
 
@@ -708,7 +702,6 @@ impl std::fmt::Debug for SessionBuilder {
         f.debug_struct("SessionBuilder")
             .field("frontend_capacity", &self.frontend_capacity)
             .field("artifact_capacity", &self.artifact_capacity)
-            .field("backends", &self.backends.names())
             .field("disk_cache", &self.disk_cache)
             .finish_non_exhaustive()
     }
@@ -716,13 +709,10 @@ impl std::fmt::Debug for SessionBuilder {
 
 impl SessionBuilder {
     fn new(source: &str) -> SessionBuilder {
-        let mut backends = BackendRegistry::with_codegen_backends();
-        backends.register(Box::new(SimBackend));
         SessionBuilder {
             source: source.to_string(),
             frontend_capacity: DEFAULT_FRONTEND_CAPACITY,
             artifact_capacity: DEFAULT_ARTIFACT_CAPACITY,
-            backends,
             disk_cache: None,
         }
     }
@@ -738,14 +728,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn artifact_capacity(mut self, entries: usize) -> SessionBuilder {
         self.artifact_capacity = entries;
-        self
-    }
-
-    /// Registers an extra output backend (replacing any with the same
-    /// name) — new targets plug in without touching the compiler core.
-    #[must_use]
-    pub fn backend(mut self, backend: Box<dyn asdf_codegen::Backend>) -> SessionBuilder {
-        self.backends.register(backend);
         self
     }
 
@@ -781,11 +763,13 @@ impl SessionBuilder {
                 )))
             })?),
         };
+        let mut backends = BackendRegistry::with_codegen_backends();
+        backends.register(Box::new(SimBackend));
         Ok(Session {
             source: self.source,
             source_hash,
             program,
-            backends: self.backends,
+            backends,
             frontends: CoalescingCache::new(self.frontend_capacity),
             artifacts: CoalescingCache::new(self.artifact_capacity),
             stats: SharedStats::default(),
@@ -799,8 +783,7 @@ impl SessionBuilder {
 /// See the `session` module documentation for the full API tour and the
 /// concurrency model (sharded caches, atomic stats, request coalescing).
 /// The session is `Sync` and immutable after construction: wrap it in an
-/// `Arc` and compile from as many threads as you like. Extra backends
-/// must be registered up front through [`Session::builder`].
+/// `Arc` and compile from as many threads as you like.
 pub struct Session {
     source: String,
     source_hash: u64,
@@ -823,7 +806,7 @@ impl std::fmt::Debug for Session {
 
 impl Session {
     /// Parses `source` and prepares an empty cache with default capacity
-    /// and the default backend registry (`qasm`, `qir-base`,
+    /// and the session's four backends (`qasm`, `qir-base`,
     /// `qir-unrestricted`, `sim`).
     ///
     /// # Errors
@@ -834,8 +817,8 @@ impl Session {
         Session::builder(source).build()
     }
 
-    /// A [`SessionBuilder`] over `source`: cache capacities, the disk
-    /// cache, and extra backends are fixed here, before first use.
+    /// A [`SessionBuilder`] over `source`: cache capacities and the disk
+    /// cache are fixed here, before first use.
     pub fn builder(source: &str) -> SessionBuilder {
         SessionBuilder::new(source)
     }
@@ -864,7 +847,8 @@ impl Session {
         (self.frontends.len(), self.artifacts.len())
     }
 
-    /// Registered backend names, in registration order.
+    /// The backend names [`Session::emit`] accepts: `qasm`, `qir-base`,
+    /// `qir-unrestricted` and `sim`.
     pub fn backend_names(&self) -> Vec<&'static str> {
         self.backends.names()
     }
@@ -913,8 +897,10 @@ impl Session {
         Ok(artifact)
     }
 
-    /// Emits a compiled artifact through a registered backend — the one
-    /// emission entry point for QASM, QIR, and simulation.
+    /// Emits a compiled artifact through the backend named `backend` —
+    /// the one emission entry point for QASM, QIR, and simulation. The
+    /// name is looked up, not parsed: a routed artifact comes from a
+    /// compile with [`CompileOptions::target`].
     ///
     /// # Errors
     ///

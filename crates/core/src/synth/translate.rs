@@ -15,7 +15,7 @@
 use super::align::{align, AlignedPair};
 use super::standardize::{standardizations, StdEntry, StdKind};
 use crate::error::CoreError;
-use asdf_basis::{Basis, BasisElem, BasisLiteral, Phase, PrimitiveBasis};
+use asdf_basis::{Basis, BasisElem, Phase, PrimitiveBasis};
 use asdf_ir::func::BlockBuilder;
 use asdf_ir::{GateKind, Value};
 use asdf_logic::{synth as revsynth, Permutation};
@@ -277,10 +277,4 @@ pub(crate) fn emit_measurement_rotation(
     emit_translation(bb, qubits, basis, &std_basis, &|_| {
         Err(CoreError::Synthesis("measurement bases have no phase operands".into()))
     })
-}
-
-/// Materializing helper used in tests: a one-element literal basis.
-#[allow(dead_code)]
-pub(crate) fn literal_basis(lit: BasisLiteral) -> Basis {
-    Basis::literal(lit)
 }

@@ -236,38 +236,24 @@ fn emission_is_reachable_only_through_backends() {
         let text = session.emit(&artifact, backend).unwrap();
         assert!(!text.is_empty(), "{backend} emitted nothing");
     }
-    let err = session.emit(&artifact, "no-such-target").unwrap_err();
-    assert!(err.to_string().contains("unknown backend"), "{err}");
+    // A name is looked up, never parsed: routing is a compile option, so a
+    // `base@target` name is just an unknown backend.
+    for name in ["no-such-target", "qasm@linear-16"] {
+        let err = session.emit(&artifact, name).unwrap_err();
+        assert_eq!(err.code(), "E0104", "{err}");
+        assert!(err.to_string().contains("unknown backend"), "{err}");
+    }
 }
 
 #[test]
-fn backends_are_fixed_before_sharing() {
-    // Backend registration happens on the builder, *before* the session
-    // can be shared — there is no `&mut self` registration on Session, so
-    // an `Arc<Session>` can never race a registry mutation.
-    struct Upper;
-    impl asdf_codegen::Backend for Upper {
-        fn name(&self) -> &'static str {
-            "upper"
-        }
-        fn description(&self) -> &'static str {
-            "uppercased QASM (test backend)"
-        }
-        fn emit(
-            &self,
-            input: &asdf_codegen::EmitInput<'_>,
-        ) -> Result<String, asdf_codegen::BackendError> {
-            asdf_codegen::BackendRegistry::with_codegen_backends()
-                .emit("qasm", input)
-                .map(|text| text.to_uppercase())
-        }
-    }
-    let session = Session::builder(BV_SRC).backend(Box::new(Upper)).build().unwrap();
-    assert_eq!(session.backend_names(), ["qasm", "qir-base", "qir-unrestricted", "sim", "upper"]);
-    let session = Arc::new(session);
-    let artifact = session.compile(&bv_request("101")).unwrap();
-    let emitted = session.emit(&artifact, "upper").unwrap();
-    assert!(emitted.contains("OPENQASM"), "{emitted}");
+fn a_circuit_wider_than_its_target_is_a_structured_error() {
+    // Difftest skips a routed configuration on exactly this error, so it
+    // must come back as a target error carrying the capacity marker.
+    let session = Session::new("qpu k() -> bit[5] { '00000' | std[5].measure }").unwrap();
+    let options = CompileOptions { target: Some("linear-2".into()), ..CompileOptions::default() };
+    let err = session.compile(&CompileRequest::kernel("k").with_options(options)).unwrap_err();
+    assert_eq!(err.code(), "E0105", "{err}");
+    assert!(asdf_target::is_capacity_error(&err.to_string()), "{err}");
 }
 
 #[test]

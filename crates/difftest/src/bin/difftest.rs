@@ -19,7 +19,6 @@ fn main() -> ExitCode {
     let mut show_stats = false;
     let mut lint = false;
     let mut jobs: Option<usize> = None;
-    let mut cache_dir: Option<String> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -53,10 +52,6 @@ fn main() -> ExitCode {
                 Some(v) if v >= 1 => jobs = Some(v),
                 _ => return usage("--jobs needs an integer >= 1"),
             },
-            "--cache-dir" => match take_value(&mut i) {
-                Some(dir) => cache_dir = Some(dir),
-                None => return usage("--cache-dir needs a directory path"),
-            },
             "--no-shrink" => opts.shrink = false,
             "--fuel-bisect" => opts.fuel_bisect = true,
             "--lint" => lint = true,
@@ -64,7 +59,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: difftest [--seed N] [--cases N] [--max-width W] \
-                     [--shots N] [--dyn-shots N] [--jobs N] [--cache-dir PATH] \
+                     [--shots N] [--dyn-shots N] [--jobs N] \
                      [--no-shrink] [--fuel-bisect] [--lint] [--stats]"
                 );
                 return ExitCode::SUCCESS;
@@ -90,11 +85,6 @@ fn main() -> ExitCode {
         // doubles as a lint soundness check: any warning is a false
         // positive.
         harness = harness.with_lints();
-    }
-    let persisting = cache_dir.is_some();
-    if let Some(dir) = cache_dir {
-        println!("difftest: persisting artifacts under {dir}");
-        harness = harness.with_disk_cache(dir);
     }
     let start = std::time::Instant::now();
     let report = harness.run_sweep(&opts);
@@ -142,14 +132,6 @@ fn main() -> ExitCode {
         cache.artifact_coalesced,
         cache.artifact_hits + cache.artifact_coalesced + cache.artifact_misses,
     );
-    if persisting {
-        // A repeat sweep revives only what survived the directory's
-        // capacity bound; writes far above it mean most artifacts did not.
-        println!(
-            "session disk cache: {} hits, {} misses, {} writes, {} evictions",
-            cache.disk_hits, cache.disk_misses, cache.disk_writes, cache.disk_evictions,
-        );
-    }
     // Routing overhead per hardware-targeted configuration, rendered
     // through the resource estimator's SWAP/depth summary.
     for config in report.configs.iter().filter(|c| c.routing.routed_cases > 0) {

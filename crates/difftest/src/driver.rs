@@ -10,7 +10,6 @@ use asdf_core::{CacheStats, CompileOptions, CompileRequest, Compiled, Session};
 use asdf_ir::pass::PassStatistics;
 use asdf_qcircuit::Circuit;
 use std::num::NonZeroUsize;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use threadpool::ThreadPool;
 
@@ -220,9 +219,6 @@ pub struct Harness {
     /// The pool that compiles each case's configurations concurrently
     /// through the shared session.
     pool: ThreadPool,
-    /// When set, every per-case session is layered over this persistent
-    /// artifact cache, so repeated sweeps revive artifacts from disk.
-    disk_cache: Option<PathBuf>,
 }
 
 impl Harness {
@@ -235,21 +231,9 @@ impl Harness {
             .map(NonZeroUsize::get)
             .unwrap_or(1)
             .min(configs.len());
-        let mut harness =
-            Harness { configs, oracle, sabotage: None, pool: ThreadPool::new(1), disk_cache: None };
+        let mut harness = Harness { configs, oracle, sabotage: None, pool: ThreadPool::new(1) };
         harness.set_jobs(jobs);
         harness
-    }
-
-    /// Layers every per-case session over a persistent artifact cache at
-    /// `dir`: a repeated sweep (same seed, same cases) revives its
-    /// artifacts from disk instead of re-running the pipeline, and the
-    /// oracles then cross-check disk-revived artifacts exactly like
-    /// fresh ones.
-    #[must_use]
-    pub fn with_disk_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.disk_cache = Some(dir.into());
-        self
     }
 
     /// Overrides the compile-phase worker count (1 = serial). A parallel
@@ -314,11 +298,7 @@ impl Harness {
             compile_elapsed: Duration::ZERO,
             compile_serial_equiv: Duration::ZERO,
         };
-        let mut builder = Session::builder(&rendered.source);
-        if let Some(dir) = &self.disk_cache {
-            builder = builder.disk_cache(dir);
-        }
-        let session = match builder.build() {
+        let session = match Session::new(&rendered.source) {
             Ok(session) => session,
             Err(e) => {
                 // The generator emits well-formed source; a parse failure is

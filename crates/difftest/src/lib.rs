@@ -27,6 +27,7 @@
 //! ```
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub(crate) mod bisect;
 pub mod driver;

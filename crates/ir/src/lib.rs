@@ -36,6 +36,7 @@
 //! optimization here be simple DAG-to-DAG rewriting.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub mod block;
 pub mod clone;

@@ -19,6 +19,7 @@
 //!   translation (§6.3, Fig. 9).
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub mod embed;
 pub(crate) mod gate;

@@ -18,6 +18,7 @@
 //! gate set.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub(crate) mod circuit;
 pub mod decompose;

@@ -25,6 +25,7 @@
 //! size — is what the Fig. 11/12 reproduction relies on.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 use asdf_qcircuit::Circuit;
 

@@ -14,6 +14,7 @@
 //! ```
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub mod json;
 pub mod proto;

@@ -134,6 +134,14 @@ fn failures_come_back_as_structured_errors() {
     assert_eq!(response.get("code").and_then(Value::as_str), Some("E0104"), "{response}");
     assert!(response.get("error").and_then(Value::as_str).unwrap().contains("40 qubits"));
 
+    // A target above the size bound is refused before its coupling graph
+    // is built.
+    let line = r#"{"op":"compile","source":"qpu k() -> bit[1] { '0' | std.measure }","kernel":"k","options":{"target":"grid-33x32"}}"#;
+    let response = parse(&server.handle_line(line)).unwrap();
+    assert_eq!(response.get("ok"), Some(&Value::Bool(false)));
+    assert_eq!(response.get("code").and_then(Value::as_str), Some("E0105"), "{response}");
+    assert!(response.get("error").and_then(Value::as_str).unwrap().contains("at most 1024"));
+
     // The server survives all of the above and still compiles.
     let response = parse(&server.handle_line(&compile_line("11"))).unwrap();
     assert_eq!(response.get("ok"), Some(&Value::Bool(true)));

@@ -37,10 +37,6 @@ impl Backend for SimBackend {
         "sim"
     }
 
-    fn description(&self) -> &'static str {
-        "state-vector simulation: exact outcome distribution or final amplitudes"
-    }
-
     fn emit(&self, input: &EmitInput<'_>) -> Result<String, BackendError> {
         let circuit = input
             .circuit

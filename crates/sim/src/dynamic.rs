@@ -41,7 +41,9 @@ enum Data {
     Bundle(Vec<usize>),
     Bit(bool),
     Bits(Vec<bool>),
-    F64(#[allow(dead_code)] f64),
+    /// A `ConstF64` result. Gate angles travel inside `GateKind`, so the
+    /// interpreter never reads the value.
+    F64,
     /// A callable value (`callable_create` and friends): the referenced
     /// symbol plus whether the adjoint specialization has been selected.
     /// Mirrors the QIR runtime's functable pointer + flags representation.
@@ -99,7 +101,7 @@ pub fn run_dynamic(
             Data::Bits(bs) => bits.extend(bs),
             Data::Qubit(q) => returned_qubits.push(q),
             Data::Bundle(qs) => returned_qubits.extend(qs),
-            Data::F64(_) | Data::Callable { .. } => {}
+            Data::F64 | Data::Callable { .. } => {}
         }
     }
     Ok(DynamicRun { bits, returned_qubits, state: interp.state })
@@ -242,8 +244,8 @@ impl Interp<'_> {
                     env.insert(*r, Data::Bit(b));
                 }
             }
-            OpKind::ConstF64 { value } => {
-                env.insert(op.results[0], Data::F64(*value));
+            OpKind::ConstF64 { .. } => {
+                env.insert(op.results[0], Data::F64);
             }
             OpKind::ConstI1 { value } => {
                 env.insert(op.results[0], Data::Bit(*value));

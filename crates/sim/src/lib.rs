@@ -19,6 +19,7 @@
 //! [`Circuit`]: asdf_qcircuit::Circuit
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub(crate) mod backend;
 pub(crate) mod batch;

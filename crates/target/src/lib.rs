@@ -17,7 +17,7 @@
 //!   `asdf_qcircuit::decompose` machinery) followed by greedy
 //!   distance-decreasing SWAP insertion with a lookahead window over
 //!   pending two-qubit gates;
-//! - `schedule` — an ASAP scheduler computing routed depth and a
+//! - `schedule` — an ASAP scheduler computing the routed circuit's
 //!   cost-weighted makespan.
 //!
 //! The entry point is [`Target::route`]:
@@ -47,6 +47,7 @@
 //! permutation-aware equivalence oracle in `asdf-sim` consumes.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+#![forbid(dead_code)]
 
 pub(crate) mod gateset;
 pub(crate) mod layout;

@@ -158,7 +158,7 @@ pub(crate) fn run(
         routed_depth: out.depth(),
         unrouted_two_qubit_gates: circuit.two_qubit_gate_count(),
         routed_two_qubit_gates: out.two_qubit_gate_count(),
-        routed_makespan: asap(&out, costs).makespan,
+        routed_makespan: asap(&out, costs),
     };
     Routed { circuit: out, info }
 }

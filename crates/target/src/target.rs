@@ -9,6 +9,9 @@
 //! | `ring-N`        | cycle, `N >= 3`                           |
 //! | `grid-RxC`      | `R × C` lattice in row-major order        |
 //! | `edges:a-b,c-d` | explicit edge list (must be connected)    |
+//!
+//! Every form is bounded by `MAX_TARGET_QUBITS` physical qubits, checked
+//! before the coupling graph is built.
 
 use crate::gateset::{GateCosts, NativeGateSet};
 use crate::route::{self, translate_to_native, Routed};
@@ -19,6 +22,11 @@ use std::fmt;
 /// Example names of the built-in topology families, used for
 /// "did you mean" suggestions and documentation.
 pub(crate) const BUILTIN_TARGETS: &[&str] = &["linear-16", "ring-8", "grid-4x4"];
+
+/// The most physical qubits a target may have. Building a coupling graph
+/// allocates an n×n `u32` distance matrix (4 MB at this bound), so a
+/// larger name is rejected before anything is allocated for it.
+pub(crate) const MAX_TARGET_QUBITS: usize = 1024;
 
 /// Substring every capacity-failure message contains; see
 /// [`crate::is_capacity_error`].
@@ -109,7 +117,8 @@ impl Target {
     ///
     /// [`TargetError::Unknown`] for an unrecognized family (with a
     /// "did you mean" suggestion when one is close),
-    /// [`TargetError::Invalid`] for recognized-but-malformed parameters.
+    /// [`TargetError::Invalid`] for recognized-but-malformed parameters,
+    /// including a size above `MAX_TARGET_QUBITS`.
     pub fn parse(name: &str) -> Result<Target, TargetError> {
         let invalid = |reason: String| TargetError::Invalid { name: name.to_string(), reason };
         let graph = if let Some(n) = name.strip_prefix("linear-") {
@@ -117,20 +126,20 @@ impl Target {
             if n < 2 {
                 return Err(invalid("a linear target needs at least 2 qubits".into()));
             }
-            CouplingGraph::linear(n)
+            CouplingGraph::linear(within_bound(n).map_err(invalid)?)
         } else if let Some(n) = name.strip_prefix("ring-") {
             let n: usize = n.parse().map_err(|_| invalid(format!("`{n}` is not a number")))?;
             if n < 3 {
                 return Err(invalid("a ring target needs at least 3 qubits".into()));
             }
-            CouplingGraph::ring(n)
+            CouplingGraph::ring(within_bound(n).map_err(invalid)?)
         } else if let Some(dims) = name.strip_prefix("grid-") {
             let (r, c) = dims
                 .split_once('x')
                 .ok_or_else(|| invalid(format!("`{dims}` is not of the form RxC")))?;
             let r: usize = r.parse().map_err(|_| invalid(format!("`{r}` is not a number")))?;
             let c: usize = c.parse().map_err(|_| invalid(format!("`{c}` is not a number")))?;
-            if r == 0 || c == 0 || r * c < 2 {
+            if within_bound(r.saturating_mul(c)).map_err(invalid)? < 2 {
                 return Err(invalid("a grid target needs at least 1x2 qubits".into()));
             }
             CouplingGraph::grid(r, c)
@@ -144,7 +153,8 @@ impl Target {
                 let b: usize = b.parse().map_err(|_| invalid(format!("`{b}` is not a number")))?;
                 edges.push((a, b));
             }
-            let n = edges.iter().map(|&(a, b)| a.max(b) + 1).max().unwrap_or(0);
+            let top = edges.iter().map(|&(a, b)| a.max(b).saturating_add(1)).max();
+            let n = within_bound(top.unwrap_or(0)).map_err(invalid)?;
             if n < 2 {
                 return Err(invalid("an edge-list target needs at least one edge".into()));
             }
@@ -267,6 +277,16 @@ impl Target {
     }
 }
 
+/// `n` if it is at most [`MAX_TARGET_QUBITS`]. Callers compute sizes with
+/// saturating arithmetic, so an overflowed size fails here too.
+fn within_bound(n: usize) -> Result<usize, String> {
+    if n <= MAX_TARGET_QUBITS {
+        Ok(n)
+    } else {
+        Err(format!("a target has at most {MAX_TARGET_QUBITS} qubits"))
+    }
+}
+
 /// Levenshtein edit distance, used for "did you mean" suggestions here
 /// and in the backend registry.
 pub fn edit_distance(a: &str, b: &str) -> usize {
@@ -319,6 +339,27 @@ mod tests {
         assert!(matches!(Target::parse("ring-2"), Err(TargetError::Invalid { .. })));
         assert!(matches!(Target::parse("grid-4"), Err(TargetError::Invalid { .. })));
         assert!(matches!(Target::parse("grid-0x4"), Err(TargetError::Invalid { .. })));
+        // Sizes above the bound, and sizes whose arithmetic overflows, are
+        // rejected before the graph is built.
+        let path_to_1024 = (0..1024).map(|i| format!("{i}-{}", i + 1)).collect::<Vec<_>>();
+        let over = [
+            "linear-1025".to_string(),
+            "ring-1025".to_string(),
+            "grid-33x32".to_string(),
+            format!("edges:{}", path_to_1024.join(",")),
+            format!("grid-{0}x{0}", usize::MAX),
+            format!("edges:0-{}", usize::MAX),
+        ];
+        for name in &over {
+            match Target::parse(name) {
+                Err(TargetError::Invalid { reason, .. }) => {
+                    assert!(reason.contains("at most 1024 qubits"), "{reason}");
+                }
+                other => panic!("expected Invalid for {name}, got {other:?}"),
+            }
+        }
+        assert_eq!(Target::parse("linear-1024").unwrap().num_qubits(), MAX_TARGET_QUBITS);
+        assert_eq!(Target::parse("grid-32x32").unwrap().num_qubits(), MAX_TARGET_QUBITS);
     }
 
     #[test]
