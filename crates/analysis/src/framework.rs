@@ -1,13 +1,12 @@
 //! The lattice-based dataflow engine.
 //!
-//! An [`Analysis`] pairs a join-semilattice [`Fact`] with a transfer
-//! function over ops; [`analyze`] iterates the transfer to a fixpoint over
-//! a function's structured region tree. Unlike a CFG solver there are no
-//! branch edges to chase: control flow is `scf.if` regions, so the engine
-//! walks ops in (reverse) program order, descends into nested regions, and
-//! joins branch facts at the merge — forward analyses join each region's
-//! `scf.yield` operand facts into the `scf.if` results, backward analyses
-//! push result facts into the yields before descending.
+//! An [`Analysis`] pairs a join-semilattice [`Fact`] with a forward
+//! transfer function over ops; [`analyze`] iterates the transfer to a
+//! fixpoint over a function's structured region tree. Unlike a CFG solver
+//! there are no branch edges to chase: control flow is `scf.if` regions, so
+//! the engine walks ops in program order, descends into nested regions, and
+//! joins each region's `scf.yield` operand facts into the `scf.if` results
+//! at the merge.
 
 use asdf_ir::{Block, Func, Op, OpKind, Value};
 
@@ -22,15 +21,6 @@ pub trait Fact: Clone + PartialEq {
 
     /// Joins `other` into `self`, returning whether `self` changed.
     fn join(&mut self, other: &Self) -> bool;
-}
-
-/// Which way facts flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow from operands to results, in program order.
-    Forward,
-    /// Facts flow from results to operands, in reverse program order.
-    Backward,
 }
 
 /// Dense per-value fact storage, indexed by the function's SSA value arena.
@@ -80,21 +70,17 @@ impl<F: Fact> FactMap<F> {
     }
 }
 
-/// A dataflow analysis: a direction, boundary facts, and a transfer
-/// function.
+/// A forward dataflow analysis: boundary facts and a transfer function.
 ///
-/// The transfer reads facts on one side of the op and joins (or sets)
-/// facts on the other, according to [`direction`](Analysis::direction).
-/// Analyses may carry mutable state (e.g. a fresh-index counter); any
-/// per-pass state must be reset in [`prepare`](Analysis::prepare) so every
-/// fixpoint pass is deterministic — that, plus SSA (one defining op per
-/// value), is what makes `FactMap::set` safe and the iteration terminate.
+/// The transfer reads the facts of an op's operands and joins (or sets)
+/// the facts of its results. Analyses may carry mutable state (e.g. a
+/// fresh-index counter); any per-pass state must be reset in
+/// [`prepare`](Analysis::prepare) so every fixpoint pass is deterministic —
+/// that, plus SSA (one defining op per value), is what makes
+/// `FactMap::set` safe and the iteration terminate.
 pub trait Analysis {
     /// The lattice this analysis computes over.
     type Fact: Fact;
-
-    /// Which way facts flow.
-    fn direction(&self) -> Direction;
 
     /// Called at the start of every fixpoint pass; reset per-pass state
     /// (fresh counters and the like) here.
@@ -102,9 +88,8 @@ pub trait Analysis {
         let _ = func;
     }
 
-    /// Boundary fact for a function or lambda parameter (forward analyses;
-    /// backward analyses seed at terminators inside `transfer`). Defaults
-    /// to bottom.
+    /// Boundary fact for a function or lambda parameter. Defaults to
+    /// bottom.
     fn arg_fact(&mut self, func: &Func, arg: Value) -> Self::Fact {
         let _ = (func, arg);
         Self::Fact::bottom()
@@ -128,16 +113,11 @@ pub fn analyze<A: Analysis>(func: &Func, analysis: &mut A) -> FactMap<A::Fact> {
     let mut facts = FactMap::new(func.num_values());
     for _ in 0..MAX_PASSES {
         analysis.prepare(func);
-        match analysis.direction() {
-            Direction::Forward => {
-                for &arg in &func.body.args {
-                    let fact = analysis.arg_fact(func, arg);
-                    facts.join(arg, &fact);
-                }
-                walk_forward(func, &func.body, analysis, &mut facts);
-            }
-            Direction::Backward => walk_backward(func, &func.body, analysis, &mut facts),
+        for &arg in &func.body.args {
+            let fact = analysis.arg_fact(func, arg);
+            facts.join(arg, &fact);
         }
+        walk_forward(func, &func.body, analysis, &mut facts);
         if !facts.take_changed() {
             break;
         }
@@ -146,8 +126,8 @@ pub fn analyze<A: Analysis>(func: &Func, analysis: &mut A) -> FactMap<A::Fact> {
 }
 
 /// Joins each region's `scf.yield` operand facts into the `scf.if`
-/// results (the forward merge), or the reverse (the backward split).
-fn merge_yields<F: Fact>(op: &Op, facts: &mut FactMap<F>, direction: Direction) {
+/// results.
+fn merge_yields<F: Fact>(op: &Op, facts: &mut FactMap<F>) {
     for region in &op.regions {
         let Some(term) = region.terminator() else {
             continue;
@@ -156,10 +136,7 @@ fn merge_yields<F: Fact>(op: &Op, facts: &mut FactMap<F>, direction: Direction) 
             continue;
         }
         for (&res, &yielded) in op.results.iter().zip(&term.operands) {
-            match direction {
-                Direction::Forward => facts.join_from(res, yielded),
-                Direction::Backward => facts.join_from(yielded, res),
-            }
+            facts.join_from(res, yielded);
         }
     }
 }
@@ -188,33 +165,7 @@ fn walk_forward<A: Analysis>(
             walk_forward(func, nested, analysis, facts);
         }
         if matches!(op.kind, OpKind::ScfIf) {
-            merge_yields(op, facts, Direction::Forward);
-        }
-        analysis.transfer(func, op, facts);
-    }
-}
-
-fn walk_backward<A: Analysis>(
-    func: &Func,
-    block: &Block,
-    analysis: &mut A,
-    facts: &mut FactMap<A::Fact>,
-) {
-    for op in block.ops.iter().rev() {
-        if matches!(op.kind, OpKind::ScfIf) {
-            merge_yields(op, facts, Direction::Backward);
-        }
-        for nested in &op.regions {
-            walk_backward(func, nested, analysis, facts);
-        }
-        if let OpKind::Lambda { .. } = op.kind {
-            // Mirror the forward capture threading: facts on the region's
-            // capture args flow back to the captured operands.
-            if let Some(body) = op.regions.first() {
-                for (&capture, &arg) in op.operands.iter().zip(&body.args) {
-                    facts.join_from(capture, arg);
-                }
-            }
+            merge_yields(op, facts);
         }
         analysis.transfer(func, op, facts);
     }
@@ -223,22 +174,19 @@ fn walk_backward<A: Analysis>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::liveness::{Liveness, LivenessAnalysis};
     use crate::measure::{MeasFact, MeasureAnalysis};
     use crate::state::{QState, StateAnalysis, StateFact};
     use asdf_ir::{FuncBuilder, FuncType, GateKind, Type, Visibility};
 
     /// An "empty" function body (terminator only) analyzes without facts
-    /// or panics, in both directions.
+    /// or panics.
     #[test]
     fn empty_block_is_a_fixpoint_immediately() {
         let mut b =
             FuncBuilder::new("empty", FuncType::new(vec![], vec![], false), Visibility::Private);
         b.block().push(OpKind::Return, vec![], vec![]);
         let func = b.finish();
-        let forward = analyze(&func, &mut MeasureAnalysis);
-        let backward = analyze(&func, &mut LivenessAnalysis);
-        let _ = (forward, backward);
+        let _ = analyze(&func, &mut MeasureAnalysis);
 
         // Likewise for an scf.if whose regions hold only their yield.
         let mut b = FuncBuilder::new(
@@ -257,8 +205,8 @@ mod tests {
         bb.push_with_regions(OpKind::ScfIf, vec![cond], vec![], vec![then_block, else_block]);
         bb.push(OpKind::Return, vec![], vec![]);
         let func = b.finish();
-        let facts = analyze(&func, &mut LivenessAnalysis);
-        assert_eq!(*facts.get(cond), Liveness::Live, "branch condition is observable");
+        let facts = analyze(&func, &mut StateAnalysis);
+        assert_eq!(*facts.get(cond), StateFact::Bottom, "a classical condition carries no qubits");
     }
 
     /// Branch facts present on only one side still merge soundly: the
@@ -341,44 +289,6 @@ mod tests {
         asdf_ir::verify::verify_func(&func, None).unwrap();
         let facts = analyze(&func, &mut StateAnalysis);
         assert_eq!(*facts.get(merged[0]), StateFact::Qubits(vec![QState::One]));
-    }
-
-    /// Backward liveness flows from an scf.if's results into both
-    /// regions' yields, and through a lambda region back to captures.
-    #[test]
-    fn backward_liveness_crosses_region_boundaries() {
-        let mut b = FuncBuilder::new(
-            "regions",
-            FuncType::new(vec![Type::I1, Type::Qubit], vec![Type::I1], false),
-            Visibility::Private,
-        );
-        let (cond, q) = (b.args()[0], b.args()[1]);
-        let mut bb = b.block();
-        let then_block = bb.subblock(vec![], |sb| {
-            let g = sb.push(
-                OpKind::Gate { gate: GateKind::H, num_controls: 0 },
-                vec![q],
-                vec![Type::Qubit],
-            );
-            sb.push(OpKind::Yield, vec![g[0]], vec![]);
-        });
-        let else_block = bb.subblock(vec![], |sb| {
-            sb.push(OpKind::Yield, vec![q], vec![]);
-        });
-        let merged = bb.push_with_regions(
-            OpKind::ScfIf,
-            vec![cond],
-            vec![Type::Qubit],
-            vec![then_block, else_block],
-        );
-        bb.push(OpKind::QFree, vec![merged[0]], vec![]);
-        bb.push(OpKind::Return, vec![cond], vec![]);
-        let func = b.finish();
-        let facts = analyze(&func, &mut LivenessAnalysis);
-        // The merged wire is freed unobserved, and deadness flows back
-        // through both yields to the gate inside the then-region.
-        assert_eq!(*facts.get(merged[0]), Liveness::Dead);
-        assert_eq!(*facts.get(q), Liveness::Dead);
     }
 
     /// Forward facts thread through lambda captures into the region body.

@@ -7,7 +7,7 @@
 //! fresh indices; packs concatenate, unpacks distribute, and every other
 //! op threads indices through positionally.
 
-use crate::framework::{Analysis, Direction, Fact, FactMap};
+use crate::framework::{Analysis, Fact, FactMap};
 use asdf_ir::{Func, Op, OpKind, Value};
 
 /// Which qubit indices a value carries.
@@ -69,10 +69,6 @@ impl QubitIndexAnalysis {
 
 impl Analysis for QubitIndexAnalysis {
     type Fact = IndexFact;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn prepare(&mut self, _func: &Func) {
         self.next = 0;

@@ -1,6 +1,6 @@
-//! The `asdf-lint` driver: runs the dataflow analyses over a module and
-//! reports findings as structured [`Diagnostic`]s with stable `W0xxx`
-//! codes.
+//! The `asdf-lint` driver: runs the measurement and state analyses over a
+//! module and reports findings as structured [`Diagnostic`]s with stable
+//! `W0xxx` codes.
 //!
 //! Every lint is *sound by construction*: it fires only on facts the
 //! analyses prove definitely (a wire provably post-measurement, a state
@@ -8,74 +8,18 @@
 //! never flagged. Diagnostics carry the source span lowering stamped onto
 //! the op (when known) for caret snippets, plus a `func:block:op` note in
 //! the coordinate format the IR verifier's errors use.
+//!
+//! Two lints exist: W0001 `gate-after-measure` (a gate is applied to a
+//! provably post-measurement qubit) and W0003 `dirty-zero-release` (a
+//! |0⟩-asserted release frees a qubit that is provably |1⟩). W0002, W0004
+//! and W0005 are retired and not reused.
 
-use crate::clifford::{classify, GateClass};
-use crate::commute::is_cancelling_pair;
 use crate::framework::analyze;
-use crate::liveness::{Liveness, LivenessAnalysis};
 use crate::measure::{MeasFact, MeasureAnalysis};
 use crate::state::{QState, StateAnalysis, StateFact};
 use asdf_ast::diag::{Diagnostic, Span};
 use asdf_ir::print::op_line;
 use asdf_ir::{Func, Module, Op, OpKind};
-
-/// A lint's registry entry.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LintInfo {
-    /// Stable diagnostic code (`W0xxx` namespace).
-    pub code: &'static str,
-    /// Short kebab-case name.
-    pub name: &'static str,
-    /// Whether the lint only runs with [`LintOptions::pedantic`].
-    pub pedantic: bool,
-    /// One-line description.
-    pub summary: &'static str,
-}
-
-/// All registered lints, in code order.
-#[cfg(test)]
-pub(crate) const LINTS: &[LintInfo] = &[
-    LintInfo {
-        code: "W0001",
-        name: "gate-after-measure",
-        pedantic: false,
-        summary: "a gate is applied to a provably post-measurement qubit",
-    },
-    LintInfo {
-        code: "W0002",
-        name: "dead-wire-gate",
-        pedantic: true,
-        summary: "a gate's outputs are all reset and released unobserved",
-    },
-    LintInfo {
-        code: "W0003",
-        name: "dirty-zero-release",
-        pedantic: false,
-        summary: "a |0>-asserted release frees a qubit that is provably |1>",
-    },
-    LintInfo {
-        code: "W0004",
-        name: "clifford-angle-rotation",
-        pedantic: true,
-        summary: "a parameterized rotation's angle is a pi/4 multiple (discrete gates suffice)",
-    },
-    LintInfo {
-        code: "W0005",
-        name: "adjacent-cancelling-pair",
-        pedantic: true,
-        summary: "two wire-adjacent gates cancel (the peephole pass would remove them)",
-    },
-];
-
-/// Lint driver configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LintOptions {
-    /// Also run the pedantic (style/optimization-hint) lints. These fire
-    /// on correct programs — e.g. every unoptimized pipeline trips
-    /// W0005 — so they are off by default.
-    pub pedantic: bool,
-}
 
 /// Attaches the op's span label (when lowering stamped one) and the
 /// `func:block:op` location note.
@@ -96,101 +40,33 @@ fn finish(
 }
 
 /// Lints one function, appending findings to `out`.
-pub(crate) fn lint_func(func: &Func, opts: &LintOptions, out: &mut Vec<Diagnostic>) {
+pub(crate) fn lint_func(func: &Func, out: &mut Vec<Diagnostic>) {
     let measured = analyze(func, &mut MeasureAnalysis);
     let states = analyze(func, &mut StateAnalysis);
-    let liveness = analyze(func, &mut LivenessAnalysis);
 
     for (block_no, path) in func.block_paths().iter().enumerate() {
         let block = func.block_at(path);
         for (idx, op) in block.ops.iter().enumerate() {
             match &op.kind {
-                OpKind::Gate { gate, .. } => {
-                    if op.operands.iter().any(|&v| *measured.get(v) == MeasFact::Measured) {
-                        out.push(finish(
-                            Diagnostic::warning(
-                                "W0001",
-                                format!(
-                                    "gate {} is applied to an already-measured qubit",
-                                    gate.name()
-                                ),
-                            )
-                            .with_note(
-                                "the measurement outcome was already extracted; this gate cannot \
-                                 affect it"
-                                    .to_string(),
-                            ),
-                            "gate on a post-measurement wire",
-                            func,
-                            block_no,
-                            idx,
-                            op,
-                        ));
-                    }
-                    if opts.pedantic
-                        && !op.results.is_empty()
-                        && op.results.iter().all(|&r| *liveness.get(r) == Liveness::Dead)
-                    {
-                        out.push(finish(
-                            Diagnostic::warning(
-                                "W0002",
-                                format!(
-                                    "gate {} acts only on dead wires (every output is reset and \
-                                     released unobserved)",
-                                    gate.name()
-                                ),
-                            ),
-                            "gate with no observable effect",
-                            func,
-                            block_no,
-                            idx,
-                            op,
-                        ));
-                    }
-                    if opts.pedantic
-                        && gate.param().is_some()
-                        && classify(*gate) != GateClass::Rotation
-                    {
-                        out.push(finish(
-                            Diagnostic::warning(
-                                "W0004",
-                                format!(
-                                    "rotation {gate} has a pi/4-multiple angle; discrete \
-                                     Clifford+T gates represent it exactly"
-                                ),
-                            ),
-                            "synthesizable rotation",
-                            func,
-                            block_no,
-                            idx,
-                            op,
-                        ));
-                    }
-                    if opts.pedantic {
-                        if let Some(prev) =
-                            block.ops[..idx].iter().find(|prev| is_cancelling_pair(prev, op))
-                        {
-                            let OpKind::Gate { gate: prev_gate, .. } = &prev.kind else {
-                                unreachable!("cancelling pairs are gates")
-                            };
-                            out.push(finish(
-                                Diagnostic::warning(
-                                    "W0005",
-                                    format!(
-                                        "gates {} and {} are wire-adjacent and cancel",
-                                        prev_gate.name(),
-                                        gate.name()
-                                    ),
-                                )
-                                .with_note("the peephole pass removes such pairs".to_string()),
-                                "second gate of a cancelling pair",
-                                func,
-                                block_no,
-                                idx,
-                                op,
-                            ));
-                        }
-                    }
+                OpKind::Gate { gate, .. }
+                    if op.operands.iter().any(|&v| *measured.get(v) == MeasFact::Measured) =>
+                {
+                    out.push(finish(
+                        Diagnostic::warning(
+                            "W0001",
+                            format!("gate {} is applied to an already-measured qubit", gate.name()),
+                        )
+                        .with_note(
+                            "the measurement outcome was already extracted; this gate cannot \
+                             affect it"
+                                .to_string(),
+                        ),
+                        "gate on a post-measurement wire",
+                        func,
+                        block_no,
+                        idx,
+                        op,
+                    ));
                 }
                 OpKind::QFreeZ | OpKind::QbDiscardZ => {
                     let dirty = op.operands.iter().any(|&v| match states.get(v) {
@@ -226,10 +102,10 @@ pub(crate) fn lint_func(func: &Func, opts: &LintOptions, out: &mut Vec<Diagnosti
 
 /// Lints every function in `module`, returning diagnostics in function /
 /// program order.
-pub fn lint_module(module: &Module, opts: &LintOptions) -> Vec<Diagnostic> {
+pub fn lint_module(module: &Module) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for func in module.funcs() {
-        lint_func(func, opts, &mut out);
+        lint_func(func, &mut out);
     }
     out
 }
@@ -266,7 +142,7 @@ mod tests {
         asdf_ir::verify::verify_func(&func, None).unwrap();
 
         let mut diags = Vec::new();
-        lint_func(&func, &LintOptions::default(), &mut diags);
+        lint_func(&func, &mut diags);
         assert_eq!(codes(&diags), vec!["W0001"]);
         // The diagnostic renders with the stamped span and the
         // func:block:op location.
@@ -294,7 +170,7 @@ mod tests {
         asdf_ir::verify::verify_func(&func, None).unwrap();
 
         let mut diags = Vec::new();
-        lint_func(&func, &LintOptions::default(), &mut diags);
+        lint_func(&func, &mut diags);
         assert_eq!(codes(&diags), vec!["W0003"]);
     }
 
@@ -320,17 +196,15 @@ mod tests {
         let func = b.finish();
 
         let mut diags = Vec::new();
-        lint_func(&func, &LintOptions::default(), &mut diags);
+        lint_func(&func, &mut diags);
         assert!(diags.is_empty(), "{:?}", codes(&diags));
-        // Pedantic mode flags the cancelling X;X pair instead.
-        let mut pedantic = Vec::new();
-        lint_func(&func, &LintOptions { pedantic: true }, &mut pedantic);
-        assert_eq!(codes(&pedantic), vec!["W0005"]);
     }
 
-    /// Pedantic lints: a dead-wire gate and a Clifford-angle rotation.
+    /// A π-angle `Rz` on a wire that is then reset unobserved lints
+    /// clean: neither a gate with no observable effect nor a rotation at a
+    /// Clifford angle is a fault.
     #[test]
-    fn pedantic_lints_fire_only_when_enabled() {
+    fn clifford_angle_rotation_on_a_reset_wire_is_clean() {
         let mut b = FuncBuilder::new(
             "k",
             FuncType::new(vec![Type::Qubit], vec![], false),
@@ -349,11 +223,8 @@ mod tests {
         asdf_ir::verify::verify_func(&func, None).unwrap();
 
         let mut diags = Vec::new();
-        lint_func(&func, &LintOptions::default(), &mut diags);
-        assert!(diags.is_empty(), "default mode is quiet: {:?}", codes(&diags));
-        let mut pedantic = Vec::new();
-        lint_func(&func, &LintOptions { pedantic: true }, &mut pedantic);
-        assert_eq!(codes(&pedantic), vec!["W0002", "W0004"]);
+        lint_func(&func, &mut diags);
+        assert!(diags.is_empty(), "{:?}", codes(&diags));
     }
 
     /// Lints see into scf.if regions; a maybe-measured merge is NOT
@@ -394,7 +265,7 @@ mod tests {
         asdf_ir::verify::verify_func(&func, None).unwrap();
 
         let mut diags = Vec::new();
-        lint_func(&func, &LintOptions::default(), &mut diags);
+        lint_func(&func, &mut diags);
         assert!(diags.is_empty(), "{:?}", codes(&diags));
     }
 
@@ -432,22 +303,12 @@ mod tests {
         asdf_ir::verify::verify_func(&func, None).unwrap();
 
         let mut diags = Vec::new();
-        lint_func(&func, &LintOptions::default(), &mut diags);
+        lint_func(&func, &mut diags);
         assert_eq!(codes(&diags), vec!["W0001"]);
         assert!(
             diags[0].notes.iter().any(|n| n.contains("at k:1:0:")),
             "nested coordinates: {:?}",
             diags[0].notes
         );
-    }
-
-    #[test]
-    fn lint_registry_is_ordered_and_unique() {
-        let codes: Vec<_> = LINTS.iter().map(|l| l.code).collect();
-        let mut sorted = codes.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(codes, sorted, "codes are unique and ordered");
-        assert!(LINTS.iter().all(|l| l.code.starts_with("W0")));
     }
 }

@@ -7,7 +7,7 @@
 //! operand is *provably* post-measurement; merged maybe-measured wires are
 //! left alone so the lint cannot produce false positives.
 
-use crate::framework::{Analysis, Direction, Fact, FactMap};
+use crate::framework::{Analysis, Fact, FactMap};
 use asdf_ir::{Func, Op, OpKind};
 
 /// Measurement status of a qubit wire.
@@ -48,10 +48,6 @@ pub struct MeasureAnalysis;
 
 impl Analysis for MeasureAnalysis {
     type Fact = MeasFact;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn arg_fact(&mut self, func: &Func, arg: asdf_ir::Value) -> MeasFact {
         if func.value_type(arg).is_linear() {

@@ -8,7 +8,7 @@
 //! Because the abstraction only ever reports definite states, a correct
 //! program (whose asserted wires really are |0⟩) can never be flagged.
 
-use crate::framework::{Analysis, Direction, Fact, FactMap};
+use crate::framework::{Analysis, Fact, FactMap};
 use asdf_basis::{Eigenstate, PrimitiveBasis};
 use asdf_ir::{Func, GateKind, Op, OpKind};
 
@@ -115,10 +115,6 @@ pub struct StateAnalysis;
 
 impl Analysis for StateAnalysis {
     type Fact = StateFact;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     // Function arguments carry caller state: unknown.
     fn arg_fact(&mut self, func: &Func, arg: asdf_ir::Value) -> StateFact {

@@ -27,7 +27,7 @@ use std::time::Duration;
 /// structured [`ArtifactError::UnknownDiagnosticCode`].
 pub(crate) const KNOWN_DIAGNOSTIC_CODES: &[&str] = &[
     "E0001", "E0002", "E0003", "E0004", "E0005", "E0006", "E0101", "E0102", "E0103", "E0104",
-    "E0105", "E0106", "W0001", "W0002", "W0003", "W0004", "W0005",
+    "E0105", "E0106", "W0001", "W0003",
 ];
 
 fn intern_code(code: &str) -> Result<&'static str, ArtifactError> {

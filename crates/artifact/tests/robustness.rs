@@ -128,7 +128,7 @@ fn sample_artifact() -> Artifact {
             detail: vec![("calls_inlined".into(), 4)],
         }],
     };
-    let lints = vec![Diagnostic::warning("W0002", "dead qubit")
+    let lints = vec![Diagnostic::warning("W0003", "dirty qubit")
         .with_label(asdf_ast::Span::new(3, 9), "allocated here")
         .with_note("consider discarding explicitly")];
 
@@ -310,6 +310,17 @@ fn future_versions_are_detected_before_payload_parsing() {
     let mut bytes = artifact.encode();
     bytes[0] = b'X';
     assert_eq!(Artifact::decode(&bytes).unwrap_err(), ArtifactError::BadMagic);
+}
+
+#[test]
+fn a_retired_lint_code_is_a_structured_error() {
+    // W0002 is a retired lint code: no build emits it, and a decoder
+    // cannot intern a code it does not know.
+    let mut artifact = sample_artifact();
+    artifact.lints = vec![Diagnostic::warning("W0002", "dead qubit")];
+    let err = Artifact::decode(&artifact.encode()).unwrap_err();
+    assert_eq!(err, ArtifactError::UnknownDiagnosticCode("W0002".into()));
+    assert_eq!(err.code(), "E0106");
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //!   directory: parse + frontend + disk decode, zero pipeline runs.
 //!
 //! Each full run appends a trajectory point to `BENCH_compile.json` at
-//! the repo root. `--smoke` (or env `ARTIFACT_IO_SMOKE=1`) shrinks the
-//! workload for CI and prints the point instead of appending it.
+//! the repo root. `--smoke` shrinks the workload for CI and prints the
+//! point instead of appending it.
 
 use asdf_artifact::Artifact;
 use asdf_bench::{bv_request, median_time, record_trajectory_point, smoke_mode, BV_SRC};
@@ -26,7 +26,7 @@ fn us(d: Duration) -> f64 {
 }
 
 fn main() {
-    let smoke = smoke_mode("ARTIFACT_IO_SMOKE");
+    let smoke = smoke_mode();
     let (secret, samples, codec_batch) = if smoke { ("1101", 10, 50) } else { ("110100", 30, 500) };
     let request = bv_request(secret);
     println!(

@@ -15,8 +15,8 @@
 //! the machine.
 //!
 //! Each full run appends a trajectory point to `BENCH_compile.json` at the
-//! repo root. `--smoke` (or env `COMPILE_SCALING_SMOKE=1`) runs N = 1k and
-//! 4k once each and prints the point instead of appending it.
+//! repo root. `--smoke` runs N = 1k and 4k once each and prints the point
+//! instead of appending it.
 
 use asdf_baselines::Benchmark;
 use asdf_bench::{qwerty_program, record_trajectory_point, smoke_mode};
@@ -116,7 +116,7 @@ fn json_list(values: &[f64]) -> String {
 }
 
 fn main() {
-    let smoke = smoke_mode("COMPILE_SCALING_SMOKE");
+    let smoke = smoke_mode();
     let (common, runs): (&[usize], usize) =
         if smoke { (&[1024, 4096], 1) } else { (&[1024, 4096, 16384], 3) };
     println!(

@@ -14,9 +14,8 @@
 //! throughput.
 //!
 //! Each full run appends a trajectory point to `BENCH_compile.json` at
-//! the repo root. `--smoke` (or env `COMPILE_STRESS_SMOKE=1`) shrinks
-//! the workload, skips the scaling assertion and prints the point
-//! instead of appending it.
+//! the repo root. `--smoke` shrinks the workload, skips the scaling
+//! assertion and prints the point instead of appending it.
 
 use asdf_bench::{bv_request, record_trajectory_point, smoke_mode, BV_SRC};
 use asdf_core::{CompileRequest, Session};
@@ -124,7 +123,7 @@ fn us(d: Duration) -> f64 {
 }
 
 fn main() {
-    let smoke = smoke_mode("COMPILE_STRESS_SMOKE");
+    let smoke = smoke_mode();
     let (len, trials) = if smoke { (60, 2) } else { (240, 5) };
     let (schedule, unique_keys) = build_schedule(len);
     println!(

@@ -14,8 +14,8 @@
 //!   one cold compile each.
 //!
 //! Each full run appends a trajectory point to `BENCH_compile.json` at
-//! the repo root. `--smoke` (or env `COMPILE_THROUGHPUT_SMOKE=1`) shrinks
-//! the workload for CI and prints the point instead of appending it.
+//! the repo root. `--smoke` shrinks the workload for CI and prints the
+//! point instead of appending it.
 
 use asdf_bench::{bv_request, median_time, record_trajectory_point, smoke_mode, BV_SRC};
 use asdf_core::{CompileOptions, Session};
@@ -27,7 +27,7 @@ fn us(d: Duration) -> f64 {
 }
 
 fn main() {
-    let smoke = smoke_mode("COMPILE_THROUGHPUT_SMOKE");
+    let smoke = smoke_mode();
     let (secret, samples, warm_batch) =
         if smoke { ("1101", 10, 200) } else { ("110100", 30, 2000) };
     let request = bv_request(secret);

@@ -2,7 +2,7 @@
 //!
 //! Lints are opt-in on the compile path, so their cost budget is "cheap
 //! enough to leave on in a service": this bench measures the full
-//! `lint_module` driver (three fixpoint analyses per function) and the
+//! `lint_module` driver (two fixpoint analyses per function) and the
 //! individual analyses over the post-pipeline modules of the paper
 //! suite — the exact IR the session lints in production.
 
@@ -31,9 +31,7 @@ fn bench_lint_driver(c: &mut Criterion) {
     for n in [8usize, 16] {
         for (name, module) in suite_modules(n) {
             group.bench_with_input(BenchmarkId::new(name, n), &module, |b, module| {
-                b.iter(|| {
-                    asdf_analysis::lint_module(module, &asdf_analysis::LintOptions::default())
-                });
+                b.iter(|| asdf_analysis::lint_module(module));
             });
         }
     }
@@ -56,15 +54,6 @@ fn bench_individual_analyses(c: &mut Criterion) {
             }
         });
     });
-    group.bench_function(format!("liveness/{name}"), |b| {
-        b.iter(|| {
-            for f in &funcs {
-                let func = module.expect_func(f).unwrap();
-                let mut analysis = asdf_analysis::LivenessAnalysis;
-                criterion::black_box(asdf_analysis::analyze(func, &mut analysis));
-            }
-        });
-    });
     group.bench_function(format!("state/{name}"), |b| {
         b.iter(|| {
             for f in &funcs {
@@ -73,9 +62,6 @@ fn bench_individual_analyses(c: &mut Criterion) {
                 criterion::black_box(asdf_analysis::analyze(func, &mut analysis));
             }
         });
-    });
-    group.bench_function(format!("clifford_summary/{name}"), |b| {
-        b.iter(|| criterion::black_box(asdf_analysis::summarize_module(&module)));
     });
     group.finish();
 }

@@ -21,9 +21,8 @@
 //! unchanged). A full run prints the measured times beside the latest
 //! committed full-mode `BENCH_opt.json` point, checks that the wide and
 //! bundle op and firing counts equal that point's (bundle counts once a
-//! point holds them), and appends a trajectory point. `--smoke` (or env
-//! `REWRITE_DRIVER_SMOKE=1`) shrinks the workload for CI and prints the
-//! point instead of appending it.
+//! point holds them), and appends a trajectory point. `--smoke` shrinks
+//! the workload for CI and prints the point instead of appending it.
 
 use asdf_bench::{
     committed_full_point, json_field, median_time, record_trajectory_point, smoke_mode,
@@ -187,7 +186,7 @@ fn time_beside(time: Duration, point: Option<&str>, key: &str) -> String {
 }
 
 fn main() {
-    let smoke = smoke_mode("REWRITE_DRIVER_SMOKE");
+    let smoke = smoke_mode();
     let (wires, reps, bundle_wires, cases, samples) =
         if smoke { (48, 1, 128, 6, 3) } else { (120, 2, 512, 12, 5) };
     let mode = if smoke { "smoke" } else { "full" };

@@ -14,8 +14,8 @@
 //! full-mode point that holds it.
 //!
 //! Each full run appends a trajectory point to `BENCH_route.json` at the
-//! repo root. `--smoke` (or env `ROUTE_OVERHEAD_SMOKE=1`) shrinks the
-//! sample count for CI and prints the point instead of appending it.
+//! repo root. `--smoke` shrinks the sample count for CI and prints the
+//! point instead of appending it.
 
 use asdf_ast::CaptureValue;
 use asdf_baselines::Benchmark;
@@ -165,7 +165,7 @@ fn measure(name: &str, circuit: &Circuit, target_name: &str, samples: usize) -> 
 }
 
 fn main() {
-    let smoke = smoke_mode("ROUTE_OVERHEAD_SMOKE");
+    let smoke = smoke_mode();
     let samples = if smoke { 5 } else { 30 };
     println!("route_overhead: {samples} samples{}", if smoke { " (smoke)" } else { "" });
     println!(

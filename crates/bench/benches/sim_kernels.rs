@@ -11,9 +11,9 @@
 //!   re-simulation vs [`asdf_sim::batched_columns`].
 //!
 //! Each full run appends a trajectory point to `BENCH_sim.json` at the
-//! repo root, so kernel times are tracked across commits. `--smoke` (or
-//! env `SIM_KERNELS_SMOKE=1`) shrinks the workload for CI and prints the
-//! point instead of appending it.
+//! repo root, so kernel times are tracked across commits. `--smoke`
+//! shrinks the workload for CI and prints the point instead of appending
+//! it.
 
 use asdf_bench::{record_trajectory_point, smoke_mode};
 use asdf_ir::GateKind;
@@ -107,7 +107,7 @@ fn ms(d: Duration) -> f64 {
 }
 
 fn main() {
-    let smoke = smoke_mode("SIM_KERNELS_SMOKE");
+    let smoke = smoke_mode();
     // (qubits, gates, single-state samples) per grid size.
     let grid: &[(usize, usize, usize)] = if smoke {
         &[(8, 100, 20), (10, 150, 10)]

@@ -4,45 +4,15 @@
 //! Usage: `cargo run --release -p asdf-bench --bin fig11 [-- sizes...]`
 //! (default sizes: 16 32 64 128).
 
-use asdf_bench::{figure_points, Which};
+use asdf_bench::{run_figure, Figure};
+use std::process::ExitCode;
 
-fn main() {
-    let sizes: Vec<usize> = {
-        let args: Vec<usize> = std::env::args().skip(1).filter_map(|s| s.parse().ok()).collect();
-        if args.is_empty() {
-            vec![16, 32, 64, 128]
-        } else {
-            args
-        }
-    };
-    println!("Fig. 11: estimated runtime (microseconds) on a [[338,1,13]] surface code");
-    let points = figure_points(&sizes);
-    let mut csv = String::from("benchmark,n,compiler,runtime_us\n");
-    for benchmark in ["bv", "grover", "simon", "period"] {
-        println!("\n(% {benchmark})");
-        print!("{:>10}", "n");
-        for which in Which::ALL {
-            print!("{:>18}", which.name());
-        }
-        println!();
-        for &n in &sizes {
-            print!("{n:>10}");
-            for which in Which::ALL {
-                let p = points
-                    .iter()
-                    .find(|p| p.benchmark == benchmark && p.n == n && p.which == which)
-                    .expect("grid point");
-                print!("{:>18.1}", p.estimate.runtime_us);
-                csv.push_str(&format!(
-                    "{benchmark},{n},{},{:.3}\n",
-                    p.which.name(),
-                    p.estimate.runtime_us
-                ));
-            }
-            println!();
-        }
-    }
-    let _ = std::fs::create_dir_all("data");
-    let _ = std::fs::write("data/fig11_runtime.csv", csv);
-    println!("\nwrote data/fig11_runtime.csv");
+fn main() -> ExitCode {
+    run_figure(&Figure {
+        bin: "fig11",
+        title: "Fig. 11: estimated runtime (microseconds) on a [[338,1,13]] surface code",
+        column: "runtime_us",
+        value: |e| (e.runtime_us, format!("{:.3}", e.runtime_us)),
+        csv: "data/fig11_runtime.csv",
+    })
 }

@@ -4,45 +4,15 @@
 //! Usage: `cargo run --release -p asdf-bench --bin fig12 [-- sizes...]`
 //! (default sizes: 16 32 64 128).
 
-use asdf_bench::{figure_points, Which};
+use asdf_bench::{run_figure, Figure};
+use std::process::ExitCode;
 
-fn main() {
-    let sizes: Vec<usize> = {
-        let args: Vec<usize> = std::env::args().skip(1).filter_map(|s| s.parse().ok()).collect();
-        if args.is_empty() {
-            vec![16, 32, 64, 128]
-        } else {
-            args
-        }
-    };
-    println!("Fig. 12: physical qubits on a [[338,1,13]] surface code (kiloqubits)");
-    let points = figure_points(&sizes);
-    let mut csv = String::from("benchmark,n,compiler,physical_qubits\n");
-    for benchmark in ["bv", "grover", "simon", "period"] {
-        println!("\n(% {benchmark})");
-        print!("{:>10}", "n");
-        for which in Which::ALL {
-            print!("{:>18}", which.name());
-        }
-        println!();
-        for &n in &sizes {
-            print!("{n:>10}");
-            for which in Which::ALL {
-                let p = points
-                    .iter()
-                    .find(|p| p.benchmark == benchmark && p.n == n && p.which == which)
-                    .expect("grid point");
-                print!("{:>18.1}", p.estimate.physical_qubits as f64 / 1000.0);
-                csv.push_str(&format!(
-                    "{benchmark},{n},{},{}\n",
-                    p.which.name(),
-                    p.estimate.physical_qubits
-                ));
-            }
-            println!();
-        }
-    }
-    let _ = std::fs::create_dir_all("data");
-    let _ = std::fs::write("data/fig12_physical_qubits.csv", csv);
-    println!("\nwrote data/fig12_physical_qubits.csv");
+fn main() -> ExitCode {
+    run_figure(&Figure {
+        bin: "fig12",
+        title: "Fig. 12: physical qubits on a [[338,1,13]] surface code (kiloqubits)",
+        column: "physical_qubits",
+        value: |e| (e.physical_qubits as f64 / 1000.0, e.physical_qubits.to_string()),
+        csv: "data/fig12_physical_qubits.csv",
+    })
 }

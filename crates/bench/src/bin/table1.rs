@@ -3,8 +3,17 @@
 //!
 //! Usage: `cargo run -p asdf-bench --bin table1 [-- <n>]` (default n = 4).
 
-fn main() {
-    let n: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(4);
+use std::process::ExitCode;
+
+const USAGE: &str = "table1 [<n>]";
+
+fn main() -> ExitCode {
+    let n = match asdf_bench::size_args(USAGE).as_deref() {
+        Ok([]) => 4,
+        Ok(&[n]) => n,
+        Ok(_) => return asdf_bench::usage_error("table1 takes one size", USAGE),
+        Err(code) => return *code,
+    };
     println!("Table 1: QIR callable intrinsics (create / inv.) at oracle size n = {n}");
     println!();
     println!(
@@ -15,7 +24,7 @@ fn main() {
         "{:<10} {:>9} {:>9}   {:>9} {:>9}   {:>9} {:>9}",
         "bench", "create", "inv.", "create", "inv.", "create", "inv."
     );
-    println!("{}", "-".len().to_string().repeat(0) + &"-".repeat(72));
+    println!("{}", "-".repeat(72));
     let mut csv = String::from(
         "bench,qsharp_create,qsharp_invoke,noopt_create,noopt_invoke,opt_create,opt_invoke\n",
     );
@@ -44,4 +53,5 @@ fn main() {
     let _ = std::fs::create_dir_all("data");
     let _ = std::fs::write("data/table1.csv", csv);
     println!("\nwrote data/table1.csv");
+    ExitCode::SUCCESS
 }

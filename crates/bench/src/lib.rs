@@ -17,11 +17,12 @@ use asdf_resource::{estimate, Estimate, SurfaceCodeParams};
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// The four compilers of the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Which {
+pub(crate) enum Which {
     /// This work.
     Asdf,
     /// Qiskit-style baseline.
@@ -149,7 +150,7 @@ pub(crate) fn circuit_for(which: Which, benchmark: &Benchmark) -> Circuit {
 
 /// A `(compiler, benchmark, input size)` data point for Figures 11–12.
 #[derive(Debug, Clone)]
-pub struct FigPoint {
+pub(crate) struct FigPoint {
     /// Which compiler produced the circuit.
     pub which: Which,
     /// Benchmark short name.
@@ -167,7 +168,7 @@ pub(crate) fn figure_benchmarks(n: usize) -> Vec<(&'static str, Benchmark)> {
 }
 
 /// Computes all Figure 11/12 data points for the given input sizes.
-pub fn figure_points(sizes: &[usize]) -> Vec<FigPoint> {
+pub(crate) fn figure_points(sizes: &[usize]) -> Vec<FigPoint> {
     let params = SurfaceCodeParams::default();
     let mut points = Vec::new();
     for &n in sizes {
@@ -184,6 +185,80 @@ pub fn figure_points(sizes: &[usize]) -> Vec<FigPoint> {
         }
     }
     points
+}
+
+/// One of the two resource figures: which estimate it plots, and where.
+#[derive(Debug)]
+pub struct Figure {
+    /// The bin's name, for its usage line.
+    pub bin: &'static str,
+    /// The heading printed above the tables.
+    pub title: &'static str,
+    /// The CSV column of the plotted value.
+    pub column: &'static str,
+    /// The plotted value: the table cell, and the CSV cell.
+    pub value: fn(&Estimate) -> (f64, String),
+    /// Where the CSV is written.
+    pub csv: &'static str,
+}
+
+/// Runs a figure bin: computes the grid at the sizes on the command line
+/// (default 16 32 64 128), prints one table per benchmark, and writes the
+/// CSV.
+pub fn run_figure(figure: &Figure) -> ExitCode {
+    let usage = format!("{} [sizes...]", figure.bin);
+    let sizes = match size_args(&usage) {
+        Ok(sizes) if sizes.is_empty() => vec![16, 32, 64, 128],
+        Ok(sizes) => sizes,
+        Err(code) => return code,
+    };
+    println!("{}", figure.title);
+    let points = figure_points(&sizes);
+    let mut csv = format!("benchmark,n,compiler,{}\n", figure.column);
+    for benchmark in ["bv", "grover", "simon", "period"] {
+        println!("\n(% {benchmark})");
+        print!("{:>10}", "n");
+        for which in Which::ALL {
+            print!("{:>18}", which.name());
+        }
+        println!();
+        for &n in &sizes {
+            print!("{n:>10}");
+            for which in Which::ALL {
+                let p = points
+                    .iter()
+                    .find(|p| p.benchmark == benchmark && p.n == n && p.which == which)
+                    .expect("grid point");
+                let (cell, csv_cell) = (figure.value)(&p.estimate);
+                print!("{cell:>18.1}");
+                csv.push_str(&format!("{benchmark},{n},{},{csv_cell}\n", p.which.name()));
+            }
+            println!();
+        }
+    }
+    let _ = std::fs::create_dir_all("data");
+    let _ = std::fs::write(figure.csv, csv);
+    println!("\nwrote {}", figure.csv);
+    ExitCode::SUCCESS
+}
+
+/// Prints `message` and the bin's `usage` line, and returns exit code 2,
+/// as `difftest` does on a usage error.
+pub fn usage_error(message: &str, usage: &str) -> ExitCode {
+    eprintln!("{message}\nusage: {usage}");
+    ExitCode::from(2)
+}
+
+/// The oracle sizes given on a bench bin's command line.
+///
+/// # Errors
+///
+/// An argument that is not a size gives [`usage_error`]'s exit code.
+pub fn size_args(usage: &str) -> Result<Vec<usize>, ExitCode> {
+    std::env::args()
+        .skip(1)
+        .map(|arg| arg.parse().map_err(|_| usage_error(&format!("{arg} is not a size"), usage)))
+        .collect()
 }
 
 /// One Table 1 row: QIR callable intrinsic counts per configuration.
@@ -237,10 +312,9 @@ pub fn table1_rows(n: usize) -> Vec<Table1Row> {
         .collect()
 }
 
-/// Whether a bench runs in smoke mode: `--smoke` on its command line, or
-/// `env_var=1` in its environment.
-pub fn smoke_mode(env_var: &str) -> bool {
-    std::env::args().any(|a| a == "--smoke") || std::env::var(env_var).is_ok_and(|v| v == "1")
+/// Whether a bench runs in smoke mode: `--smoke` on its command line.
+pub fn smoke_mode() -> bool {
+    std::env::args().any(|a| a == "--smoke")
 }
 
 /// Median wall-clock of `samples` runs of `f` (after one warmup).

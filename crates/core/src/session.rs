@@ -981,9 +981,7 @@ impl Session {
         // and conversion, so diagnostics still point at the source, while
         // the analyses see the IR the backends will actually consume.
         let lints = if options.lints {
-            stats.time("analysis.lint", || {
-                asdf_analysis::lint_module(&module, &asdf_analysis::LintOptions::default())
-            })
+            stats.time("analysis.lint", || asdf_analysis::lint_module(&module))
         } else {
             Vec::new()
         };

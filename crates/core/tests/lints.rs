@@ -5,7 +5,7 @@
 //! story the differential sweep's `--lint` mode proves from the other
 //! side (zero false positives on generated-correct programs).
 
-use asdf_analysis::{lint_module, LintOptions};
+use asdf_analysis::lint_module;
 use asdf_core::{CompileOptions, CompileRequest, Session};
 use asdf_ir::{GateKind, Module, Op, OpKind, Type};
 
@@ -42,7 +42,7 @@ fn skipping_resets_trips_the_dirty_release_lint() {
         }
     }
     module.add_func(func);
-    let warnings = lint_module(&module, &LintOptions::default());
+    let warnings = lint_module(&module);
     assert!(
         warnings.iter().any(|d| d.code == "W0003"),
         "expected W0003 dirty-zero-release, got {:?}",
@@ -75,7 +75,7 @@ fn reordering_a_gate_past_a_measurement_trips_w0001() {
         Op::new(OpKind::Gate { gate: GateKind::X, num_controls: 0 }, vec![measured], vec![fresh]);
     func.body.ops.insert(release + 1, Op::new(OpKind::QFree, vec![fresh], vec![]));
     module.add_func(func);
-    let warnings = lint_module(&module, &LintOptions::default());
+    let warnings = lint_module(&module);
     assert!(
         warnings.iter().any(|d| d.code == "W0001"),
         "expected W0001 gate-after-measure, got {:?}",

@@ -91,21 +91,6 @@ impl GateKind {
         }
     }
 
-    /// Whether the gate diagonalizes in the computational basis (so it
-    /// commutes with Z-controls on its target).
-    pub fn is_diagonal(self) -> bool {
-        matches!(
-            self,
-            GateKind::Z
-                | GateKind::S
-                | GateKind::Sdg
-                | GateKind::T
-                | GateKind::Tdg
-                | GateKind::P(_)
-                | GateKind::Rz(_)
-        )
-    }
-
     /// A short lowercase mnemonic (matches OpenQASM 3 names where they
     /// exist).
     pub fn name(self) -> &'static str {
@@ -173,13 +158,5 @@ mod tests {
     fn swap_has_two_targets() {
         assert_eq!(GateKind::Swap.num_targets(), 2);
         assert_eq!(GateKind::H.num_targets(), 1);
-    }
-
-    #[test]
-    fn diagonal_classification() {
-        assert!(GateKind::Z.is_diagonal());
-        assert!(GateKind::P(1.0).is_diagonal());
-        assert!(!GateKind::X.is_diagonal());
-        assert!(!GateKind::H.is_diagonal());
     }
 }
