@@ -9,9 +9,11 @@
 //! silently.
 //!
 //! One wide point follows: a 128-bit Simon (256 qubits) on `grid-16x16`,
-//! where the cost of the initial layout in the width shows. A full run
-//! checks its swaps and routed depth against the latest committed
-//! full-mode point that holds it.
+//! where the cost of the initial layout in the width shows.
+//!
+//! Every run pins every route: each entry's swaps and routed depth must
+//! equal those of the latest committed full-mode point. A smoke run fails
+//! on an entry that point lacks; a full run records it.
 //!
 //! Each full run appends a trajectory point to `BENCH_route.json` at the
 //! repo root. `--smoke` shrinks the sample count for CI and prints the
@@ -113,6 +115,8 @@ fn compile_example(
 
 /// One routed `(program, target)` measurement.
 struct Entry {
+    /// `"program": …, "target": …`, as the entry's JSON starts.
+    tag: String,
     swaps: usize,
     routed_depth: usize,
     json: String,
@@ -151,9 +155,9 @@ fn measure(name: &str, circuit: &Circuit, target_name: &str, samples: usize) -> 
         overhead.depth_overhead(),
         route_us,
     );
+    let tag = format!("\"program\": \"{name}\", \"target\": \"{target_name}\"");
     let json = format!(
-        "{{\"program\": \"{name}\", \"target\": \"{target_name}\", \
-         \"swaps\": {}, \"unrouted_depth\": {}, \"routed_depth\": {}, \
+        "{{{tag}, \"swaps\": {}, \"unrouted_depth\": {}, \"routed_depth\": {}, \
          \"depth_overhead\": {:.3}, \"route_us\": {:.1}}}",
         overhead.swap_count,
         overhead.unrouted_depth,
@@ -161,7 +165,7 @@ fn measure(name: &str, circuit: &Circuit, target_name: &str, samples: usize) -> 
         overhead.depth_overhead(),
         route_us,
     );
-    Some(Entry { swaps: overhead.swap_count, routed_depth: overhead.routed_depth, json })
+    Some(Entry { tag, swaps: overhead.swap_count, routed_depth: overhead.routed_depth, json })
 }
 
 fn main() {
@@ -180,7 +184,7 @@ fn main() {
             continue;
         };
         for target_name in TARGETS {
-            entries.extend(measure(name, &circuit, target_name, samples).map(|e| e.json));
+            entries.extend(measure(name, &circuit, target_name, samples));
         }
     }
 
@@ -191,26 +195,33 @@ fn main() {
         .expect("the paper suite holds simon");
     let wide = measure(wide_name, &asdf_circuit(&simon), wide_target, samples)
         .expect("the wide program fits its target");
-    // Smoke runs are never recorded, so only a full run has a committed
-    // point to compare with; points from before the wide entry lack it.
-    let committed =
-        if smoke { None } else { committed_full_point("BENCH_route.json", "route_overhead") };
-    let tag = format!("\"program\": \"{wide_name}\", \"target\": \"{wide_target}\"");
-    if let Some(at) = committed.as_deref().and_then(|point| Some(&point[point.find(&tag)?..])) {
-        for (key, measured) in [("swaps", wide.swaps), ("routed_depth", wide.routed_depth)] {
+    entries.push(wide);
+
+    let committed = committed_full_point("BENCH_route.json", "route_overhead");
+    let mut pinned = 0;
+    for entry in &entries {
+        let committed_entry =
+            committed.as_deref().and_then(|point| Some(&point[point.find(&entry.tag)?..]));
+        let Some(at) = committed_entry else {
+            assert!(!smoke, "{{{}}} has no committed full-mode point; record one", entry.tag);
+            continue;
+        };
+        for (key, measured) in [("swaps", entry.swaps), ("routed_depth", entry.routed_depth)] {
             assert_eq!(
                 json_field(at, key),
                 Some(measured as f64),
-                "{wide_name} {key} differs from the committed full-mode point"
+                "{{{}}}: {key} differs from the committed full-mode point",
+                entry.tag
             );
         }
+        pinned += 1;
     }
-    entries.push(wide.json);
+    println!("{pinned} of {} routes match the committed full-mode point", entries.len());
 
     let point = format!(
         "{{\"bench\": \"route_overhead\", \"mode\": \"{}\", \"entries\": [{}]}}",
         if smoke { "smoke" } else { "full" },
-        entries.join(", "),
+        entries.iter().map(|e| e.json.as_str()).collect::<Vec<_>>().join(", "),
     );
     record_trajectory_point("BENCH_route.json", &point, smoke);
 }

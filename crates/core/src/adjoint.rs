@@ -11,9 +11,8 @@
 //! an adjoint form participates.
 
 use crate::error::CoreError;
-use asdf_ir::clone::clone_ops_into;
+use asdf_ir::clone::{clone_ops_into, ValueMap};
 use asdf_ir::{Func, FuncBuilder, Op, OpKind, Type, Value, Visibility};
-use std::collections::HashMap;
 
 /// Builds the adjoint of a single-block reversible function
 /// (`qbundle[N] -rev-> qbundle[N]`).
@@ -41,14 +40,14 @@ pub(crate) fn adjoint_func(func: &Func, new_name: &str) -> Result<Func, CoreErro
     let mut out = builder.finish();
 
     // 1. Stationary ops are cloned in original order (Fig. 4's yellow box).
-    let mut stat_map: HashMap<Value, Value> = HashMap::new();
+    let mut stat_map = ValueMap::new(func);
     let stationary: Vec<Op> =
         func.body.ops.iter().filter(|op| func.op_is_stationary(op)).cloned().collect();
     let mut new_ops = clone_ops_into(func, &stationary, &mut out, &mut stat_map);
 
     // 2. Quantum ops are rebuilt in reverse. `adj` maps an original value
     //    to the adjoint-function value carrying the same wire.
-    let mut adj: HashMap<Value, Value> = HashMap::new();
+    let mut adj = ValueMap::new(func);
     adj.insert(terminator.operands[0], adj_arg);
 
     for op in func.body.ops.iter().rev() {
@@ -60,7 +59,7 @@ pub(crate) fn adjoint_func(func: &Func, new_name: &str) -> Result<Func, CoreErro
     }
 
     // 3. The original argument's wire is the adjoint's result.
-    let result = *adj.get(&func.body.args[0]).ok_or_else(|| {
+    let result = adj.get(func.body.args[0]).ok_or_else(|| {
         CoreError::Ir(format!("@{}: argument wire not reconstructed during adjoint", func.name))
     })?;
     new_ops.push(Op::new(OpKind::Return, vec![result], vec![]));
@@ -76,12 +75,12 @@ fn build_adjoint_op(
     src: &Func,
     op: &Op,
     out: &mut Func,
-    adj: &mut HashMap<Value, Value>,
-    stat_map: &HashMap<Value, Value>,
+    adj: &mut ValueMap,
+    stat_map: &ValueMap,
 ) -> Result<Vec<Op>, CoreError> {
     // Gather adjoint values for every (linear) result.
-    let take = |adj: &mut HashMap<Value, Value>, v: Value| -> Result<Value, CoreError> {
-        adj.remove(&v).ok_or_else(|| {
+    let take = |adj: &mut ValueMap, v: Value| -> Result<Value, CoreError> {
+        adj.remove(v).ok_or_else(|| {
             CoreError::Ir(format!("adjoint: result wire {v} of {} unknown", op.kind.mnemonic()))
         })
     };
@@ -188,8 +187,8 @@ fn build_adjoint_op(
     }
 }
 
-fn map_stationary(v: Value, stat_map: &HashMap<Value, Value>) -> Result<Value, CoreError> {
-    stat_map.get(&v).copied().ok_or_else(|| {
+fn map_stationary(v: Value, stat_map: &ValueMap) -> Result<Value, CoreError> {
+    stat_map.get(v).ok_or_else(|| {
         CoreError::Ir(format!("adjoint: classical operand {v} is not defined by a stationary op"))
     })
 }

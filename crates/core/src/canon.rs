@@ -10,10 +10,9 @@
 
 use crate::error::CoreError;
 use asdf_ir::block::{Block, BlockPath};
-use asdf_ir::clone::clone_ops_into;
+use asdf_ir::clone::{clone_ops_into, ValueMap};
 use asdf_ir::rewrite::{PatternSet, RewritePattern, Rewriter};
 use asdf_ir::{Func, FuncBuilder, Module, Op, OpKind, Value, Visibility};
-use std::collections::HashMap;
 
 /// The Qwerty-level canonicalization patterns as a [`PatternSet`].
 pub(crate) fn qwerty_patterns() -> PatternSet {
@@ -51,8 +50,9 @@ pub(crate) fn lift_lambdas(module: &mut Module) -> Result<usize, CoreError> {
             // the same results, so every def outside lambda regions keeps
             // its place, and no capture is defined inside another lambda.
             let defs = DefSites::new(func);
+            let mut map = ValueMap::new(func);
             for (path, op_idx) in &sites {
-                lift_one(module, func_idx, &defs, path, *op_idx)?;
+                lift_one(module, func_idx, &defs, &mut map, path, *op_idx)?;
                 lifted += 1;
             }
         }
@@ -108,10 +108,14 @@ impl DefSites {
     }
 }
 
+/// Lifts the lambda at `path[op_idx]` of function `func_idx`, cloning
+/// through `map`, which it clears first: one map serves all of the
+/// function's lambdas.
 fn lift_one(
     module: &mut Module,
     func_idx: usize,
     defs: &DefSites,
+    map: &mut ValueMap,
     path: &BlockPath,
     op_idx: usize,
 ) -> Result<(), CoreError> {
@@ -129,7 +133,7 @@ fn lift_one(
     // Map lambda-block params (after captures) to the new func's args.
     let block = &op.regions[0];
     let num_captures = op.operands.len();
-    let mut map: HashMap<Value, Value> = HashMap::new();
+    map.clear();
     for (param, arg) in block.args[num_captures..].iter().zip(new_args) {
         map.insert(*param, arg);
     }
@@ -137,12 +141,12 @@ fn lift_one(
     // Rematerialize captures: clone the pure defining slices.
     let mut remat_ops: Vec<Op> = Vec::new();
     for (capture, block_arg) in op.operands.iter().zip(&block.args[..num_captures]) {
-        let v = rematerialize(src, defs, *capture, &mut lifted, &mut map, &mut remat_ops)?;
+        let v = rematerialize(src, defs, *capture, &mut lifted, map, &mut remat_ops)?;
         map.insert(*block_arg, v);
     }
 
     // Clone the body.
-    let body_ops = clone_ops_into(src, &block.ops, &mut lifted, &mut map);
+    let body_ops = clone_ops_into(src, &block.ops, &mut lifted, map);
     lifted.body.ops = remat_ops;
     lifted.body.ops.extend(body_ops);
     let results = op.results.clone();
@@ -161,11 +165,11 @@ fn rematerialize(
     defs: &DefSites,
     v: Value,
     dest: &mut Func,
-    map: &mut HashMap<Value, Value>,
+    map: &mut ValueMap,
     out_ops: &mut Vec<Op>,
 ) -> Result<Value, CoreError> {
-    if let Some(mapped) = map.get(&v) {
-        return Ok(*mapped);
+    if let Some(mapped) = map.get(v) {
+        return Ok(mapped);
     }
     let Some(op) = defs.def(src, v) else {
         return Err(CoreError::Unsupported(format!(
@@ -183,7 +187,7 @@ fn rematerialize(
     }
     let cloned = clone_ops_into(src, std::slice::from_ref(op), dest, map);
     out_ops.extend(cloned);
-    Ok(map[&v])
+    Ok(map[v])
 }
 
 /// `func_adj(func_adj(x))` → `x`.

@@ -12,9 +12,9 @@ use crate::error::CoreError;
 use crate::gates::GateCtx;
 use crate::synth::translate::{emit_measurement_rotation, emit_translation};
 use asdf_basis::{Eigenstate, PrimitiveBasis};
+use asdf_ir::clone::ValueMap;
 use asdf_ir::func::BlockBuilder;
 use asdf_ir::{Func, FuncBuilder, GateKind, Module, Op, OpKind, Type, Value};
-use std::collections::HashMap;
 
 /// Converts every function in the module from Qwerty ops to QCircuit ops.
 ///
@@ -34,7 +34,10 @@ pub(crate) fn convert_module(module: &mut Module) -> Result<(), CoreError> {
 fn convert_func(src: &Func) -> Result<Func, CoreError> {
     let mut builder = FuncBuilder::new(src.name.clone(), src.ty.clone(), src.visibility);
     let args = builder.args().to_vec();
-    let mut map: HashMap<Value, Value> = src.body.args.iter().copied().zip(args).collect();
+    let mut map = ValueMap::new(src);
+    for (&arg, new_arg) in src.body.args.iter().zip(args) {
+        map.insert(arg, new_arg);
+    }
     let mut bb = builder.block();
     convert_ops(src, &src.body.ops, &mut bb, &mut map)?;
     Ok(builder.finish())
@@ -44,7 +47,7 @@ fn convert_ops(
     src: &Func,
     ops: &[Op],
     bb: &mut BlockBuilder<'_>,
-    map: &mut HashMap<Value, Value>,
+    map: &mut ValueMap,
 ) -> Result<(), CoreError> {
     for op in ops {
         convert_op(src, op, bb, map)?;
@@ -52,15 +55,15 @@ fn convert_ops(
     Ok(())
 }
 
-fn get(map: &HashMap<Value, Value>, v: Value) -> Result<Value, CoreError> {
-    map.get(&v).copied().ok_or_else(|| CoreError::Ir(format!("conversion lost track of value {v}")))
+fn get(map: &ValueMap, v: Value) -> Result<Value, CoreError> {
+    map.get(v).ok_or_else(|| CoreError::Ir(format!("conversion lost track of value {v}")))
 }
 
 fn convert_op(
     src: &Func,
     op: &Op,
     bb: &mut BlockBuilder<'_>,
-    map: &mut HashMap<Value, Value>,
+    map: &mut ValueMap,
 ) -> Result<(), CoreError> {
     // Every QCircuit op emitted for this Qwerty op inherits its source
     // span, so post-conversion lints still point at the frontend source.

@@ -13,9 +13,9 @@
 use crate::error::CoreError;
 use crate::gates::GateCtx;
 use asdf_basis::{Basis, BasisElem, PrimitiveBasis};
+use asdf_ir::clone::ValueMap;
 use asdf_ir::func::BlockBuilder;
 use asdf_ir::{Func, FuncBuilder, FuncType, GateKind, Op, OpKind, Type, Value, Visibility};
-use std::collections::HashMap;
 
 /// Builds the form of `func` predicated on `pred`: a function on
 /// `qbundle[M + N]` whose first `M` qubits carry the predicate.
@@ -57,7 +57,8 @@ pub(crate) fn predicate_func(func: &Func, pred: &Basis, new_name: &str) -> Resul
 
     // Rebuild the body with per-op predication.
     let payload_bundle = bb.push(OpKind::QbPack, payload.to_vec(), vec![Type::QBundle(n)]);
-    let mut state = PredState { map: HashMap::new(), pred_qubits, pred_patterns, pred: &std_pred };
+    let mut state =
+        PredState { map: ValueMap::new(func), pred_qubits, pred_patterns, pred: &std_pred };
     state.map.insert(func.body.args[0], payload_bundle[0]);
 
     let terminator = func
@@ -75,9 +76,9 @@ pub(crate) fn predicate_func(func: &Func, pred: &Basis, new_name: &str) -> Resul
     // Undo renaming swaps outside the predicate space (Fig. 5, bottom
     // right): for each swap, an uncontrolled SWAP followed by a predicated
     // SWAP.
-    let final_bundle = *state
+    let final_bundle = state
         .map
-        .get(&terminator.operands[0])
+        .get(terminator.operands[0])
         .ok_or_else(|| CoreError::Ir("predication lost track of the result bundle".to_string()))?;
     let mut payload_out =
         bb.push(OpKind::QbUnpack, vec![final_bundle], vec![Type::Qubit; n]).into_vec();
@@ -188,7 +189,7 @@ fn standardize_pred(bb: &mut BlockBuilder<'_>, qubits: &mut [Value], pred: &Basi
 
 struct PredState<'p> {
     /// Original value -> predicated-function value.
-    map: HashMap<Value, Value>,
+    map: ValueMap,
     pred_qubits: Vec<Value>,
     pred_patterns: Vec<Vec<(usize, bool)>>,
     pred: &'p Basis,
@@ -196,10 +197,7 @@ struct PredState<'p> {
 
 impl PredState<'_> {
     fn get(&self, v: Value) -> Result<Value, CoreError> {
-        self.map
-            .get(&v)
-            .copied()
-            .ok_or_else(|| CoreError::Ir(format!("predication: value {v} untracked")))
+        self.map.get(v).ok_or_else(|| CoreError::Ir(format!("predication: value {v} untracked")))
     }
 
     /// The `Predicatable` behaviour: rebuilds one op with predicates.

@@ -9,13 +9,12 @@
 //! the [`InlineSpecializer`] hook.
 
 use crate::block::BlockPath;
-use crate::clone::clone_ops_into;
+use crate::clone::{clone_ops_into, ValueMap};
 use crate::error::IrError;
 use crate::func::Func;
 use crate::module::Module;
 use crate::op::OpKind;
 use asdf_basis::Basis;
-use std::collections::HashMap;
 
 /// Transforms a callee body for an `adj`/`pred` call before it is spliced
 /// into the caller (§5.2, §5.3). Implemented by `asdf-core`.
@@ -167,8 +166,10 @@ fn inline_one(
 
     // Map callee block args to call operands, then clone the body ops
     // (minus the terminator) into the caller's arena.
-    let mut map: HashMap<crate::value::Value, crate::value::Value> =
-        body_func.body.args.iter().copied().zip(call_operands).collect();
+    let mut map = ValueMap::new(&body_func);
+    for (&arg, operand) in body_func.body.args.iter().zip(call_operands) {
+        map.insert(arg, operand);
+    }
     let Some(terminator) = body_func.body.terminator() else {
         return Err(IrError::Inline(format!("@{callee_name} has no terminator")));
     };
@@ -178,7 +179,7 @@ fn inline_one(
     let body_len = body_func.body.ops.len();
     let cloned = clone_ops_into(&body_func, &body_func.body.ops[..body_len - 1], caller, &mut map);
     let return_vals: Vec<crate::value::Value> =
-        body_func.body.ops[body_len - 1].operands.iter().map(|v| map[v]).collect();
+        body_func.body.ops[body_len - 1].operands.iter().map(|&v| map[v]).collect();
 
     // Splice and rewire.
     let block = caller.block_at_mut(path);

@@ -786,27 +786,39 @@ impl FuncIndex {
         })
     }
 
-    /// The block indexed as `bid`, found by walking up its parents (no
-    /// path is built).
+    /// The block indexed as `bid`. Block 0 is always `func.body`; a
+    /// nested block is found by walking up its parents (no path is built).
+    #[inline]
     fn block<'f>(&self, func: &'f Func, bid: BlockId) -> &'f Block {
-        match self.blocks[bid].parent {
-            None => &func.body,
-            Some((slot, ri)) => {
-                let owner = &self.slots[slot];
-                &self.block(func, owner.block).ops[owner.pos].regions[ri]
-            }
+        if bid == 0 {
+            &func.body
+        } else {
+            self.nested_block(func, bid)
         }
     }
 
+    fn nested_block<'f>(&self, func: &'f Func, bid: BlockId) -> &'f Block {
+        let (slot, ri) =
+            self.blocks[bid].parent.expect("every block but block 0 is nested in an op");
+        let owner = &self.slots[slot];
+        &self.block(func, owner.block).ops[owner.pos].regions[ri]
+    }
+
     /// Mutable access to the block indexed as `bid`.
+    #[inline]
     fn block_mut<'f>(&self, func: &'f mut Func, bid: BlockId) -> &'f mut Block {
-        match self.blocks[bid].parent {
-            None => &mut func.body,
-            Some((slot, ri)) => {
-                let owner = &self.slots[slot];
-                &mut self.block_mut(func, owner.block).ops[owner.pos].regions[ri]
-            }
+        if bid == 0 {
+            &mut func.body
+        } else {
+            self.nested_block_mut(func, bid)
         }
+    }
+
+    fn nested_block_mut<'f>(&self, func: &'f mut Func, bid: BlockId) -> &'f mut Block {
+        let (slot, ri) =
+            self.blocks[bid].parent.expect("every block but block 0 is nested in an op");
+        let owner = &self.slots[slot];
+        &mut self.block_mut(func, owner.block).ops[owner.pos].regions[ri]
     }
 
     fn op<'f>(&self, func: &'f Func, slot: SlotId) -> &'f Op {
@@ -1035,6 +1047,9 @@ struct DriverScratch {
     worklist: Vec<SlotId>,
     /// Per slot, whether the worklist holds it or may take it.
     queue: Vec<Queue>,
+    /// Per slot, the patterns that may root at its op (see [`root_bit`]).
+    /// A slot's op kind never changes, so this is asked once per slot.
+    roots: Vec<u64>,
     neighborhood: NeighborhoodScratch,
 }
 
@@ -1059,22 +1074,36 @@ fn enqueue(queue: &mut [Queue], worklist: &mut Vec<SlotId>, slot: SlotId) {
     }
 }
 
-/// Gives every slot indexed since the last call its worklist state: idle
-/// when a pattern accepts the op's kind or the op is pure classical (so
-/// dead-code elimination may erase it), never queued otherwise. Debug
-/// builds check here that every pattern rejecting the op's kind also
-/// fails to match it (see [`RewritePattern::matches_root_kind`]).
+/// The bit of pattern `i` (in benefit order) in a slot's root mask.
+/// Patterns from the 64th on share the top bit, and a visit asks each of
+/// them again.
+fn root_bit(i: usize) -> u64 {
+    1 << i.min(63)
+}
+
+/// Gives every slot indexed since the last call its root mask, the
+/// patterns whose [`RewritePattern::matches_root_kind`] accepts the op's
+/// kind, and its worklist state: idle when a pattern accepts the kind or
+/// the op is pure classical (so dead-code elimination may erase it), never
+/// queued otherwise. Debug builds check here that every pattern rejecting
+/// the op's kind also fails to match it.
 fn classify_new_slots(
     patterns: &PatternSet,
     func: &mut Func,
     index: &FuncIndex,
     queue: &mut Vec<Queue>,
+    roots: &mut Vec<u64>,
 ) {
     for slot in queue.len()..index.slots.len() {
         let kind = &index.op(func, slot).kind;
-        let rootable =
-            kind.is_pure_classical() || patterns.iter().any(|p| p.matches_root_kind(kind));
+        let mask = patterns
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.matches_root_kind(kind))
+            .fold(0, |mask, (i, _)| mask | root_bit(i));
+        let rootable = mask != 0 || kind.is_pure_classical();
         queue.push(if rootable { Queue::Idle } else { Queue::Never });
+        roots.push(mask);
         #[cfg(debug_assertions)]
         for pattern in patterns.iter() {
             if !pattern.matches_root_kind(&index.op(func, slot).kind) {
@@ -1131,10 +1160,11 @@ impl GreedyRewriteDriver {
 
     fn run_func(&mut self, func: &mut Func) -> usize {
         let GreedyRewriteDriver { patterns, config, stats, scratch } = self;
-        let DriverScratch { index, worklist, queue, neighborhood } = scratch;
+        let DriverScratch { index, worklist, queue, roots, neighborhood } = scratch;
         index.rebuild(func);
         queue.clear();
-        classify_new_slots(patterns, func, index, queue);
+        roots.clear();
+        classify_new_slots(patterns, func, index, queue, roots);
         // Seed in reverse so LIFO pops visit ops in program order.
         worklist.clear();
         for slot in (0..index.slots.len()).rev() {
@@ -1149,11 +1179,15 @@ impl GreedyRewriteDriver {
             }
             stats.visits += 1;
 
-            // Patterns first, best benefit wins; then integrated DCE.
+            // Patterns first, best benefit wins; then integrated DCE. Only
+            // the patterns in the slot's root mask see the op.
             let mut fired = false;
-            if !config.fuel.is_exhausted() {
-                for pattern in patterns.iter() {
-                    if !pattern.matches_root_kind(&index.op(func, slot).kind) {
+            let mask = roots[slot];
+            if mask != 0 && !config.fuel.is_exhausted() {
+                for (i, pattern) in patterns.iter().enumerate() {
+                    if mask & root_bit(i) == 0
+                        || (i >= 63 && !pattern.matches_root_kind(&index.op(func, slot).kind))
+                    {
                         continue;
                     }
                     let mut rw = Rewriter::new(func, index, slot);
@@ -1180,7 +1214,7 @@ impl GreedyRewriteDriver {
                              (cyclic pattern set?)",
                             config.max_fires
                         );
-                        classify_new_slots(patterns, func, index, queue);
+                        classify_new_slots(patterns, func, index, queue, roots);
                         for &s in &change.created {
                             enqueue(queue, worklist, s);
                         }
@@ -1895,6 +1929,47 @@ mod tests {
         driver.run(&mut module);
         assert_eq!(driver.stats.fired.get("high"), Some(&1));
         assert_eq!(driver.stats.fired.get("low"), None);
+    }
+
+    #[test]
+    fn patterns_past_the_root_mask_width_still_fire() {
+        /// Turns `fadd` into `fmul`, rooting only at `root`.
+        struct RootedAt {
+            root: fn(&OpKind) -> bool,
+            benefit: usize,
+        }
+        impl RewritePattern for RootedAt {
+            fn name(&self) -> &'static str {
+                "rooted-at"
+            }
+            fn benefit(&self) -> usize {
+                self.benefit
+            }
+            fn matches_root_kind(&self, kind: &OpKind) -> bool {
+                (self.root)(kind)
+            }
+            fn match_and_rewrite(&self, rw: &mut Rewriter<'_>) -> bool {
+                let op = rw.op();
+                if !(matches!(op.kind, OpKind::FAdd) && (self.root)(&op.kind)) {
+                    return false;
+                }
+                let (operands, result) = (op.operands.clone(), op.results[0]);
+                rw.replace_root(Op::new(OpKind::FMul, operands, vec![result]));
+                true
+            }
+        }
+        // 69 patterns rooted elsewhere sort first; the one rooted at fadd
+        // is the 70th and shares the mask's top bit with the 64th on.
+        let mut driver = GreedyRewriteDriver::new();
+        for benefit in 2..71 {
+            let root = |kind: &OpKind| matches!(kind, OpKind::FSub);
+            driver.add_pattern(Box::new(RootedAt { root, benefit }));
+        }
+        let root = |kind: &OpKind| matches!(kind, OpKind::FAdd);
+        driver.add_pattern(Box::new(RootedAt { root, benefit: 1 }));
+        let mut module = fadd_module();
+        assert_eq!(driver.run(&mut module), 1);
+        assert!(matches!(module.funcs()[0].body.ops[2].kind, OpKind::FMul));
     }
 
     /// Replaces `fsub` with an `scf.if` whose regions contain freshly

@@ -374,9 +374,9 @@ impl<'a> Ctx<'a> {
     fn check_op(&self, op: &Op, expected_results: &[Type]) -> Result<(), String> {
         let ty = |v: &Value| self.ty(*v);
         let operand = |i: usize| op.operands.get(i).map(ty);
-        let all = |values: &[Value], want: &Type| values.iter().all(|v| ty(v) == want);
+        let all = |values: &[Value], want: &Type| values.iter().all(|v| same_type(ty(v), want));
         // Exactly one result, of type `want`.
-        let yields = |want: &Type| op.results.len() == 1 && ty(&op.results[0]) == want;
+        let yields = |want: &Type| op.results.len() == 1 && same_type(ty(&op.results[0]), want);
         let yields_func = |want: &FuncType| {
             op.results.len() == 1 && matches!(ty(&op.results[0]), Type::Func(ft) if **ft == *want)
         };
@@ -512,11 +512,11 @@ impl<'a> Ctx<'a> {
                     "lambda block args must be captures ++ params",
                 )?;
                 for (cap, arg) in op.operands.iter().zip(&block.args) {
-                    expect(ty(cap) == ty(arg), "lambda capture/arg type mismatch")?;
+                    expect(same_type(ty(cap), ty(arg)), "lambda capture/arg type mismatch")?;
                     expect(!ty(cap).is_linear(), "lambda cannot capture linear values")?;
                 }
                 for (input, arg) in func_ty.inputs.iter().zip(&block.args[op.operands.len()..]) {
-                    expect(input == ty(arg), "lambda param type mismatch")?;
+                    expect(same_type(input, ty(arg)), "lambda param type mismatch")?;
                 }
                 expect(yields_func(func_ty), "lambda yields its function type")
             }
@@ -524,7 +524,11 @@ impl<'a> Ctx<'a> {
                 expect(op.results.is_empty(), "terminators yield nothing")?;
                 expect(
                     op.operands.len() == expected_results.len()
-                        && op.operands.iter().zip(expected_results).all(|(v, t)| ty(v) == t),
+                        && op
+                            .operands
+                            .iter()
+                            .zip(expected_results)
+                            .all(|(v, t)| same_type(ty(v), t)),
                     "terminator operands must match the enclosing result types",
                 )
             }
@@ -579,8 +583,8 @@ impl<'a> Ctx<'a> {
                 op.operands.len() == 1
                     && all(&op.operands, &Type::Qubit)
                     && op.results.len() == 2
-                    && *ty(&op.results[0]) == Type::Qubit
-                    && *ty(&op.results[1]) == Type::I1,
+                    && matches!(ty(&op.results[0]), Type::Qubit)
+                    && matches!(ty(&op.results[1]), Type::I1),
                 "measure yields (qubit, i1)",
             ),
             OpKind::ArrPack => {
@@ -619,7 +623,7 @@ impl<'a> Ctx<'a> {
                 "callable modifiers take and yield a callable",
             ),
             OpKind::CallableInvoke => expect(
-                operand(0) == Some(&Type::Callable),
+                matches!(operand(0), Some(Type::Callable)),
                 "callable_invoke operand 0 must be a callable",
             ),
         }
@@ -632,7 +636,8 @@ impl<'a> Ctx<'a> {
         results: &[Value],
     ) -> Result<(), String> {
         let matches = |values: &[Value], types: &[Type]| {
-            values.len() == types.len() && values.iter().zip(types).all(|(v, t)| self.ty(*v) == t)
+            values.len() == types.len()
+                && values.iter().zip(types).all(|(v, t)| same_type(self.ty(*v), t))
         };
         if !matches(args, &ft.inputs) {
             return Err("call arguments do not match the callee signature".to_string());
@@ -641,6 +646,18 @@ impl<'a> Ctx<'a> {
             return Err("call results do not match the callee signature".to_string());
         }
         Ok(())
+    }
+}
+
+/// `a == b`, inline for the types the checks compare most: payload-free
+/// types compare by variant and bundles by width. Only function and array
+/// types take the derived `PartialEq`, which recurses through their boxes.
+#[inline]
+fn same_type(a: &Type, b: &Type) -> bool {
+    match (a, b) {
+        (Type::QBundle(x), Type::QBundle(y)) | (Type::BitBundle(x), Type::BitBundle(y)) => x == y,
+        (Type::Func(_) | Type::Array(..), _) => a == b,
+        _ => std::mem::discriminant(a) == std::mem::discriminant(b),
     }
 }
 

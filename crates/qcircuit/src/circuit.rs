@@ -343,7 +343,8 @@ impl Circuit {
             .count()
     }
 
-    /// T-gate count: `T`/`Tdg` gates plus `P(±π/4)` phases.
+    /// T-gate count: `T`/`Tdg` gates plus uncontrolled `P` and `Rz` at odd
+    /// multiples of π/4, each a T or T† times a Clifford phase.
     pub fn t_count(&self) -> usize {
         self.records
             .iter()
@@ -420,7 +421,8 @@ fn is_t_like(gate: GateKind) -> bool {
         GateKind::T | GateKind::Tdg => true,
         GateKind::P(theta) | GateKind::Rz(theta) => {
             let quarter = std::f64::consts::FRAC_PI_4;
-            ((theta.abs() - quarter).abs() < 1e-9) && !is_clifford_angle(gate)
+            let k = (theta / quarter).round();
+            (theta - k * quarter).abs() < 1e-9 && k.rem_euclid(2.0) == 1.0
         }
         _ => false,
     }
@@ -539,6 +541,27 @@ mod tests {
         let mut c = Circuit::new(1);
         c.gate(GateKind::P(std::f64::consts::FRAC_PI_2), &[], &[0]);
         assert_eq!(c.t_count(), 0, "P(pi/2) is Clifford (S)");
+    }
+
+    #[test]
+    fn odd_multiples_of_a_quarter_turn_count_as_one_t() {
+        let quarter = std::f64::consts::FRAC_PI_4;
+        for k in [1, 3, 5, 7, 9, -1, -3, -5, -7] {
+            for gate in [GateKind::P(f64::from(k) * quarter), GateKind::Rz(f64::from(k) * quarter)]
+            {
+                let mut c = Circuit::new(1);
+                c.gate(gate, &[], &[0]);
+                assert_eq!((c.t_count(), c.rotation_count()), (1, 0), "{gate:?}");
+            }
+        }
+        for k in [0, 2, 4, -2, -6] {
+            let mut c = Circuit::new(1);
+            c.gate(GateKind::P(f64::from(k) * quarter), &[], &[0]);
+            assert_eq!((c.t_count(), c.rotation_count()), (0, 0), "P({k}π/4) is Clifford");
+        }
+        let mut c = Circuit::new(1);
+        c.gate(GateKind::P(1.5 * quarter), &[], &[0]);
+        assert_eq!((c.t_count(), c.rotation_count()), (0, 1), "P(3π/8) is a rotation");
     }
 
     /// The pairwise scan `Circuit::check` made before, O(k²) for a k-qubit

@@ -7,7 +7,8 @@
 //! expressed in a native gate set. This crate closes that gap:
 //!
 //! - `CouplingGraph` (`topology`) — which physical qubit pairs support
-//!   a native two-qubit gate, with precomputed all-pairs shortest paths;
+//!   a native two-qubit gate, with O(1) hop distances for the built-in
+//!   families and a breadth-first all-pairs table for edge lists;
 //! - [`Target`] (`target`) — a named device description (`linear-N`,
 //!   `ring-N`, `grid-RxC`, or an explicit `edges:0-1,1-2,…` list) with a
 //!   `NativeGateSet` and per-gate costs;

@@ -4,9 +4,9 @@
 //! the native set — `asdf_qcircuit::decompose` (Selinger style) lowers
 //! multi-controlled gates to {1q, CX, CZ, SWAP}, and a local pass here
 //! finishes the job (CZ becomes H·CX·H, SWAP becomes three CX). Then the
-//! router walks the native circuit keeping a logical→physical map: 1q
-//! gates, measurements, and resets are emitted wherever their logical
-//! qubit currently lives, and each CX whose endpoints are not coupled
+//! router walks the native circuit keeping a logical→physical map and its
+//! inverse: 1q gates, measurements, and resets are emitted wherever their
+//! logical qubit currently lives, and each CX whose endpoints are not coupled
 //! triggers greedy SWAP insertion — always a swap that strictly shrinks
 //! the endpoints' distance (guaranteeing termination on a connected
 //! graph), tie-broken by a geometrically decayed lookahead score over the
@@ -24,6 +24,8 @@ use asdf_qcircuit::{Circuit, CircuitOp, DecomposeStyle};
 const LOOKAHEAD: usize = 5;
 /// Per-step geometric decay of lookahead weight.
 const DECAY: f64 = 0.5;
+/// A physical wire that holds no logical qubit.
+const FREE: usize = usize::MAX;
 
 /// Where logical qubits live before and after routing, plus cost metrics.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,6 +111,11 @@ pub(crate) fn run(
 
     let mut l2p = initial_layout(circuit, graph);
     let initial_layout_snapshot = l2p.clone();
+    // The inverse map: which logical qubit each physical wire holds.
+    let mut p2l = vec![FREE; n_physical];
+    for (l, &p) in l2p.iter().enumerate() {
+        p2l[p] = l;
+    }
 
     // Pending two-qubit gates, as logical pairs, for the lookahead score.
     let pending: Vec<(usize, (usize, usize))> = circuit
@@ -140,7 +147,7 @@ pub(crate) fn run(
                     let (a, b) = best_swap(graph, &l2p, (c, t), &pending[pending_cursor..]);
                     emit_swap(&mut out, a, b);
                     swap_count += 1;
-                    apply_swap(&mut l2p, a, b);
+                    apply_swap(&mut l2p, &mut p2l, a, b);
                 }
                 out.gate(GateKind::X, &[l2p[c]], &[l2p[t]]);
             }
@@ -163,13 +170,13 @@ pub(crate) fn run(
     Routed { circuit: out, info }
 }
 
-/// Updates the logical→physical map after swapping physical wires `a`,`b`.
-fn apply_swap(l2p: &mut [usize], a: usize, b: usize) {
-    for p in l2p.iter_mut() {
-        if *p == a {
-            *p = b;
-        } else if *p == b {
-            *p = a;
+/// Swaps the contents of physical wires `a` and `b`, either of which may
+/// be [`FREE`], in both directions of the layout: O(1), no scan of `l2p`.
+fn apply_swap(l2p: &mut [usize], p2l: &mut [usize], a: usize, b: usize) {
+    p2l.swap(a, b);
+    for p in [a, b] {
+        if p2l[p] != FREE {
+            l2p[p2l[p]] = p;
         }
     }
 }
@@ -192,7 +199,7 @@ fn best_swap(
     let mut best: Option<((usize, usize), f64)> = None;
     for &endpoint in &[pc, pt] {
         let other = if endpoint == pc { pt } else { pc };
-        for &nb in graph.neighbors(endpoint) {
+        for nb in graph.neighbors(endpoint) {
             if graph.distance(nb, other) >= current {
                 continue;
             }
@@ -300,11 +307,11 @@ mod tests {
 
     #[test]
     fn swap_updates_mapping() {
-        let mut l2p = vec![0, 1, 2];
-        apply_swap(&mut l2p, 1, 2);
-        assert_eq!(l2p, vec![0, 2, 1]);
-        apply_swap(&mut l2p, 0, 3); // 3 unoccupied: only 0 moves
-        assert_eq!(l2p, vec![3, 2, 1]);
+        let (mut l2p, mut p2l) = (vec![0, 1, 2], vec![0, 1, 2, FREE]);
+        apply_swap(&mut l2p, &mut p2l, 1, 2);
+        assert_eq!((&l2p[..], &p2l[..]), (&[0, 2, 1][..], &[0, 2, 1, FREE][..]));
+        apply_swap(&mut l2p, &mut p2l, 0, 3); // 3 unoccupied: only 0 moves
+        assert_eq!((&l2p[..], &p2l[..]), (&[3, 2, 1][..], &[FREE, 2, 1, 0][..]));
     }
 
     #[test]

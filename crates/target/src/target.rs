@@ -23,9 +23,12 @@ use std::fmt;
 /// "did you mean" suggestions and documentation.
 pub(crate) const BUILTIN_TARGETS: &[&str] = &["linear-16", "ring-8", "grid-4x4"];
 
-/// The most physical qubits a target may have. Building a coupling graph
-/// allocates an n×n `u32` distance matrix (4 MB at this bound), so a
-/// larger name is rejected before anything is allocated for it.
+/// The most physical qubits a target may have. The built-in families
+/// compute hop distances arithmetically and allocate nothing per qubit,
+/// but an `edges:` target's coupling graph holds an n×n `u32` distance
+/// table (4 MB at this bound), and the router keeps per-qubit layout
+/// arrays, so a larger name is rejected before anything is allocated for
+/// it.
 pub(crate) const MAX_TARGET_QUBITS: usize = 1024;
 
 /// Substring every capacity-failure message contains; see
@@ -237,8 +240,8 @@ impl Target {
                 available: self.graph.num_qubits(),
             });
         }
-        let trimmed = self.graph.induced_prefix(native.num_qubits);
-        let graph = trimmed.as_ref().unwrap_or(&self.graph);
+        let prefix = self.graph.induced_prefix(native.num_qubits);
+        let graph = prefix.as_deref().unwrap_or(&self.graph);
         Ok(route::run(&native, graph, &self.name, &self.costs))
     }
 
